@@ -25,6 +25,7 @@
 //   --failures=N   cap the number of injected failures (default 1)
 //   --fault-seed=N seed for the failure schedule / victim draws (default 1)
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +38,6 @@
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
 #include "trace/chrome_export.hpp"
-#include "trace/summary.hpp"
 #include "trace/time_profile.hpp"
 #include "trace/trace.hpp"
 
@@ -343,8 +343,37 @@ inline trace::EntryLabeler entry_labeler() {
   };
 }
 
+/// A full trace or sample buffer silently truncates every output written
+/// from it, so overflow fails the run: prints what was dropped (and, for the
+/// timeline, the smallest multiple of the interval that fits) and returns 1.
+inline int check_drops() {
+  int rc = 0;
+  if (shared_tracer().dropped() > 0) {
+    std::fprintf(stderr, "trace: ERROR %llu events dropped at the buffer cap\n",
+                 static_cast<unsigned long long>(shared_tracer().dropped()));
+    rc = 1;
+  }
+  const introspect::Monitor& mon = shared_monitor();
+  if (mon.dropped_samples() > 0) {
+    // Boundaries crossed so far, plus one for the partial window at the end.
+    const double boundaries =
+        static_cast<double>(mon.samples().size() + mon.dropped_samples() + 1);
+    const double fit =
+        mon.interval() *
+        std::ceil(boundaries / static_cast<double>(introspect::Monitor::kSampleCap));
+    std::fprintf(stderr,
+                 "metrics: ERROR %llu samples dropped at the %zu-sample cap; the "
+                 "timeline stops at t=%g s of %g s; --metrics=%g fits\n",
+                 static_cast<unsigned long long>(mon.dropped_samples()),
+                 introspect::Monitor::kSampleCap, mon.samples().back().t, mon.time(), fit);
+    rc = 1;
+  }
+  return rc;
+}
+
 /// Writes the accumulated trace / stats outputs (if any) and returns the
-/// process exit code.  Call as the last statement of main:
+/// process exit code (non-zero when an output is truncated, see
+/// check_drops).  Call as the last statement of main:
 /// `return bench::finish();`
 inline int finish() {
   const trace::Tracer& t = shared_tracer();
@@ -356,9 +385,6 @@ inline int finish() {
     std::printf("   trace: %zu events -> %s (open in chrome://tracing)\n", t.size(),
                 options().trace_file.c_str());
   }
-  if (tracing_requested() && t.dropped() > 0)
-    std::printf("   trace: WARNING %llu events dropped at the buffer cap\n",
-                static_cast<unsigned long long>(t.dropped()));
   if (!options().stats_file.empty()) {
     const stats::Report report = stats::collect(t, options().traced_npes);
     stats::ExportMeta meta;
@@ -369,10 +395,10 @@ inline int finish() {
     meta.taskbench = taskbench_cells();
     meta.collectives = collectives_cells();
     if (options().metrics) {
-      shared_monitor().fill_export(meta.metrics);
+      const introspect::Monitor& mon = shared_monitor();
+      meta.metrics = &mon;
       std::printf("   metrics: %zu samples, %zu journal events (interval %g s)\n",
-                  meta.metrics.samples.size(), meta.metrics.journal.size(),
-                  meta.metrics.interval);
+                  mon.samples().size(), mon.journal_events().size(), mon.interval());
     }
     meta.label = entry_labeler();
     if (!stats::write_json_file(report, meta, options().stats_file)) {
@@ -383,7 +409,7 @@ inline int finish() {
                 report.npes, report.entries.size(), report.comm.size(),
                 options().stats_file.c_str());
   }
-  return 0;
+  return check_drops();
 }
 
 /// Prints a Fig 11-style per-interval utilization profile of the last traced

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "trace/trace.hpp"
-
 namespace charm::ft {
 
 namespace {
@@ -76,9 +74,8 @@ void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done,
       rt.charge(cost);
       if (--*remaining == 0) {
         rt.after(rt.my_pe(), rt.tree_wave_latency(), [&rt, done, ckpt_begin]() {
-          if (trace::Tracer* tr = rt.machine().tracer()) {
-            tr->phase_span(trace::Phase::kCheckpoint, /*pe=*/0, ckpt_begin, rt.now());
-          }
+          rt.machine().note_phase(sim::PhaseEvent{sim::Phase::kDiskCheckpoint, /*pe=*/0,
+                                                  ckpt_begin, rt.now()});
           done.invoke(rt, ReductionResult{});
         });
       }

@@ -8,7 +8,6 @@
 
 #include "lb/manager.hpp"
 #include "sim/fault_injector.hpp"
-#include "trace/trace.hpp"
 
 namespace charm::ft {
 
@@ -81,11 +80,9 @@ void MemCheckpointer::checkpoint(Callback done) {
               total_bytes_ = stage_bytes_;
               ++checkpoints_;
               ckpt_in_progress_ = false;
-              if (trace::Tracer* tr = rt_.machine().tracer())
-                tr->phase_span(trace::Phase::kCheckpoint, 0, begin, rt_.now());
-              if (introspect::Monitor* mon = rt_.metrics())
-                mon->journal(introspect::JournalKind::kCheckpoint, rt_.now(), 0,
-                             static_cast<double>(total_bytes_));
+              rt_.machine().note_phase(
+                  sim::PhaseEvent{sim::Phase::kCheckpoint, /*pe=*/0, begin, rt_.now(),
+                                  /*aux=*/0, static_cast<double>(total_bytes_)});
               done.invoke(rt_, ReductionResult{});
             });
           });
@@ -121,12 +118,12 @@ void MemCheckpointer::on_failure(int victim, Callback done) {
     ++ckpt_aborted_;
   }
   rt_.set_pe_dead(victim, true);
-  // Injector-driven failures are journaled by Machine::fail_pe; a direct
-  // fail_and_recover() only marks the runtime dead mask, so journal it here.
-  if (!rt_.machine().pe_failed(victim)) {
-    if (introspect::Monitor* mon = rt_.metrics())
-      mon->journal(introspect::JournalKind::kFailure, rt_.now(), victim, 0.0);
-  }
+  // Machine quarantines report their own failure in Machine::fail_pe; a
+  // direct fail_and_recover() only marks the runtime dead mask, so report it
+  // here.
+  if (!rt_.machine().pe_failed(victim))
+    rt_.machine().note_phase(sim::PhaseEvent{sim::Phase::kFailure, victim, rt_.now(),
+                                             rt_.now(), /*aux=*/victim});
   // The victim's in-memory state (its local copies and the buddy copies it
   // held for its predecessor) is lost with the process.
   local_[static_cast<std::size_t>(victim)].clear();
@@ -220,12 +217,9 @@ void MemCheckpointer::begin_restore() {
     rt_.after(rt_.my_pe(), params_.barrier_count * 2.0 * rt_.tree_wave_latency(),
               [this, ep, vs]() {
                 if (epoch_ != ep) return;
-                if (trace::Tracer* tr = rt_.machine().tracer())
-                  tr->phase_span(trace::Phase::kRestore, 0, burst_begin_, rt_.now());
-                if (introspect::Monitor* mon = rt_.metrics())
-                  mon->journal(introspect::JournalKind::kRestore, rt_.now(),
-                               static_cast<int>(vs.size()),
-                               rt_.now() - burst_begin_);
+                rt_.machine().note_phase(sim::PhaseEvent{
+                    sim::Phase::kRestore, /*pe=*/0, burst_begin_, rt_.now(),
+                    static_cast<int>(vs.size()), rt_.now() - burst_begin_});
                 RecoveryRecord rec;
                 rec.ordinal = recoveries_;
                 rec.fail_time = burst_begin_;

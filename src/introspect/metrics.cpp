@@ -5,7 +5,6 @@
 #include "runtime/runtime.hpp"
 #include "runtime/spanning_tree.hpp"
 #include "sim/machine.hpp"
-#include "stats/json_export.hpp"
 
 namespace introspect {
 
@@ -14,19 +13,21 @@ namespace {
 constexpr std::size_t kSummaryPartialBytes = 24;
 }  // namespace
 
-const char* journal_kind_name(JournalKind k) {
+const char* journal_kind_name(sim::Phase k) {
   switch (k) {
-    case JournalKind::kLbRound:
+    case sim::Phase::kLbRound:
       return "lb_round";
-    case JournalKind::kCheckpoint:
+    case sim::Phase::kCheckpoint:
       return "checkpoint";
-    case JournalKind::kRestore:
+    case sim::Phase::kDiskCheckpoint:
+      return "disk_checkpoint";
+    case sim::Phase::kRestore:
       return "restore";
-    case JournalKind::kFailure:
+    case sim::Phase::kFailure:
       return "failure";
-    case JournalKind::kShrink:
+    case sim::Phase::kShrink:
       return "shrink";
-    case JournalKind::kExpand:
+    case sim::Phase::kExpand:
       return "expand";
   }
   return "?";
@@ -34,16 +35,12 @@ const char* journal_kind_name(JournalKind k) {
 
 void Monitor::attach(sim::Machine& m) {
   detach();
-  machine_ = &m;
   reset(m.npes());
-  m.set_metrics(this);
+  m.attach(*this);
 }
 
 void Monitor::detach() {
-  if (machine_ != nullptr) {
-    machine_->set_metrics(nullptr);
-    machine_ = nullptr;
-  }
+  if (sim::Machine* m = observed()) m->detach(*this);
 }
 
 void Monitor::set_interval(double dt) {
@@ -86,7 +83,7 @@ double Monitor::imbalance() const {
   return avg > 0 ? mx / avg : 0;
 }
 
-void Monitor::on_entry(int pe, int col, int ep, double dt) {
+void Monitor::on_entry(int pe, int col, int ep, double, double dt) {
   PeCounters& pc = pes_.ref(static_cast<std::size_t>(pe));
   pc.busy += dt;
   busy_ += dt;
@@ -96,6 +93,14 @@ void Monitor::on_entry(int pe, int col, int ep, double dt) {
   ++l.calls;
   l.total += dt;
   l.ewma = l.calls == 1 ? dt : kEwmaAlpha * dt + (1.0 - kEwmaAlpha) * l.ewma;
+}
+
+void Monitor::on_phase(const sim::PhaseEvent& ev) {
+  // Barrier-only LB rounds (no strategy ran) and disk checkpoints are traced
+  // but not journaled.
+  if (ev.kind == sim::Phase::kLbRound && ev.aux < 0) return;
+  if (ev.kind == sim::Phase::kDiskCheckpoint) return;
+  journal_.push_back(JournalEvent{ev.end, ev.kind, ev.aux, ev.value});
 }
 
 void Monitor::sample_up_to(double now) {
@@ -220,46 +225,6 @@ void Monitor::summary_arrive(charm::Runtime& rt, int rank, double mx, double sm,
   summary_.cnt[static_cast<std::size_t>(rank)] += ct;
   if (--summary_.pending[static_cast<std::size_t>(rank)] == 0)
     summary_ready(rt, rank);
-}
-
-// ---- export -----------------------------------------------------------------
-
-void Monitor::fill_export(stats::MetricsMeta& out) const {
-  out.enabled = true;
-  out.interval = interval_;
-  out.samples.clear();
-  out.samples.reserve(samples_.size());
-  for (const Sample& s : samples_) {
-    stats::MetricsSample m;
-    m.t = s.t;
-    m.busy_max = s.busy_max;
-    m.busy_avg = s.busy_avg;
-    m.lambda = s.lambda;
-    m.busy = s.busy;
-    m.exec = s.exec;
-    m.execs = s.execs;
-    m.msgs = s.msgs;
-    m.bytes = s.bytes;
-    m.coll_msgs = s.coll_msgs;
-    m.coll_bytes = s.coll_bytes;
-    m.msg_rate = s.msg_rate;
-    m.byte_rate = s.byte_rate;
-    m.ready = s.ready;
-    m.ready_hwm = s.ready_hwm;
-    m.evq = s.evq;
-    m.evq_hwm = s.evq_hwm;
-    out.samples.push_back(m);
-  }
-  out.journal.clear();
-  out.journal.reserve(journal_.size());
-  for (const JournalEvent& e : journal_) {
-    stats::MetricsJournalRow row;
-    row.t = e.t;
-    row.kind = journal_kind_name(e.kind);
-    row.aux = e.aux;
-    row.value = e.value;
-    out.journal.push_back(std::move(row));
-  }
 }
 
 }  // namespace introspect

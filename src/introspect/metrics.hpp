@@ -3,13 +3,14 @@
 // incremental per-PE counters on the emulator's hot path and snapshots them
 // at a configurable virtual-time cadence with ZERO virtual-time perturbation.
 //
-// The zero-perturbation contract is the tracer's (DESIGN.md §4), extended to
-// sampling: the Monitor attaches to a sim::Machine by pointer, every hook is
-// a plain counter update that never calls charge(), and sampling rides the
-// existing Machine::step boundaries — the sampler injects NO events of its
-// own, so the event order, every virtual clock, and every figure series are
-// bit-identical with metrics on or off.  The detached cost is one pointer
-// test per event.
+// The Monitor is one sink of the machine's observer vocabulary
+// (sim/observer.hpp), beside the tracer.  Every hook is a plain counter
+// update that never calls charge(), and sampling rides the existing
+// Machine::step boundaries — the sampler injects NO events of its own, so
+// the event order, every virtual clock, and every figure series are
+// bit-identical with metrics on or off.  The journal keeps every phase fact
+// except barrier-only LB rounds and disk checkpoints, which only the tracer
+// records.
 //
 // Three consumption surfaces:
 //   * live queries (Runtime::metrics()): per-PE busy/exec/utilization, ready
@@ -32,36 +33,23 @@
 #include <utility>
 #include <vector>
 
+#include "sim/observer.hpp"
 #include "sim/paged_table.hpp"
 
-namespace sim {
-class Machine;
-}
 namespace charm {
 class Runtime;
-}
-namespace stats {
-struct MetricsMeta;
 }
 
 namespace introspect {
 
-/// Decision-journal event kinds, tagged onto the sample timeline.
-enum class JournalKind : std::uint8_t {
-  kLbRound,     ///< an LB strategy ran; aux = migrations, value = round cost (s)
-  kCheckpoint,  ///< FT checkpoint committed; value = checkpoint bytes
-  kRestore,     ///< FT rollback completed; aux = victims, value = recovery (s)
-  kFailure,     ///< a PE was quarantined; aux = victim PE
-  kShrink,      ///< malleability reconfig down; aux = target PEs, value = old
-  kExpand,      ///< malleability reconfig up; aux = target PEs, value = old
-};
+/// Stable journal wire name of a phase ("lb_round", "checkpoint", ...).
+const char* journal_kind_name(sim::Phase k);
 
-/// Stable wire name for a journal kind ("lb_round", "checkpoint", ...).
-const char* journal_kind_name(JournalKind k);
-
+/// One decision-journal row, tagged onto the sample timeline (field meanings
+/// per sim::Phase).
 struct JournalEvent {
   double t = 0;
-  JournalKind kind{};
+  sim::Phase kind{};
   int aux = 0;
   double value = 0;
 };
@@ -121,20 +109,14 @@ struct ClusterSummary {
   double lambda = 0;
 };
 
-class Monitor {
+class Monitor : public sim::Observer {
  public:
-  Monitor() = default;
-  ~Monitor() { detach(); }
-  Monitor(const Monitor&) = delete;
-  Monitor& operator=(const Monitor&) = delete;
-
   // ---- lifecycle -------------------------------------------------------
 
   /// Attaches to `m` (detaching from any previous machine) and resets all
   /// counters, samples, and journal entries.
   void attach(sim::Machine& m);
   void detach();
-  bool attached() const { return machine_ != nullptr; }
 
   /// Sampling cadence in virtual seconds; 0 disables the timeline (counters
   /// stay live).  Takes effect from the next attach()/now, with boundaries
@@ -185,12 +167,6 @@ class Monitor {
   /// Samples not recorded because the buffer hit kSampleCap.
   std::uint64_t dropped_samples() const { return dropped_samples_; }
 
-  // ---- decision journal ------------------------------------------------
-
-  void journal(JournalKind kind, double t, int aux, double value) {
-    journal_.push_back(JournalEvent{t, kind, aux, value});
-  }
-
   // ---- opt-in tree summary (real counted messages) ---------------------
 
   using SummaryFn = std::function<void(const ClusterSummary&)>;
@@ -206,50 +182,45 @@ class Monitor {
   /// Partial-combine messages sent by summary waves so far.
   std::uint64_t summary_partials() const { return summary_partials_; }
 
-  // ---- export ----------------------------------------------------------
-
-  /// Fills the stats exporter's metrics block (interval, timeseries samples,
-  /// journal rows) for the "timeseries"/"journal" JSON sections.
-  void fill_export(stats::MetricsMeta& out) const;
-
-  // ---- hot-path hooks (called by Machine / Runtime) --------------------
+  // ---- observer hooks --------------------------------------------------
   // None of these charge virtual time; all are O(1) except the snapshot
   // scan (O(P), only at a crossed sample boundary).
 
-  void on_send(int src, std::size_t bytes) {
+  void on_send(int src, int, std::size_t bytes, int, double, double) override {
     PeCounters& pc = pes_.ref(static_cast<std::size_t>(src));
     ++pc.msgs_sent;
     pc.bytes_sent += bytes;
     ++msgs_;
     bytes_ += bytes;
   }
-  void on_collective(std::size_t bytes) {
+  void on_collective(std::size_t bytes) override {
     ++coll_msgs_;
     coll_bytes_ += bytes;
   }
-  void on_arrive(int pe, std::size_t ready_depth) { note_ready(pe, ready_depth); }
-  void on_exec(int pe, double span, std::size_t ready_depth) {
+  void on_ready(int pe, std::size_t depth) override { note_ready(pe, depth); }
+  /// end - begin is the exact expression post-mortem stats derive from the
+  /// trace span, so live exec totals reconcile bit-exactly.
+  void on_exec_end(int pe, double begin, double end, std::size_t,
+                   std::size_t depth) override {
+    const double span = end - begin;
     PeCounters& pc = pes_.ref(static_cast<std::size_t>(pe));
     pc.exec += span;
     ++pc.execs;
     exec_ += span;
     ++execs_;
-    note_ready(pe, ready_depth);
+    note_ready(pe, depth);
   }
-  void on_queue_change(int pe, std::size_t ready_depth) { note_ready(pe, ready_depth); }
-  void on_entry(int pe, int col, int ep, double dt);
+  void on_entry(int pe, int col, int ep, double end, double dt) override;
+  void on_phase(const sim::PhaseEvent& ev) override;
   /// End of every Machine::step: refresh event-queue depth and record any
   /// crossed sample boundaries (timestamps are exact multiples of the
   /// interval, so the timeline is monotone and byte-deterministic).
-  void on_step(double now, std::size_t evq_depth) {
+  void on_step(double now, std::size_t evq_depth) override {
     last_time_ = now;
     last_evq_ = evq_depth;
     if (evq_depth > evq_hwm_w_) evq_hwm_w_ = evq_depth;
     if (interval_ > 0 && now >= next_boundary_) sample_up_to(now);
   }
-  /// Called by Machine's destructor so a longer-lived Monitor never touches
-  /// a dead machine on the next attach().
-  void machine_gone() { machine_ = nullptr; }
 
   static constexpr std::size_t kSampleReserve = 4096;
   static constexpr std::size_t kSampleCap = 1u << 17;
@@ -281,7 +252,6 @@ class Monitor {
   void summary_ready(charm::Runtime& rt, int rank);
   void summary_arrive(charm::Runtime& rt, int rank, double mx, double sm, int ct);
 
-  sim::Machine* machine_ = nullptr;
   double interval_ = 0;
   double next_boundary_ = 0;
   std::uint64_t sample_k_ = 0;

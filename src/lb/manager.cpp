@@ -9,7 +9,6 @@
 #include "runtime/runtime.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/rng.hpp"
-#include "trace/trace.hpp"
 
 namespace charm::lb {
 
@@ -161,13 +160,10 @@ void Manager::round_complete() {
     reconfig_pending_ = false;
     pending_.did_lb = true;
     ++lb_invocations_;
-    if (introspect::Monitor* mon = rt_.metrics()) {
-      const auto kind = reconfig_target_ < rt_.active_pes()
-                            ? introspect::JournalKind::kShrink
-                            : introspect::JournalKind::kExpand;
-      mon->journal(kind, rt_.now(), reconfig_target_,
-                   static_cast<double>(rt_.active_pes()));
-    }
+    rt_.machine().note_phase(sim::PhaseEvent{
+        reconfig_target_ < rt_.active_pes() ? sim::Phase::kShrink : sim::Phase::kExpand,
+        /*pe=*/0, rt_.now(), rt_.now(), reconfig_target_,
+        static_cast<double>(rt_.active_pes())});
     rt_.set_active_pes(reconfig_target_);
     rt_.rebuild_location_tables();
     run_central(reconfig_target_);
@@ -273,15 +269,9 @@ void Manager::resume_all(double extra_delay) {
   auto issue = [this, done]() {
     pending_.lb_cost = rt_.now() - round_started_;
     pending_.completed_at = rt_.now();
-    if (trace::Tracer* tr = rt_.machine().tracer()) {
-      tr->phase_span(trace::Phase::kLbStep, /*pe=*/0, round_started_, rt_.now(),
-                     /*aux=*/pending_.did_lb ? pending_.migrations : -1);
-    }
-    if (pending_.did_lb) {
-      if (introspect::Monitor* mon = rt_.metrics())
-        mon->journal(introspect::JournalKind::kLbRound, rt_.now(),
-                     pending_.migrations, pending_.lb_cost);
-    }
+    rt_.machine().note_phase(sim::PhaseEvent{
+        sim::Phase::kLbRound, /*pe=*/0, round_started_, rt_.now(),
+        /*aux=*/pending_.did_lb ? pending_.migrations : -1, pending_.lb_cost});
     history_.push_back(pending_);
     phase_ = Phase::kCollecting;
     for (CollectionId col : cols_) {

@@ -6,10 +6,6 @@
 
 #include "lb/manager.hpp"
 
-namespace trace {
-class Tracer;
-}
-
 namespace charm::lb {
 
 struct MetaParams {
@@ -17,17 +13,8 @@ struct MetaParams {
   double horizon_rounds = 20;    ///< rounds over which the benefit accrues
   double default_lb_cost = 5e-3; ///< cost estimate before any LB has run (s)
   int min_gap = 2;               ///< min rounds between LB invocations
-  double min_busy_fraction = 0.25;  ///< trace-aware veto threshold (see below)
 };
 
 Advisor make_meta_advisor(MetaParams params = {});
-
-/// Trace-aware MetaLB: the same benefit/cost policy, additionally consulting
-/// the machine's trace summary.  When runtime overhead (scheduling alphas,
-/// broadcast forwarding, reduction combines) dominates — entry-method work
-/// below `min_busy_fraction` of executed time — the advisor vetoes the
-/// round: migrating application work cannot recover time the runtime itself
-/// is spending.  `npes` is the traced machine's PE count.
-Advisor make_meta_advisor(MetaParams params, const trace::Tracer* tracer, int npes);
 
 }  // namespace charm::lb

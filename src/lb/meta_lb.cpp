@@ -1,7 +1,5 @@
 #include "lb/meta.hpp"
 
-#include "trace/summary.hpp"
-
 namespace charm::lb {
 
 Advisor make_meta_advisor(MetaParams params) {
@@ -27,18 +25,6 @@ Advisor make_meta_advisor(MetaParams params) {
     // accrued over the horizon.  Trigger when it beats the LB cost.
     const double per_round_gain = current.max_load - current.avg_load;
     return per_round_gain * params.horizon_rounds > last_cost;
-  };
-}
-
-Advisor make_meta_advisor(MetaParams params, const trace::Tracer* tracer, int npes) {
-  Advisor base = make_meta_advisor(params);
-  return [base, params, tracer, npes](const std::vector<RoundInfo>& history,
-                                      const RoundInfo& current) {
-    if (!base(history, current)) return false;
-    if (tracer == nullptr || tracer->events().empty()) return true;
-    const trace::Summary s = trace::summarize(*tracer, npes);
-    const double exec = s.total_exec();
-    return exec <= 0 || s.total_busy() >= params.min_busy_fraction * exec;
   };
 }
 

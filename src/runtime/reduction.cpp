@@ -295,8 +295,7 @@ void Runtime::send_tree_partial(CollectionId col, std::uint64_t seq, int rank) {
   pl.partial_spare = std::move(node);
 
   ++redux_partials_sent_;
-  if (introspect::Monitor* mon = machine_.metrics())
-    mon->on_collective(body + Envelope::kHeaderBytes);
+  machine_.note_collective(body + Envelope::kHeaderBytes);
   send_control(parent, body,
                [this, col, seq, count, has_nums, op, nums = std::move(nums),
                 chunks = std::move(chunks)]() mutable {

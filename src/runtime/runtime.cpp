@@ -7,7 +7,6 @@
 
 #include "lb/manager.hpp"
 #include "runtime/spanning_tree.hpp"
-#include "trace/trace.hpp"
 
 namespace charm {
 
@@ -205,14 +204,7 @@ void Runtime::deliver_here(Envelope env, int pe) {
   ExecFrame f = begin_exec(*elem);
   const double t0 = machine_.handler_elapsed();
   einfo.invoke(elem, u);
-  const double dt = machine_.handler_elapsed() - t0;
-  elem->lb_load_ += dt;
-  if (trace::Tracer* tr = machine_.tracer()) {
-    const double end = machine_.now();
-    tr->entry(pe, env.col, env.ep, end - dt, end);
-  }
-  if (introspect::Monitor* mon = machine_.metrics())
-    mon->on_entry(pe, env.col, env.ep, dt);
+  end_entry(*elem, pe, env.col, env.ep, t0);
 
   // The payload was fully consumed by the entry invocation above; recycle
   // its capacity before the (rare) destroy/migrate epilogue.
@@ -232,13 +224,7 @@ void Runtime::deliver_local(Collection& c, ArrayElementBase& elem, EntryId ep,
   ExecFrame f = begin_exec(elem);
   const double t0 = machine_.handler_elapsed();
   einfo.invoke(&elem, u);
-  const double dt = machine_.handler_elapsed() - t0;
-  elem.lb_load_ += dt;
-  if (trace::Tracer* tr = machine_.tracer()) {
-    const double end = machine_.now();
-    tr->entry(pe, col, ep, end - dt, end);
-  }
-  if (introspect::Monitor* mon = machine_.metrics()) mon->on_entry(pe, col, ep, dt);
+  end_entry(elem, pe, col, ep, t0);
   end_exec(f, col, idx, pe);
   (void)c;
 }
@@ -258,7 +244,7 @@ void Runtime::broadcast_tree_leg(CollectionId col, EntryId ep,
   ++outstanding_;
   ++msgs_sent_;
   bytes_sent_ += wire;
-  if (introspect::Monitor* mon = machine_.metrics()) mon->on_collective(wire);
+  machine_.note_collective(wire);
   machine_.send(
       abs, wire, priority,
       [this, col, ep, payload, priority, root, relative_rank, abs]() {
@@ -331,8 +317,7 @@ void Runtime::broadcast_apply_leg(
   ++outstanding_;
   ++msgs_sent_;
   bytes_sent_ += Envelope::kHeaderBytes;
-  if (introspect::Monitor* mon = machine_.metrics())
-    mon->on_collective(Envelope::kHeaderBytes);
+  machine_.note_collective(Envelope::kHeaderBytes);
   machine_.send(
       abs, Envelope::kHeaderBytes, priority,
       [this, col, fn, priority, root, relative_rank, abs]() {
@@ -352,14 +337,7 @@ void Runtime::broadcast_apply_leg(
             // must show up in the next round's LB measurements.
             const double t0 = machine_.handler_elapsed();
             (*fn)(*e);
-            const double dt = machine_.handler_elapsed() - t0;
-            e->lb_load_ += dt;
-            if (trace::Tracer* tr = machine_.tracer()) {
-              const double end = machine_.now();
-              tr->entry(abs, col, /*ep=*/-1, end - dt, end);
-            }
-            if (introspect::Monitor* mon = machine_.metrics())
-              mon->on_entry(abs, col, /*ep=*/-1, dt);
+            end_entry(*e, abs, col, /*ep=*/-1, t0);
           }
         }
         note_message_done();

@@ -24,7 +24,6 @@
 #include "runtime/payload_pool.hpp"
 #include "runtime/registry.hpp"
 #include "sim/machine.hpp"
-#include "trace/trace.hpp"
 
 namespace charm {
 
@@ -218,7 +217,9 @@ class Runtime {
   /// metrics are off (DESIGN.md §11).  Consumers query per-PE utilization,
   /// queue depths, and imbalance mid-run; none of the calls charge virtual
   /// time, so querying never perturbs the simulation.
-  introspect::Monitor* metrics() const { return machine_.metrics(); }
+  introspect::Monitor* metrics() const {
+    return machine_.find_observer<introspect::Monitor>();
+  }
 
   // ---- statistics ------------------------------------------------------------
 
@@ -396,14 +397,15 @@ class Runtime {
     ExecFrame f = begin_exec(elem);
     const double t0 = machine_.handler_elapsed();
     inv(&elem, arg);
+    end_entry(elem, pe, col, ep, t0);
+    end_exec(f, col, idx, pe);
+  }
+  /// Closes an entry invocation that began at handler-elapsed `t0`: charges
+  /// its work to the element's LB load and reports the entry span.
+  void end_entry(ArrayElementBase& elem, int pe, CollectionId col, EntryId ep, double t0) {
     const double dt = machine_.handler_elapsed() - t0;
     elem.lb_load_ += dt;
-    if (trace::Tracer* tr = machine_.tracer()) {
-      const double end = machine_.now();
-      tr->entry(pe, col, ep, end - dt, end);
-    }
-    if (introspect::Monitor* mon = machine_.metrics()) mon->on_entry(pe, col, ep, dt);
-    end_exec(f, col, idx, pe);
+    machine_.note_entry(pe, col, ep, dt);
   }
   void destroy_local(CollectionId col, ObjIndex idx, int pe);
   void install_element(CollectionId col, ObjIndex idx,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "introspect/metrics.hpp"
 #include "sim/fault_injector.hpp"
 #include "trace/trace.hpp"
 
@@ -24,7 +23,29 @@ Machine::Machine(MachineConfig cfg)
 }
 
 Machine::~Machine() {
-  if (metrics_ != nullptr) metrics_->machine_gone();
+  for (Observer* o : observers_) o->machine_ = nullptr;
+}
+
+Observer::~Observer() {
+  if (machine_ != nullptr) machine_->detach(*this);
+}
+
+void Machine::attach(Observer& o) {
+  if (o.machine_ == this) return;
+  if (o.machine_ != nullptr) o.machine_->detach(o);
+  o.machine_ = this;
+  observers_.push_back(&o);
+}
+
+void Machine::detach(Observer& o) {
+  if (o.machine_ != this) return;
+  o.machine_ = nullptr;
+  std::erase(observers_, &o);
+}
+
+void Machine::set_tracer(trace::Tracer* t) {
+  if (trace::Tracer* cur = find_observer<trace::Tracer>()) detach(*cur);
+  if (t != nullptr) attach(*t);
 }
 
 void Machine::charge(double seconds) {
@@ -50,12 +71,11 @@ void Machine::send(int dst, std::size_t bytes, int priority, Handler fn,
   const Time at = depart + net_.transit_time(src, dst, bytes);
   queue_.emplace(at, next_seq(), Event::Kind::kArrive, dst, priority, bytes)
       .fn = std::move(fn);
-  if (tracer_ != nullptr) {
+  if (!observers_.empty()) {
     const int hops =
         net_.params().use_topology && src != dst ? topo_.hops(src, dst) : 0;
-    tracer_->send(src, dst, bytes, hops, depart, at);
+    for (Observer* o : observers_) o->on_send(src, dst, bytes, hops, depart, at);
   }
-  if (metrics_ != nullptr) metrics_->on_send(src, bytes);
 }
 
 void Machine::post(int pe, Time at, Handler fn, int priority) {
@@ -115,16 +135,16 @@ bool Machine::step() {
       const bool redirected =
           dispose(pe, at, priority, bytes, std::move(fn), nullptr);
       if (injector_ != nullptr) injector_->note_inflight(pe, redirected);
-      if (metrics_ != nullptr) metrics_->on_step(time_, queue_.size());
+      for (Observer* o : observers_) o->on_step(time_, queue_.size());
       return true;
     }
     // The handler moves straight from the event arena into the ready ring.
     p.ready_.emplace(priority, at, seq, bytes, std::move(ev.fn));
     queue_.pop_top();
     schedule_exec(pe, at);
-    if (metrics_ != nullptr) {
-      metrics_->on_arrive(pe, p.ready_.size());
-      metrics_->on_step(time_, queue_.size());
+    for (Observer* o : observers_) {
+      o->on_ready(pe, p.ready_.size());
+      o->on_step(time_, queue_.size());
     }
     return true;
   }
@@ -133,15 +153,13 @@ bool Machine::step() {
   // kExec: run the best-priority pending message to completion.
   p.exec_pending_ = false;
   if (p.ready_.empty()) {  // spurious (message was stolen/cleared)
-    if (metrics_ != nullptr) metrics_->on_step(time_, queue_.size());
+    for (Observer* o : observers_) o->on_step(time_, queue_.size());
     return true;
   }
   ReadyMsg msg = p.ready_.pop();
 
-  if (tracer_ != nullptr) {
-    if (p.clock_ < at) tracer_->idle(pe, p.clock_, at);
-    tracer_->recv(pe, msg.priority, msg.bytes, msg.arrival, at);
-  }
+  for (Observer* o : observers_)
+    o->on_exec_begin(pe, p.clock_, at, msg.arrival, msg.priority, msg.bytes);
 
   ctx_ = ExecCtx{pe, at, 0.0};
   // Receiver-side scheduling overhead for every delivery.
@@ -150,15 +168,12 @@ bool Machine::step() {
   p.clock_ = at + ctx_.elapsed;
   p.busy_ += ctx_.elapsed;
   ++p.executed_;
-  if (tracer_ != nullptr) tracer_->exec(pe, at, p.clock_, msg.bytes);
   ctx_ = ExecCtx{};
 
   if (!p.ready_.empty()) schedule_exec(pe, p.clock_);
-  if (metrics_ != nullptr) {
-    // p.clock_ - at is the exact expression post-mortem stats derive from the
-    // trace (span end - begin), so live exec totals reconcile bit-exactly.
-    metrics_->on_exec(pe, p.clock_ - at, p.ready_.size());
-    metrics_->on_step(time_, queue_.size());
+  for (Observer* o : observers_) {
+    o->on_exec_end(pe, at, p.clock_, msg.bytes, p.ready_.size());
+    o->on_step(time_, queue_.size());
   }
   return true;
 }
@@ -182,8 +197,6 @@ void Machine::inject_failure() {
   rec.time = t;
   rec.pe = victim;
   fail_pe(victim, &rec);
-  if (tracer_ != nullptr)
-    tracer_->phase_span(trace::Phase::kFailure, victim, t, t);
   injector_->committed(rec);
 }
 
@@ -200,10 +213,11 @@ void Machine::fail_pe(int pe_id, FaultRecord* rec) {
     ReadyMsg msg = p.ready_.pop();
     dispose(pe_id, time_, msg.priority, msg.bytes, std::move(msg.fn), nullptr);
   }
-  if (metrics_ != nullptr) {
-    metrics_->on_queue_change(pe_id, 0);
-    // Single journal site: covers both injector-driven and direct failures.
-    metrics_->journal(introspect::JournalKind::kFailure, time_, pe_id, 0.0);
+  // The injector passes a record; direct calls do not.
+  for (Observer* o : observers_) {
+    o->on_ready(pe_id, 0);
+    o->on_phase(PhaseEvent{Phase::kFailure, pe_id, time_, time_, pe_id, 0.0,
+                           /*injected=*/rec != nullptr});
   }
 }
 
@@ -238,25 +252,19 @@ bool Machine::dispose(int dead_pe, Time at, int priority, std::size_t bytes,
   // balanced.  Charged work is discarded; no clock advances.  Upper layers
   // see pe_failed() and suppress application effects.
   //
-  // Trace recording is suppressed for the quarantined execution: nothing it
-  // does is real work (its charges are discarded and its sends carry no
-  // application effect), so letting it log events would make fault-mode
-  // summaries overcount busy/exec time and message traffic on dead PEs.
-  // Only recording is disabled — the handler still runs identically, so the
-  // simulation stays bit-identical with tracing on or off.
+  // Every observer is muted for the quarantined execution: nothing it does
+  // is real work (its charges are discarded and its sends carry no
+  // application effect), so reporting it would make traces, stats and live
+  // counters overcount busy/exec time and traffic on dead PEs.  Only the
+  // reporting stops; the handler runs identically, so the simulation stays
+  // bit-identical with observers on or off.
   ++drops_;
   const ExecCtx saved = ctx_;
   ctx_ = ExecCtx{dead_pe, std::max(at, time_), 0.0};
-  const bool was_recording = tracer_ != nullptr && tracer_->enabled();
-  if (was_recording) tracer_->set_enabled(false);
-  // Suppress live metrics for the same reason tracing is suppressed: the
-  // quarantined execution is not real work, and counting its sends/entries
-  // would make live counters diverge from the post-mortem profile.
-  introspect::Monitor* mon = metrics_;
-  metrics_ = nullptr;
+  std::vector<Observer*> muted;
+  muted.swap(observers_);
   fn();
-  metrics_ = mon;
-  if (was_recording) tracer_->set_enabled(true);
+  observers_.swap(muted);
   ctx_ = saved;
   return false;
 }

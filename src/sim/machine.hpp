@@ -22,16 +22,13 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
+#include "sim/observer.hpp"
 #include "sim/paged_table.hpp"
 #include "sim/ready_queue.hpp"
 #include "sim/topology.hpp"
 
 namespace trace {
 class Tracer;
-}
-
-namespace introspect {
-class Monitor;
 }
 
 namespace sim {
@@ -77,8 +74,8 @@ class Pe {
 class Machine {
  public:
   explicit Machine(MachineConfig cfg);
-  /// Tells an attached metrics monitor the machine is gone so a long-lived
-  /// monitor never dereferences a destroyed machine on its next attach().
+  /// Unlinks every attached observer so a longer-lived one never
+  /// dereferences a destroyed machine.
   ~Machine();
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -169,7 +166,8 @@ class Machine {
   /// Quarantines `pe` immediately: queued messages are disposed per the
   /// injector's drop policy (kDrop when no injector is attached) and later
   /// arrivals are disposed on delivery.  `rec`, when given, accumulates
-  /// disposal counts.  Normally driven by the injector, callable directly.
+  /// disposal counts and marks the failure as injected for observers.
+  /// Normally driven by the injector, callable directly.
   void fail_pe(int pe, FaultRecord* rec = nullptr);
   /// Lifts the quarantine (the replacement process takes over the slot).
   void revive_pe(int pe);
@@ -178,22 +176,33 @@ class Machine {
   std::uint64_t messages_dropped() const { return drops_; }
   std::uint64_t messages_redirected() const { return redirects_; }
 
-  // ---- tracing ---------------------------------------------------------
+  // ---- observers (sim/observer.hpp) ------------------------------------
 
-  /// Attaches a trace log (nullptr detaches).  Recording never charges
-  /// virtual time, so results are identical with tracing on or off; the cost
-  /// when detached is one pointer test per event.
-  void set_tracer(trace::Tracer* t) { tracer_ = t; }
-  trace::Tracer* tracer() const { return tracer_; }
+  /// Attaches `o` (detaching it from any other machine first).  Observers
+  /// never charge virtual time, so results are identical with any set
+  /// attached; with none attached each hook site costs one branch.
+  void attach(Observer& o);
+  void detach(Observer& o);
+  /// Replaces the attached trace log with `t` (nullptr detaches it).
+  void set_tracer(trace::Tracer* t);
+  /// The first attached observer of type T, or nullptr.
+  template <class T>
+  T* find_observer() const {
+    for (Observer* o : observers_)
+      if (T* t = dynamic_cast<T*>(o)) return t;
+    return nullptr;
+  }
 
-  // ---- live metrics ----------------------------------------------------
-
-  /// Attaches an online metrics monitor (nullptr detaches).  Monitor hooks
-  /// never charge virtual time — same contract as the tracer: results are
-  /// identical with metrics on or off, and the detached cost is one pointer
-  /// test per event.  Normally set via introspect::Monitor::attach().
-  void set_metrics(introspect::Monitor* m) { metrics_ = m; }
-  introspect::Monitor* metrics() const { return metrics_; }
+  /// Upper-layer facts (runtime, LB, FT), one call per site.
+  void note_entry(int pe, int col, int ep, double dt) {
+    for (Observer* o : observers_) o->on_entry(pe, col, ep, now(), dt);
+  }
+  void note_collective(std::size_t bytes) {
+    for (Observer* o : observers_) o->on_collective(bytes);
+  }
+  void note_phase(const PhaseEvent& ev) {
+    for (Observer* o : observers_) o->on_phase(ev);
+  }
 
  private:
   struct ExecCtx {
@@ -212,8 +221,8 @@ class Machine {
   MachineConfig cfg_;
   Torus3D topo_;
   NetworkModel net_;
-  trace::Tracer* tracer_ = nullptr;
-  introspect::Monitor* metrics_ = nullptr;
+  /// Attached observers; emptied while a quarantined handler runs.
+  std::vector<Observer*> observers_;
   FaultInjector* injector_ = nullptr;
   PagedTable<Pe> pes_;
   EventQueue queue_;

@@ -55,17 +55,6 @@ ImbalanceStats imbalance_of(const std::vector<double>& busy) {
   return im;
 }
 
-const char* phase_label(trace::Phase p) {
-  switch (p) {
-    case trace::Phase::kLbStep: return "lb_step";
-    case trace::Phase::kCheckpoint: return "checkpoint";
-    case trace::Phase::kRestore: return "restore";
-    case trace::Phase::kFailure: return "failure";
-    case trace::Phase::kCustom: break;
-  }
-  return "phase";
-}
-
 }  // namespace
 
 Report collect(const std::vector<trace::Event>& events, int npes) {
@@ -84,7 +73,7 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
   for (const trace::Event& e : events) {
     if (e.kind != trace::Kind::kPhase) continue;
     if (e.end <= 0 || e.end >= r.makespan) continue;
-    boundary_names.emplace(e.end, phase_label(e.phase));  // first writer wins
+    boundary_names.emplace(e.end, trace::phase_name(e.phase));  // first writer wins
   }
   std::vector<double> bounds;  // segment start times
   bounds.push_back(0);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "introspect/metrics.hpp"
 #include "stats/json.hpp"
 
 namespace stats {
@@ -226,12 +227,13 @@ std::string to_json(const Report& r, const ExportMeta& meta) {
     w.close_arr();
   }
 
-  if (meta.metrics.enabled) {
+  if (meta.metrics != nullptr) {
+    const introspect::Monitor& mon = *meta.metrics;
     w.key("metrics_interval");
-    w.num(meta.metrics.interval);
+    w.num(mon.interval());
     w.key("timeseries");
     w.open_arr();
-    for (const MetricsSample& s : meta.metrics.samples) {
+    for (const introspect::Sample& s : mon.samples()) {
       w.open_obj();
       w.key("t");
       w.num(s.t);
@@ -272,12 +274,12 @@ std::string to_json(const Report& r, const ExportMeta& meta) {
     w.close_arr();
     w.key("journal");
     w.open_arr();
-    for (const MetricsJournalRow& j : meta.metrics.journal) {
+    for (const introspect::JournalEvent& j : mon.journal_events()) {
       w.open_obj();
       w.key("t");
       w.num(j.t);
       w.key("kind");
-      w.str(j.kind);
+      w.str(introspect::journal_kind_name(j.kind));
       w.key("aux");
       w.num(j.aux);
       w.key("value");

@@ -11,6 +11,10 @@
 
 #include "stats/report.hpp"
 
+namespace introspect {
+class Monitor;
+}
+
 namespace stats {
 
 inline constexpr const char* kSchemaName = "charmlike-stats";
@@ -71,49 +75,6 @@ struct CollectivesCell {
   double time_per_round = 0;
 };
 
-/// One live-introspection timeline sample (DESIGN.md §11); mirrors
-/// introspect::Sample field-for-field so the exporter stays decoupled from
-/// the monitor.  Cumulative fields are since-attach totals, `*_hwm` high
-/// watermarks over the sample window, rates window deltas over the interval.
-struct MetricsSample {
-  double t = 0;
-  double busy_max = 0;
-  double busy_avg = 0;
-  double lambda = 0;
-  double busy = 0;
-  double exec = 0;
-  std::uint64_t execs = 0;
-  std::uint64_t msgs = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t coll_msgs = 0;
-  std::uint64_t coll_bytes = 0;
-  double msg_rate = 0;
-  double byte_rate = 0;
-  std::uint64_t ready = 0;
-  std::uint64_t ready_hwm = 0;
-  std::uint64_t evq = 0;
-  std::uint64_t evq_hwm = 0;
-};
-
-/// One decision-journal row (LB round, checkpoint, restore, failure,
-/// shrink/expand) tagged onto the same timeline.
-struct MetricsJournalRow {
-  double t = 0;
-  std::string kind;
-  int aux = 0;
-  double value = 0;
-};
-
-/// Live-metrics block; emitted as "metrics_interval"/"timeseries"/"journal"
-/// sections only when `enabled` (so metrics-off output is byte-identical to
-/// the pre-metrics schema).
-struct MetricsMeta {
-  bool enabled = false;
-  double interval = 0;
-  std::vector<MetricsSample> samples;
-  std::vector<MetricsJournalRow> journal;
-};
-
 struct ExportMeta {
   std::string bench;  ///< binary name, e.g. "fig11_namd_profiles"
   bool smoke = false;
@@ -125,8 +86,10 @@ struct ExportMeta {
   /// Collective-tree sweep cells; emitted as a "collectives" section when
   /// non-empty (only the collectives bench fills this).
   std::vector<CollectivesCell> collectives;
-  /// Live-introspection timeline; emitted when metrics.enabled (--metrics).
-  MetricsMeta metrics;
+  /// Live-introspection monitor whose interval, samples and journal are
+  /// emitted as "metrics_interval"/"timeseries"/"journal" sections; null
+  /// (the default) keeps metrics-off output byte-identical.
+  const introspect::Monitor* metrics = nullptr;
   EntryLabeler label;  ///< optional; default "col<c>.ep<e>" / "runtime"
 };
 

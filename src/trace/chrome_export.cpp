@@ -21,17 +21,6 @@ void escape_into(const std::string& s, std::string& out) {
   }
 }
 
-const char* phase_name(Phase p) {
-  switch (p) {
-    case Phase::kLbStep: return "lb_step";
-    case Phase::kCheckpoint: return "checkpoint";
-    case Phase::kRestore: return "restore";
-    case Phase::kFailure: return "failure";
-    case Phase::kCustom: break;
-  }
-  return "phase";
-}
-
 void complete_event(std::ostream& os, const char* name, const char* cat, int tid,
                     double begin, double end) {
   os << "{\"name\":\"" << name << "\",\"cat\":\"" << cat
@@ -40,6 +29,19 @@ void complete_event(std::ostream& os, const char* name, const char* cat, int tid
 }
 
 }  // namespace
+
+const char* phase_name(Phase p) {
+  switch (p) {
+    case Phase::kLbRound: return "lb_step";
+    case Phase::kCheckpoint:
+    case Phase::kDiskCheckpoint: return "checkpoint";
+    case Phase::kRestore: return "restore";
+    case Phase::kFailure: return "failure";
+    case Phase::kShrink: return "shrink";
+    case Phase::kExpand: return "expand";
+  }
+  return "phase";
+}
 
 void write_chrome_trace(const std::vector<Event>& events, std::ostream& os,
                         const EntryLabeler& label) {

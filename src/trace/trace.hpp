@@ -14,28 +14,38 @@
 //   * kRecv   — queueing delay at the destination (pe = destination,
 //               begin = arrival, end = start of service, a = priority)
 //   * kIdle   — a gap during which a PE had nothing to execute
-//   * kPhase  — a named runtime phase (LB step, checkpoint, restart recovery)
+//   * kPhase  — a runtime phase span (sim::Phase; a = the phase's aux)
+//
+// The tracer is one sink of the machine's observer vocabulary
+// (sim/observer.hpp).  It keeps every fact except shrink/expand decisions
+// and failures not drawn by the fault injector, which only the metrics
+// journal records.
 //
 // Recording is allocation-free per event on the hot path: events land in a
 // reserve-ahead vector grown in large chunks; an optional hard cap turns the
 // tracer into a bounded buffer that counts (rather than stores) overflow.
-// A Machine with no tracer attached — or a disabled tracer — pays one
-// pointer/flag test per hook, and recording never charges virtual time, so
-// simulation results are bit-identical with tracing on, off, or absent.
+// Recording never charges virtual time, so simulation results are
+// bit-identical with tracing on or off.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "sim/observer.hpp"
 
 namespace trace {
 
 enum class Kind : std::uint8_t { kExec, kEntry, kSend, kRecv, kIdle, kPhase };
 
-enum class Phase : std::uint8_t { kLbStep, kCheckpoint, kRestore, kFailure, kCustom };
+using sim::Phase;
+
+/// Stable trace/stats name of a phase ("lb_step", "checkpoint", ...).
+const char* phase_name(Phase p);
 
 struct Event {
   Kind kind = Kind::kExec;
-  Phase phase = Phase::kCustom;  ///< meaningful for kPhase only
+  Phase phase{};                 ///< meaningful for kPhase only
   std::int32_t pe = -1;          ///< PE the event is attributed to
   std::int32_t a = -1;           ///< kind-specific (see header comment)
   std::int32_t b = -1;           ///< kind-specific (see header comment)
@@ -44,7 +54,7 @@ struct Event {
   std::uint64_t bytes = 0;       ///< payload size for exec/send/recv
 };
 
-class Tracer {
+class Tracer : public sim::Observer {
  public:
   /// `reserve_events` is the initial reserve-ahead allocation; `max_events`
   /// bounds the log (0 = unbounded, growth doubles the reservation).
@@ -52,9 +62,6 @@ class Tracer {
       : max_events_(max_events) {
     events_.reserve(max_events ? std::min(reserve_events, max_events) : reserve_events);
   }
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
 
   const std::vector<Event>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
@@ -66,10 +73,33 @@ class Tracer {
     dropped_ = 0;
   }
 
-  // ---- recording (no-ops unless enabled) -----------------------------------
+  // ---- observer hooks --------------------------------------------------------
+
+  void on_send(int src, int dst, std::size_t bytes, int hops, double depart,
+               double arrive) override {
+    send(src, dst, bytes, hops, depart, arrive);
+  }
+  void on_exec_begin(int pe, double idle_since, double start, double arrival,
+                     int priority, std::size_t bytes) override {
+    if (idle_since < start) idle(pe, idle_since, start);
+    recv(pe, priority, bytes, arrival, start);
+  }
+  void on_exec_end(int pe, double begin, double end, std::size_t bytes,
+                   std::size_t) override {
+    exec(pe, begin, end, bytes);
+  }
+  void on_entry(int pe, int col, int ep, double end, double dt) override {
+    entry(pe, col, ep, end - dt, end);
+  }
+  void on_phase(const sim::PhaseEvent& ev) override {
+    if (ev.kind == Phase::kShrink || ev.kind == Phase::kExpand) return;
+    if (ev.kind == Phase::kFailure && !ev.injected) return;
+    phase_span(ev.kind, ev.pe, ev.begin, ev.end, ev.aux);
+  }
+
+  // ---- recording ---------------------------------------------------------------
 
   void record(const Event& e) {
-    if (!enabled_) return;
     if (max_events_ != 0 && events_.size() >= max_events_) {
       ++dropped_;
       return;
@@ -78,76 +108,32 @@ class Tracer {
   }
 
   void exec(int pe, double begin, double end, std::uint64_t bytes) {
-    Event e;
-    e.kind = Kind::kExec;
-    e.pe = pe;
-    e.begin = begin;
-    e.end = end;
-    e.bytes = bytes;
-    record(e);
+    record({.kind = Kind::kExec, .pe = pe, .begin = begin, .end = end, .bytes = bytes});
   }
-
   void entry(int pe, int col, int ep, double begin, double end) {
-    Event e;
-    e.kind = Kind::kEntry;
-    e.pe = pe;
-    e.a = col;
-    e.b = ep;
-    e.begin = begin;
-    e.end = end;
-    record(e);
+    record({.kind = Kind::kEntry, .pe = pe, .a = col, .b = ep, .begin = begin, .end = end});
   }
-
   void send(int src, int dst, std::uint64_t bytes, int hops, double depart,
             double arrive) {
-    Event e;
-    e.kind = Kind::kSend;
-    e.pe = src;
-    e.a = dst;
-    e.b = hops;
-    e.begin = depart;
-    e.end = arrive;
-    e.bytes = bytes;
-    record(e);
+    record({.kind = Kind::kSend, .pe = src, .a = dst, .b = hops, .begin = depart,
+            .end = arrive, .bytes = bytes});
   }
-
   void recv(int pe, int priority, std::uint64_t bytes, double arrive,
             double service_start) {
-    Event e;
-    e.kind = Kind::kRecv;
-    e.pe = pe;
-    e.a = priority;
-    e.begin = arrive;
-    e.end = service_start;
-    e.bytes = bytes;
-    record(e);
+    record({.kind = Kind::kRecv, .pe = pe, .a = priority, .begin = arrive,
+            .end = service_start, .bytes = bytes});
   }
-
   void idle(int pe, double begin, double end) {
-    Event e;
-    e.kind = Kind::kIdle;
-    e.pe = pe;
-    e.begin = begin;
-    e.end = end;
-    record(e);
+    record({.kind = Kind::kIdle, .pe = pe, .begin = begin, .end = end});
   }
-
   void phase_span(Phase ph, int pe, double begin, double end, int aux = -1) {
-    Event e;
-    e.kind = Kind::kPhase;
-    e.phase = ph;
-    e.pe = pe;
-    e.a = aux;
-    e.begin = begin;
-    e.end = end;
-    record(e);
+    record({.kind = Kind::kPhase, .phase = ph, .pe = pe, .a = aux, .begin = begin, .end = end});
   }
 
  private:
   std::vector<Event> events_;
   std::size_t max_events_ = 0;
   std::uint64_t dropped_ = 0;
-  bool enabled_ = true;
 };
 
 }  // namespace trace

@@ -1,6 +1,6 @@
 // Whole-run determinism regression: two in-process executions of the same
 // configuration must agree *exactly* — final virtual times, event counts,
-// message statistics, and trace summaries.  Guards the emulator's core
+// message statistics, and trace-derived stats.  Guards the emulator's core
 // contract (DESIGN.md §1): identical seeds and configs give bit-identical
 // runs, which is what the resilience harness and every figure script rely on.
 //
@@ -17,7 +17,7 @@
 #include "miniapps/leanmd/leanmd.hpp"
 #include "miniapps/stencil/stencil.hpp"
 #include "runtime/charm.hpp"
-#include "trace/summary.hpp"
+#include "stats/report.hpp"
 #include "trace/trace.hpp"
 
 #include "test_util.hpp"
@@ -41,12 +41,12 @@ struct Fingerprint {
   double latency = 0;
 
   void take_trace(const trace::Tracer& tr, int npes) {
-    const trace::Summary s = trace::summarize(tr, npes);
-    span = s.span;
-    busy = s.total_busy();
-    sends = s.messages.sends;
-    send_bytes = s.messages.bytes;
-    latency = s.messages.total_latency;
+    const stats::Report r = stats::collect(tr, npes);
+    span = r.makespan;
+    busy = r.total_busy();
+    sends = r.messages.sends;
+    send_bytes = r.messages.bytes;
+    latency = r.messages.total_latency;
   }
 };
 

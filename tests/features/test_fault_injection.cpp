@@ -406,13 +406,13 @@ TEST(FaultTrace, FailureAndRestorePhaseSpansEmitted) {
   int failure_spans = 0, restore_spans = 0, ckpt_spans = 0;
   for (const trace::Event& e : tracer.events()) {
     if (e.kind != trace::Kind::kPhase) continue;
-    if (e.phase == trace::Phase::kFailure) {
+    if (e.phase == sim::Phase::kFailure) {
       ++failure_spans;
       EXPECT_EQ(e.pe, 2);
       EXPECT_DOUBLE_EQ(e.begin, 1.5e-3);
     }
-    if (e.phase == trace::Phase::kRestore) ++restore_spans;
-    if (e.phase == trace::Phase::kCheckpoint) ++ckpt_spans;
+    if (e.phase == sim::Phase::kRestore) ++restore_spans;
+    if (e.phase == sim::Phase::kCheckpoint) ++ckpt_spans;
   }
   EXPECT_EQ(failure_spans, 1);
   EXPECT_EQ(restore_spans, 1);

@@ -21,6 +21,7 @@
 #include "lb/strategy.hpp"
 #include "malleability/malleability.hpp"
 #include "runtime/charm.hpp"
+#include "stats/json.hpp"
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
 #include "trace/trace.hpp"
@@ -265,7 +266,7 @@ TEST(Introspect, SteadyStateSamplingIsAllocationFree) {
 
   // Warm-up: touch every (col, ep) key the steady state will see (first use
   // allocates the map node) and confirm the sample buffer is pre-reserved.
-  for (int pe = 0; pe < 8; ++pe) mon.on_entry(pe, /*col=*/1, /*ep=*/pe % 3, 1e-7);
+  for (int pe = 0; pe < 8; ++pe) mon.on_entry(pe, /*col=*/1, /*ep=*/pe % 3, 0.0, 1e-7);
   ASSERT_GE(introspect::Monitor::kSampleReserve, 2048u);
 
   g_allocs = 0;
@@ -273,10 +274,10 @@ TEST(Introspect, SteadyStateSamplingIsAllocationFree) {
   double now = 0;
   for (int i = 0; i < 20000; ++i) {
     const int pe = i % 8;
-    mon.on_send(pe, 128);
-    mon.on_arrive(pe, /*ready_depth=*/2);
-    mon.on_entry(pe, 1, pe % 3, 1e-7);
-    mon.on_exec(pe, 2e-7, /*ready_depth=*/1);
+    mon.on_send(pe, (pe + 1) % 8, 128, /*hops=*/1, now, now);
+    mon.on_ready(pe, /*depth=*/2);
+    mon.on_entry(pe, 1, pe % 3, now, 1e-7);
+    mon.on_exec_end(pe, now, now + 2e-7, 128, /*depth=*/1);
     now += 1e-7;  // crosses a sample boundary every 10 iterations
     mon.on_step(now, /*evq_depth=*/4);
   }
@@ -403,8 +404,8 @@ class Worker : public charm::ArrayElement<Worker, std::int32_t> {
   }
 };
 
-std::vector<introspect::JournalKind> kinds_of(const introspect::Monitor& mon) {
-  std::vector<introspect::JournalKind> out;
+std::vector<sim::Phase> kinds_of(const introspect::Monitor& mon) {
+  std::vector<sim::Phase> out;
   for (const introspect::JournalEvent& e : mon.journal_events())
     out.push_back(e.kind);
   return out;
@@ -431,7 +432,7 @@ TEST(Introspect, JournalRecordsLbRounds) {
   for (const introspect::JournalEvent& e : mon.journal_events()) {
     EXPECT_GE(e.t, prev_t) << "journal must be time-ordered";
     prev_t = e.t;
-    if (e.kind == introspect::JournalKind::kLbRound) {
+    if (e.kind == sim::Phase::kLbRound) {
       ++lb_rounds;
       migrations += e.aux;
       EXPECT_GE(e.value, 0.0);
@@ -489,14 +490,14 @@ TEST(Introspect, JournalRecordsCheckpointFailureAndRestore) {
   ASSERT_TRUE(recovered);
 
   const auto kinds = kinds_of(mon);
-  auto find_kind = [&](introspect::JournalKind k) {
+  auto find_kind = [&](sim::Phase k) {
     for (std::size_t i = 0; i < kinds.size(); ++i)
       if (kinds[i] == k) return static_cast<int>(i);
     return -1;
   };
-  const int ckpt_i = find_kind(introspect::JournalKind::kCheckpoint);
-  const int fail_i = find_kind(introspect::JournalKind::kFailure);
-  const int rest_i = find_kind(introspect::JournalKind::kRestore);
+  const int ckpt_i = find_kind(sim::Phase::kCheckpoint);
+  const int fail_i = find_kind(sim::Phase::kFailure);
+  const int rest_i = find_kind(sim::Phase::kRestore);
   ASSERT_GE(ckpt_i, 0) << "checkpoint commit must be journaled";
   ASSERT_GE(fail_i, 0) << "fail_pe must journal the failure";
   ASSERT_GE(rest_i, 0) << "rollback completion must be journaled";
@@ -537,8 +538,8 @@ TEST(Introspect, JournalRecordsShrinkAndExpand) {
   const introspect::JournalEvent* shrink_e = nullptr;
   const introspect::JournalEvent* expand_e = nullptr;
   for (const introspect::JournalEvent& e : mon.journal_events()) {
-    if (e.kind == introspect::JournalKind::kShrink) shrink_e = &e;
-    if (e.kind == introspect::JournalKind::kExpand) expand_e = &e;
+    if (e.kind == sim::Phase::kShrink) shrink_e = &e;
+    if (e.kind == sim::Phase::kExpand) expand_e = &e;
   }
   ASSERT_NE(shrink_e, nullptr);
   ASSERT_NE(expand_e, nullptr);
@@ -558,7 +559,7 @@ TEST(Introspect, EwmaTracksEntryGrain) {
   // Feed a constant grain directly: the EWMA must converge to it and the
   // totals must stay exact.
   constexpr double kGrain = 3e-6;
-  for (int i = 0; i < 64; ++i) mon.on_entry(0, /*col=*/2, /*ep=*/1, kGrain);
+  for (int i = 0; i < 64; ++i) mon.on_entry(0, /*col=*/2, /*ep=*/1, 0.0, kGrain);
   const auto& loads = mon.entry_loads();
   auto it = loads.find({2, 1});
   ASSERT_NE(it, loads.end());
@@ -568,15 +569,31 @@ TEST(Introspect, EwmaTracksEntryGrain) {
 
   // A step change in grain moves the EWMA toward the new value but keeps the
   // memory of the old one for a while (alpha = 0.25).
-  mon.on_entry(0, 2, 1, 9e-6);
+  mon.on_entry(0, 2, 1, 0.0, 9e-6);
   EXPECT_GT(it->second.ewma, kGrain);
   EXPECT_LT(it->second.ewma, 9e-6);
   EXPECT_NEAR(it->second.ewma, 0.25 * 9e-6 + 0.75 * kGrain, 1e-18);
 }
 
+// ---- sample cap --------------------------------------------------------------
+
+TEST(Introspect, SampleCapCountsEveryDroppedBoundary) {
+  Harness h(2);
+  introspect::Monitor mon;
+  mon.set_interval(1.0);
+  mon.attach(h.machine);
+  // One event gap crossing kSampleCap + 37 boundaries: the first kSampleCap
+  // are recorded, each of the remaining 37 is counted as dropped.
+  constexpr std::uint64_t kOver = 37;
+  mon.on_step(static_cast<double>(introspect::Monitor::kSampleCap + kOver) + 0.5, 0);
+  EXPECT_EQ(mon.samples().size(), introspect::Monitor::kSampleCap);
+  EXPECT_EQ(mon.dropped_samples(), kOver);
+  EXPECT_EQ(mon.samples().back().t, static_cast<double>(introspect::Monitor::kSampleCap));
+}
+
 // ---- export plumbing --------------------------------------------------------
 
-TEST(Introspect, FillExportMirrorsSamplesAndJournal) {
+TEST(Introspect, ExportWritesMonitorSamplesAndJournal) {
   Harness h(4);
   introspect::Monitor mon;
   mon.set_interval(1e-5);
@@ -585,30 +602,38 @@ TEST(Introspect, FillExportMirrorsSamplesAndJournal) {
   for (int i = 0; i < kElems; ++i) arr.seed(i, i % 4);
   kick_chatter(h, arr, /*seed=*/13, /*chains=*/4, /*hops=*/30);
   h.machine.run();
-  mon.journal(introspect::JournalKind::kLbRound, mon.time(), 2, 0.5);
+  mon.on_phase(sim::PhaseEvent{sim::Phase::kLbRound, 0, 0.0, mon.time(), 2, 0.5});
+  // Barrier-only rounds and disk checkpoints are traced but not journaled.
+  mon.on_phase(sim::PhaseEvent{sim::Phase::kLbRound, 0, 0.0, mon.time(), -1, 0.0});
+  mon.on_phase(sim::PhaseEvent{sim::Phase::kDiskCheckpoint, 0, 0.0, mon.time()});
+  ASSERT_EQ(mon.journal_events().size(), 1u);
+  ASSERT_GT(mon.samples().size(), 0u);
 
+  // The exporter reads the monitor directly: the block lands in the JSON
+  // between the optional sections and "totals", journal kind on the wire.
   stats::ExportMeta meta;
-  mon.fill_export(meta.metrics);
-  ASSERT_TRUE(meta.metrics.enabled);
-  EXPECT_EQ(meta.metrics.interval, 1e-5);
-  ASSERT_EQ(meta.metrics.samples.size(), mon.samples().size());
-  ASSERT_GT(meta.metrics.samples.size(), 0u);
-  for (std::size_t i = 0; i < mon.samples().size(); ++i) {
-    EXPECT_EQ(meta.metrics.samples[i].t, mon.samples()[i].t);
-    EXPECT_EQ(meta.metrics.samples[i].busy, mon.samples()[i].busy);
-    EXPECT_EQ(meta.metrics.samples[i].msgs, mon.samples()[i].msgs);
-  }
-  ASSERT_EQ(meta.metrics.journal.size(), 1u);
-  EXPECT_EQ(meta.metrics.journal[0].kind, "lb_round");
-  EXPECT_EQ(meta.metrics.journal[0].aux, 2);
-
-  // The enabled block lands in the JSON between the optional sections and
-  // "totals", with the journal kind on the wire.
+  meta.metrics = &mon;
   trace::Tracer t;
-  const std::string json = stats::to_json(stats::collect(t, 4), meta);
-  EXPECT_NE(json.find("\"timeseries\":["), std::string::npos);
-  EXPECT_NE(json.find("\"journal\":[{\"t\":"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"lb_round\""), std::string::npos);
+  const std::string body = stats::to_json(stats::collect(t, 4), meta);
+  stats::json::Value doc;
+  std::string err;
+  ASSERT_TRUE(stats::json::parse(body, doc, &err)) << err;
+  EXPECT_EQ(doc.num("metrics_interval"), 1e-5);
+  const stats::json::Value* ts = doc.find("timeseries");
+  ASSERT_NE(ts, nullptr);
+  ASSERT_EQ(ts->array.size(), mon.samples().size());
+  for (std::size_t i = 0; i < mon.samples().size(); ++i) {
+    EXPECT_EQ(ts->array[i].num("t"), mon.samples()[i].t);
+    EXPECT_EQ(ts->array[i].num("busy"), mon.samples()[i].busy);
+    EXPECT_EQ(ts->array[i].num("msgs"), static_cast<double>(mon.samples()[i].msgs));
+  }
+  const stats::json::Value* journal = doc.find("journal");
+  ASSERT_NE(journal, nullptr);
+  ASSERT_EQ(journal->array.size(), 1u);
+  EXPECT_EQ(journal->array[0].str("kind"), "lb_round");
+  EXPECT_EQ(journal->array[0].num("aux"), 2.0);
+  EXPECT_EQ(journal->array[0].num("value"), 0.5);
+  EXPECT_LT(body.find("\"journal\":["), body.find("\"totals\":"));
 }
 
 }  // namespace

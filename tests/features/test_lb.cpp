@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "lb/distributed.hpp"
-#include "lb/instrumentation.hpp"
 #include "lb/meta.hpp"
 #include "runtime/charm.hpp"
 

@@ -1,8 +1,8 @@
 // Stats subsystem tests: hand-computed usage attribution and critical path,
 // byte-determinism of the JSON export (same seed ⇒ identical bytes), and the
 // accounting invariants fuzzed over several machine configurations
-// (Σ per-PE busy == trace summary busy, comm-matrix row sums == per-PE bytes
-// sent, critical path ≤ makespan, phase coverage of the whole run).
+// (comm-matrix row sums == per-PE bytes sent, entry attribution conserves
+// busy and exec, critical path ≤ makespan, phase coverage of the whole run).
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "stats/json.hpp"
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
-#include "trace/summary.hpp"
 #include "trace/trace.hpp"
 
 #include "test_util.hpp"
@@ -221,17 +220,6 @@ TEST(Stats, InvariantsHoldAcrossMachineConfigs) {
     double makespan = 0;
     run_chatter(cfg.npes, cfg.net, cfg.seed, cfg.chains, cfg.hops, t, &makespan);
     const stats::Report r = stats::collect(t, cfg.npes);
-    const trace::Summary s = trace::summarize(t, cfg.npes);
-
-    // Busy/exec totals must agree with the PR-1 summary, PE for PE.
-    ASSERT_EQ(r.pes.size(), s.pes.size());
-    for (int pe = 0; pe < cfg.npes; ++pe) {
-      const auto i = static_cast<std::size_t>(pe);
-      EXPECT_NEAR(r.pes[i].busy, s.pes[i].busy, 1e-15);
-      EXPECT_NEAR(r.pes[i].exec, s.pes[i].exec, 1e-15);
-      EXPECT_EQ(r.pes[i].execs, s.pes[i].execs);
-    }
-    EXPECT_NEAR(r.total_busy(), s.total_busy(), 1e-12);
     EXPECT_NEAR(r.makespan, makespan, 1e-12);
 
     // Comm-matrix row sums == per-PE sent bytes/messages; column sums are

@@ -1,7 +1,8 @@
 // Tracing subsystem tests: event recording against a hand-computed ping-pong,
-// time-profile bin accounting, summary statistics, Chrome export shape, and —
-// most importantly — that tracing never perturbs the simulation (results are
-// bit-identical with tracing on, off, or absent).
+// time-profile bin accounting, usage statistics derived from the log, Chrome
+// export shape, quarantine muting of every observer, and — most importantly —
+// that tracing never perturbs the simulation (results are bit-identical with
+// tracing on, off, or absent).
 
 #include <gtest/gtest.h>
 
@@ -9,9 +10,10 @@
 #include <cstdio>
 #include <sstream>
 
+#include "introspect/metrics.hpp"
 #include "runtime/charm.hpp"
+#include "stats/report.hpp"
 #include "trace/chrome_export.hpp"
-#include "trace/summary.hpp"
 #include "trace/time_profile.hpp"
 #include "trace/trace.hpp"
 
@@ -133,9 +135,11 @@ TEST(Trace, ResultsBitIdenticalWithTracingOnOffAbsent) {
     std::uint64_t executed[2] = {0, 0};
   };
   // Only one Runtime may exist at a time, so each run is scoped.
-  auto measure = [](trace::Tracer* tracer) {
+  auto measure = [](trace::Tracer* tracer, bool detach_before_run = false) {
     Harness h(2);
-    run_pingpong(h, tracer, 50);
+    if (tracer) h.machine.set_tracer(tracer);
+    if (detach_before_run) h.machine.set_tracer(nullptr);
+    run_pingpong(h, nullptr, 50);
     Result r;
     r.clock = h.machine.max_pe_clock();
     for (int pe = 0; pe < 2; ++pe) {
@@ -152,11 +156,11 @@ TEST(Trace, ResultsBitIdenticalWithTracingOnOffAbsent) {
   EXPECT_GT(on.size(), 0u);
 
   trace::Tracer off;
-  off.set_enabled(false);
-  const Result disabled = measure(&off);
-  EXPECT_EQ(off.size(), 0u) << "a disabled tracer records nothing";
+  const Result detached = measure(&off, /*detach_before_run=*/true);
+  EXPECT_EQ(off.size(), 0u) << "a detached tracer records nothing";
+  EXPECT_EQ(off.observed(), nullptr);
 
-  for (const Result* r : {&traced, &disabled}) {
+  for (const Result* r : {&traced, &detached}) {
     EXPECT_EQ(r->clock, plain.clock);
     for (int pe = 0; pe < 2; ++pe) {
       EXPECT_EQ(r->busy[pe], plain.busy[pe]);
@@ -226,60 +230,64 @@ TEST(TimeProfile, BinsSumToOneAndMatchPeBusyTime) {
   }
 }
 
-// ---- summary -----------------------------------------------------------------
+// ---- usage statistics from the log (stats::collect) ---------------------------
 
 TEST(TraceSummary, HandComputedStats) {
+  // Machine order: a span's entries are logged before the span itself.
   trace::Tracer t;
-  t.exec(0, 0.0, 1.0, 100);
   t.entry(0, /*col=*/3, /*ep=*/7, 0.0, 0.6);
-  t.exec(1, 0.0, 0.5, 50);
+  t.exec(0, 0.0, 1.0, 100);
   t.entry(1, 3, 7, 0.1, 0.3);
   t.entry(1, 3, 8, 0.3, 0.4);
+  t.exec(1, 0.0, 0.5, 50);
   t.send(0, 1, 64, 2, 0.0, 0.25);
   t.recv(1, 0, 64, 0.25, 0.30);
 
-  auto s = trace::summarize(t, 2);
-  ASSERT_EQ(s.entries.size(), 2u);
-  EXPECT_EQ(s.entries[0].col, 3);
-  EXPECT_EQ(s.entries[0].ep, 7);
-  EXPECT_EQ(s.entries[0].calls, 2u);
-  EXPECT_NEAR(s.entries[0].total_time, 0.8, 1e-12);
-  EXPECT_NEAR(s.entries[0].max_time, 0.6, 1e-12);
-  EXPECT_EQ(s.entries[1].ep, 8);
-  EXPECT_EQ(s.entries[1].calls, 1u);
+  const stats::Report r = stats::collect(t, 2);
+  // Rows are per (col, ep, pe), sorted.
+  ASSERT_EQ(r.entries.size(), 3u);
+  EXPECT_EQ(r.entries[0].col, 3);
+  EXPECT_EQ(r.entries[0].ep, 7);
+  EXPECT_EQ(r.entries[0].pe, 0);
+  EXPECT_EQ(r.entries[1].ep, 7);
+  EXPECT_EQ(r.entries[1].pe, 1);
+  EXPECT_NEAR(r.entries[0].busy + r.entries[1].busy, 0.8, 1e-12);
+  EXPECT_NEAR(r.entries[0].grain_max, 0.6, 1e-12);
+  EXPECT_EQ(r.entries[2].ep, 8);
+  EXPECT_EQ(r.entries[2].calls, 1u);
 
-  ASSERT_EQ(s.pes.size(), 2u);
-  EXPECT_EQ(s.pes[0].execs, 1u);
-  EXPECT_NEAR(s.pes[0].busy, 0.6, 1e-12);
-  EXPECT_NEAR(s.pes[0].overhead(), 0.4, 1e-12);
-  EXPECT_NEAR(s.pes[1].busy, 0.3, 1e-12);
+  ASSERT_EQ(r.pes.size(), 2u);
+  EXPECT_EQ(r.pes[0].execs, 1u);
+  EXPECT_NEAR(r.pes[0].busy, 0.6, 1e-12);
+  EXPECT_NEAR(r.pes[0].overhead(), 0.4, 1e-12);
+  EXPECT_NEAR(r.pes[1].busy, 0.3, 1e-12);
 
-  EXPECT_EQ(s.messages.sends, 1u);
-  EXPECT_EQ(s.messages.bytes, 64u);
-  EXPECT_EQ(s.messages.hops, 2u);
-  EXPECT_NEAR(s.messages.total_latency, 0.25, 1e-12);
-  EXPECT_NEAR(s.messages.total_queue_wait, 0.05, 1e-12);
-  EXPECT_NEAR(s.span, 1.0, 1e-12);
+  EXPECT_EQ(r.messages.sends, 1u);
+  EXPECT_EQ(r.messages.bytes, 64u);
+  EXPECT_EQ(r.messages.hops, 2u);
+  EXPECT_NEAR(r.messages.total_latency, 0.25, 1e-12);
+  EXPECT_NEAR(r.messages.total_queue_wait, 0.05, 1e-12);
+  EXPECT_NEAR(r.makespan, 1.0, 1e-12);
 }
 
 TEST(TraceSummary, RealRunBusyMatchesEntryTotals) {
   Harness h(2);
   trace::Tracer tracer;
   run_pingpong(h, &tracer, 20);
-  auto s = trace::summarize(tracer, 2);
+  const stats::Report r = stats::collect(tracer, 2);
 
   double entry_total = 0;
   std::uint64_t calls = 0;
-  for (const auto& e : s.entries) {
-    entry_total += e.total_time;
-    calls += e.calls;
+  for (const stats::EntryUsage& u : r.entries) {
+    entry_total += u.busy;
+    if (u.col >= 0) calls += u.calls;  // (-1, -1) rows are entry-less spans
   }
   EXPECT_EQ(calls, 20u);
-  EXPECT_NEAR(entry_total, s.total_busy(), 1e-12);
+  EXPECT_NEAR(entry_total, r.total_busy(), 1e-12);
   // 20 charges of 2us each, plus the relay sends' charged overhead.
   EXPECT_GE(entry_total, 20 * 2e-6 - 1e-10);
   EXPECT_LE(entry_total, 20 * 4e-6);
-  EXPECT_GT(s.total_exec(), s.total_busy()) << "scheduling overhead exists";
+  EXPECT_GT(r.total_exec(), r.total_busy()) << "scheduling overhead exists";
 }
 
 // ---- Chrome export -----------------------------------------------------------
@@ -291,7 +299,7 @@ TEST(ChromeExport, EmitsWellFormedEventStream) {
   t.send(0, 1, 64, 1, 2e-4, 5e-4);
   t.recv(1, 0, 64, 5e-4, 6e-4);
   t.idle(1, 0.0, 5e-4);
-  t.phase_span(trace::Phase::kLbStep, 0, 0.0, 1e-3, 3);
+  t.phase_span(sim::Phase::kLbRound, 0, 0.0, 1e-3, 3);
 
   std::ostringstream os;
   trace::write_chrome_trace(t.events(), os,
@@ -357,7 +365,7 @@ TEST(Trace, LbStepPhaseSpansRecorded) {
   std::size_t phases = 0;
   for (const auto& e : tracer.events()) {
     if (e.kind != trace::Kind::kPhase) continue;
-    EXPECT_EQ(e.phase, trace::Phase::kLbStep);
+    EXPECT_EQ(e.phase, sim::Phase::kLbRound);
     EXPECT_LE(e.begin, e.end);
     ++phases;
   }
@@ -365,7 +373,7 @@ TEST(Trace, LbStepPhaseSpansRecorded) {
   EXPECT_EQ(phases, static_cast<std::size_t>(h.rt.lb().rounds_completed()));
 }
 
-// ---- quarantine disposal stays out of the trace ------------------------------
+// ---- quarantine disposal stays out of every observer -------------------------
 
 // Disposal of messages addressed to a failed PE runs their handlers in a
 // zero-cost quarantine context so side effects (completion counters, refcount
@@ -386,12 +394,12 @@ TEST(Trace, QuarantineDisposalRecordsNothing) {
   m.run();
 
   EXPECT_EQ(m.messages_dropped(), 1u);
-  EXPECT_TRUE(tracer.enabled()) << "suppression must be restored after disposal";
+  EXPECT_EQ(tracer.observed(), &m) << "muting must end with the disposal";
 
-  const trace::Summary s = trace::summarize(tracer, 2);
-  EXPECT_EQ(s.pes[1].execs, 0u) << "disposed handler must not count as an execution";
-  EXPECT_EQ(s.pes[1].exec, 0.0);
-  EXPECT_EQ(s.pes[1].busy, 0.0);
+  const stats::Report r = stats::collect(tracer, 2);
+  EXPECT_EQ(r.pes[1].execs, 0u) << "disposed handler must not count as an execution";
+  EXPECT_EQ(r.pes[1].exec, 0.0);
+  EXPECT_EQ(r.pes[1].busy, 0.0);
   EXPECT_EQ(count_kind(tracer, trace::Kind::kSend), 0u)
       << "sends made during disposal must not be traced";
 }
@@ -413,12 +421,85 @@ TEST(Trace, QuarantineDrainOfReadyQueueRecordsNothing) {
   m.run();
 
   EXPECT_EQ(m.messages_dropped(), 1u);
-  const trace::Summary s = trace::summarize(tracer, 2);
-  EXPECT_EQ(s.pes[1].execs, 1u) << "only the pre-failure handler really ran";
+  const stats::Report r = stats::collect(tracer, 2);
+  EXPECT_EQ(r.pes[1].execs, 1u) << "only the pre-failure handler really ran";
   // 1s of charged work plus per-delivery scheduling overhead — and none of
   // the disposed handler's 5s.
-  EXPECT_NEAR(s.pes[1].exec, 1.0, 1e-4);
+  EXPECT_NEAR(r.pes[1].exec, 1.0, 1e-4);
   EXPECT_EQ(count_kind(tracer, trace::Kind::kSend), 0u);
+}
+
+// A third sink beside the tracer and the monitor: counts every hook, and
+// separately those that arrive while the disposed handler is running.
+bool g_in_disposed_handler = false;
+
+class HookCounter : public sim::Observer {
+ public:
+  std::uint64_t hooks = 0;
+  std::uint64_t during_disposal = 0;
+
+  void on_send(int, int, std::size_t, int, double, double) override { note(); }
+  void on_ready(int, std::size_t) override { note(); }
+  void on_exec_begin(int, double, double, double, int, std::size_t) override { note(); }
+  void on_exec_end(int, double, double, std::size_t, std::size_t) override { note(); }
+  void on_entry(int, int, int, double, double) override { note(); }
+  void on_collective(std::size_t) override { note(); }
+  void on_phase(const sim::PhaseEvent&) override { note(); }
+  void on_step(double, std::size_t) override { note(); }
+
+ private:
+  void note() {
+    ++hooks;
+    if (g_in_disposed_handler) ++during_disposal;
+  }
+};
+
+TEST(Trace, QuarantineMutesEverySink) {
+  sim::Machine m(sim::MachineConfig{2, {}, 4});
+  trace::Tracer tracer;
+  introspect::Monitor mon;
+  HookCounter fake;
+  m.set_tracer(&tracer);
+  mon.attach(m);
+  m.attach(fake);
+
+  bool ran = false;
+  m.post(1, 0.0, [&m, &ran] {
+    g_in_disposed_handler = true;
+    ran = true;
+    m.charge(1e-3);
+    m.send(0, 64, 0, [] {});
+    g_in_disposed_handler = false;
+  });
+  m.fail_pe(1);  // quarantine before delivery: the message is disposed
+  m.run();
+
+  ASSERT_TRUE(ran) << "a disposed handler still runs";
+  EXPECT_EQ(m.messages_dropped(), 1u);
+
+  // Tracer: nothing on the dead PE and no send at all.
+  for (const trace::Event& e : tracer.events()) EXPECT_NE(e.pe, 1);
+  EXPECT_EQ(count_kind(tracer, trace::Kind::kSend), 0u);
+
+  // Monitor: the dead PE's counters stay all-zero.
+  const introspect::PeCounters& dead = mon.pe(1);
+  EXPECT_EQ(dead.busy, 0.0);
+  EXPECT_EQ(dead.exec, 0.0);
+  EXPECT_EQ(dead.execs, 0u);
+  EXPECT_EQ(dead.msgs_sent, 0u);
+  EXPECT_EQ(dead.bytes_sent, 0u);
+  EXPECT_EQ(dead.ready, 0u);
+  EXPECT_EQ(dead.ready_hwm, 0u);
+  EXPECT_EQ(mon.total_msgs(), 0u);
+  // A direct fail_pe is journaled but not traced.
+  ASSERT_EQ(mon.journal_events().size(), 1u);
+  EXPECT_EQ(mon.journal_events()[0].kind, sim::Phase::kFailure);
+  EXPECT_EQ(count_kind(tracer, trace::Kind::kPhase), 0u);
+
+  // The fake: muted during disposal, live before and after it.
+  EXPECT_EQ(fake.during_disposal, 0u);
+  EXPECT_GT(fake.hooks, 0u);
+  EXPECT_EQ(fake.observed(), &m);
 }
 
 }  // namespace
