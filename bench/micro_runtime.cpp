@@ -252,8 +252,8 @@ void BM_SparseFootprint(benchmark::State& state) {
   // ~1K PEs (DESIGN.md §12).  The counters are byte-accounting over the
   // runtime's own structures (PagedTable pages, ready rings, event arena,
   // collection tables), so they are deterministic across hosts and gated
-  // hard by check_stats_schema.py: a change that makes per-PE state dense
-  // again blows the per-idle-PE ceiling and fails the schema gate.
+  // hard by CI's micro_to_stats.py --gate-max ceilings: a change that makes
+  // per-PE state dense again blows the per-idle-PE ceiling.
   constexpr int kVirtualPes = 1 << 20;
   constexpr int kTouched = 1024;
   double idle_bytes_per_pe = 0;

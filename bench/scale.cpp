@@ -10,7 +10,7 @@
 //     figure surface.  Host memory (structural bytes per touched / idle PE,
 //     peak RSS) is printed to stdout and deliberately kept out of the JSON.
 //   * --full: the acceptance configuration — P = 1M virtual PEs, W = 4M
-//     chares — run once with a memory report; the scale-gate CI job runs it
+//     chares — run once with a memory report; CI's Release job runs it
 //     under `ulimit -v` to enforce the footprint ceiling.
 //
 // Usage: scale [--smoke] [--full] [--stats=FILE] [--trace=FILE]
@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
 
   if (g_full) {
     // Acceptance configuration (default): 1M virtual PEs, 4M chares,
-    // footprint-gated by the scale-gate CI job under ulimit -v.
+    // footprint-gated by CI's Release job under ulimit -v.
     const int npes = g_npes;
     const std::int32_t width = g_width;
     const std::int32_t steps = g_steps;

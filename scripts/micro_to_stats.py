@@ -1,40 +1,30 @@
 #!/usr/bin/env python3
 """Converts google-benchmark --benchmark_out JSON into a charmlike-microbench
-stats record (bench_stats/BENCH_micro.json).
+stats record (bench_stats/BENCH_micro.json) and optionally gates it.
 
-The figure benches emit byte-deterministic virtual-time analytics
-("charmlike-stats"); the micro suite measures HOST wall-clock throughput of
-the emulator itself, so its numbers change run to run.  This converter strips
-google-benchmark's volatile context down to what a reader of the record needs
-(cpu count, nominal MHz, build type), keeps per-benchmark rates and counters,
-and writes the same single-line canonical byte form the other stats files use
-so one validator front-end covers both schemas.
+The micro suite measures HOST wall-clock throughput of the emulator, so its
+numbers change run to run (unlike the byte-deterministic "charmlike-stats"
+records).  The record keeps what a reader needs: cpu count, nominal MHz,
+build type, per-benchmark rates and counters, in the single-line canonical
+byte form the other stats files use.  This converter owns the schema: the
+record's shape (iterations >= 1, times >= 0 in a known unit, numeric
+counters, whole non-negative payload_pool_* counts) is checked before it is
+written, and a malformed record exits 1 without writing.
 
-Optionally gates throughput: --gate NAME=MIN_ITEMS_PER_SEC fails (exit 1)
-when the named benchmark's items_per_second falls below the floor.  CI uses
-conservative floors (an order of magnitude under typical rates) so only a
-real hot-path regression trips the gate, not shared-runner noise.
-
-Counter ceilings gate costs: --gate-max NAME/COUNTER=MAX fails (exit 1) when
-the named benchmark's counter exceeds the ceiling.  Two kinds are in use:
-*structural byte accounting* (mem_bytes_per_idle_pe and friends from
-BM_SparseFootprint) is deterministic across hosts, so those ceilings sit
-close to the measured values; *host-time ceilings* (us_per_round from
-BM_LbAssign_*) are as noisy as the rate floors and get the same order-of-
-magnitude headroom.  Benchmark names may contain '/' arg suffixes — the
-counter name is everything after the LAST '/'.
-
-Ratio ceilings gate one benchmark against another from the same run:
---gate-ratio NAME/COUNTER,REF/COUNTER=MAX fails (exit 1) when the first
-counter exceeds MAX times the second.  Both sides ran on the same host
-moments apart, so the ratio is robust to runner speed — this is how the
-"incremental LB round is >= 5x cheaper than the full-rebuild round" claim
-is enforced (ratio <= 0.2) without hardcoding a machine-specific time.
-
-Usage: micro_to_stats.py RAW.json OUT.json [--smoke] [--gate NAME=RATE]...
-                         [--gate-max NAME/COUNTER=MAX]...
-                         [--gate-ratio NAME/COUNTER,REF/COUNTER=MAX]...
+Gates (each fails with exit 1):
+  --gate NAME=RATE  items_per_second below the floor.  CI's floors sit an
+      order of magnitude under typical rates, so only a real hot-path
+      regression trips them, not shared-runner noise.
+  --gate-max NAME/COUNTER=MAX  counter above the ceiling.  Structural byte
+      accounting (BM_SparseFootprint's mem_bytes_per_*) is deterministic
+      across hosts, so those ceilings sit close to the measured values;
+      host-time ceilings (us_per_round) get rate-floor headroom.  Benchmark
+      names may contain '/' arg suffixes; the counter follows the LAST '/'.
+  --gate-ratio NAME/COUNTER,REF/COUNTER=MAX  first counter above MAX times
+      the second, both from the same run, so the ratio is robust to runner
+      speed ("incremental LB round >= 5x cheaper than a rebuild": 0.2).
 """
+import argparse
 import json
 import sys
 
@@ -46,6 +36,11 @@ VERSION = 1
 # for this suite's single-threaded, single-repetition runs.
 RUN_KEYS = ["iterations", "real_time", "cpu_time", "time_unit",
             "items_per_second", "bytes_per_second"]
+TIME_UNITS = ("ns", "us", "ms", "s")
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def convert(raw, smoke):
@@ -64,7 +59,7 @@ def convert(raw, smoke):
                      "per_family_instance_index", "repetitions",
                      "repetition_index", "threads", "aggregate_name",
                      "aggregate_unit", "label")
-                    and isinstance(v, (int, float)) and not isinstance(v, bool)}
+                    and is_number(v)}
         if counters:
             entry["counters"] = counters
         benchmarks.append(entry)
@@ -82,106 +77,109 @@ def convert(raw, smoke):
     }
 
 
+def shape_errors(doc):
+    errors = [] if doc["benchmarks"] else ["no benchmarks"]
+    for b in doc["benchmarks"]:
+        name = b["name"]
+        if not isinstance(b.get("iterations"), int) or b["iterations"] < 1:
+            errors.append(f"{name}: iterations {b.get('iterations')!r} < 1")
+        for k in ("real_time", "cpu_time"):
+            v = b.get(k)
+            if not is_number(v) or v < 0:
+                errors.append(f"{name}: {k} {v!r} is not a time >= 0")
+        if b.get("time_unit") not in TIME_UNITS:
+            errors.append(f"{name}: unknown time_unit {b.get('time_unit')!r}")
+        for k, v in b.get("counters", {}).items():
+            if not is_number(v):
+                errors.append(f"{name}: counter {k} {v!r} is not numeric")
+            elif k.startswith("payload_pool_") and (
+                    v < 0 or not float(v).is_integer()):
+                errors.append(f"{name}: counter {k} {v!r} is not a "
+                              f"non-negative integer")
+    return errors
+
+
 def apply_gates(doc, gates, max_gates, ratio_gates):
-    rates = {b["name"]: b.get("items_per_second")
-             for b in doc["benchmarks"]}
+    """Prints one line per gate; returns how many failed or were missing."""
+    rates = {b["name"]: b.get("items_per_second") for b in doc["benchmarks"]}
     counters = {b["name"]: b.get("counters", {}) for b in doc["benchmarks"]}
-    bad = 0
-    for name, floor in gates:
-        rate = rates.get(name)
-        if rate is None:
-            print(f"gate {name}: benchmark missing or has no items_per_second",
-                  file=sys.stderr)
-            bad += 1
-        elif rate < floor:
-            print(f"gate {name}: {rate:.0f} items/s < floor {floor:.0f}",
-                  file=sys.stderr)
-            bad += 1
-        else:
-            print(f"gate {name}: {rate:.0f} items/s >= floor {floor:.0f} OK")
-    for name, counter, ceiling in max_gates:
-        value = counters.get(name, {}).get(counter)
-        if value is None:
-            print(f"gate-max {name}/{counter}: benchmark or counter missing",
-                  file=sys.stderr)
-            bad += 1
-        elif value > ceiling:
-            print(f"gate-max {name}/{counter}: {value:g} > ceiling {ceiling:g}",
-                  file=sys.stderr)
-            bad += 1
-        else:
-            print(f"gate-max {name}/{counter}: {value:g} <= ceiling "
-                  f"{ceiling:g} OK")
+    # (label, measured value or None when missing, limit, is_floor)
+    checks = [(f"gate {name} items/s", rates.get(name), floor, True)
+              for name, floor in gates]
+    checks += [(f"gate-max {name}/{counter}", counters.get(name, {}).get(counter),
+                ceiling, False) for name, counter, ceiling in max_gates]
     for (name, counter), (rname, rcounter), max_ratio in ratio_gates:
         value = counters.get(name, {}).get(counter)
         ref = counters.get(rname, {}).get(rcounter)
-        if value is None or ref is None or ref == 0:
-            print(f"gate-ratio {name}/{counter} vs {rname}/{rcounter}: "
-                  f"benchmark or counter missing", file=sys.stderr)
-            bad += 1
-        elif value > max_ratio * ref:
-            print(f"gate-ratio {name}/{counter}: {value:g} > "
-                  f"{max_ratio:g} * {rname}/{rcounter} ({ref:g})",
-                  file=sys.stderr)
-            bad += 1
+        checks.append((f"gate-ratio {name}/{counter} / {rname}/{rcounter}",
+                       value / ref if value is not None and ref else None,
+                       max_ratio, False))
+    bad = 0
+    for label, value, limit, is_floor in checks:
+        op = ">=" if is_floor else "<="
+        if value is not None and (value >= limit if is_floor else value <= limit):
+            print(f"{label}: {value:g} {op} {limit:g} OK")
         else:
-            print(f"gate-ratio {name}/{counter}: {value:g} <= {max_ratio:g} "
-                  f"* {ref:g} OK ({value / ref:.3f}x)")
+            bad += 1
+            shown = "missing" if value is None else f"{value:g}"
+            print(f"{label}: {shown} violates {op} {limit:g}", file=sys.stderr)
     return bad
 
 
+def gate_spec(spec):
+    """NAME=VALUE; argparse reports a malformed spec (exit 2)."""
+    name, sep, value = spec.rpartition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {spec!r}")
+    return name, float(value)
+
+
+def max_spec(spec):
+    """NAME/COUNTER=MAX.  Benchmark names can themselves contain '/' (arg
+    suffixes like BM_LbAssign_Refine/100000); the counter is the last
+    component."""
+    target, ceiling = gate_spec(spec)
+    if "/" not in target:
+        raise argparse.ArgumentTypeError(f"expected NAME/COUNTER=MAX, got {spec!r}")
+    return (*target.rsplit("/", 1), ceiling)
+
+
+def ratio_spec(spec):
+    """NAME/COUNTER,REF/COUNTER=MAX."""
+    targets, max_ratio = gate_spec(spec)
+    left, sep, right = targets.partition(",")
+    if not sep or "/" not in left or "/" not in right:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME/COUNTER,REF/COUNTER=MAX, got {spec!r}")
+    return tuple(left.rsplit("/", 1)), tuple(right.rsplit("/", 1)), max_ratio
+
+
 def main(argv):
-    paths, smoke, gates, max_gates, ratio_gates = [], False, [], [], []
-    for arg in argv[1:]:
-        if arg == "--smoke":
-            smoke = True
-        elif arg.startswith("--gate-ratio="):
-            spec = arg.split("=", 1)[1]
-            if "," not in spec or "=" not in spec:
-                print("--gate-ratio expects "
-                      "--gate-ratio=NAME/COUNTER,REF/COUNTER=MAX",
-                      file=sys.stderr)
-                return 2
-            targets, max_ratio = spec.split("=", 1)
-            left, right = targets.split(",", 1)
-            if "/" not in left or "/" not in right:
-                print("--gate-ratio targets need a /COUNTER suffix",
-                      file=sys.stderr)
-                return 2
-            ratio_gates.append((tuple(left.rsplit("/", 1)),
-                                tuple(right.rsplit("/", 1)),
-                                float(max_ratio)))
-        elif arg.startswith("--gate-max="):
-            spec = arg.split("=", 1)[1]
-            if "/" not in spec or "=" not in spec:
-                print("--gate-max expects --gate-max=NAME/COUNTER=MAX",
-                      file=sys.stderr)
-                return 2
-            target, ceiling = spec.split("=", 1)
-            # Benchmark names can themselves contain '/' (arg suffixes like
-            # BM_LbAssign_Refine/100000); the counter is the last component.
-            name, counter = target.rsplit("/", 1)
-            max_gates.append((name, counter, float(ceiling)))
-        elif arg.startswith("--gate"):
-            spec = arg.split("=", 1)[1] if arg.startswith("--gate=") else None
-            if spec is None or "=" not in spec:
-                print("--gate expects --gate=NAME=RATE", file=sys.stderr)
-                return 2
-            name, rate = spec.split("=", 1)
-            gates.append((name, float(rate)))
-        else:
-            paths.append(arg)
-    if len(paths) != 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    with open(paths[0]) as f:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("raw", help="google-benchmark --benchmark_out JSON")
+    ap.add_argument("out", help="charmlike-microbench record to write")
+    ap.add_argument("--smoke", action="store_true")
+    ap.add_argument("--gate", type=gate_spec, action="append", default=[],
+                    metavar="NAME=RATE")
+    ap.add_argument("--gate-max", type=max_spec, action="append", default=[],
+                    metavar="NAME/COUNTER=MAX")
+    ap.add_argument("--gate-ratio", type=ratio_spec, action="append",
+                    default=[], metavar="NAME/COUNTER,REF/COUNTER=MAX")
+    args = ap.parse_args(argv[1:])
+    with open(args.raw) as f:
         raw = json.load(f)
-    doc = convert(raw, smoke)
-    with open(paths[1], "w") as f:
+    doc = convert(raw, args.smoke)
+    errors = shape_errors(doc)
+    for e in errors:
+        print(f"{args.raw}: {e}", file=sys.stderr)
+    if errors:
+        return 1
+    with open(args.out, "w") as f:
         json.dump(doc, f, separators=(",", ":"))
         f.write("\n")
-    print(f"{paths[1]}: {len(doc['benchmarks'])} benchmarks")
-    return 1 if apply_gates(doc, gates, max_gates, ratio_gates) else 0
+    print(f"{args.out}: {len(doc['benchmarks'])} benchmarks")
+    return 1 if apply_gates(doc, args.gate, args.gate_max, args.gate_ratio) else 0
 
 
 if __name__ == "__main__":

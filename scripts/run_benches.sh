@@ -1,25 +1,20 @@
 #!/usr/bin/env bash
-# Runs every figure-reproduction bench, the taskbench overhead-surface sweep,
-# and the micro-benchmarks, mirroring
-#   for b in build/bench/*; do $b; done
-# but skipping CMake bookkeeping entries.  Output goes to stdout; tee it into
-# bench_output.txt for the EXPERIMENTS.md record.
-#
-# The script fails fast: the first bench that exits nonzero stops the run and
-# its name is printed on stderr, so CI logs point straight at the culprit.
+# Runs every figure-reproduction bench, the taskbench, collectives and scale
+# sweeps, and the micro-benchmarks (every executable under build/bench/),
+# printing their tables to stdout.  Fails fast: the first bench that exits
+# nonzero stops the run and is named on stderr.
 #
 # --smoke runs each figure binary in its reduced configuration (tiny PE
-# sweeps, few steps) — the CI bench-smoke gate.  micro_* binaries use
-# google-benchmark's own flag parsing, so in smoke mode they get a
-# minimal-time run instead of --smoke.
+# sweeps, few steps); micro_* binaries get a minimal-time google-benchmark
+# run instead.
 #
-# --stats[=DIR] additionally passes --stats=DIR/BENCH_<name>.json to every
-# figure/ablation/taskbench binary (default DIR: bench_stats), producing the
-# machine-readable analytics record EXPERIMENTS.md points at.  Validate with
-# scripts/check_stats_schema.py; inspect or diff with build/tools/statsview.
-# The micro suite records host wall-clock rates instead: google-benchmark's
-# JSON is captured and converted (scripts/micro_to_stats.py) into
-# DIR/BENCH_micro.json, the one stats file that is NOT byte-deterministic.
+# --stats[=DIR] also writes DIR/BENCH_<name>.json (default DIR: bench_stats)
+# from every figure/ablation/sweep binary -- the records EXPERIMENTS.md
+# quotes; validate with `build/tools/statsview check`, inspect or diff with
+# build/tools/statsview.  The micro suite's google-benchmark JSON is converted
+# by scripts/micro_to_stats.py into DIR/BENCH_micro.json, the one record that
+# is NOT byte-deterministic.  scripts/gate.sh regenerates the smoke records
+# and compares them with bench_stats/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -217,14 +217,14 @@ const Value* Value::find(const std::string& key) const {
   return nullptr;
 }
 
-double Value::num(const std::string& key, double fallback) const {
+double Value::num(const std::string& key) const {
   const Value* v = find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
+  return v != nullptr && v->is_number() ? v->number : 0;
 }
 
-std::string Value::str(const std::string& key, const std::string& fallback) const {
+std::string Value::str(const std::string& key) const {
   const Value* v = find(key);
-  return v != nullptr && v->is_string() ? v->string : fallback;
+  return v != nullptr && v->is_string() ? v->string : "";
 }
 
 bool parse(const std::string& text, Value& out, std::string* err) {

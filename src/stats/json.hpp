@@ -37,10 +37,10 @@ struct Value {
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value* find(const std::string& key) const;
-  /// `find(key)->number` with a default.
-  double num(const std::string& key, double fallback = 0) const;
-  /// `find(key)->string` with a default.
-  std::string str(const std::string& key, const std::string& fallback = "") const;
+  /// `find(key)->number`, or 0 when absent or not a number.
+  double num(const std::string& key) const;
+  /// `find(key)->string`, or "" when absent or not a string.
+  std::string str(const std::string& key) const;
 };
 
 /// Parses `text` into `out`.  On failure returns false and, when `err` is

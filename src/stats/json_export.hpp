@@ -1,24 +1,22 @@
 #pragma once
 // Versioned, byte-deterministic JSON export of a stats::Report — the
 // `BENCH_<fig>.json` files that record the perf trajectory.  The schema
-// (DESIGN.md §6) has a fixed key order, sorted arrays, and canonical number
-// formatting, so identical runs produce identical bytes; CI diffs them and
-// `scripts/check_stats_schema.py` validates the shape.
+// (DESIGN.md §6, declared in stats/schema.hpp) has a fixed key order, sorted
+// arrays, and canonical number formatting, so identical runs produce
+// identical bytes; CI diffs them and `stats::check` validates them.
 
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "stats/report.hpp"
+#include "stats/schema.hpp"
 
 namespace introspect {
 class Monitor;
 }
 
 namespace stats {
-
-inline constexpr const char* kSchemaName = "charmlike-stats";
-inline constexpr int kSchemaVersion = 1;
 
 /// One printed bench table (the series the paper plots).
 struct SeriesTable {
@@ -32,9 +30,8 @@ struct SeriesTable {
 using EntryLabeler = std::function<std::string(int col, int ep)>;
 
 /// One (pattern x grain x P) cell of a taskbench overhead-surface sweep
-/// (DESIGN.md §8).  The identity keys (pattern..seed) name the cell; the
-/// rest are the measured surface: achieved vs ideal makespan and the derived
-/// per-task overhead, plus message/byte counters for the cell's traffic.
+/// (DESIGN.md §8): achieved vs ideal makespan, the derived per-task
+/// overhead, and the cell's traffic.  Identity keys: schema::kTaskbench.
 struct TaskbenchCell {
   std::string pattern;    ///< stencil_1d / fft / tree / sweep / random
   std::string transport;  ///< "point" or "tram"
@@ -56,11 +53,10 @@ struct TaskbenchCell {
   double tram_aggregation = 0;
 };
 
-/// One cell of the collectives micro-bench sweep (DESIGN.md §10).  The
-/// identity keys (topology..payload_doubles) name the cell; the rest are the
-/// measured cost of a broadcast → contribute → completion round under that
-/// topology: virtual time per round plus the message/byte/partial-send
-/// counters the spanning tree generates.
+/// One cell of the collectives micro-bench sweep (DESIGN.md §10): the cost
+/// of a broadcast → contribute → completion round under one topology (time
+/// per round, message/byte/partial-send counters).  Identity keys:
+/// schema::kCollectives.
 struct CollectivesCell {
   std::string topology;   ///< "flat" or "tree"
   int arity = 0;          ///< tree fanout k; 0 under flat

@@ -279,12 +279,13 @@ CellResult run_cell(Runtime& rt, const Params& p) {
   const std::uint64_t bytes0 = rt.bytes_sent();
 
   rt.on_pe(0, [&tasks] { tasks.broadcast<&Task::begin>(); });
+  // The pump closure holds itself; cleared after the run to free the cycle.
+  auto pump = std::make_shared<std::function<void()>>();
   if (p.use_tram) {
     // Items below the flush threshold sit in TRAM buffers without keeping the
     // machine alive, so pump: on every quiescence, flush and re-arm until the
     // finish reduction lands.  The round cap turns a stall into a clean stop.
     const int max_rounds = p.steps * 4 + 16;
-    auto pump = std::make_shared<std::function<void()>>();
     *pump = [&rt, st, pump, max_rounds] {
       rt.start_quiescence(Callback::to_function([&rt, st, pump, max_rounds](
                                                     ReductionResult&&) {
@@ -297,6 +298,7 @@ CellResult run_cell(Runtime& rt, const Params& p) {
     (*pump)();
   }
   rt.machine().run();
+  *pump = nullptr;
 
   CellResult r;
   r.tasks = task_count(p);

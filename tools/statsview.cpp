@@ -4,18 +4,24 @@
 //
 //   statsview FILE                 report: all present sections, top entry
 //                                  methods, imbalance, comm-matrix hotspots,
-//                                  critical path
-//   statsview BASELINE CANDIDATE   diff the two runs; exit code 2 when the
-//                                  candidate's makespan regresses by more
-//                                  than the threshold
+//                                  sweep cells, critical path
+//   statsview BASELINE CANDIDATE   diff; exit 2 when the candidate's makespan
+//                                  or a sweep cell's gated key regresses past
+//                                  the threshold, or a baseline cell is gone
 //   statsview timeline FILE        live-metrics timeline report (--metrics
 //                                  runs): sampled λ/rates/queue depths plus
 //                                  the decision journal
-//   statsview timeline A B         per-sample timeline diff; exit code 2 on
+//   statsview timeline A B         per-sample timeline diff; exit 2 on
 //                                  sample-count mismatch or a final-sample
 //                                  busy drift past the threshold
+//   statsview check FILE...        validate each file; exit 1 if any fails
 //   --top=N          rows per ranking (default 10)
 //   --threshold=PCT  regression gate for the diff modes (default 5)
+//
+// Every mode runs stats::check on its inputs first and exits 1 naming the
+// file and failing section.  Sweep sections are handled generically from
+// their schema declaration: cells match by identity keys and the diff gates
+// on the declared key.
 
 #include <algorithm>
 #include <cmath>
@@ -29,6 +35,7 @@
 #include <vector>
 
 #include "stats/json.hpp"
+#include "stats/schema.hpp"
 
 namespace {
 
@@ -44,34 +51,6 @@ struct EntryRow {
   double grain_max = 0;
 };
 
-/// One overhead-surface cell of a taskbench sweep (the "taskbench" section).
-struct TbCell {
-  std::string id;  ///< identity: pattern/transport/npes/width/steps/grain/...
-  std::string pattern;
-  std::string transport;
-  int npes = 0;
-  int width = 0;
-  int steps = 0;
-  double grain = 0;
-  double makespan = 0;
-  double ideal = 0;
-  double efficiency = 0;
-  double overhead_per_task = 0;
-};
-
-/// One cell of a collectives sweep (the "collectives" section).
-struct CollCell {
-  std::string id;  ///< identity: topology/arity/npes/elements/rounds/payload
-  std::string topology;
-  int arity = 0;
-  int npes = 0;
-  int rounds = 0;
-  double makespan = 0;
-  double time_per_round = 0;
-  double partial_sends = 0;
-  double msgs = 0;
-};
-
 struct Doc {
   std::string path;
   Value root;
@@ -80,11 +59,14 @@ struct Doc {
   double exec = 0;
   int npes = 0;
   std::vector<EntryRow> entries;  ///< aggregated over PEs, sorted by busy desc
-  std::vector<TbCell> taskbench;  ///< overhead-surface cells, file order
-  std::vector<CollCell> collectives;  ///< collective-tree cells, file order
 };
 
-bool load(const std::string& path, Doc& doc) {
+/// A key every file that passed stats::check carries.
+const Value& get(const Value& v, const char* key) { return *v.find(key); }
+
+/// Reads `path` and runs stats::check on it; reports and returns false when
+/// the file cannot be read or fails.
+bool read_checked(const std::string& path, std::string& text) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "statsview: cannot open %s\n", path.c_str());
@@ -92,78 +74,35 @@ bool load(const std::string& path, Doc& doc) {
   }
   std::ostringstream ss;
   ss << in.rdbuf();
+  text = ss.str();
   std::string err;
-  if (!stats::json::parse(ss.str(), doc.root, &err)) {
-    std::fprintf(stderr, "statsview: %s: parse error: %s\n", path.c_str(), err.c_str());
-    return false;
-  }
-  if (doc.root.str("schema") != "charmlike-stats") {
-    std::fprintf(stderr, "statsview: %s: not a charmlike-stats file\n", path.c_str());
-    return false;
-  }
+  if (stats::check(text, &err)) return true;
+  std::fprintf(stderr, "statsview: %s: %s\n", path.c_str(), err.c_str());
+  return false;
+}
+
+bool load(const std::string& path, Doc& doc) {
+  std::string text;
+  if (!read_checked(path, text)) return false;
+  stats::json::parse(text, doc.root);
   doc.path = path;
   doc.makespan = doc.root.num("makespan");
   doc.npes = static_cast<int>(doc.root.num("npes"));
-  if (const Value* totals = doc.root.find("totals")) {
-    doc.busy = totals->num("busy");
-    doc.exec = totals->num("exec");
-  }
+  doc.busy = get(doc.root, "totals").num("busy");
+  doc.exec = get(doc.root, "totals").num("exec");
   // Aggregate the per-(PE, col, ep) usage rows over PEs.
   std::map<std::pair<int, int>, EntryRow> agg;
-  if (const Value* entries = doc.root.find("entries"); entries != nullptr && entries->is_array()) {
-    for (const Value& e : entries->array) {
-      const int col = static_cast<int>(e.num("col", -1));
-      const int ep = static_cast<int>(e.num("ep", -1));
-      EntryRow& r = agg[{col, ep}];
-      r.col = col;
-      r.ep = ep;
-      if (r.name.empty()) r.name = e.str("name");
-      r.calls += static_cast<std::uint64_t>(e.num("calls"));
-      r.busy += e.num("busy");
-      r.exec += e.num("exec");
-      r.grain_max = std::max(r.grain_max, e.num("grain_max"));
-    }
-  }
-  if (const Value* tb = doc.root.find("taskbench"); tb != nullptr && tb->is_array()) {
-    for (const Value& c : tb->array) {
-      TbCell cell;
-      cell.pattern = c.str("pattern", "?");
-      cell.transport = c.str("transport", "?");
-      cell.npes = static_cast<int>(c.num("npes"));
-      cell.width = static_cast<int>(c.num("width"));
-      cell.steps = static_cast<int>(c.num("steps"));
-      cell.grain = c.num("grain");
-      cell.makespan = c.num("makespan");
-      cell.ideal = c.num("ideal");
-      cell.efficiency = c.num("efficiency");
-      cell.overhead_per_task = c.num("overhead_per_task");
-      cell.id = cell.pattern + "/" + cell.transport + " P" +
-                std::to_string(cell.npes) + " " + std::to_string(cell.width) + "x" +
-                std::to_string(cell.steps) + " g" + stats::json::format_double(cell.grain) +
-                " pay" + std::to_string(static_cast<int>(c.num("payload_doubles"))) +
-                " f" + std::to_string(static_cast<int>(c.num("fanout"))) + " s" +
-                std::to_string(static_cast<long long>(c.num("seed")));
-      doc.taskbench.push_back(std::move(cell));
-    }
-  }
-  if (const Value* cv = doc.root.find("collectives"); cv != nullptr && cv->is_array()) {
-    for (const Value& c : cv->array) {
-      CollCell cell;
-      cell.topology = c.str("topology", "?");
-      cell.arity = static_cast<int>(c.num("arity"));
-      cell.npes = static_cast<int>(c.num("npes"));
-      cell.rounds = static_cast<int>(c.num("rounds"));
-      cell.makespan = c.num("makespan");
-      cell.time_per_round = c.num("time_per_round");
-      cell.partial_sends = c.num("partial_sends");
-      cell.msgs = c.num("msgs");
-      cell.id = cell.topology + " k" + std::to_string(cell.arity) + " P" +
-                std::to_string(cell.npes) + " e" +
-                std::to_string(static_cast<int>(c.num("elements"))) + " r" +
-                std::to_string(cell.rounds) + " pay" +
-                std::to_string(static_cast<int>(c.num("payload_doubles")));
-      doc.collectives.push_back(std::move(cell));
-    }
+  for (const Value& e : get(doc.root, "entries").array) {
+    const int col = static_cast<int>(e.num("col"));
+    const int ep = static_cast<int>(e.num("ep"));
+    EntryRow& r = agg[{col, ep}];
+    r.col = col;
+    r.ep = ep;
+    if (r.name.empty()) r.name = e.str("name");
+    r.calls += static_cast<std::uint64_t>(e.num("calls"));
+    r.busy += e.num("busy");
+    r.exec += e.num("exec");
+    r.grain_max = std::max(r.grain_max, e.num("grain_max"));
   }
   doc.entries.reserve(agg.size());
   for (auto& [key, row] : agg) doc.entries.push_back(std::move(row));
@@ -181,24 +120,109 @@ double pct(double part, double whole) { return whole > 0 ? 100.0 * part / whole 
 /// without statsview needing a special case for it.
 void print_sections(const Doc& d) {
   std::string line;
-  char count[32];
   for (const auto& [key, v] : d.root.object) {
-    if (!line.empty()) line += ", ";
-    line += key;
-    if (v.is_array()) {
-      std::snprintf(count, sizeof count, "[%zu]", v.array.size());
-      line += count;
-    } else if (v.is_object()) {
-      std::snprintf(count, sizeof count, "{%zu}", v.object.size());
-      line += count;
-    }
+    line += (line.empty() ? "" : ", ") + key;
+    if (v.is_array()) line += "[" + std::to_string(v.array.size()) + "]";
+    if (v.is_object()) line += "{" + std::to_string(v.object.size()) + "}";
   }
   std::printf("sections: %s\n", line.c_str());
 }
 
+// ---- sweep sections (taskbench, collectives), driven by the schema ----------
+
+/// The sweep's cells; empty when the file has no such section.
+const std::vector<Value>& sweep_cells(const Doc& d, const stats::Section& s) {
+  static const std::vector<Value> kNone;
+  const Value* v = d.root.find(std::string(s.name));
+  return v != nullptr ? v->array : kNone;
+}
+
+/// "pattern/transport/npes/...": the identity keys, named once per table.
+std::string identity_keys(const stats::Section& s) {
+  std::string out;
+  for (std::size_t i = 0; i < s.identity; ++i) {
+    out += (i ? "/" : "") + std::string(s.keys[i].name);
+  }
+  return out;
+}
+
+int id_width(const std::vector<Value>& cells, const stats::Section& s) {
+  std::size_t w = 4;
+  for (const Value& c : cells) w = std::max(w, stats::cell_identity(c, s).size());
+  return static_cast<int>(w);
+}
+
+/// One row per cell: its identity, then every measured key.
+void print_sweep(const Doc& d, const stats::Section& s) {
+  const std::vector<Value>& cells = sweep_cells(d, s);
+  if (cells.empty()) return;
+  const int w = id_width(cells, s);
+  std::printf("\n%.*s sweep (%zu cells; cell = %s):\n", static_cast<int>(s.name.size()),
+              s.name.data(), cells.size(), identity_keys(s).c_str());
+  std::printf("%-*s", w, "cell");
+  for (std::size_t k = s.identity; k < s.keys.size(); ++k) {
+    const std::string_view key = s.keys[k].name;
+    std::printf(" %*.*s", std::max(12, static_cast<int>(key.size())),
+                static_cast<int>(key.size()), key.data());
+  }
+  std::printf("\n");
+  for (const Value& c : cells) {
+    std::printf("%-*s", w, stats::cell_identity(c, s).c_str());
+    for (std::size_t k = s.identity; k < s.keys.size(); ++k) {
+      const std::string key(s.keys[k].name);
+      std::printf(" %*.6g", std::max(12, static_cast<int>(key.size())), c.num(key));
+    }
+    std::printf("\n");
+  }
+}
+
+/// Matches cells by identity and compares the declared gate key; returns
+/// the number of cells that regressed past the threshold or went missing
+/// from B (a silently shrunk sweep must not pass).
+int diff_sweep(const Doc& a, const Doc& b, const stats::Section& s, double threshold_pct) {
+  const std::vector<Value>& ca = sweep_cells(a, s);
+  const std::vector<Value>& cb = sweep_cells(b, s);
+  if (ca.empty() && cb.empty()) return 0;
+  const std::string gate(s.gate);
+  std::map<std::string, const Value*> in_b;
+  for (const Value& c : cb) in_b[stats::cell_identity(c, s)] = &c;
+  const int w = std::max(id_width(ca, s), id_width(cb, s));
+  std::printf("\n%.*s sweep (%zu vs %zu cells; cell = %s), gated on %s:\n",
+              static_cast<int>(s.name.size()), s.name.data(), ca.size(), cb.size(),
+              identity_keys(s).c_str(), gate.c_str());
+  const int vw = std::max(14, static_cast<int>(gate.size()) + 2);
+  std::printf("%-*s %*s %*s %9s\n", w, "cell", vw, ("A_" + gate).c_str(), vw,
+              ("B_" + gate).c_str(), "delta%");
+  int failures = 0;
+  for (const Value& cell : ca) {
+    const std::string id = stats::cell_identity(cell, s);
+    const double va = cell.num(gate);
+    auto it = in_b.find(id);
+    if (it == in_b.end()) {
+      std::printf("%-*s %*.6g %*s %9s  MISSING\n", w, id.c_str(), vw, va, vw, "-", "-");
+      ++failures;
+      continue;
+    }
+    const double vb = it->second->num(gate);
+    const double cell_pct = va > 0 ? 100.0 * (vb - va) / va : 0;
+    const bool bad = cell_pct > threshold_pct;
+    std::printf("%-*s %*.6g %*.6g %+8.2f%%%s\n", w, id.c_str(), vw, va, vw, vb, cell_pct,
+                bad ? "  REGRESSION" : "");
+    if (bad) ++failures;
+    in_b.erase(it);
+  }
+  for (const Value& cell : cb) {
+    const std::string id = stats::cell_identity(cell, s);
+    if (in_b.count(id)) {
+      std::printf("%-*s %*s %*.6g %9s  NEW\n", w, id.c_str(), vw, "-", vw, cell.num(gate), "-");
+    }
+  }
+  return failures;
+}
+
 void print_report(const Doc& d, int top) {
-  std::printf("== %s (%s%s) ==\n", d.root.str("bench", "?").c_str(), d.path.c_str(),
-              d.root.find("smoke") != nullptr && d.root.find("smoke")->boolean ? ", smoke" : "");
+  std::printf("== %s (%s%s) ==\n", d.root.str("bench").c_str(), d.path.c_str(),
+              get(d.root, "smoke").boolean ? ", smoke" : "");
   print_sections(d);
   const double span_work = d.makespan * d.npes;
   std::printf("PEs %d | makespan %.6g s | busy %.6g s (%.1f%%) | overhead %.6g s (%.1f%%) | idle %.1f%%\n",
@@ -216,89 +240,59 @@ void print_report(const Doc& d, int top) {
                 e.calls ? e.busy / static_cast<double>(e.calls) : 0, e.grain_max);
   }
 
-  if (const Value* im = d.root.find("imbalance")) {
-    std::printf("\nload imbalance: ratio(max/avg) %.3f | busy max %.6g avg %.6g sigma %.6g\n",
-                im->num("ratio"), im->num("busy_max"), im->num("busy_avg"), im->num("sigma"));
-  }
-  if (const Value* phases = d.root.find("phases");
-      phases != nullptr && phases->is_array() && phases->array.size() > 1) {
-    std::printf("phases (%zu):\n", phases->array.size());
+  const Value& im = get(d.root, "imbalance");
+  std::printf("\nload imbalance: ratio(max/avg) %.3f | busy max %.6g avg %.6g sigma %.6g\n",
+              im.num("ratio"), im.num("busy_max"), im.num("busy_avg"), im.num("sigma"));
+  if (const Value& phases = get(d.root, "phases"); phases.array.size() > 1) {
+    std::printf("phases (%zu):\n", phases.array.size());
     std::printf("  %-12s %12s %12s %8s %8s\n", "opened_by", "t0_s", "len_s", "ratio", "%idle");
-    for (const Value& ph : phases->array) {
+    for (const Value& ph : phases.array) {
       const double len = ph.num("t1") - ph.num("t0");
-      const Value* pim = ph.find("imbalance");
       std::printf("  %-12s %12.6g %12.6g %8.3f %7.1f%%\n", ph.str("name").c_str(),
-                  ph.num("t0"), len, pim != nullptr ? pim->num("ratio") : 0,
+                  ph.num("t0"), len, get(ph, "imbalance").num("ratio"),
                   pct(ph.num("idle"), len * d.npes));
     }
   }
 
-  if (const Value* comm = d.root.find("comm")) {
-    std::printf("\ncommunication: %llu msgs, %llu bytes, mean latency %.3g s\n",
-                static_cast<unsigned long long>(comm->num("sends")),
-                static_cast<unsigned long long>(comm->num("bytes")),
-                comm->num("sends") > 0 ? comm->num("latency_total") / comm->num("sends") : 0);
-    if (const Value* cells = comm->find("cells"); cells != nullptr && cells->is_array()) {
-      std::vector<const Value*> hot;
-      hot.reserve(cells->array.size());
-      for (const Value& c : cells->array) {
-        if (c.is_array() && c.array.size() == 4) hot.push_back(&c);
-      }
-      std::sort(hot.begin(), hot.end(), [](const Value* a, const Value* b) {
-        if (a->array[3].number != b->array[3].number)
-          return a->array[3].number > b->array[3].number;
-        return std::pair(a->array[0].number, a->array[1].number) <
-               std::pair(b->array[0].number, b->array[1].number);
-      });
-      std::printf("top %d comm-matrix cells by bytes (of %zu nonzero):\n", top, hot.size());
-      std::printf("  %6s -> %-6s %10s %14s\n", "src", "dst", "msgs", "bytes");
-      for (int i = 0; i < top && i < static_cast<int>(hot.size()); ++i) {
-        const auto& a = hot[static_cast<std::size_t>(i)]->array;
-        std::printf("  %6d -> %-6d %10llu %14llu\n", static_cast<int>(a[0].number),
-                    static_cast<int>(a[1].number),
-                    static_cast<unsigned long long>(a[2].number),
-                    static_cast<unsigned long long>(a[3].number));
-      }
-    }
+  const Value& comm = get(d.root, "comm");
+  std::printf("\ncommunication: %llu msgs, %llu bytes, mean latency %.3g s\n",
+              static_cast<unsigned long long>(comm.num("sends")),
+              static_cast<unsigned long long>(comm.num("bytes")),
+              comm.num("sends") > 0 ? comm.num("latency_total") / comm.num("sends") : 0);
+  std::vector<const Value*> hot;
+  for (const Value& c : get(comm, "cells").array) hot.push_back(&c);
+  std::sort(hot.begin(), hot.end(), [](const Value* a, const Value* b) {
+    if (a->array[3].number != b->array[3].number) return a->array[3].number > b->array[3].number;
+    return std::pair(a->array[0].number, a->array[1].number) <
+           std::pair(b->array[0].number, b->array[1].number);
+  });
+  std::printf("top %d comm-matrix cells by bytes (of %zu nonzero):\n", top, hot.size());
+  std::printf("  %6s -> %-6s %10s %14s\n", "src", "dst", "msgs", "bytes");
+  for (int i = 0; i < top && i < static_cast<int>(hot.size()); ++i) {
+    const auto& a = hot[static_cast<std::size_t>(i)]->array;
+    std::printf("  %6d -> %-6d %10llu %14llu\n", static_cast<int>(a[0].number),
+                static_cast<int>(a[1].number), static_cast<unsigned long long>(a[2].number),
+                static_cast<unsigned long long>(a[3].number));
   }
 
-  if (!d.taskbench.empty()) {
-    std::printf("\ntaskbench overhead surface (%zu cells):\n", d.taskbench.size());
-    std::printf("%-44s %12s %12s %8s %14s\n", "cell", "makespan_s", "ideal_s", "eff",
-                "ovhd/task_s");
-    for (const TbCell& c : d.taskbench) {
-      std::printf("%-44s %12.6g %12.6g %8.3f %14.6g\n", c.id.c_str(), c.makespan,
-                  c.ideal, c.efficiency, c.overhead_per_task);
-    }
-  }
+  for (const stats::Section* sweep : stats::schema::kSweeps) print_sweep(d, *sweep);
 
-  if (!d.collectives.empty()) {
-    std::printf("\ncollectives sweep (%zu cells):\n", d.collectives.size());
-    std::printf("%-32s %12s %14s %12s %12s\n", "cell", "makespan_s", "time/round_s",
-                "msgs", "partials");
-    for (const CollCell& c : d.collectives) {
-      std::printf("%-32s %12.6g %14.6g %12.0f %12.0f\n", c.id.c_str(), c.makespan,
-                  c.time_per_round, c.msgs, c.partial_sends);
-    }
-  }
-
-  if (const Value* ts = d.root.find("timeseries"); ts != nullptr && ts->is_array()) {
+  if (const Value* ts = d.root.find("timeseries")) {
     std::printf("\nlive metrics: %zu samples every %.6g s (see `statsview timeline %s`)\n",
                 ts->array.size(), d.root.num("metrics_interval"), d.path.c_str());
   }
 
-  if (const Value* cp = d.root.find("critical_path")) {
-    std::printf("\ncritical path: %.6g s (%.1f%% of makespan) = %.6g work + %.6g comm over %llu execs\n",
-                cp->num("length"), 100.0 * cp->num("makespan_ratio"), cp->num("work"),
-                cp->num("comm"), static_cast<unsigned long long>(cp->num("nodes")));
-  }
+  const Value& cp = get(d.root, "critical_path");
+  std::printf("\ncritical path: %.6g s (%.1f%% of makespan) = %.6g work + %.6g comm over %llu execs\n",
+              cp.num("length"), 100.0 * cp.num("makespan_ratio"), cp.num("work"), cp.num("comm"),
+              static_cast<unsigned long long>(cp.num("nodes")));
 }
 
 // ---- timeline report / diff (the "timeseries"/"journal" sections) ------------
 
 const Value* require_timeseries(const Doc& d) {
   const Value* ts = d.root.find("timeseries");
-  if (ts == nullptr || !ts->is_array()) {
+  if (ts == nullptr) {
     std::fprintf(stderr,
                  "statsview: %s has no timeseries section (run the bench with "
                  "--metrics --stats=FILE)\n",
@@ -311,8 +305,7 @@ const Value* require_timeseries(const Doc& d) {
 int timeline_report(const Doc& d, int top) {
   const Value* ts = require_timeseries(d);
   if (ts == nullptr) return 1;
-  std::printf("== %s timeline (%s) ==\n", d.root.str("bench", "?").c_str(),
-              d.path.c_str());
+  std::printf("== %s timeline (%s) ==\n", d.root.str("bench").c_str(), d.path.c_str());
   const std::size_t n = ts->array.size();
   std::printf("%zu samples every %.6g s over %d PEs\n", n,
               d.root.num("metrics_interval"), d.npes);
@@ -324,28 +317,20 @@ int timeline_report(const Doc& d, int top) {
   std::printf("%12s %8s %12s %12s %12s %8s %10s %8s %8s\n", "t_s", "lambda",
               "busy_avg_s", "msg_rate", "byte_rate", "ready", "ready_hwm", "evq",
               "evq_hwm");
-  for (std::size_t i = 0; i < n; i += stride) {
-    const Value& s = ts->array[i == n ? n - 1 : i];
-    std::printf("%12.6g %8.3f %12.6g %12.6g %12.6g %8.0f %10.0f %8.0f %8.0f\n",
-                s.num("t"), s.num("lambda"), s.num("busy_avg"), s.num("msg_rate"),
-                s.num("byte_rate"), s.num("ready"), s.num("ready_hwm"),
-                s.num("evq"), s.num("evq_hwm"));
-  }
-  if (n > 0 && (n - 1) % stride != 0) {
-    const Value& s = ts->array[n - 1];
-    std::printf("%12.6g %8.3f %12.6g %12.6g %12.6g %8.0f %10.0f %8.0f %8.0f\n",
-                s.num("t"), s.num("lambda"), s.num("busy_avg"), s.num("msg_rate"),
-                s.num("byte_rate"), s.num("ready"), s.num("ready_hwm"),
-                s.num("evq"), s.num("evq_hwm"));
-  }
+  const auto row = [](const Value& s) {
+    std::printf("%12.6g %8.3f %12.6g %12.6g %12.6g %8.0f %10.0f %8.0f %8.0f\n", s.num("t"),
+                s.num("lambda"), s.num("busy_avg"), s.num("msg_rate"), s.num("byte_rate"),
+                s.num("ready"), s.num("ready_hwm"), s.num("evq"), s.num("evq_hwm"));
+  };
+  for (std::size_t i = 0; i < n; i += stride) row(ts->array[i]);
+  if (n > 0 && (n - 1) % stride != 0) row(ts->array[n - 1]);
 
-  if (const Value* jr = d.root.find("journal"); jr != nullptr && jr->is_array()) {
-    std::printf("\ndecision journal (%zu events):\n", jr->array.size());
-    std::printf("%12s %-12s %8s %14s\n", "t_s", "kind", "aux", "value");
-    for (const Value& e : jr->array) {
-      std::printf("%12.6g %-12s %8.0f %14.6g\n", e.num("t"),
-                  e.str("kind", "?").c_str(), e.num("aux"), e.num("value"));
-    }
+  const Value& journal = get(d.root, "journal");
+  std::printf("\ndecision journal (%zu events):\n", journal.array.size());
+  std::printf("%12s %-12s %8s %14s\n", "t_s", "kind", "aux", "value");
+  for (const Value& e : journal.array) {
+    std::printf("%12.6g %-12s %8.0f %14.6g\n", e.num("t"), e.str("kind").c_str(), e.num("aux"),
+                e.num("value"));
   }
   return 0;
 }
@@ -436,14 +421,10 @@ int diff(const Doc& a, const Doc& b, int top, double threshold_pct) {
   print_delta("makespan_s", a.makespan, b.makespan);
   print_delta("busy_s", a.busy, b.busy);
   print_delta("overhead_s", a.exec - a.busy, b.exec - b.busy);
-  const Value* ima = a.root.find("imbalance");
-  const Value* imb = b.root.find("imbalance");
-  print_delta("imbalance_ratio", ima != nullptr ? ima->num("ratio") : 0,
-              imb != nullptr ? imb->num("ratio") : 0);
-  const Value* cpa = a.root.find("critical_path");
-  const Value* cpb = b.root.find("critical_path");
-  print_delta("critical_path_s", cpa != nullptr ? cpa->num("length") : 0,
-              cpb != nullptr ? cpb->num("length") : 0);
+  print_delta("imbalance_ratio", get(a.root, "imbalance").num("ratio"),
+              get(b.root, "imbalance").num("ratio"));
+  print_delta("critical_path_s", get(a.root, "critical_path").num("length"),
+              get(b.root, "critical_path").num("length"));
 
   // Per-entry busy movers, matched by (col, ep).
   std::map<std::pair<int, int>, std::pair<const EntryRow*, const EntryRow*>> merged;
@@ -473,75 +454,11 @@ int diff(const Doc& a, const Doc& b, int top, double threshold_pct) {
                 m.b_busy - m.a_busy);
   }
 
-  // Taskbench overhead surface: cells matched by identity; any per-cell
-  // makespan regression past the threshold gates, as does a baseline cell
-  // missing from the candidate (a silently shrunk sweep must not pass).
   int failures = 0;
-  if (!a.taskbench.empty() || !b.taskbench.empty()) {
-    std::map<std::string, const TbCell*> in_b;
-    for (const TbCell& c : b.taskbench) in_b[c.id] = &c;
-    std::printf("\ntaskbench overhead surface (%zu vs %zu cells):\n",
-                a.taskbench.size(), b.taskbench.size());
-    std::printf("%-44s %12s %12s %9s %14s\n", "cell", "A_mksp_s", "B_mksp_s",
-                "delta%", "B_ovhd/task_s");
-    for (const TbCell& ca : a.taskbench) {
-      auto it = in_b.find(ca.id);
-      if (it == in_b.end()) {
-        std::printf("%-44s %12.6g %12s %9s %14s  MISSING\n", ca.id.c_str(),
-                    ca.makespan, "-", "-", "-");
-        ++failures;
-        continue;
-      }
-      const TbCell& cb = *it->second;
-      const double cell_pct =
-          ca.makespan > 0 ? 100.0 * (cb.makespan - ca.makespan) / ca.makespan : 0;
-      const bool bad = cell_pct > threshold_pct;
-      std::printf("%-44s %12.6g %12.6g %+8.2f%% %14.6g%s\n", ca.id.c_str(), ca.makespan,
-                  cb.makespan, cell_pct, cb.overhead_per_task,
-                  bad ? "  REGRESSION" : "");
-      if (bad) ++failures;
-      in_b.erase(it);
-    }
-    for (const TbCell& cb : b.taskbench) {
-      if (in_b.count(cb.id))
-        std::printf("%-44s %12s %12.6g %9s %14.6g  NEW\n", cb.id.c_str(), "-",
-                    cb.makespan, "-", cb.overhead_per_task);
-    }
-  }
-
-  // Collectives sweep: same per-cell gate as taskbench, on time-per-round.
-  if (!a.collectives.empty() || !b.collectives.empty()) {
-    std::map<std::string, const CollCell*> in_b;
-    for (const CollCell& c : b.collectives) in_b[c.id] = &c;
-    std::printf("\ncollectives sweep (%zu vs %zu cells):\n", a.collectives.size(),
-                b.collectives.size());
-    std::printf("%-32s %14s %14s %9s %12s\n", "cell", "A_t/round_s", "B_t/round_s",
-                "delta%", "B_partials");
-    for (const CollCell& ca : a.collectives) {
-      auto it = in_b.find(ca.id);
-      if (it == in_b.end()) {
-        std::printf("%-32s %14.6g %14s %9s %12s  MISSING\n", ca.id.c_str(),
-                    ca.time_per_round, "-", "-", "-");
-        ++failures;
-        continue;
-      }
-      const CollCell& cb = *it->second;
-      const double cell_pct =
-          ca.time_per_round > 0
-              ? 100.0 * (cb.time_per_round - ca.time_per_round) / ca.time_per_round
-              : 0;
-      const bool bad = cell_pct > threshold_pct;
-      std::printf("%-32s %14.6g %14.6g %+8.2f%% %12.0f%s\n", ca.id.c_str(),
-                  ca.time_per_round, cb.time_per_round, cell_pct, cb.partial_sends,
-                  bad ? "  REGRESSION" : "");
-      if (bad) ++failures;
-      in_b.erase(it);
-    }
-    for (const CollCell& cb : b.collectives) {
-      if (in_b.count(cb.id))
-        std::printf("%-32s %14s %14.6g %9s %12.0f  NEW\n", cb.id.c_str(), "-",
-                    cb.time_per_round, "-", cb.partial_sends);
-    }
+  bool sweeps = false;
+  for (const stats::Section* sweep : stats::schema::kSweeps) {
+    failures += diff_sweep(a, b, *sweep, threshold_pct);
+    sweeps = sweeps || !sweep_cells(a, *sweep).empty();
   }
 
   const double reg_pct = a.makespan > 0 ? 100.0 * (b.makespan - a.makespan) / a.makespan : 0;
@@ -556,18 +473,28 @@ int diff(const Doc& a, const Doc& b, int top, double threshold_pct) {
     return 2;
   }
   std::printf("\nOK: makespan delta %+.2f%% within the %.2f%% threshold%s\n", reg_pct,
-              threshold_pct,
-              a.taskbench.empty() && a.collectives.empty()
-                  ? ""
-                  : "; all sweep cells within threshold");
+              threshold_pct, sweeps ? "; all sweep cells within threshold" : "");
   return 0;
+}
+
+int check_files(const std::vector<std::string>& files) {
+  int bad = 0;
+  for (const std::string& path : files) {
+    std::string text;
+    if (read_checked(path, text)) {
+      std::printf("%s: OK\n", path.c_str());
+    } else {
+      ++bad;
+    }
+  }
+  return bad > 0 ? 1 : 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> files;
-  bool timeline = false;
+  std::string mode;
   int top = 10;
   double threshold = 5.0;
   for (int i = 1; i < argc; ++i) {
@@ -577,33 +504,35 @@ int main(int argc, char** argv) {
       if (top <= 0) top = 10;
     } else if (std::strncmp(a, "--threshold=", 12) == 0 && a[12] != '\0') {
       threshold = std::strtod(a + 12, nullptr);
-    } else if (std::strcmp(a, "timeline") == 0 && files.empty() && !timeline) {
-      timeline = true;
-    } else if (a[0] == '-') {
-      std::fprintf(stderr,
-                   "usage: statsview [timeline] FILE [FILE2] [--top=N] [--threshold=PCT]\n"
-                   "  one file: report; two files: A-vs-B diff (exit 2 when B\n"
-                   "  regresses past PCT%%, default 5).  `timeline` switches to the\n"
-                   "  live-metrics timeseries/journal views (--metrics runs).\n");
-      return 1;
-    } else {
+    } else if ((std::strcmp(a, "timeline") == 0 || std::strcmp(a, "check") == 0) &&
+               files.empty() && mode.empty()) {
+      mode = a;
+    } else if (a[0] != '-') {
       files.emplace_back(a);
+    } else {
+      files.clear();
+      break;
     }
   }
-  if (files.empty() || files.size() > 2) {
+  if (mode == "check" && !files.empty()) return check_files(files);
+  if (files.empty() || files.size() > 2 || mode == "check") {
     std::fprintf(stderr,
-                 "usage: statsview [timeline] FILE [FILE2] [--top=N] [--threshold=PCT]\n");
+                 "usage: statsview [timeline] FILE [FILE2] [--top=N] [--threshold=PCT]\n"
+                 "       statsview check FILE...\n"
+                 "  one file: report; two: A-vs-B diff (exit 2 when B regresses past\n"
+                 "  PCT%%, default 5); timeline: the --metrics timeseries/journal views;\n"
+                 "  check: validate each file against the schema (exit 1 on failure)\n");
     return 1;
   }
   Doc a;
   if (!load(files[0], a)) return 1;
   if (files.size() == 1) {
-    if (timeline) return timeline_report(a, top);
+    if (mode == "timeline") return timeline_report(a, top);
     print_report(a, top);
     return 0;
   }
   Doc b;
   if (!load(files[1], b)) return 1;
-  if (timeline) return timeline_diff(a, b, top, threshold);
+  if (mode == "timeline") return timeline_diff(a, b, top, threshold);
   return diff(a, b, top, threshold);
 }
