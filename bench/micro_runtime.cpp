@@ -198,7 +198,7 @@ BENCHMARK(BM_PointSendDelivery);
 void BM_PointSendDeliver(benchmark::State& state) {
   // Steady-state variant of BM_PointSendDelivery: one long-lived runtime, so
   // after the warm-up round every send→deliver runs entirely on recycled
-  // resources (payload pool, closure block cache, event arena, ready rings).
+  // resources (payload pool, closure block cache, event arena, ready queues).
   // This is the workload the zero-allocation guarantee covers.
   sim::Machine m(sim::MachineConfig{8, {}, 4});
   Runtime rt(m);
@@ -250,7 +250,7 @@ BENCHMARK(BM_LocalSendDeliver);
 void BM_SparseFootprint(benchmark::State& state) {
   // Structural memory of a million-virtual-PE machine whose workload touches
   // ~1K PEs (DESIGN.md §12).  The counters are byte-accounting over the
-  // runtime's own structures (PagedTable pages, ready rings, event arena,
+  // runtime's own structures (PagedTable pages, ready queues, event arena,
   // collection tables), so they are deterministic across hosts and gated
   // hard by CI's micro_to_stats.py --gate-max ceilings: a change that makes
   // per-PE state dense again blows the per-idle-PE ceiling.

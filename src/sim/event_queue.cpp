@@ -1,15 +1,15 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace sim {
 
-std::uint32_t EventQueue::acquire_slot() {
+EventQueue::SlotId EventQueue::acquire_slot() {
   if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
+    const SlotId id = free_slots_.back();
     free_slots_.pop_back();
-    return slot;
+    return id;
   }
   if (slot_count_ == (chunks_.size() << kChunkShift))
     chunks_.push_back(std::make_unique<Event[]>(std::size_t{1} << kChunkShift));
@@ -18,25 +18,29 @@ std::uint32_t EventQueue::acquire_slot() {
 
 Event& EventQueue::emplace(Time time, std::uint64_t seq, Event::Kind kind,
                            int pe, int priority, std::size_t bytes) {
+  // Both fields of the packed key must fit, in every build type: a slot id
+  // past 2^24 would corrupt the seq bits and silently reorder the run.
+  if ((free_slots_.empty() && slot_count_ >= kMaxSlots) || seq >= kMaxSeq) {
+    throw std::length_error(
+        "sim::EventQueue: more than 2^24 live event slots or sequence number "
+        "past 2^40");
+  }
   // Park the event in an arena slot; only the 16-byte key takes part in the
   // sift, so the closure buffer inside the event's handler is never touched
-  // again until the consumer moves it out.
-  const std::uint32_t slot = acquire_slot();
-  assert(slot <= kSlotMask && "event arena exceeded 2^24 pending events");
-  assert(seq < (std::uint64_t{1} << (64 - kSlotBits)) &&
-         "event sequence number exceeded 2^40");
-  Event& e = slot_ref(slot);
+  // again until the handler runs in place.
+  const SlotId id = acquire_slot();
+  Event& e = slot(id);
   e.time = time;
   e.seq = seq;
   e.kind = kind;
   e.pe = pe;
   e.priority = priority;
   e.bytes = bytes;
-  // e.fn is empty here: slots are recycled only through pop()/pop_top(),
-  // both of which move out or destroy the handler.
+  // e.fn is empty here: slots are recycled only through release(), which
+  // destroys the handler.
 
   // Sift up with a hole: shift later parents down, then drop the key in.
-  const Key key{time, (seq << kSlotBits) | slot};
+  const Key key{time, (seq << kSlotBits) | id};
   std::size_t i = heap_.size();
   heap_.push_back(Key{});
   while (i > 0) {
@@ -49,19 +53,11 @@ Event& EventQueue::emplace(Time time, std::uint64_t seq, Event::Kind kind,
   return e;
 }
 
-void EventQueue::push(Event e) {
-  emplace(e.time, e.seq, e.kind, e.pe, e.priority, e.bytes).fn = std::move(e.fn);
-}
-
-void EventQueue::pop_top() {
-  const auto slot =
-      static_cast<std::uint32_t>(heap_.front().seq_slot & kSlotMask);
-  slot_ref(slot).fn.reset();
-  free_slots_.push_back(slot);
-
+EventQueue::SlotId EventQueue::detach_top() {
+  const SlotId top = top_id();
   const Key last = heap_.back();
   heap_.pop_back();
-  if (heap_.empty()) return;
+  if (heap_.empty()) return top;
 
   // Sift the former last key down from the root, moving the earliest child
   // up into the hole at each level.
@@ -80,22 +76,7 @@ void EventQueue::pop_top() {
     i = best;
   }
   heap_[i] = last;
-}
-
-Event EventQueue::pop() {
-  Event out = std::move(top_mutable());
-  pop_top();
-  return out;
-}
-
-void EventQueue::clear() {
-  // Destroy the closures of events still pending (free slots are already
-  // empty); the chunks themselves are kept for reuse.
-  for (const Key& k : heap_)
-    slot_ref(static_cast<std::uint32_t>(k.seq_slot & kSlotMask)).fn.reset();
-  heap_.clear();
-  free_slots_.clear();
-  slot_count_ = 0;
+  return top;
 }
 
 void EventQueue::reserve(std::size_t n) {

@@ -7,14 +7,14 @@
 // Layout: the heap orders small POD keys {time, seq·slot}; the events
 // themselves (which carry an inline UniqueFn closure, so moving one is an
 // indirect call plus a buffer copy) live in a chunked slot arena with a free
-// list and are moved exactly twice — into their slot at push and out at pop.
-// Sifts touch only 16-byte keys, the 4-ary layout halves the tree depth
-// versus a binary heap, and pop() hands the event out by value (the old
-// std::priority_queue forced a const_cast to steal the top element).  The
-// arena grows chunk by chunk with stable addresses, so a burst of traffic
-// never triggers a realloc that would move every pending event.  clear()
-// is O(live events) instead of n pops, and chunks are retained across
-// clears so the steady state never allocates.
+// list.  A message is written into its slot once, at send, and is invoked in
+// place: detach_top() removes only the heap key and hands out the slot id,
+// the machine parks that 4-byte id in the destination PE's ready queue, and
+// the slot is release()d after the handler returns.  Sifts touch only
+// 16-byte keys, and the 4-ary layout halves the tree depth versus a binary
+// heap.  The arena grows chunk by chunk with stable addresses, so a burst of
+// traffic never moves a pending event — and a handler running from its own
+// slot stays valid while it sends messages that grow the arena.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +32,7 @@ using Handler = UniqueFn;
 struct Event {
   enum class Kind : std::uint8_t { kArrive, kExec };
 
-  Time time = 0;
+  Time time = 0;           // kArrive: arrival time at the destination PE
   std::uint64_t seq = 0;
   Kind kind = Kind::kArrive;
   int pe = 0;
@@ -43,39 +43,47 @@ struct Event {
 
 class EventQueue {
  public:
+  /// Arena slot id.  Valid from emplace() until release().
+  using SlotId = std::uint32_t;
+
+  /// Limits of the packed heap key (see Key): more live slots or a larger
+  /// sequence number makes emplace() throw std::length_error.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
+
+  /// Events in the heap; detached slots are not counted.
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  void push(Event e);
-
   /// Allocates an arena slot and heap key for an event at (time, seq), fills
   /// in the POD fields, and returns the slot so the caller can move the
-  /// handler straight in (one Handler move instead of three).  The returned
-  /// reference is valid only until the next push/emplace; the handler slot is
-  /// guaranteed empty on return.
+  /// handler straight in.  The handler slot is guaranteed empty on return.
+  /// Throws std::length_error when kMaxSlots slots are live or seq reaches
+  /// kMaxSeq.
   Event& emplace(Time time, std::uint64_t seq, Event::Kind kind, int pe,
                  int priority, std::size_t bytes);
 
-  /// Pops the earliest event (ties broken by insertion order), moving it out
-  /// of its arena slot.
-  Event pop();
+  /// The earliest event (ties broken by insertion order).
+  const Event& top() const { return slot(top_id()); }
 
-  const Event& top() const {
-    return slot_ref(static_cast<std::uint32_t>(heap_.front().seq_slot & kSlotMask));
+  /// Removes the earliest event's heap key and returns its slot id.  The
+  /// event stays in its slot, handler included, until release().
+  SlotId detach_top();
+
+  /// The event in a live slot.  The reference stays valid across later
+  /// emplace() calls (chunks never move) until the slot is released.
+  Event& slot(SlotId s) { return chunks_[s >> kChunkShift][s & kChunkMask]; }
+  const Event& slot(SlotId s) const {
+    return chunks_[s >> kChunkShift][s & kChunkMask];
   }
 
-  /// Mutable access to the top event, so the consumer can move the handler
-  /// out of the arena slot directly before pop_top().
-  Event& top_mutable() {
-    return slot_ref(static_cast<std::uint32_t>(heap_.front().seq_slot & kSlotMask));
+  /// Returns a detached slot to the free list; anything left in its handler
+  /// is destroyed.
+  void release(SlotId s) {
+    slot(s).fn.reset();
+    free_slots_.push_back(s);
   }
-
-  /// Removes the top event; anything left in its handler slot is destroyed.
-  void pop_top();
-
-  /// Drops all pending events in one pass (no per-element re-heapify).
-  /// Arena chunks are retained for reuse.
-  void clear();
 
   /// Pre-sizes the key heap and slot arena.  Safe mid-run (the arena only
   /// appends chunks; addresses are stable), so Machine can grow the
@@ -88,21 +96,21 @@ class EventQueue {
     return heap_.capacity() * sizeof(Key) +
            chunks_.size() * ((std::size_t{1} << kChunkShift) * sizeof(Event)) +
            chunks_.capacity() * sizeof(chunks_[0]) +
-           free_slots_.capacity() * sizeof(std::uint32_t);
+           free_slots_.capacity() * sizeof(SlotId);
   }
 
  private:
   static constexpr std::size_t kArity = 4;
 
-  // 16-byte heap key: the arena slot index rides in the low bits of the
+  // 16-byte heap key: the arena slot id rides in the low kSlotBits of the
   // packed word, under the (unique, monotone) sequence number.  Comparing
   // the packed words orders by seq alone — the slot bits can never decide a
-  // comparison because no two keys share a seq.  40 bits of seq (~10^12
-  // events per machine) and 24 bits of slot (~16M simultaneously pending
-  // events) are far beyond anything the emulator runs; debug asserts in
-  // emplace() guard both limits.
-  static constexpr unsigned kSlotBits = 24;
-  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  // comparison because no two keys share a seq.  A slot stays live from
+  // send until its handler returns, so messages waiting in ready queues
+  // count against the 2^24 live slots as well as those in the heap; with
+  // 2^40 sequence numbers both are far beyond anything the emulator runs,
+  // and emplace() checks both limits in every build type.
+  static constexpr std::uint64_t kSlotMask = kMaxSlots - 1;
 
   struct Key {
     Time time;
@@ -116,23 +124,21 @@ class EventQueue {
 
   // Chunked arena: fixed-size chunks give every event a stable address, so
   // arena growth allocates one chunk instead of moving every pending event
-  // (Event moves run the closure's relocate hook — an indirect call each).
+  // (Event moves run the closure's relocate hook — an indirect call each),
+  // and a handler invoked in place survives growth during its own run.
   static constexpr unsigned kChunkShift = 8;  // 256 events per chunk
   static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
 
-  Event& slot_ref(std::uint32_t s) {
-    return chunks_[s >> kChunkShift][s & kChunkMask];
-  }
-  const Event& slot_ref(std::uint32_t s) const {
-    return chunks_[s >> kChunkShift][s & kChunkMask];
+  SlotId top_id() const {
+    return static_cast<SlotId>(heap_.front().seq_slot & kSlotMask);
   }
 
-  std::uint32_t acquire_slot();
+  SlotId acquire_slot();
 
   std::vector<Key> heap_;
   std::vector<std::unique_ptr<Event[]>> chunks_;
   std::uint32_t slot_count_ = 0;  // slots handed out so far (high-water mark)
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<SlotId> free_slots_;
 };
 
 }  // namespace sim

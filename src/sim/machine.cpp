@@ -102,10 +102,11 @@ bool Machine::step() {
     inject_failure();
     if (stopped_ || queue_.empty()) return false;
   }
-  // Consume the top event from its arena slot.  Copy the POD fields to
-  // locals and move the handler out before anything that can push to the
-  // queue (which may reallocate the arena and invalidate the reference).
-  Event& ev = queue_.top_mutable();
+  // Detach the top event from the heap; it stays in its arena slot.  The
+  // reference stays valid across pushes (arena chunks never move), but copy
+  // the POD fields to locals anyway: a kExec slot is released right away.
+  const EventQueue::SlotId id = queue_.detach_top();
+  Event& ev = queue_.slot(id);
   const Time at = ev.time;
   const int pe = ev.pe;
   const Event::Kind kind = ev.kind;
@@ -125,22 +126,15 @@ bool Machine::step() {
   }
 
   if (kind == Event::Kind::kArrive) {
-    const int priority = ev.priority;
-    const std::uint64_t seq = ev.seq;
-    const std::size_t bytes = ev.bytes;
     if (p.failed_) {
       // In-flight message reaches a quarantined PE: dispose per policy.
-      Handler fn = std::move(ev.fn);
-      queue_.pop_top();
-      const bool redirected =
-          dispose(pe, at, priority, bytes, std::move(fn), nullptr);
+      const bool redirected = dispose(pe, at, id);
       if (injector_ != nullptr) injector_->note_inflight(pe, redirected);
       for (Observer* o : observers_) o->on_step(time_, queue_.size());
       return true;
     }
-    // The handler moves straight from the event arena into the ready ring.
-    p.ready_.emplace(priority, at, seq, bytes, std::move(ev.fn));
-    queue_.pop_top();
+    // The message stays in its slot; the PE queues only the slot id.
+    p.ready_.push(queue_, id);
     schedule_exec(pe, at);
     for (Observer* o : observers_) {
       o->on_ready(pe, p.ready_.size());
@@ -148,23 +142,28 @@ bool Machine::step() {
     }
     return true;
   }
-  queue_.pop_top();
+  queue_.release(id);
 
   // kExec: run the best-priority pending message to completion.
   p.exec_pending_ = false;
-  if (p.ready_.empty()) {  // spurious (message was stolen/cleared)
+  if (p.ready_.empty()) {  // spurious (fail_pe drained the queue)
     for (Observer* o : observers_) o->on_step(time_, queue_.size());
     return true;
   }
-  ReadyMsg msg = p.ready_.pop();
+  const EventQueue::SlotId msg_id = p.ready_.pop(queue_);
+  Event& msg = queue_.slot(msg_id);
+  const std::size_t bytes = msg.bytes;
 
   for (Observer* o : observers_)
-    o->on_exec_begin(pe, p.clock_, at, msg.arrival, msg.priority, msg.bytes);
+    o->on_exec_begin(pe, p.clock_, at, msg.time, msg.priority, bytes);
 
   ctx_ = ExecCtx{pe, at, 0.0};
   // Receiver-side scheduling overhead for every delivery.
   ctx_.elapsed += net_.params().alpha_recv / p.freq_;
+  // Invoked in place: the slot stays live (and its address stable) while
+  // the handler sends, and is recycled only once the handler has returned.
   msg.fn();
+  queue_.release(msg_id);
   p.clock_ = at + ctx_.elapsed;
   p.busy_ += ctx_.elapsed;
   ++p.executed_;
@@ -172,7 +171,7 @@ bool Machine::step() {
 
   if (!p.ready_.empty()) schedule_exec(pe, p.clock_);
   for (Observer* o : observers_) {
-    o->on_exec_end(pe, at, p.clock_, msg.bytes, p.ready_.size());
+    o->on_exec_end(pe, at, p.clock_, bytes, p.ready_.size());
     o->on_step(time_, queue_.size());
   }
   return true;
@@ -209,10 +208,7 @@ void Machine::fail_pe(int pe_id, FaultRecord* rec) {
   if (rec != nullptr) rec->dropped_ready = p.ready_.size();
   // Dispose queued messages in deterministic (priority, arrival, seq) order.
   // They count as dropped_ready, not as in-flight disposals.
-  while (!p.ready_.empty()) {
-    ReadyMsg msg = p.ready_.pop();
-    dispose(pe_id, time_, msg.priority, msg.bytes, std::move(msg.fn), nullptr);
-  }
+  while (!p.ready_.empty()) dispose(pe_id, time_, p.ready_.pop(queue_));
   // The injector passes a record; direct calls do not.
   for (Observer* o : observers_) {
     o->on_ready(pe_id, 0);
@@ -228,8 +224,13 @@ void Machine::revive_pe(int pe_id) {
   if (p != nullptr) p->failed_ = false;
 }
 
-bool Machine::dispose(int dead_pe, Time at, int priority, std::size_t bytes,
-                      Handler fn, FaultRecord*) {
+bool Machine::dispose(int dead_pe, Time at, EventQueue::SlotId id) {
+  // Take the message out of its slot first: a redirect reuses the arena.
+  Event& msg = queue_.slot(id);
+  const int priority = msg.priority;
+  const std::size_t bytes = msg.bytes;
+  Handler fn = std::move(msg.fn);
+  queue_.release(id);
   const DropPolicy policy =
       injector_ != nullptr ? injector_->config().policy : DropPolicy::kDrop;
   if (policy == DropPolicy::kRedirect) {

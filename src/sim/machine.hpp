@@ -101,7 +101,8 @@ class Machine {
   }
   /// Host bytes resident in per-PE state (PE pages + ready-queue storage).
   std::size_t pe_state_bytes() const;
-  /// Host bytes resident in the global event list (heap + slot arena).
+  /// Host bytes resident in the global event list (heap + slot arena; the
+  /// arena also holds every message waiting in a ready queue).
   std::size_t event_queue_bytes() const { return queue_.memory_bytes(); }
   const Torus3D& topology() const { return topo_; }
   const NetworkModel& network() const { return net_; }
@@ -214,9 +215,9 @@ class Machine {
   void schedule_exec(int pe, Time not_before);
   std::uint64_t next_seq() { return seq_++; }
   void inject_failure();
-  /// Returns true when the message was redirected to a live PE.
-  bool dispose(int dead_pe, Time at, int priority, std::size_t bytes, Handler fn,
-               FaultRecord* rec);
+  /// Disposes the message in arena slot `id` (released here) per the drop
+  /// policy.  Returns true when it was redirected to a live PE.
+  bool dispose(int dead_pe, Time at, EventQueue::SlotId id);
 
   MachineConfig cfg_;
   Torus3D topo_;

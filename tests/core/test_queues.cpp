@@ -5,14 +5,18 @@
 // The queue tests pin down the total orders the simulation's determinism
 // rests on: (time, seq) for the global event list and
 // (priority, arrival, seq) for the per-PE ready queue — including the FIFO
-// fast path that default-priority messages take.
+// fast path that default-priority messages take — and the lifetime of an
+// event-arena slot, which a ready queue refers to by id.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,156 +69,8 @@ namespace {
 
 using sim::Event;
 using sim::EventQueue;
-using sim::ReadyMsg;
 using sim::ReadyQueue;
 using sim::UniqueFn;
-
-// ---- EventQueue -------------------------------------------------------------
-
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue q;
-  const double times[] = {5.0, 1.0, 3.0, 2.0, 4.0, 0.5, 2.5};
-  std::uint64_t seq = 0;
-  for (double t : times)
-    q.emplace(t, seq++, Event::Kind::kArrive, 0, 0, 0);
-  double prev = -1;
-  while (!q.empty()) {
-    Event e = q.pop();
-    EXPECT_GT(e.time, prev);
-    prev = e.time;
-  }
-}
-
-TEST(EventQueue, EqualTimesBreakTiesBySeqFifo) {
-  EventQueue q;
-  // All at the same virtual time, interleaved with earlier/later events.
-  for (std::uint64_t s = 0; s < 64; ++s)
-    q.emplace(1.0, s, Event::Kind::kArrive, 0, 0, 0);
-  q.emplace(0.5, 64, Event::Kind::kArrive, 0, 0, 0);
-  q.emplace(2.0, 65, Event::Kind::kArrive, 0, 0, 0);
-
-  EXPECT_DOUBLE_EQ(q.pop().time, 0.5);
-  for (std::uint64_t s = 0; s < 64; ++s) {
-    Event e = q.pop();
-    EXPECT_DOUBLE_EQ(e.time, 1.0);
-    EXPECT_EQ(e.seq, s) << "same-time events must pop in insertion order";
-  }
-  EXPECT_DOUBLE_EQ(q.pop().time, 2.0);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, InterleavedPushPopMatchesReferenceModel) {
-  EventQueue q;
-  std::set<std::pair<double, std::uint64_t>> reference;
-  std::uint64_t seq = 0;
-  // Sawtooth: bursts of pushes with partial drains in between, exercising
-  // slot reuse through the free list.  Every pop must match the minimum of
-  // a reference ordered set under (time, seq).
-  for (int round = 0; round < 20; ++round) {
-    for (int k = 0; k < 50; ++k) {
-      const double t = static_cast<double>((round * 50 + k * 7) % 997);
-      q.emplace(t, seq, Event::Kind::kArrive, 0, 0, 0);
-      reference.emplace(t, seq);
-      ++seq;
-    }
-    for (int k = 0; k < 30 && !q.empty(); ++k) {
-      Event e = q.pop();
-      ASSERT_FALSE(reference.empty());
-      EXPECT_EQ(std::make_pair(e.time, e.seq), *reference.begin());
-      reference.erase(reference.begin());
-    }
-  }
-  while (!q.empty()) {
-    Event e = q.pop();
-    ASSERT_FALSE(reference.empty());
-    EXPECT_EQ(std::make_pair(e.time, e.seq), *reference.begin());
-    reference.erase(reference.begin());
-  }
-  EXPECT_TRUE(reference.empty());
-}
-
-TEST(EventQueue, HandlerSurvivesSiftsAndClearReleasesClosures) {
-  auto counter = std::make_shared<int>(0);
-  EventQueue q;
-  for (int i = 0; i < 100; ++i) {
-    q.emplace(static_cast<double>(100 - i), static_cast<std::uint64_t>(i),
-              Event::Kind::kArrive, 0, 0, 0)
-        .fn = [counter] { ++*counter; };
-  }
-  EXPECT_EQ(counter.use_count(), 101);
-  for (int i = 0; i < 50; ++i) {
-    Event e = q.pop();
-    e.fn();
-  }
-  EXPECT_EQ(*counter, 50);
-  q.clear();  // must destroy the 50 un-popped closures
-  EXPECT_EQ(counter.use_count(), 1);
-}
-
-// ---- ReadyQueue -------------------------------------------------------------
-
-TEST(ReadyQueue, FifoFastPathServesDefaultPriorityInArrivalOrder) {
-  ReadyQueue q;
-  for (std::uint64_t s = 0; s < 100; ++s)
-    q.emplace(ReadyQueue::kFifoPriority, static_cast<double>(s), s, 0,
-              UniqueFn{});
-  for (std::uint64_t s = 0; s < 100; ++s) {
-    ReadyMsg m = q.pop();
-    EXPECT_EQ(m.seq, s);
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(ReadyQueue, MergesFifoAndHeapUnderPriorityArrivalSeqOrder) {
-  ReadyQueue q;
-  // Default-priority messages arrive in (arrival, seq) order (the machine
-  // guarantees this); prioritized messages arrive interleaved.
-  q.emplace(0, 1.0, 10, 0, UniqueFn{});
-  q.emplace(-5, 3.0, 11, 0, UniqueFn{});  // lower value = served first
-  q.emplace(0, 2.0, 12, 0, UniqueFn{});
-  q.emplace(7, 0.5, 13, 0, UniqueFn{});
-  q.emplace(0, 2.5, 14, 0, UniqueFn{});
-  q.emplace(-5, 4.0, 15, 0, UniqueFn{});
-
-  std::vector<std::uint64_t> order;
-  while (!q.empty()) order.push_back(q.pop().seq);
-  // (priority, arrival, seq): -5s first by arrival, then priority-0 FIFO,
-  // then priority 7.
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{11, 15, 10, 12, 14, 13}));
-}
-
-TEST(ReadyQueue, SamePriorityHeapBreaksTiesByArrivalThenSeq) {
-  ReadyQueue q;
-  q.emplace(3, 2.0, 21, 0, UniqueFn{});
-  q.emplace(3, 1.0, 22, 0, UniqueFn{});
-  q.emplace(3, 1.0, 20, 0, UniqueFn{});
-  q.emplace(3, 1.0, 25, 0, UniqueFn{});
-  std::vector<std::uint64_t> order;
-  while (!q.empty()) order.push_back(q.pop().seq);
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{20, 22, 25, 21}));
-}
-
-TEST(ReadyQueue, RingGrowthPreservesOrder) {
-  ReadyQueue q;
-  std::uint64_t s = 0;
-  std::vector<std::uint64_t> expected;
-  // Force several ring doublings with interleaved partial drains so the ring
-  // wraps around while growing.
-  for (int round = 0; round < 6; ++round) {
-    for (int k = 0; k < (1 << round); ++k) {
-      q.emplace(0, static_cast<double>(s), s, 0, UniqueFn{});
-      expected.push_back(s);
-      ++s;
-    }
-    for (int k = 0; k < (1 << round) / 2; ++k) q.pop();
-    expected.erase(expected.begin(), expected.begin() + (1 << round) / 2);
-  }
-  std::vector<std::uint64_t> rest;
-  while (!q.empty()) rest.push_back(q.pop().seq);
-  EXPECT_EQ(rest, expected);
-}
-
-// ---- UniqueFn ---------------------------------------------------------------
 
 struct LifeCounter {
   int* constructions;
@@ -233,6 +89,233 @@ struct LifeCounter {
   ~LifeCounter() { ++*destructions; }
   void operator()() const {}
 };
+
+// ---- EventQueue -------------------------------------------------------------
+
+/// Detaches the earliest event, returns its (time, seq), releases its slot.
+std::pair<double, std::uint64_t> pop_key(EventQueue& q) {
+  const EventQueue::SlotId id = q.detach_top();
+  const Event& e = q.slot(id);
+  const std::pair<double, std::uint64_t> key{e.time, e.seq};
+  q.release(id);
+  return key;
+}
+
+TEST(EventQueue, PopsInTimeOrder) {
+  EventQueue q;
+  const double times[] = {5.0, 1.0, 3.0, 2.0, 4.0, 0.5, 2.5};
+  std::uint64_t seq = 0;
+  for (double t : times)
+    q.emplace(t, seq++, Event::Kind::kArrive, 0, 0, 0);
+  double prev = -1;
+  while (!q.empty()) {
+    const double t = pop_key(q).first;
+    EXPECT_GT(t, prev);
+    prev = t;
+  }
+}
+
+TEST(EventQueue, EqualTimesBreakTiesBySeqFifo) {
+  EventQueue q;
+  // All at the same virtual time, interleaved with earlier/later events.
+  for (std::uint64_t s = 0; s < 64; ++s)
+    q.emplace(1.0, s, Event::Kind::kArrive, 0, 0, 0);
+  q.emplace(0.5, 64, Event::Kind::kArrive, 0, 0, 0);
+  q.emplace(2.0, 65, Event::Kind::kArrive, 0, 0, 0);
+
+  EXPECT_DOUBLE_EQ(pop_key(q).first, 0.5);
+  for (std::uint64_t s = 0; s < 64; ++s) {
+    const auto [t, seq] = pop_key(q);
+    EXPECT_DOUBLE_EQ(t, 1.0);
+    EXPECT_EQ(seq, s) << "same-time events must pop in insertion order";
+  }
+  EXPECT_DOUBLE_EQ(pop_key(q).first, 2.0);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, InterleavedPushPopMatchesReferenceModel) {
+  EventQueue q;
+  std::set<std::pair<double, std::uint64_t>> reference;
+  std::uint64_t seq = 0;
+  // Sawtooth: bursts of pushes with partial drains in between, exercising
+  // slot reuse through the free list.  Every pop must match the minimum of
+  // a reference ordered set under (time, seq).
+  for (int round = 0; round < 20; ++round) {
+    for (int k = 0; k < 50; ++k) {
+      const double t = static_cast<double>((round * 50 + k * 7) % 997);
+      q.emplace(t, seq, Event::Kind::kArrive, 0, 0, 0);
+      reference.emplace(t, seq);
+      ++seq;
+    }
+    for (int k = 0; k < 30 && !q.empty(); ++k) {
+      ASSERT_FALSE(reference.empty());
+      EXPECT_EQ(pop_key(q), *reference.begin());
+      reference.erase(reference.begin());
+    }
+  }
+  while (!q.empty()) {
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(pop_key(q), *reference.begin());
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(reference.empty());
+}
+
+TEST(EventQueue, DetachedEventsKeepTheirSlotUntilReleased) {
+  EventQueue q;
+  // Detached slots leave the heap but not the arena: later emplaces must
+  // not reuse them, and their contents survive sifts and arena growth.
+  for (std::uint64_t s = 0; s < 8; ++s)
+    q.emplace(static_cast<double>(s), s, Event::Kind::kArrive,
+              static_cast<int>(s), 0, 0);
+  std::vector<EventQueue::SlotId> held;
+  for (int k = 0; k < 4; ++k) held.push_back(q.detach_top());
+  EXPECT_EQ(q.size(), 4u);
+  for (std::uint64_t s = 8; s < 8 + 3 * 256; ++s)
+    q.emplace(0.5, s, Event::Kind::kArrive, -1, 0, 0);
+  for (std::size_t k = 0; k < held.size(); ++k) {
+    EXPECT_EQ(q.slot(held[k]).seq, k);
+    EXPECT_EQ(q.slot(held[k]).pe, static_cast<int>(k));
+  }
+  // The released ids are the next ones handed out (LIFO free list).
+  for (EventQueue::SlotId id : held) q.release(id);
+  for (std::size_t k = 0; k < held.size(); ++k) {
+    q.emplace(9.0, 2000 + k, Event::Kind::kArrive, 0, 0, 0);
+  }
+  std::vector<EventQueue::SlotId> reused;
+  while (!q.empty()) {
+    const EventQueue::SlotId id = q.detach_top();
+    if (q.slot(id).time == 9.0) reused.push_back(id);
+    q.release(id);
+  }
+  std::sort(reused.begin(), reused.end());
+  std::sort(held.begin(), held.end());
+  EXPECT_EQ(reused, held);
+}
+
+TEST(EventQueue, DestroyingQueueReleasesPendingAndDetachedClosuresOnce) {
+  int ctor = 0, dtor = 0, runs = 0;
+  {
+    EventQueue q;
+    for (int i = 0; i < 100; ++i) {
+      q.emplace(static_cast<double>(100 - i), static_cast<std::uint64_t>(i),
+                Event::Kind::kArrive, 0, 0, 0)
+          .fn = [c = LifeCounter(&ctor, &dtor), &runs] {
+            c();
+            ++runs;
+          };
+    }
+    // 50 run in place and are released, 20 stay detached (as if parked in
+    // a ready queue), 30 stay in the heap.
+    for (int i = 0; i < 50; ++i) {
+      const EventQueue::SlotId id = q.detach_top();
+      q.slot(id).fn();
+      q.release(id);
+    }
+    for (int i = 0; i < 20; ++i) q.detach_top();
+    EXPECT_EQ(runs, 50);
+    EXPECT_EQ(ctor - dtor, 50) << "detached and pending closures stay alive";
+  }
+  EXPECT_EQ(ctor, dtor) << "every closure must be destroyed exactly once";
+}
+
+TEST(EventQueue, OverflowingTheKeyLayoutThrowsInEveryBuild) {
+  EventQueue q;
+  q.emplace(0.0, EventQueue::kMaxSeq - 1, Event::Kind::kArrive, 0, 0, 0);
+  try {
+    q.emplace(0.0, EventQueue::kMaxSeq, Event::Kind::kArrive, 0, 0, 0);
+    FAIL() << "seq 2^40 must not fit the packed key";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2^40"), std::string::npos);
+  }
+  EXPECT_EQ(q.size(), 1u) << "a refused emplace leaves the queue unchanged";
+  EXPECT_EQ(pop_key(q).second, EventQueue::kMaxSeq - 1);
+}
+
+// ---- ReadyQueue -------------------------------------------------------------
+
+/// Parks a message in `arena` the way the machine does on arrival: emplace
+/// it, then detach its heap key.  Returns the slot id.
+EventQueue::SlotId arrive(EventQueue& arena, int priority, double arrival,
+                          std::uint64_t seq) {
+  arena.emplace(arrival, seq, Event::Kind::kArrive, 0, priority, 0);
+  EXPECT_EQ(arena.size(), 1u);
+  return arena.detach_top();
+}
+
+/// Pops the best message from `q`, returns its seq, releases its slot.
+std::uint64_t pop_seq(ReadyQueue& q, EventQueue& arena) {
+  const EventQueue::SlotId id = q.pop(arena);
+  const std::uint64_t seq = arena.slot(id).seq;
+  arena.release(id);
+  return seq;
+}
+
+TEST(ReadyQueue, FifoFastPathServesDefaultPriorityInArrivalOrder) {
+  EventQueue arena;
+  ReadyQueue q;
+  for (std::uint64_t s = 0; s < 100; ++s)
+    q.push(arena, arrive(arena, ReadyQueue::kFifoPriority,
+                         static_cast<double>(s), s));
+  EXPECT_EQ(q.memory_bytes(), 128 * sizeof(EventQueue::SlotId))
+      << "default-priority messages cost one slot id in the ring";
+  for (std::uint64_t s = 0; s < 100; ++s) EXPECT_EQ(pop_seq(q, arena), s);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(ReadyQueue, MergesFifoAndHeapUnderPriorityArrivalSeqOrder) {
+  EventQueue arena;
+  ReadyQueue q;
+  // Default-priority messages arrive in (arrival, seq) order (the machine
+  // guarantees this); prioritized messages arrive interleaved.
+  q.push(arena, arrive(arena, 0, 1.0, 10));
+  q.push(arena, arrive(arena, -5, 3.0, 11));  // lower value = served first
+  q.push(arena, arrive(arena, 0, 2.0, 12));
+  q.push(arena, arrive(arena, 7, 0.5, 13));
+  q.push(arena, arrive(arena, 0, 2.5, 14));
+  q.push(arena, arrive(arena, -5, 4.0, 15));
+
+  std::vector<std::uint64_t> order;
+  while (!q.empty()) order.push_back(pop_seq(q, arena));
+  // (priority, arrival, seq): -5s first by arrival, then priority-0 FIFO,
+  // then priority 7.
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{11, 15, 10, 12, 14, 13}));
+}
+
+TEST(ReadyQueue, SamePriorityHeapBreaksTiesByArrivalThenSeq) {
+  EventQueue arena;
+  ReadyQueue q;
+  q.push(arena, arrive(arena, 3, 2.0, 21));
+  q.push(arena, arrive(arena, 3, 1.0, 22));
+  q.push(arena, arrive(arena, 3, 1.0, 20));
+  q.push(arena, arrive(arena, 3, 1.0, 25));
+  std::vector<std::uint64_t> order;
+  while (!q.empty()) order.push_back(pop_seq(q, arena));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{20, 22, 25, 21}));
+}
+
+TEST(ReadyQueue, RingGrowthPreservesOrder) {
+  EventQueue arena;
+  ReadyQueue q;
+  std::uint64_t s = 0;
+  std::vector<std::uint64_t> expected;
+  // Force several ring doublings with interleaved partial drains so the ring
+  // wraps around while growing.
+  for (int round = 0; round < 6; ++round) {
+    for (int k = 0; k < (1 << round); ++k) {
+      q.push(arena, arrive(arena, 0, static_cast<double>(s), s));
+      expected.push_back(s);
+      ++s;
+    }
+    for (int k = 0; k < (1 << round) / 2; ++k) pop_seq(q, arena);
+    expected.erase(expected.begin(), expected.begin() + (1 << round) / 2);
+  }
+  std::vector<std::uint64_t> rest;
+  while (!q.empty()) rest.push_back(pop_seq(q, arena));
+  EXPECT_EQ(rest, expected);
+}
+
+// ---- UniqueFn ---------------------------------------------------------------
 
 TEST(UniqueFn, DestroysHeldClosureExactlyOnce) {
   int ctor = 0, dtor = 0;
@@ -364,7 +447,7 @@ TEST(ZeroAlloc, SteadyStatePointSendDeliverDoesNotAllocate) {
   };
 
   // Warm-up: populates the payload pool, the closure block cache, the event
-  // arena, the ready rings, and the location caches.
+  // arena, the ready queues, and the location caches.
   drive(2000);
 
   // Steady state: every send→deliver must recycle pooled resources.

@@ -1,10 +1,16 @@
 // Machine emulator unit tests: event ordering, charging, priorities,
-// frequency scaling, network delays, and determinism.
+// frequency scaling, network delays, determinism, and the lifetime of a
+// message's event-arena slot.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
+#include "sim/fault_injector.hpp"
 #include "sim/machine.hpp"
 
 namespace {
@@ -141,6 +147,95 @@ TEST(Machine, ResumeAfterStopContinues) {
   m.resume();
   m.run();
   EXPECT_EQ(hits, 2);
+}
+
+TEST(Machine, HandlerRunsInPlaceAcrossArenaGrowth) {
+  // A handler runs from its own event-arena slot.  Sending more than three
+  // arena chunks' worth of messages (256 events each) from inside it
+  // allocates new chunks; its inline captured state must be intact and
+  // writable afterwards.  Under ASan an arena that moved its events on
+  // growth would fail here.
+  sim::Machine m(cfg(2));
+  constexpr int kSends = 3 * 256 + 64;
+  int delivered = 0;
+  std::int64_t result = 0;
+  std::size_t arena_grew = 0;
+  m.post(0, 0.0,
+         [&m, &delivered, &result, &arena_grew,
+          state = std::array<std::int32_t, 8>{1, 2, 3, 4, 5, 6, 7, 8}]() mutable {
+           const std::size_t before = m.event_queue_bytes();
+           for (int i = 0; i < kSends; ++i)
+             m.send(1, 8, 0, [&delivered] { ++delivered; });
+           arena_grew = m.event_queue_bytes() - before;
+           for (std::int32_t& x : state) x *= 10;
+           result = std::accumulate(state.begin(), state.end(), std::int64_t{0});
+         });
+  m.run();
+  EXPECT_GE(arena_grew, 3 * 256 * sizeof(sim::Event))
+      << "the sends must have grown the arena by three chunks";
+  EXPECT_EQ(result, 360);
+  EXPECT_EQ(delivered, kSends);
+}
+
+/// Queues `n` default-priority messages on PE 1 behind a handler that keeps
+/// the PE busy, steps until all `n` wait in PE 1's ready queue, and returns
+/// how much pe_state_bytes() grew meanwhile.
+std::size_t queue_burst(sim::Machine& m, int n, int& runs) {
+  const std::size_t before = m.pe_state_bytes();
+  bool busy = false;
+  m.post(1, m.time(), [&m, &busy] {
+    busy = true;
+    m.charge(1.0);
+  });
+  for (int i = 0; i < n; ++i) m.post(1, m.time(), [&runs] { ++runs; });
+  while (!busy) m.step();
+  EXPECT_EQ(m.pe(1).queue_length(), static_cast<std::size_t>(n));
+  return m.pe_state_bytes() - before;
+}
+
+TEST(Machine, ArenaSlotsAreRecycledOnEveryExitPath) {
+  // A queued message leaves its arena slot either by running or by being
+  // disposed when its PE fails (dropped in quarantine or redirected).  On
+  // every path the slot must return to the free list: a second identical
+  // burst then fits in the arena the first one left behind.
+  enum class Exit { kExecute, kDrop, kRedirect };
+  constexpr int kBurst = 300;  // more than one 256-event arena chunk
+  for (const Exit exit : {Exit::kExecute, Exit::kDrop, Exit::kRedirect}) {
+    SCOPED_TRACE(static_cast<int>(exit));
+    sim::Machine m(cfg(4));
+    sim::FaultConfig fc;
+    fc.policy = exit == Exit::kRedirect ? sim::DropPolicy::kRedirect
+                                        : sim::DropPolicy::kDrop;
+    sim::FaultInjector fi(fc);
+    m.set_fault_injector(&fi);
+    // Touch every PE first so page allocation stays out of the measurement.
+    for (int pe = 0; pe < 4; ++pe) m.post(pe, 0.0, [] {});
+    m.run();
+
+    int runs = 0;
+    std::size_t arena = 0;
+    for (int burst = 0; burst < 2; ++burst) {
+      // The ready queue stores a 4-byte slot id per default-priority
+      // message, rounded up to the ring's power-of-two capacity.
+      EXPECT_LE(queue_burst(m, kBurst, runs),
+                sizeof(sim::EventQueue::SlotId) *
+                    std::bit_ceil(static_cast<std::size_t>(kBurst) + 1));
+      if (exit != Exit::kExecute) m.fail_pe(1);
+      m.run();
+      m.revive_pe(1);
+      if (burst == 0) {
+        arena = m.event_queue_bytes();
+      } else {
+        EXPECT_EQ(m.event_queue_bytes(), arena)
+            << "the second burst must reuse the first burst's slots";
+      }
+    }
+    EXPECT_EQ(runs, 2 * kBurst) << "every handler runs exactly once";
+    EXPECT_EQ(m.messages_dropped(), exit == Exit::kDrop ? 2u * kBurst : 0u);
+    EXPECT_EQ(m.messages_redirected(),
+              exit == Exit::kRedirect ? 2u * kBurst : 0u);
+    EXPECT_EQ(m.pending_events(), 0u);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "ft/checkpoint.hpp"
 #include "ft/mem_checkpoint.hpp"
@@ -53,7 +54,13 @@ Cell* find_cell(Runtime& rt, CollectionId col, std::int32_t ix, int* pe_out = nu
   return nullptr;
 }
 
-const char* kCkptPath = "/tmp/charmlike_test.ckpt";
+/// One checkpoint file per test: ctest runs each case as its own process,
+/// in parallel, so a shared path lets one case overwrite another's file.
+std::string ckpt_path() {
+  return std::string("/tmp/charmlike_") +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".ckpt";
+}
 
 TEST(DiskCheckpoint, RestartOnDifferentPeCountPreservesState) {
   const int n = 24;
@@ -68,7 +75,7 @@ TEST(DiskCheckpoint, RestartOnDifferentPeCountPreservesState) {
       arr.broadcast<&Cell::work>(Msg{4});
       // Checkpoint at the step boundary: wait until the work has landed.
       h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) {
-        ft::checkpoint_to_file(h.rt, kCkptPath,
+        ft::checkpoint_to_file(h.rt, ckpt_path(),
                                Callback::to_function([&](ReductionResult&&) {
                                  ckpt_done = true;
                                }));
@@ -81,7 +88,7 @@ TEST(DiskCheckpoint, RestartOnDifferentPeCountPreservesState) {
     // Restart on 4 PEs (original run used 6).
     Harness h(4);
     auto arr = ArrayProxy<Cell>::create(h.rt);
-    const std::size_t restored = ft::restart_from_file(h.rt, kCkptPath);
+    const std::size_t restored = ft::restart_from_file(h.rt, ckpt_path());
     EXPECT_EQ(restored, static_cast<std::size_t>(n));
     EXPECT_EQ(h.rt.collection(arr.id()).total_elements, n);
     for (int i = 0; i < n; ++i) {
@@ -96,7 +103,7 @@ TEST(DiskCheckpoint, RestartOnDifferentPeCountPreservesState) {
     h.machine.run();
     EXPECT_EQ(find_cell(h.rt, arr.id(), 0)->steps, 8);
   }
-  std::remove(kCkptPath);
+  std::remove(ckpt_path().c_str());
 }
 
 TEST(DiskCheckpoint, CheckpointTimeScalesWithDataPerPe) {
@@ -109,7 +116,7 @@ TEST(DiskCheckpoint, CheckpointTimeScalesWithDataPerPe) {
       arr.broadcast<&Cell::init>();
       h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) {
         t0 = charm::now();
-        ft::checkpoint_to_file(h.rt, kCkptPath,
+        ft::checkpoint_to_file(h.rt, ckpt_path(),
                                Callback::to_function([&](ReductionResult&&) {
                                  t1 = charm::now();
                                }));
@@ -120,7 +127,7 @@ TEST(DiskCheckpoint, CheckpointTimeScalesWithDataPerPe) {
   };
   // More PEs => less data per PE => faster parallel checkpoint (Fig 8 right).
   EXPECT_GT(ckpt_time(2), ckpt_time(16));
-  std::remove(kCkptPath);
+  std::remove(ckpt_path().c_str());
 }
 
 TEST(MemCheckpoint, CheckpointAndRecoverFromFailure) {
@@ -213,7 +220,7 @@ TEST(MemCheckpoint, InMemoryFasterThanDisk) {
     mem.checkpoint(Callback::to_function([&](ReductionResult&&) {
       t_mem = charm::now() - t0;
       const double t1 = charm::now();
-      ft::checkpoint_to_file(h.rt, kCkptPath,
+      ft::checkpoint_to_file(h.rt, ckpt_path(),
                              Callback::to_function([&, t1](ReductionResult&&) {
                                t_disk = charm::now() - t1;
                              }));
@@ -223,7 +230,7 @@ TEST(MemCheckpoint, InMemoryFasterThanDisk) {
   ASSERT_GT(t_mem, 0);
   ASSERT_GT(t_disk, 0);
   EXPECT_LT(t_mem, t_disk);
-  std::remove(kCkptPath);
+  std::remove(ckpt_path().c_str());
 }
 
 TEST(MemCheckpoint, BackToBackFailuresCoalesceIntoOneRecovery) {
