@@ -70,7 +70,7 @@ Outcome run_with(const char* which) {
   out.rounds = rt.lb().rounds_completed();
   out.lb_rounds = rt.lb().lb_invocations();
   out.db = rt.lb().db_counters();
-  if (!done) std::printf("   WARNING: %s run did not complete\n", which);
+  bench::check(done, std::string(which) + " run completed");
   return out;
 }
 

@@ -278,6 +278,21 @@ inline void note(const std::string& s) {
   series().notes.push_back(s);
 }
 
+// ---- run checks --------------------------------------------------------------
+
+/// Completion / validation checks that failed in this process, in order.
+inline std::vector<std::string>& failed_checks() {
+  static std::vector<std::string> failed;
+  return failed;
+}
+
+/// Records a completion or validation check (e.g. "LeanMD run completed
+/// (P=8)").  A failed one makes finish() name it on stderr and return 1, so
+/// an incomplete run or a wrong answer fails the bench.
+inline void check(bool ok, const std::string& what) {
+  if (!ok) failed_checks().push_back(what);
+}
+
 /// Runs the machine to completion and returns the makespan in virtual seconds.
 inline double run_to_completion(sim::Machine& m) {
   m.run();
@@ -372,8 +387,8 @@ inline int check_drops() {
 }
 
 /// Writes the accumulated trace / stats outputs (if any) and returns the
-/// process exit code (non-zero when an output is truncated, see
-/// check_drops).  Call as the last statement of main:
+/// process exit code: non-zero when an output is truncated (see check_drops)
+/// or a check() failed.  Call as the last statement of main:
 /// `return bench::finish();`
 inline int finish() {
   const trace::Tracer& t = shared_tracer();
@@ -409,7 +424,12 @@ inline int finish() {
                 report.npes, report.entries.size(), report.comm.size(),
                 options().stats_file.c_str());
   }
-  return check_drops();
+  int rc = check_drops();
+  for (const std::string& what : failed_checks()) {
+    std::fprintf(stderr, "check failed: %s\n", what.c_str());
+    rc = 1;
+  }
+  return rc;
 }
 
 /// Prints a Fig 11-style per-interval utilization profile of the last traced

@@ -56,7 +56,7 @@ Outcome run_policy(power::Policy policy, double lb_period, bool meta) {
   Outcome out;
   out.exec_s = m.max_pe_clock();
   out.max_temp = pm.max_temp_seen();
-  if (!done) std::printf("   WARNING: run did not complete\n");
+  bench::check(done, "power-policy run completed");
   return out;
 }
 

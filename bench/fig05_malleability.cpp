@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     }));
   });
   m.run();
-  if (!all_done) std::printf("   WARNING: run did not complete\n");
+  bench::check(all_done, "run completed");
 
   bench::columns({"iteration", "step_time_s", "active_PEs_phase"});
   double prev = 0;

@@ -33,7 +33,7 @@ double time_sort(int npes, bool hist, std::size_t keys_per_pe) {
     }
   });
   m.run();
-  if (!lib.validate()) std::printf("   WARNING: sort output not globally sorted!\n");
+  bench::check(lib.validate(), "sort output globally sorted");
   return t1 - t0;
 }
 

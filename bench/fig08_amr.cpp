@@ -33,7 +33,7 @@ double time_per_step(int npes, bool distributed_lb) {
     mesh.run(chunks, steps, Callback::to_function([&](ReductionResult&&) { done = true; }));
   });
   m.run();
-  if (!done) std::printf("   WARNING: AMR run did not complete (P=%d)\n", npes);
+  bench::check(done, "AMR run completed (P=" + std::to_string(npes) + ")");
   return m.max_pe_clock() / (chunks * steps);
 }
 

@@ -36,7 +36,7 @@ double time_per_step(int npes, bool with_lb) {
     }));
   });
   m.run();
-  if (!done) std::printf("   WARNING: LeanMD run did not complete (P=%d)\n", npes);
+  bench::check(done, "LeanMD run completed (P=" + std::to_string(npes) + ")");
   return m.max_pe_clock() / steps;
 }
 

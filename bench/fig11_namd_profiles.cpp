@@ -34,7 +34,7 @@ double time_per_step(int npes, const sim::NetworkParams& net) {
     }));
   });
   m.run();
-  if (!done) std::printf("   WARNING: run did not complete (P=%d)\n", npes);
+  bench::check(done, "run completed (P=" + std::to_string(npes) + ")");
   return m.max_pe_clock() / steps;
 }
 

@@ -57,7 +57,8 @@ double run_weak(int npes, int v, bool lb, int* nranks_out = nullptr) {
     rt.exit();
   });
   m.run();
-  if (!done) std::printf("   WARNING: LULESH run did not complete (P=%d v=%d)\n", npes, v);
+  bench::check(done, "LULESH run completed (P=" + std::to_string(npes) +
+                         " v=" + std::to_string(v) + ")");
   return out.time_per_iter;
 }
 

@@ -39,7 +39,7 @@ std::vector<double> iteration_times(bool with_lb) {
     }));
   });
   m.run();
-  if (!done) std::printf("   WARNING: run did not complete\n");
+  bench::check(done, with_lb ? "run with LB completed" : "run without LB completed");
 
   std::vector<double> times;
   double prev = 0;

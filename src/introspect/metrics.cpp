@@ -1,17 +1,8 @@
 #include "introspect/metrics.hpp"
 
-#include <stdexcept>
-
-#include "runtime/runtime.hpp"
-#include "runtime/spanning_tree.hpp"
 #include "sim/machine.hpp"
 
 namespace introspect {
-
-namespace {
-/// Modeled payload of a summary partial: (max, sum, count) as three words.
-constexpr std::size_t kSummaryPartialBytes = 24;
-}  // namespace
 
 const char* journal_kind_name(sim::Phase k) {
   switch (k) {
@@ -65,9 +56,6 @@ void Monitor::reset(int npes) {
   dropped_samples_ = 0;
   journal_.clear();
   journal_.reserve(64);
-  summary_ = SummaryWave{};
-  last_summary_ = ClusterSummary{};
-  summary_partials_ = 0;
 }
 
 double Monitor::imbalance() const {
@@ -152,79 +140,6 @@ void Monitor::record_sample(double t) {
   last_bytes_ = bytes_;
   ready_hwm_w_ = cur_ready_;
   evq_hwm_w_ = last_evq_;
-}
-
-// ---- opt-in tree summary ----------------------------------------------------
-
-void Monitor::request_summary(charm::Runtime& rt, SummaryFn done) {
-  if (summary_.active)
-    throw std::logic_error("introspect::Monitor::request_summary: wave already in flight");
-  const int P = rt.active_pes();
-  summary_.active = true;
-  summary_.npes = P;
-  summary_.arity = rt.config().tree_fanout < 2 ? 2 : rt.config().tree_fanout;
-  summary_.done = std::move(done);
-  summary_.max.assign(static_cast<std::size_t>(P), 0.0);
-  summary_.sum.assign(static_cast<std::size_t>(P), 0.0);
-  summary_.cnt.assign(static_cast<std::size_t>(P), 0);
-  summary_.pending.assign(static_cast<std::size_t>(P), 0);
-  const charm::SpanningTree tree(P, 0, summary_.arity);
-  for (int r = 0; r < P; ++r)
-    summary_.pending[static_cast<std::size_t>(r)] = tree.num_children(r);
-  // Kick every leaf on its own PE; interior ranks fire when their last child
-  // partial arrives.  All traffic is real counted control messages.
-  charm::Runtime* prt = &rt;
-  for (int r = 0; r < P; ++r) {
-    if (summary_.pending[static_cast<std::size_t>(r)] == 0)
-      rt.on_pe(tree.abs(r), [this, prt, r]() { summary_ready(*prt, r); });
-  }
-}
-
-void Monitor::summary_ready(charm::Runtime& rt, int rank) {
-  const charm::SpanningTree tree(summary_.npes, 0, summary_.arity);
-  // Fold this rank's own live busy into the subtree accumulator.
-  const double b = pes_.at_or_default(static_cast<std::size_t>(tree.abs(rank))).busy;
-  auto& mx = summary_.max[static_cast<std::size_t>(rank)];
-  if (b > mx) mx = b;
-  summary_.sum[static_cast<std::size_t>(rank)] += b;
-  summary_.cnt[static_cast<std::size_t>(rank)] += 1;
-
-  if (rank == 0) {
-    ClusterSummary s;
-    s.t = rt.now();
-    s.pes = summary_.npes;
-    s.busy_max = summary_.max[0];
-    s.busy_avg = summary_.cnt[0] > 0
-                     ? summary_.sum[0] / static_cast<double>(summary_.cnt[0])
-                     : 0;
-    s.lambda = s.busy_avg > 0 ? s.busy_max / s.busy_avg : 0;
-    last_summary_ = s;
-    summary_.active = false;
-    SummaryFn done = std::move(summary_.done);
-    summary_.done = nullptr;
-    if (done) done(s);
-    return;
-  }
-  const int parent = tree.parent(rank);
-  const double pm = summary_.max[static_cast<std::size_t>(rank)];
-  const double ps = summary_.sum[static_cast<std::size_t>(rank)];
-  const int pc = summary_.cnt[static_cast<std::size_t>(rank)];
-  ++summary_partials_;
-  charm::Runtime* prt = &rt;
-  rt.send_control(tree.abs(parent), kSummaryPartialBytes,
-                  [this, prt, parent, pm, ps, pc]() {
-                    summary_arrive(*prt, parent, pm, ps, pc);
-                  });
-}
-
-void Monitor::summary_arrive(charm::Runtime& rt, int rank, double mx, double sm,
-                             int ct) {
-  auto& acc = summary_.max[static_cast<std::size_t>(rank)];
-  if (mx > acc) acc = mx;
-  summary_.sum[static_cast<std::size_t>(rank)] += sm;
-  summary_.cnt[static_cast<std::size_t>(rank)] += ct;
-  if (--summary_.pending[static_cast<std::size_t>(rank)] == 0)
-    summary_ready(rt, rank);
 }
 
 }  // namespace introspect

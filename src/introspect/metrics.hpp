@@ -12,7 +12,7 @@
 // except barrier-only LB rounds and disk checkpoints, which only the tracer
 // records.
 //
-// Three consumption surfaces:
+// Two consumption surfaces:
 //   * live queries (Runtime::metrics()): per-PE busy/exec/utilization, ready
 //     and event-queue depths with high watermarks, per-(collection,entry)
 //     EWMA grain, locally computed imbalance λ — the hook the autoscaling /
@@ -20,25 +20,16 @@
 //   * a timeline: fixed-size POD samples recorded at t = k·interval (plus a
 //     decision journal of LB rounds, FT checkpoints/rollbacks, failures and
 //     malleability reconfigurations on the same clock), exported as the
-//     byte-deterministic "timeseries"/"journal" stats sections;
-//   * an OPT-IN reduction-based cluster summary: per-PE busy gathered up the
-//     PR-7 spanning tree as real counted control messages with per-level
-//     (max, sum, count) combine — consumers that want a λ computed by real
-//     traffic pay its (deterministic) virtual-time cost explicitly.
+//     byte-deterministic "timeseries"/"journal" stats sections.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "sim/observer.hpp"
 #include "sim/paged_table.hpp"
-
-namespace charm {
-class Runtime;
-}
 
 namespace introspect {
 
@@ -100,15 +91,6 @@ struct Sample {
   std::uint64_t evq_hwm = 0;    ///< max event-queue depth in the window
 };
 
-/// Result of a tree-summary wave (request_summary).
-struct ClusterSummary {
-  double t = -1;  ///< virtual time the wave completed (-1: none yet)
-  int pes = 0;
-  double busy_max = 0;
-  double busy_avg = 0;
-  double lambda = 0;
-};
-
 class Monitor : public sim::Observer {
  public:
   // ---- lifecycle -------------------------------------------------------
@@ -166,21 +148,6 @@ class Monitor : public sim::Observer {
   const std::vector<JournalEvent>& journal_events() const { return journal_; }
   /// Samples not recorded because the buffer hit kSampleCap.
   std::uint64_t dropped_samples() const { return dropped_samples_; }
-
-  // ---- opt-in tree summary (real counted messages) ---------------------
-
-  using SummaryFn = std::function<void(const ClusterSummary&)>;
-
-  /// Gathers (max, sum, count) of per-PE busy up the k-ary spanning tree
-  /// (arity = rt.config().tree_fanout, root 0, over active PEs) as real
-  /// counted control messages with per-level combine; the root computes the
-  /// global λ, stores it as last_summary(), and invokes `done`.  One wave at
-  /// a time; throws std::logic_error if a wave is already in flight.
-  void request_summary(charm::Runtime& rt, SummaryFn done = {});
-  bool summary_in_flight() const { return summary_.active; }
-  const ClusterSummary& last_summary() const { return last_summary_; }
-  /// Partial-combine messages sent by summary waves so far.
-  std::uint64_t summary_partials() const { return summary_partials_; }
 
   // ---- observer hooks --------------------------------------------------
   // None of these charge virtual time; all are O(1) except the snapshot
@@ -240,18 +207,6 @@ class Monitor : public sim::Observer {
   void sample_up_to(double now);
   void record_sample(double t);
 
-  // Tree-summary wave state (see metrics.cpp).
-  struct SummaryWave {
-    bool active = false;
-    int npes = 0;
-    int arity = 2;
-    std::vector<double> max, sum;
-    std::vector<int> cnt, pending;
-    SummaryFn done;
-  };
-  void summary_ready(charm::Runtime& rt, int rank);
-  void summary_arrive(charm::Runtime& rt, int rank, double mx, double sm, int ct);
-
   double interval_ = 0;
   double next_boundary_ = 0;
   std::uint64_t sample_k_ = 0;
@@ -278,10 +233,6 @@ class Monitor : public sim::Observer {
   std::vector<Sample> samples_;
   std::uint64_t dropped_samples_ = 0;
   std::vector<JournalEvent> journal_;
-
-  SummaryWave summary_;
-  ClusterSummary last_summary_;
-  std::uint64_t summary_partials_ = 0;
 };
 
 }  // namespace introspect

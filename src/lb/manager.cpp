@@ -12,6 +12,13 @@
 
 namespace charm::lb {
 
+namespace {
+// Modeled cost of a central strategy round.
+constexpr double kStatsBytesPerChare = 32.0;     ///< stats gathered per chare (B)
+constexpr double kStrategyBaseCost = 20e-6;      ///< fixed decision cost (s)
+constexpr double kStrategyCostPerChare = 1.0e-6; ///< decision cost per chare (s)
+}  // namespace
+
 Manager::Manager(Runtime& rt) : rt_(rt) {}
 Manager::~Manager() = default;
 
@@ -183,12 +190,12 @@ void Manager::round_complete() {
 void Manager::run_central(int target_pes) {
   Stats stats = collect_stats(target_pes);
   const auto& net = rt_.machine().network().params();
-  const double gather_bytes = static_cast<double>(stats.chares.size()) * stats_bytes_per_chare;
+  const double gather_bytes = static_cast<double>(stats.chares.size()) * kStatsBytesPerChare;
   const double gather_delay = rt_.tree_wave_latency() + gather_bytes / net.bandwidth;
 
   rt_.after(0, gather_delay, [this, stats = std::move(stats)]() mutable {
-    rt_.charge(strategy_base_cost +
-               strategy_cost_per_chare * static_cast<double>(stats.chares.size()));
+    rt_.charge(kStrategyBaseCost +
+               kStrategyCostPerChare * static_cast<double>(stats.chares.size()));
     std::unique_ptr<Strategy> fallback;
     Strategy* strat = strategy_.get();
     if (strat == nullptr) {
@@ -209,7 +216,7 @@ void Manager::run_distributed() {
   // One allreduce gives every PE the average load; decisions are then local.
   const double allreduce_delay = 2.0 * rt_.tree_wave_latency();
   rt_.after(0, allreduce_delay, [this, stats = std::move(stats)]() mutable {
-    rt_.charge(strategy_base_cost);
+    rt_.charge(kStrategyBaseCost);
     GossipResult g = gossip_assign(stats, sim::derive_seed(dist_seed_,
                                                            static_cast<std::uint64_t>(round_)));
     // Model the probe / reply traffic.
@@ -274,9 +281,7 @@ void Manager::resume_all(double extra_delay) {
         /*aux=*/pending_.did_lb ? pending_.migrations : -1, pending_.lb_cost});
     history_.push_back(pending_);
     phase_ = Phase::kCollecting;
-    for (CollectionId col : cols_) {
-      rt_.broadcast_apply(col, [](ArrayElementBase& e) { e.resume_from_sync(); });
-    }
+    for (CollectionId col : cols_) rt_.broadcast_resume(col);
     if (done.valid()) done.invoke(rt_, ReductionResult{});
   };
 

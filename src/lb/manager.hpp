@@ -104,12 +104,6 @@ class Manager {
   int rounds_completed() const { return round_; }
   int lb_invocations() const { return lb_invocations_; }
 
-  // Cost-model knobs.
-  double stats_bytes_per_chare = 32.0;
-  double strategy_cost_per_chare = 1.0e-6;
-  double strategy_base_cost = 20e-6;
-  double migrate_unpack_extra = 0;
-
  private:
   enum class Phase : std::uint8_t { kCollecting, kBalancing };
 

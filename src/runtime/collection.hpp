@@ -39,7 +39,6 @@ struct ReduxSlot {
   std::vector<double> nums;
   std::vector<std::vector<std::byte>> chunks;
   Callback cb;
-  Time last_contribution = 0;
   /// Tree up-sweep: child partials still expected before this PE forwards
   /// its combined partial to its parent (0 outside an active wave).
   std::int32_t wave_remaining = 0;
@@ -69,7 +68,6 @@ class Collection {
   bool raw_move = false;   ///< move live objects without PUP (AMPI ranks)
   bool is_group = false;
   bool checkpointable = true;  ///< included in FT checkpoints (groups are not)
-  bool record_comm = false;  ///< record element-to-element comm edges for LB
 
   /// Per-PE blocks, paged on first touch: a PE that never hosts an element,
   /// home record, or cache entry for this collection costs zero bytes

@@ -24,13 +24,7 @@ struct Envelope {
   CreatorId creator = -1;
   int priority = kDefaultPriority;
 
-  // Source identity: PE for cache updates, element for the LB comm graph.
-  int src_pe = kInvalidPe;
-  CollectionId src_col = -1;
-  ObjIndex src_idx{};
-  bool has_src_elem = false;
-
-  int fwd_hops = 0;  ///< times this envelope was location-forwarded
+  int src_pe = kInvalidPe;  ///< sending PE, taught the location on a forward
 
   std::vector<std::byte> payload;
 

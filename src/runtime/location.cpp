@@ -27,7 +27,6 @@ void Runtime::handle_point_miss(Envelope env, int pe) {
   if (pe != h) {
     // Stale cache or post-migration straggler: bounce via the home.
     ++forwards_;
-    ++env.fwd_hops;
     launch_envelope(std::move(env), h);
     return;
   }
@@ -42,7 +41,6 @@ void Runtime::handle_point_miss(Envelope env, int pe) {
 
   const int loc = r.location;
   ++forwards_;
-  ++env.fwd_hops;
   if (env.src_pe >= 0 && env.src_pe != pe && env.src_pe != loc) {
     // Teach the sender where the element lives now.
     const int src = env.src_pe;
@@ -129,7 +127,7 @@ void Runtime::perform_migration(CollectionId col, ObjIndex idx, int to_pe) {
     obj->pup(pk);
     bytes = data.size();
   }
-  charge(bytes / cfg_.migrate_bw);  // pack / copy-out cost
+  charge(bytes / kMigrateBandwidth);  // pack / copy-out cost
 
   // Tell the home the element is in transit.
   const int h = home_pe(idx);
@@ -139,7 +137,7 @@ void Runtime::perform_migration(CollectionId col, ObjIndex idx, int to_pe) {
     send_control(h, 16, [this, col, idx, epoch] { home_departed(col, idx, epoch); });
   }
 
-  const double unpack_cost = static_cast<double>(bytes) / cfg_.migrate_bw;
+  const double unpack_cost = static_cast<double>(bytes) / kMigrateBandwidth;
   if (c.raw_move) {
     // Live object handed over raw (AMPI user-level-thread stacks; DESIGN.md §1).
     auto holder = std::make_shared<std::unique_ptr<ArrayElementBase>>(std::move(obj));

@@ -84,10 +84,8 @@ class ArrayProxy {
   explicit ArrayProxy(CollectionId col) : col_(col) {}
 
   /// Creates an empty chare array.
-  static ArrayProxy create(Runtime& rt, bool record_comm = false) {
-    const CollectionId id = rt.create_collection(Registry::type_of<C>(), /*is_group=*/false);
-    rt.collection(id).record_comm = record_comm;
-    return ArrayProxy(id);
+  static ArrayProxy create(Runtime& rt) {
+    return ArrayProxy(rt.create_collection(Registry::type_of<C>(), /*is_group=*/false));
   }
 
   ElementRef<C, Ix> operator[](const Ix& ix) const { return ElementRef<C, Ix>(col_, ix); }

@@ -93,7 +93,6 @@ void reset_slot(ReduxSlot& slot) {
   slot.nums.clear();
   slot.chunks.clear();
   slot.cb = Callback{};
-  slot.last_contribution = 0;
   slot.wave_remaining = 0;
 }
 
@@ -131,59 +130,45 @@ ReduxSlot& Runtime::partial_slot(Collection& c, int pe, std::uint64_t seq) {
   return pl.partial[seq];
 }
 
-void Runtime::contribute(ArrayElementBase& elem, std::vector<double> nums, bool has_nums,
-                         ReduceOp op, std::vector<std::byte> chunk, bool has_chunk,
-                         const Callback& cb) {
+template <class Absorb>
+void Runtime::contribute_with(ArrayElementBase& elem, const Callback& cb,
+                              Absorb&& absorb) {
   Collection& c = collection(elem.col_);
   if (c.total_elements <= 0)
     throw std::logic_error("contribute on an empty collection");
 
   const std::uint64_t seq = elem.redux_seq_++;
-  charge(cfg_.contribute_cost);
+  charge(kContributeCost);
 
   if (tree_collectives()) {
     ReduxSlot& part = partial_slot(c, elem.pe_, seq);
-    if (has_nums) absorb_nums(part, std::move(nums), op, *this);
-    if (has_chunk) part.chunks.push_back(std::move(chunk));
+    absorb(part);
     ++part.count;
     note_tree_contribution(c, seq, cb);
     return;
   }
 
   ReduxSlot& slot = redux_slot(c, seq);
-  if (has_nums) absorb_nums(slot, std::move(nums), op, *this);
-  if (has_chunk) slot.chunks.push_back(std::move(chunk));
+  absorb(slot);
   if (cb.valid()) slot.cb = cb;
   ++slot.count;
-  slot.last_contribution = now();
 
   if (slot.count >= c.total_elements) complete_reduction(c, seq);
 }
 
+void Runtime::contribute(ArrayElementBase& elem, std::vector<double> nums, bool has_nums,
+                         ReduceOp op, std::vector<std::byte> chunk, bool has_chunk,
+                         const Callback& cb) {
+  contribute_with(elem, cb, [&](ReduxSlot& slot) {
+    if (has_nums) absorb_nums(slot, std::move(nums), op, *this);
+    if (has_chunk) slot.chunks.push_back(std::move(chunk));
+  });
+}
+
 void Runtime::contribute_scalar(ArrayElementBase& elem, double value, ReduceOp op,
                                 const Callback& cb) {
-  Collection& c = collection(elem.col_);
-  if (c.total_elements <= 0)
-    throw std::logic_error("contribute on an empty collection");
-
-  const std::uint64_t seq = elem.redux_seq_++;
-  charge(cfg_.contribute_cost);
-
-  if (tree_collectives()) {
-    ReduxSlot& part = partial_slot(c, elem.pe_, seq);
-    absorb_scalar(part, value, op, *this);
-    ++part.count;
-    note_tree_contribution(c, seq, cb);
-    return;
-  }
-
-  ReduxSlot& slot = redux_slot(c, seq);
-  absorb_scalar(slot, value, op, *this);
-  if (cb.valid()) slot.cb = cb;
-  ++slot.count;
-  slot.last_contribution = now();
-
-  if (slot.count >= c.total_elements) complete_reduction(c, seq);
+  contribute_with(elem, cb,
+                  [&](ReduxSlot& slot) { absorb_scalar(slot, value, op, *this); });
 }
 
 void Runtime::complete_reduction(Collection& c, std::uint64_t seq) {
@@ -216,7 +201,6 @@ void Runtime::note_tree_contribution(Collection& c, std::uint64_t seq,
   ReduxSlot& g = redux_slot(c, seq);
   if (cb.valid()) g.cb = cb;
   ++g.count;
-  g.last_contribution = now();
   if (g.count >= c.total_elements) start_tree_upsweep(c, seq);
 }
 
@@ -311,7 +295,7 @@ void Runtime::tree_partial_arrive(CollectionId col, std::uint64_t seq,
   Collection& c = collection(col);
   const int rank = machine_.current_pe();
   ReduxSlot& part = partial_slot(c, rank, seq);
-  charge(cfg_.contribute_cost);  // per-level combine work
+  charge(kContributeCost);  // per-level combine work
   part.count += count;
   if (has_nums) {
     absorb_nums(part, std::move(nums), op, *this);

@@ -135,11 +135,6 @@ void Runtime::send_point_to(CollectionId col, ObjIndex idx, EntryId ep,
   env.priority = priority;
   env.payload = std::move(payload);
   env.src_pe = src_pe;
-  if (exec_elem_ != nullptr) {
-    env.src_col = exec_elem_->col_;
-    env.src_idx = exec_elem_->idx_;
-    env.has_src_elem = true;
-  }
   launch_envelope(std::move(env), dst);
 }
 
@@ -152,8 +147,7 @@ void Runtime::send_point(CollectionId col, ObjIndex idx, EntryId ep,
 }
 
 void Runtime::typed_miss(CollectionId col, ObjIndex idx, EntryId ep, int priority,
-                         std::vector<std::byte> payload, CollectionId src_col,
-                         ObjIndex src_idx, bool has_src, int pe) {
+                         std::vector<std::byte> payload, int pe) {
   Envelope env;
   env.kind = Envelope::Kind::kPoint;
   env.col = col;
@@ -162,9 +156,6 @@ void Runtime::typed_miss(CollectionId col, ObjIndex idx, EntryId ep, int priorit
   env.priority = priority;
   env.payload = std::move(payload);
   env.src_pe = pe;  // the typed slot only exists when sender == destination
-  env.src_col = src_col;
-  env.src_idx = src_idx;
-  env.has_src_elem = has_src;
   handle_point_miss(std::move(env), pe);
 }
 
@@ -176,7 +167,7 @@ void Runtime::on_envelope(Envelope env) {
     const CreatorInfo& info = Registry::instance().creator(env.creator);
     pup::Unpacker u(env.payload);
     std::unique_ptr<ArrayElementBase> obj(info.create(u));
-    charge(cfg_.create_cost);
+    charge(kCreateCost);
     obj->epoch_ = 1;
     obj->redux_seq_ = std::max(obj->redux_seq_, c.redux_floor);
     ++c.total_elements;
@@ -233,12 +224,18 @@ void Runtime::broadcast(CollectionId col, EntryId ep, std::vector<std::byte> pay
                         int priority) {
   auto pl = std::make_shared<const std::vector<std::byte>>(std::move(payload));
   const int root = machine_.in_handler() ? machine_.current_pe() : 0;
-  broadcast_tree_leg(col, ep, pl, priority, root, 0);
+  broadcast_leg(col, ep, pl, priority, root, 0);
 }
 
-void Runtime::broadcast_tree_leg(CollectionId col, EntryId ep,
-                                 std::shared_ptr<const std::vector<std::byte>> payload,
-                                 int priority, int root, int relative_rank) {
+void Runtime::broadcast_resume(CollectionId col) {
+  const int root = machine_.in_handler() ? machine_.current_pe() : 0;
+  broadcast_leg(col, kResumeEntry, std::make_shared<const std::vector<std::byte>>(),
+                kDefaultPriority, root, 0);
+}
+
+void Runtime::broadcast_leg(CollectionId col, EntryId ep,
+                            std::shared_ptr<const std::vector<std::byte>> payload,
+                            int priority, int root, int relative_rank) {
   const int abs = (root + relative_rank) % active_pes_;
   const std::size_t wire = payload->size() + Envelope::kHeaderBytes;
   ++outstanding_;
@@ -263,8 +260,16 @@ void Runtime::broadcast_tree_leg(CollectionId col, EntryId ep,
             for (const ObjIndex& ix : snapshot) {
               ArrayElementBase* e = c.find(abs, ix);
               if (e == nullptr) continue;
-              charge(cfg_.deliver_cost);
-              deliver_local(c, *e, ep, *payload);
+              charge(kDeliverCost);
+              if (ep == kResumeEntry) {
+                // Instrumented like any delivery, so work done in
+                // resume_from_sync shows up in the next round's LB load.
+                const double t0 = machine_.handler_elapsed();
+                e->resume_from_sync();
+                end_entry(*e, abs, col, kResumeEntry, t0);
+              } else {
+                deliver_local(c, *e, ep, *payload);
+              }
             }
           }
         }
@@ -277,95 +282,17 @@ void Runtime::broadcast_forward(
     CollectionId col, EntryId ep,
     const std::shared_ptr<const std::vector<std::byte>>& payload, int priority,
     int root, int relative_rank) {
-  if (cfg_.collectives == CollectiveTopology::kTree) {
-    // Tree mode fans down the collective tree (arity = tree_fanout) and
-    // reroutes around dead children: the sender skips a dead child and
-    // descends directly to its children, so every live PE still receives
-    // exactly one leg.
-    const SpanningTree tree(active_pes_, root, cfg_.tree_fanout);
-    for (int i = 1; i <= tree.arity; ++i) {
-      const long child = tree.child(relative_rank, i);
-      if (child >= active_pes_) continue;
-      const int c = static_cast<int>(child);
-      if (pe_alive(tree.abs(c))) {
-        broadcast_tree_leg(col, ep, payload, priority, root, c);
-      } else {
-        broadcast_forward(col, ep, payload, priority, root, c);
-      }
+  const bool reroute = cfg_.collectives == CollectiveTopology::kTree;
+  const SpanningTree tree(active_pes_, root, cfg_.tree_fanout);
+  for (int i = 1; i <= tree.arity; ++i) {
+    const long child = tree.child(relative_rank, i);
+    if (child >= active_pes_) break;
+    const int c = static_cast<int>(child);
+    if (reroute && !pe_alive(tree.abs(c))) {
+      broadcast_forward(col, ep, payload, priority, root, c);
+    } else {
+      broadcast_leg(col, ep, payload, priority, root, c);
     }
-    return;
-  }
-  // Flat (seed) behavior: send to every in-range child; a dead child drops
-  // the leg — and its subtree — at delivery time.
-  for (int i = 1; i <= cfg_.bcast_fanout; ++i) {
-    const int child = relative_rank * cfg_.bcast_fanout + i;
-    if (child < active_pes_) broadcast_tree_leg(col, ep, payload, priority, root, child);
-  }
-}
-
-void Runtime::broadcast_apply(CollectionId col, std::function<void(ArrayElementBase&)> fn,
-                              int priority) {
-  auto shared_fn = std::make_shared<std::function<void(ArrayElementBase&)>>(std::move(fn));
-  const int root = machine_.in_handler() ? machine_.current_pe() : 0;
-  broadcast_apply_leg(col, shared_fn, priority, root, 0);
-}
-
-void Runtime::broadcast_apply_leg(
-    CollectionId col, std::shared_ptr<std::function<void(ArrayElementBase&)>> fn,
-    int priority, int root, int relative_rank) {
-  const int abs = (root + relative_rank) % active_pes_;
-  ++outstanding_;
-  ++msgs_sent_;
-  bytes_sent_ += Envelope::kHeaderBytes;
-  machine_.note_collective(Envelope::kHeaderBytes);
-  machine_.send(
-      abs, Envelope::kHeaderBytes, priority,
-      [this, col, fn, priority, root, relative_rank, abs]() {
-        if (pe_alive(abs)) {
-          broadcast_apply_forward(col, fn, priority, root, relative_rank);
-          Collection& c = collection(col);
-          std::vector<ObjIndex> snapshot;
-          if (PeLocal* pl = c.local_if(abs); pl != nullptr) {
-            snapshot.reserve(pl->elems.size());
-            for (const auto& [ix, unused] : pl->elems) snapshot.push_back(ix);
-          }
-          for (const ObjIndex& ix : snapshot) {
-            ArrayElementBase* e = c.find(abs, ix);
-            if (e == nullptr) continue;
-            charge(cfg_.deliver_cost);
-            // Instrument like any delivery: work done in resume_from_sync
-            // must show up in the next round's LB measurements.
-            const double t0 = machine_.handler_elapsed();
-            (*fn)(*e);
-            end_entry(*e, abs, col, /*ep=*/-1, t0);
-          }
-        }
-        note_message_done();
-      },
-      /*src_override=*/0);
-}
-
-void Runtime::broadcast_apply_forward(
-    CollectionId col,
-    const std::shared_ptr<std::function<void(ArrayElementBase&)>>& fn,
-    int priority, int root, int relative_rank) {
-  if (cfg_.collectives == CollectiveTopology::kTree) {
-    const SpanningTree tree(active_pes_, root, cfg_.tree_fanout);
-    for (int i = 1; i <= tree.arity; ++i) {
-      const long child = tree.child(relative_rank, i);
-      if (child >= active_pes_) continue;
-      const int c = static_cast<int>(child);
-      if (pe_alive(tree.abs(c))) {
-        broadcast_apply_leg(col, fn, priority, root, c);
-      } else {
-        broadcast_apply_forward(col, fn, priority, root, c);
-      }
-    }
-    return;
-  }
-  for (int i = 1; i <= cfg_.bcast_fanout; ++i) {
-    const int child = relative_rank * cfg_.bcast_fanout + i;
-    if (child < active_pes_) broadcast_apply_leg(col, fn, priority, root, child);
   }
 }
 

@@ -14,7 +14,6 @@
 // See DESIGN.md §1 for the emulation methodology.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -38,19 +37,24 @@ using LbManager = lb::Manager;
 ///          figure stats are byte-stable under it).
 ///   kTree: contributions combine per-PE and route up a k-ary spanning tree
 ///          (arity = tree_fanout) as real counted messages with per-level
-///          combine; broadcasts fan down the same tree and reroute around
-///          dead interior PEs.
+///          combine; broadcasts reroute around dead interior PEs.
+/// Broadcasts fan down the same k-ary tree in both modes.
 enum class CollectiveTopology { kFlat, kTree };
 
 struct RuntimeConfig {
-  int bcast_fanout = 4;           ///< spanning-tree fanout for broadcasts
-  int tree_fanout = 4;            ///< reduction / QD tree fanout
-  double migrate_bw = 4.0e9;      ///< PUP pack/unpack modeled bandwidth (B/s)
-  double create_cost = 0.5e-6;    ///< dynamic element construction cost (s)
-  double contribute_cost = 0.1e-6;///< local reduction combine cost (s)
-  double deliver_cost = 0.05e-6;  ///< per-element broadcast delivery cost (s)
   CollectiveTopology collectives = CollectiveTopology::kFlat;
+  int tree_fanout = 4;  ///< arity of the broadcast / reduction / QD tree
 };
+
+// Modeled runtime costs (virtual seconds unless noted).
+inline constexpr double kMigrateBandwidth = 4.0e9;  ///< PUP pack/unpack (B/s)
+inline constexpr double kCreateCost = 0.5e-6;       ///< dynamic element construction
+inline constexpr double kContributeCost = 0.1e-6;   ///< local reduction combine
+inline constexpr double kDeliverCost = 0.05e-6;     ///< per-element broadcast / TRAM delivery
+
+/// Entry id of the LB resume broadcast (Runtime::broadcast_resume): each
+/// delivery runs resume_from_sync() and reports as this entry.
+inline constexpr EntryId kResumeEntry = -1;
 
 class Runtime {
  public:
@@ -122,31 +126,19 @@ class Runtime {
       return;
     }
     const std::size_t wire = Envelope::kHeaderBytes + pup::size_of(arg);
-    // Source element identity rides along for the (rare) delivery-time miss,
-    // where the argument is packed after all and re-enters the routed path.
-    CollectionId src_col = -1;
-    ObjIndex src_idx{};
-    bool has_src = false;
-    if (exec_elem_ != nullptr) {
-      src_col = exec_elem_->col_;
-      src_idx = exec_elem_->idx_;
-      has_src = true;
-    }
     ++outstanding_;
     ++msgs_sent_;
     bytes_sent_ += wire;
     machine_.send(
         dst, wire, priority,
-        [this, col, idx, ep, inv, priority, src_col, src_idx, has_src,
-         arg = Arg(std::forward<A>(arg))]() mutable {
+        [this, col, idx, ep, inv, priority, arg = Arg(std::forward<A>(arg))]() mutable {
           const int pe = machine_.current_pe();
           if (pe_alive(pe)) {
             Collection& cc = collection(col);
             if (ArrayElementBase* elem = cc.find(pe, idx)) {
               deliver_typed(*elem, col, idx, ep, inv, arg, pe);
             } else {
-              typed_miss(col, idx, ep, priority, pack_pooled(arg), src_col,
-                         src_idx, has_src, pe);
+              typed_miss(col, idx, ep, priority, pack_pooled(arg), pe);
             }
           }
           note_message_done();
@@ -157,10 +149,9 @@ class Runtime {
   void broadcast(CollectionId col, EntryId ep, std::vector<std::byte> payload,
                  int priority = kDefaultPriority);
 
-  /// Tree-broadcast an in-process function over every element of a collection
-  /// (runtime-internal signals: resume_from_sync, FT rollback hooks).
-  void broadcast_apply(CollectionId col, std::function<void(ArrayElementBase&)> fn,
-                       int priority = kDefaultPriority);
+  /// Header-only broadcast calling resume_from_sync() on every element of a
+  /// collection (the LB manager's AtSync release), reported as kResumeEntry.
+  void broadcast_resume(CollectionId col);
 
   /// Drops any in-flight reduction state (FT rollback).
   void clear_reductions(CollectionId col);
@@ -349,16 +340,14 @@ class Runtime {
   /// send paths: group index decodes to a PE; otherwise local table, then
   /// location cache, then the home PE.
   int route_point(Collection& c, const ObjIndex& idx, int src_pe);
-  /// Builds the Envelope (source identity from the execution context) and
-  /// launches it at an already-routed destination.
+  /// Builds the Envelope and launches it at an already-routed destination.
   void send_point_to(CollectionId col, ObjIndex idx, EntryId ep,
                      std::vector<std::byte> payload, int priority, int src_pe,
                      int dst);
   /// Delivery-time miss on the typed same-PE path: reconstructs the packed
   /// envelope and re-enters the location protocol.
   void typed_miss(CollectionId col, ObjIndex idx, EntryId ep, int priority,
-                  std::vector<std::byte> payload, CollectionId src_col,
-                  ObjIndex src_idx, bool has_src, int pe);
+                  std::vector<std::byte> payload, int pe);
 
   /// Saved execution context around an entry invocation, so nested deliveries
   /// (broadcast legs, TRAM batches) instrument correctly.
@@ -411,9 +400,6 @@ class Runtime {
   void install_element(CollectionId col, ObjIndex idx,
                        std::unique_ptr<ArrayElementBase> obj, int pe,
                        std::uint32_t epoch, bool migrated = false);
-  void broadcast_apply_leg(CollectionId col,
-                           std::shared_ptr<std::function<void(ArrayElementBase&)>> fn,
-                           int priority, int root, int relative_rank);
   void home_departed(CollectionId col, ObjIndex idx, std::uint32_t epoch);
   void home_arrived(CollectionId col, ObjIndex idx, int loc, std::uint32_t epoch);
   void note_message_done();
@@ -430,6 +416,10 @@ class Runtime {
   /// a slot has completed and stashed its node as the spare).
   ReduxSlot& redux_slot(Collection& c, std::uint64_t seq);
   ReduxSlot& partial_slot(Collection& c, int pe, std::uint64_t seq);
+  /// Shared body of contribute / contribute_scalar: `absorb(slot)` folds the
+  /// value into the flat slot or this PE's tree partial.
+  template <class Absorb>
+  void contribute_with(ArrayElementBase& elem, const Callback& cb, Absorb&& absorb);
   /// Global bookkeeping for one tree-mode contribution; launches the
   /// up-sweep when every element has contributed.
   void note_tree_contribution(Collection& c, std::uint64_t seq, const Callback& cb);
@@ -442,9 +432,12 @@ class Runtime {
                            std::vector<std::vector<std::byte>>&& chunks);
   void complete_tree_root(Collection& c, std::uint64_t seq);
 
-  void broadcast_tree_leg(CollectionId col, EntryId ep,
-                          std::shared_ptr<const std::vector<std::byte>> payload,
-                          int priority, int root, int relative_rank);
+  /// One broadcast leg to relative rank `relative_rank` of the tree rooted
+  /// at `root`: forwards to the children, then delivers `ep` (or, for
+  /// kResumeEntry, resume_from_sync) to every element on that PE.
+  void broadcast_leg(CollectionId col, EntryId ep,
+                     std::shared_ptr<const std::vector<std::byte>> payload,
+                     int priority, int root, int relative_rank);
   /// Forwards a broadcast to the children of `relative_rank`: flat mode sends
   /// to every in-range child (dead PEs drop the leg and its subtree, the seed
   /// behavior); tree mode skips dead children and descends directly to their
@@ -452,10 +445,6 @@ class Runtime {
   void broadcast_forward(CollectionId col, EntryId ep,
                          const std::shared_ptr<const std::vector<std::byte>>& payload,
                          int priority, int root, int relative_rank);
-  void broadcast_apply_forward(
-      CollectionId col,
-      const std::shared_ptr<std::function<void(ArrayElementBase&)>>& fn,
-      int priority, int root, int relative_rank);
 
   sim::Machine& machine_;
   RuntimeConfig cfg_;

@@ -72,7 +72,7 @@ class Observer {
   /// messages remain queued.
   virtual void on_exec_end(int /*pe*/, Time /*begin*/, Time /*end*/, std::size_t /*bytes*/,
                            std::size_t /*depth*/) {}
-  /// Entry method `ep` of collection `col` (ep -1: a broadcast_apply
+  /// Entry method `ep` of collection `col` (ep -1: an LB resume
   /// delivery) ran on `pe` for `dt` of virtual work ending at `end`.
   virtual void on_entry(int /*pe*/, int /*col*/, int /*ep*/, Time /*end*/, double /*dt*/) {}
   /// A collective leg (broadcast or reduction partial) of `bytes` was sent.

@@ -25,8 +25,9 @@ struct SeriesTable {
   std::vector<std::vector<double>> rows;
 };
 
-/// Labels (col, ep) keys; ep == -1 covers broadcast_apply deliveries and
-/// col == -1 the synthetic pure-runtime key.
+/// Labels (col, ep) keys; ep == -1 covers the LB resume broadcast's
+/// resume_from_sync deliveries (labelled "apply") and col == -1 the synthetic
+/// pure-runtime key.
 using EntryLabeler = std::function<std::string(int col, int ep)>;
 
 /// One (pattern x grain x P) cell of a taskbench overhead-surface sweep

@@ -94,27 +94,6 @@ Core::Buffer& Core::buffer_for(int pe, int peer) {
   return it->second;
 }
 
-void Core::insert(const ObjIndex& dest_idx, EntryId ep, std::vector<std::byte> payload) {
-  const int pe = rt_.machine().current_pe();
-  ++items_;
-  const int dest = resolve_dest(pe, dest_idx);
-  if (dest == pe) {
-    Collection& c = rt_.collection(col_);
-    ArrayElementBase* elem = c.find(pe, dest_idx);
-    rt_.charge(rt_.config().deliver_cost);
-    if (elem != nullptr) {
-      rt_.deliver_local(c, *elem, ep, payload);
-      rt_.release_payload(std::move(payload));
-      return;
-    }
-    local_miss(pe, dest_idx, ep, std::move(payload), /*flush_through=*/false);
-    return;
-  }
-  route_packed(pe, dest_idx, ep, dest, payload.data(), payload.size(),
-               /*flush_through=*/false);
-  rt_.release_payload(std::move(payload));
-}
-
 void Core::flush_buffer(int pe, int peer, bool flush_through) {
   PeState* state = pes_.probe(static_cast<std::size_t>(pe));
   if (state == nullptr) return;  // never buffered anything: nothing to flush
@@ -143,7 +122,7 @@ void Core::deliver_batch(int pe, Buffer buf, bool flush_through) {
     off += sizeof(FrameHead) + head.len;
     if (head.dest_pe == pe) {
       ArrayElementBase* elem = c.find(pe, head.idx);
-      rt_.charge(rt_.config().deliver_cost);
+      rt_.charge(kDeliverCost);
       if (elem != nullptr) {
         rt_.deliver_local(c, *elem, head.ep, data, head.len);
       } else {

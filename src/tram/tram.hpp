@@ -54,7 +54,7 @@ class Core {
     if (dest == pe) {
       Collection& c = rt_.collection(col_);
       ArrayElementBase* elem = c.find(pe, dest_idx);
-      rt_.charge(rt_.config().deliver_cost);
+      rt_.charge(kDeliverCost);
       if (elem != nullptr) {
         rt_.deliver_local_typed(c, *elem, ep, inv, item);
         return;
@@ -80,9 +80,6 @@ class Core {
     if (buf.count >= params_.buffer_items)
       flush_buffer(pe, peer, /*flush_through=*/false);
   }
-
-  /// Insert an already-packed item (legacy / type-erased entry point).
-  void insert(const ObjIndex& dest_idx, EntryId ep, std::vector<std::byte> payload);
 
   /// Flush every buffer on every PE and cascade through intermediate hops
   /// (phase end).  Completion is observable via Runtime::start_quiescence.

@@ -5,7 +5,8 @@
 // partial-combine messages routed up a k-ary spanning tree) changes message
 // traffic and timing but NOT results — reduced values and completion order
 // are bit-identical to the flat path for every arity, and broadcasts deliver
-// exactly once to every live element, including around a failed interior PE.
+// exactly once to every live element, including around a failed interior PE
+// (tree mode; flat mode drops that PE's subtree).
 //
 // The randomized fuzz sweeps (machine size x element placement x contribution
 // order x op x arity) against the flat reference; the app-level determinism
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "ampi/ampi.hpp"
@@ -355,20 +357,49 @@ TEST(TreeReduction, CallbackToBroadcastReachesEveryElement) {
 // ---- tree broadcast ---------------------------------------------------------
 
 TEST(TreeBroadcast, DeliversExactlyOnceEveryArityAndRoot) {
-  for (int arity : {2, 4, 8}) {
-    for (int root : {0, 5}) {
-      Harness h(16, {}, 4, Harness::tree_config(arity));
-      auto arr = ArrayProxy<Fuzzer>::create(h.rt);
-      for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
-      h.rt.on_pe(root, [&] { arr.broadcast<&Fuzzer::count>(StartMsg{}); });
-      h.machine.run();
-      for (int i = 0; i < 32; ++i) {
-        auto* e = h.find<Fuzzer>(arr.id(), i);
-        ASSERT_NE(e, nullptr);
-        EXPECT_EQ(e->deliveries, 1) << "arity " << arity << " root " << root
-                                    << " element " << i;
+  // Both topologies walk the same k-ary tree (arity = tree_fanout).
+  for (const auto topo : {charm::CollectiveTopology::kFlat, charm::CollectiveTopology::kTree}) {
+    for (int arity : {2, 4, 8}) {
+      for (int root : {0, 5}) {
+        charm::RuntimeConfig cfg;
+        cfg.collectives = topo;
+        cfg.tree_fanout = arity;
+        Harness h(16, {}, 4, cfg);
+        auto arr = ArrayProxy<Fuzzer>::create(h.rt);
+        for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
+        h.rt.on_pe(root, [&] { arr.broadcast<&Fuzzer::count>(StartMsg{}); });
+        h.machine.run();
+        for (int i = 0; i < 32; ++i) {
+          auto* e = h.find<Fuzzer>(arr.id(), i);
+          ASSERT_NE(e, nullptr);
+          EXPECT_EQ(e->deliveries, 1)
+              << (topo == charm::CollectiveTopology::kTree ? "tree" : "flat") << " arity "
+              << arity << " root " << root << " element " << i;
+        }
       }
     }
+  }
+}
+
+TEST(FlatBroadcast, DeadInteriorPeDropsItsSubtree) {
+  // Flat mode sends the leg to a dead child anyway; it drops at delivery and
+  // takes the child's whole subtree with it.  Under arity 2 rel rank 1's
+  // subtree over 16 PEs is {1, 3, 4, 7, 8, 9, 10, 15}.
+  charm::RuntimeConfig cfg;
+  cfg.tree_fanout = 2;
+  Harness h(16, {}, 4, cfg);
+  auto arr = ArrayProxy<Fuzzer>::create(h.rt);
+  for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
+  const int victim = 1;
+  h.machine.fail_pe(victim);
+  h.rt.set_pe_dead(victim, true);
+  h.rt.on_pe(0, [&] { arr.broadcast<&Fuzzer::count>(StartMsg{}); });
+  h.machine.run();
+  const std::set<int> dropped{1, 3, 4, 7, 8, 9, 10, 15};
+  for (int i = 0; i < 32; ++i) {
+    auto* e = h.find<Fuzzer>(arr.id(), i);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->deliveries, dropped.count(i % 16) ? 0 : 1) << "element " << i;
   }
 }
 

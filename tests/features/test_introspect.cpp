@@ -3,8 +3,7 @@
 // attaching it must not perturb virtual time by a single bit, the sample
 // timeline must be deterministic and monotone, steady-state sampling must be
 // allocation-free (operator-new-counting gate), mid-run queries must work
-// between machine phases, the opt-in tree summary must compute the global λ
-// with real counted messages, and the decision journal must record LB / FT /
+// between machine phases, and the decision journal must record LB / FT /
 // malleability events.
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -328,49 +326,6 @@ TEST(Introspect, MidRunQueryBetweenPhases) {
   h.machine.run();
   EXPECT_GT(mon.time(), t1);
   EXPECT_GT(mon.total_execs(), execs1);
-}
-
-// ---- opt-in tree summary ----------------------------------------------------
-
-TEST(Introspect, TreeSummaryComputesGlobalLambda) {
-  constexpr int kNpes = 8;
-  Harness h(kNpes, sim::NetworkParams{}, 4, Harness::tree_config(3));
-  introspect::Monitor mon;
-  mon.attach(h.machine);
-
-  auto arr = ArrayProxy<Chatter>::create(h.rt);
-  for (int i = 0; i < kElems; ++i) arr.seed(i, i % kNpes);
-  kick_chatter(h, arr, /*seed=*/9, /*chains=*/8, /*hops=*/40);
-  h.machine.run();
-
-  const std::uint64_t msgs_before = mon.total_msgs();
-  const double local_lambda = mon.imbalance();
-  ASSERT_GE(local_lambda, 1.0);
-
-  h.machine.resume();
-  bool done = false;
-  introspect::ClusterSummary got;
-  mon.request_summary(h.rt, [&](const introspect::ClusterSummary& s) {
-    done = true;
-    got = s;
-  });
-  EXPECT_TRUE(mon.summary_in_flight());
-  EXPECT_THROW(mon.request_summary(h.rt), std::logic_error)
-      << "only one wave at a time";
-  h.machine.run();
-
-  ASSERT_TRUE(done);
-  EXPECT_FALSE(mon.summary_in_flight());
-  EXPECT_EQ(got.pes, kNpes);
-  EXPECT_EQ(mon.summary_partials(), static_cast<std::uint64_t>(kNpes - 1))
-      << "k-ary gather sends exactly one partial per non-root rank";
-  // No entry work ran during the wave, so the tree-computed λ equals the
-  // locally readable one.
-  EXPECT_NEAR(got.lambda, local_lambda, 1e-12);
-  EXPECT_NEAR(got.busy_max / got.busy_avg, got.lambda, 1e-12);
-  EXPECT_EQ(mon.last_summary().t, got.t);
-  // The wave's partials are real counted traffic.
-  EXPECT_GE(mon.total_msgs(), msgs_before + static_cast<std::uint64_t>(kNpes - 1));
 }
 
 // ---- decision journal -------------------------------------------------------

@@ -8,6 +8,7 @@
 #include "lb/distributed.hpp"
 #include "lb/meta.hpp"
 #include "runtime/charm.hpp"
+#include "trace/trace.hpp"
 
 #include "test_util.hpp"
 
@@ -327,6 +328,67 @@ TEST(LbManager, SpeedAwareRebalancingUnderHeterogeneity) {
   const auto slow_count = h.rt.collection(arr.id()).local(3).elems.size();
   const auto fast_count = h.rt.collection(arr.id()).local(0).elems.size();
   EXPECT_LT(slow_count, fast_count);
+}
+
+class ResumeWorker : public charm::ArrayElement<ResumeWorker, std::int32_t> {
+ public:
+  static constexpr double kStepWork = 1e-3;
+  static constexpr double kResumeWork = 4e-4;
+  int pending = 0;
+
+  void step(const IterMsg& m) {
+    pending = m.remaining;
+    charm::charge(kStepWork);
+    at_sync();
+  }
+  void resume_from_sync() override {
+    charm::charge(kResumeWork);
+    if (pending > 0) {
+      charm::ArrayProxy<ResumeWorker> self(collection_id());
+      self[index()].send<&ResumeWorker::step>(IterMsg{pending - 1});
+    }
+  }
+  void pup(pup::Er& p) override {
+    ArrayElementBase::pup(p);
+    p | pending;
+  }
+};
+
+TEST(LbManager, ResumeWorkCountsTowardNextRoundLoad) {
+  // Work charged in resume_from_sync belongs to the element like any entry:
+  // it lands in the next round's LB load and traces as an ep -1 entry span.
+  Harness h(4);
+  trace::Tracer tracer;
+  h.machine.set_tracer(&tracer);
+  auto arr = ArrayProxy<ResumeWorker>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
+  h.rt.lb().register_collection(arr.id());
+  h.rt.on_pe(0, [&] { arr.broadcast<&ResumeWorker::step>(IterMsg{1}); });
+  h.machine.run();
+  ASSERT_EQ(h.rt.lb().rounds_completed(), 2);
+
+  // at_sync snapshots mid-entry, so a step's own work lands after the reset:
+  // the load pending after round 2 is step 2 plus the final resume (which
+  // sends nothing).  Round 2's snapshot held step 1 plus resume 1, whose
+  // span also covers the send of step 2.
+  for (int i = 0; i < 8; ++i) {
+    auto* w = h.find<ResumeWorker>(arr.id(), i);
+    ASSERT_NE(w, nullptr);
+    EXPECT_NEAR(w->measured_load(), ResumeWorker::kStepWork + ResumeWorker::kResumeWork,
+                1e-12)
+        << "element " << i;
+    EXPECT_GT(w->round_load(), ResumeWorker::kStepWork + ResumeWorker::kResumeWork)
+        << "element " << i;
+  }
+
+  std::size_t resume_spans = 0;
+  for (const trace::Event& e : tracer.events()) {
+    if (e.kind != trace::Kind::kEntry || e.b != charm::kResumeEntry) continue;
+    EXPECT_EQ(e.a, arr.id());
+    EXPECT_GE(e.end - e.begin, ResumeWorker::kResumeWork - 1e-12);
+    ++resume_spans;
+  }
+  EXPECT_EQ(resume_spans, 8u * 2u) << "one resume span per element per round";
 }
 
 }  // namespace
