@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "lb/load_db.hpp"
+#include "lb_reference.hpp"
 #include "runtime/charm.hpp"
 #include "tram/tram.hpp"
 
@@ -345,16 +346,16 @@ BENCHMARK(BM_TramAggregationFactor)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 // One "round" is what the runtime does between the AtSync barrier and the
 // migration broadcast: refresh every chare's measured load, produce the
 // strategy input, run the strategy, and apply its decisions.  BM_LbAssign_*
-// drives the persistent load database (O(dirty) snapshot + the indexed
-// strategy paths); BM_LbAssignRebuild_* replays the pre-database cost model
-// on the same workload — regroup every chare from the per-PE element tables,
-// canonical-sort them, and hand the strategy an index-less Stats so it takes
-// its from-scratch scan path.  Decisions are bit-identical between the two
-// (the oracle fuzz in tests/features/test_lb_incremental.cpp proves it), so
-// the us_per_round ratio isolates the decision-loop overhead the database
-// removes.  The workload models the paper's persistence principle (§III-A):
-// after a warm-up converges placement, ~1% of loads drift per round and each
-// round's migrations feed back into the next.
+// drives the persistent load database (O(dirty) snapshot + the strategies'
+// one indexed algorithm); BM_LbAssignRebuild_* replays the pre-database cost
+// model on the same workload — regroup every chare from the per-PE element
+// tables, canonical-sort them, and run the from-scratch reference algorithm
+// (tests/lb_reference.hpp) on the result.  Decisions are bit-identical
+// between the two (the oracle fuzz in tests/features/test_lb_incremental.cpp
+// proves it), so the us_per_round ratio isolates the decision-loop overhead
+// the database removes.  The workload models the paper's persistence
+// principle (§III-A): after a warm-up converges placement, ~1% of loads drift
+// per round and each round's migrations feed back into the next.
 
 std::uint64_t lb_mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -438,7 +439,6 @@ void lb_assign_db(benchmark::State& state, const std::string& which) {
 
 void lb_assign_rebuild(benchmark::State& state, const std::string& which) {
   const int n = static_cast<int>(state.range(0));
-  auto strat = lb_make(which);
   std::vector<double> load(static_cast<std::size_t>(n));
   std::vector<int> pe(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -481,8 +481,8 @@ void lb_assign_rebuild(benchmark::State& state, const std::string& which) {
       if (a.idx.a != b.idx.a) return a.idx.a < b.idx.a;
       return a.idx.b < b.idx.b;
     });
-    st.aux = lb::StatsAux{};  // index-less: strategies take the rebuild path
-    const std::vector<lb::Migration> migs = strat->assign(st);
+    const std::vector<lb::Migration> migs =
+        which == "greedy" ? lbref::greedy(st) : lbref::refine(st, 1.05);
     for (const lb::Migration& mg : migs) pe[static_cast<int>(mg.idx.a)] = mg.to;
     ++round;
     return static_cast<std::int64_t>(migs.size());
@@ -507,7 +507,9 @@ BENCHMARK(BM_LbAssignRebuild_Refine)
 }  // namespace
 
 // Like BENCHMARK_MAIN(), but also accepts the figure benches' --smoke flag
-// (mapped to a minimal-time run) so CI can invoke every bench uniformly.
+// (mapped to a minimal-time run) so CI can invoke every bench uniformly, and
+// records charmlike's own CMAKE_BUILD_TYPE as the charmlike_build_type
+// context value (google-benchmark's library_build_type is libbenchmark's).
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   std::string min_time = "--benchmark_min_time=0.01";
@@ -516,6 +518,7 @@ int main(int argc, char** argv) {
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
+  benchmark::AddCustomContext("charmlike_build_type", CHARMLIKE_BUILD_TYPE);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

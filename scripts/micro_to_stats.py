@@ -9,7 +9,10 @@ build type, per-benchmark rates and counters, in the single-line canonical
 byte form the other stats files use.  This converter owns the schema: the
 record's shape (iterations >= 1, times >= 0 in a known unit, numeric
 counters, whole non-negative payload_pool_* counts) is checked before it is
-written, and a malformed record exits 1 without writing.
+written, and a malformed record exits 1 without writing.  So does a run of a
+charmlike build that is not Release: build_type is the charmlike_build_type
+context value micro_runtime records from CMAKE_BUILD_TYPE (google-benchmark's
+own library_build_type is how the system libbenchmark was built).
 
 Gates (each fails with exit 1):
   --gate NAME=RATE  items_per_second below the floor.  CI's floors sit an
@@ -71,7 +74,7 @@ def convert(raw, smoke):
         "context": {
             "num_cpus": ctx.get("num_cpus", 0),
             "mhz_per_cpu": ctx.get("mhz_per_cpu", 0),
-            "build_type": ctx.get("library_build_type", "unknown"),
+            "build_type": ctx.get("charmlike_build_type", "unknown"),
         },
         "benchmarks": benchmarks,
     }
@@ -79,6 +82,9 @@ def convert(raw, smoke):
 
 def shape_errors(doc):
     errors = [] if doc["benchmarks"] else ["no benchmarks"]
+    if doc["context"]["build_type"] != "Release":
+        errors.append(f"build_type {doc['context']['build_type']!r} is not "
+                      f"Release; host timings only count from Release builds")
     for b in doc["benchmarks"]:
         name = b["name"]
         if not isinstance(b.get("iterations"), int) or b["iterations"] < 1:

@@ -13,8 +13,10 @@
 # quotes; validate with `build/tools/statsview check`, inspect or diff with
 # build/tools/statsview.  The micro suite's google-benchmark JSON is converted
 # by scripts/micro_to_stats.py into DIR/BENCH_micro.json, the one record that
-# is NOT byte-deterministic.  scripts/gate.sh regenerates the smoke records
-# and compares them with bench_stats/.
+# is NOT byte-deterministic; a build that is not Release writes no
+# BENCH_micro.json (host timings only count from Release builds).
+# scripts/gate.sh regenerates the smoke records and compares them with
+# bench_stats/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,15 +73,22 @@ for b in build/bench/fig* build/bench/ablation_* build/bench/taskbench \
       micro_*)
         # One micro suite today, so the record keeps the stable name
         # BENCH_micro.json rather than BENCH_${name}.json.
+        raw="$stats_dir/raw_${name}.json"
+        build_type="$(python3 -c 'import json, sys
+print(json.load(open(sys.argv[1]))["context"].get("charmlike_build_type", ""))' "$raw")"
+        if [ "$build_type" != "Release" ]; then
+          echo "### $name: '$build_type' build, not Release: BENCH_micro.json not written"
+          rm -f "$raw"
+          continue
+        fi
         micro_args=()
         if [ "$smoke" -eq 1 ]; then
           micro_args+=(--smoke)
         fi
         rc=0
-        python3 scripts/micro_to_stats.py \
-          "$stats_dir/raw_${name}.json" "$stats_dir/BENCH_micro.json" \
+        python3 scripts/micro_to_stats.py "$raw" "$stats_dir/BENCH_micro.json" \
           ${micro_args[@]+"${micro_args[@]}"} || rc=$?
-        rm -f "$stats_dir/raw_${name}.json"
+        rm -f "$raw"
         if [ "$rc" -ne 0 ]; then
           echo "### FAILED: micro_to_stats.py for $name (exit $rc)" >&2
           exit 1

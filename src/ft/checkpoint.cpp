@@ -101,14 +101,9 @@ std::size_t restart_from_file(Runtime& rt, const std::string& path) {
   for (std::uint64_t i = 0; i < n; ++i) {
     ElementRecord rec;
     u | rec;
-    Collection& c = rt.collection(rec.col);
-    const ChareTypeInfo& info = Registry::instance().type(c.type);
-    if (info.create_default == nullptr)
-      throw std::runtime_error("restart: chare type is not default-constructible");
-    std::unique_ptr<ArrayElementBase> obj(info.create_default());
-    pup::Unpacker eu(rec.bytes);
-    obj->pup(eu);
-    rt.seed_element(rec.col, rec.idx, std::move(obj), rt.home_pe(rec.idx));
+    const ChareTypeId type = rt.collection(rec.col).type;
+    rt.seed_element(rec.col, rec.idx, Registry::instance().unpack_element(type, rec.bytes),
+                    rt.home_pe(rec.idx));
     ++restored;
   }
   return restored;

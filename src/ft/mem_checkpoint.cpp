@@ -250,12 +250,9 @@ void MemCheckpointer::begin_restore() {
       if (epoch_ != ep) return;
       rt_.charge(bytes / params_.pack_bw);  // unpack
       for (const Copy& copy : *store) {
-        Collection& c = rt_.collection(copy.col);
-        const ChareTypeInfo& info = Registry::instance().type(c.type);
-        std::unique_ptr<ArrayElementBase> obj(info.create_default());
-        pup::Unpacker u(copy.bytes);
-        obj->pup(u);
-        rt_.seed_element(copy.col, copy.idx, std::move(obj), pe);
+        const ChareTypeId type = rt_.collection(copy.col).type;
+        rt_.seed_element(copy.col, copy.idx, Registry::instance().unpack_element(type, copy.bytes),
+                         pe);
       }
       finish();
     };

@@ -10,7 +10,8 @@ namespace charm::lb {
 
 namespace {
 
-// Canonical chare order — must match the sort the old collect_stats applied.
+// Canonical chare order — must match the sort of the from-scratch gather
+// (tests/lb_reference.hpp).
 bool key_less(CollectionId ac, const ObjIndex& ai, CollectionId bc, const ObjIndex& bi) {
   if (ac != bc) return ac < bc;
   if (ai.a != bi.a) return ai.a < bi.a;
@@ -476,7 +477,6 @@ Stats LoadDb::snapshot(int target_pes, const SpeedMap& speed) {
   aux.valid = true;
   aux.db_gen = tag ^ snap_gen_;
   aux.total_work = total_work_;
-  aux.max_hosting_pe = pe_.empty() ? -1 : pe_.rbegin()->first;
   if (patch) {
     // changed_ranks_ lists every chare rewritten by this round's flush passes
     // (duplicates are harmless); aux.pes/bucket_off/bucket_ranks only change

@@ -23,10 +23,10 @@
 //    churn is batched and merged (no full re-sort) and the work index is
 //    repaired by merging the re-ranked entries into the surviving run.
 //
-// Bit-identity contract: snapshot() must equal the old collect_stats rebuild
-// byte-for-byte — same chare order, same FP work values, same aggregate
-// accumulation order wherever a strategy can observe it.  The incremental-vs-
-// rebuild oracle fuzz (tests/features/test_lb_incremental.cpp) enforces this.
+// Bit-identity contract: snapshot() must equal the from-scratch gather
+// (tests/lb_reference.hpp) byte-for-byte — same chare order, same FP work
+// values — and its aux block must equal index_of() of the same chares.  The
+// oracle fuzz (tests/features/test_lb_incremental.cpp) enforces this.
 
 #include <array>
 #include <cstdint>

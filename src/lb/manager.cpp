@@ -1,8 +1,6 @@
 #include "lb/manager.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <numeric>
 #include <stdexcept>
 
 #include "lb/distributed.hpp"
@@ -89,47 +87,8 @@ const SpeedMap& Manager::current_speeds() {
   return speeds_;
 }
 
-Stats Manager::collect_stats(int target_pes) {
+Stats Manager::snapshot_stats(int target_pes) {
   return db_.snapshot(target_pes, current_speeds());
-}
-
-Stats Manager::snapshot_stats(int target_pes) { return collect_stats(target_pes); }
-
-Stats Manager::rebuild_stats(int target_pes) const {
-  Stats s;
-  s.npes = target_pes;
-  // Untouched PEs read as frequency 1.0 — the SpeedMap default — so a
-  // touched-only walk sees every non-default speed without a dense O(P)
-  // vector.
-  const sim::Machine& m = rt_.machine();
-  m.for_each_touched_pe([&](int pe, const sim::Pe& p) {
-    if (p.freq() != 1.0) s.pe_speed.set(pe, p.freq());
-  });
-  s.chares.reserve(static_cast<std::size_t>(registered_total()));
-  for (CollectionId col : cols_) {
-    Collection& c = rt_.collection(col);
-    c.pe.for_each_touched([&](std::size_t pe, PeLocal& pl) {
-      for (auto& [ix, obj] : pl.elems) {
-        ChareInfo info;
-        info.col = col;
-        info.idx = ix;
-        info.pe = static_cast<int>(pe);
-        // Measured load is in virtual seconds on the source PE; normalize
-        // back to work units so strategies can predict times on other PEs.
-        info.work = obj->lb_round_load_ * s.pe_speed[pe];
-        info.migratable = obj->migratable_ && c.migratable;
-        info.coords = obj->lb_coords();
-        s.chares.push_back(info);
-      }
-    });
-  }
-  // Deterministic order regardless of hash-map iteration details.
-  std::sort(s.chares.begin(), s.chares.end(), [](const ChareInfo& a, const ChareInfo& b) {
-    if (a.col != b.col) return a.col < b.col;
-    if (a.idx.a != b.idx.a) return a.idx.a < b.idx.a;
-    return a.idx.b < b.idx.b;
-  });
-  return s;
 }
 
 void Manager::round_complete() {
@@ -188,7 +147,7 @@ void Manager::round_complete() {
 }
 
 void Manager::run_central(int target_pes) {
-  Stats stats = collect_stats(target_pes);
+  Stats stats = snapshot_stats(target_pes);
   const auto& net = rt_.machine().network().params();
   const double gather_bytes = static_cast<double>(stats.chares.size()) * kStatsBytesPerChare;
   const double gather_delay = rt_.tree_wave_latency() + gather_bytes / net.bandwidth;
@@ -212,7 +171,7 @@ void Manager::run_central(int target_pes) {
 }
 
 void Manager::run_distributed() {
-  Stats stats = collect_stats(rt_.active_pes());
+  Stats stats = snapshot_stats(rt_.active_pes());
   // One allreduce gives every PE the average load; decisions are then local.
   const double allreduce_delay = 2.0 * rt_.tree_wave_latency();
   rt_.after(0, allreduce_delay, [this, stats = std::move(stats)]() mutable {

@@ -91,12 +91,9 @@ class Manager {
   /// resets to collecting and lets the replayed elements sync afresh.
   void reset_round_state();
 
-  /// Strategy input from the maintained database (O(dirty)); exposed for the
-  /// incremental-vs-rebuild oracle tests and benchmarks.
+  /// Strategy input from the maintained database (O(dirty)): what every
+  /// central or distributed round reads.
   Stats snapshot_stats(int target_pes);
-  /// The old from-scratch gather (walk every touched PE, sort), kept as the
-  /// reference the database snapshot must match bit-for-bit.
-  Stats rebuild_stats(int target_pes) const;
 
   const LoadDb::Counters& db_counters() const { return db_.counters(); }
 
@@ -112,7 +109,6 @@ class Manager {
   void run_distributed();
   void begin_migrations(const std::vector<Migration>& migs);
   void resume_all(double extra_delay);
-  Stats collect_stats(int target_pes);
   std::int64_t registered_total() const;
   bool tracked(CollectionId col) const {
     return static_cast<std::size_t>(col) < tracked_.size() && tracked_[static_cast<std::size_t>(col)];

@@ -3,17 +3,15 @@
 // completion of PE p is sum(work)/speed[p], so they remain correct under DVFS
 // and heterogeneous clouds.
 //
-// Every strategy has two equivalent paths (DESIGN.md §13):
-//  - a *rebuild* path: the original from-scratch algorithm, kept verbatim, used
-//    for hand-built Stats (aux.valid == false) and whenever a chare is hosted
-//    outside [0, npes) (shrink rounds, where the old clamping semantics apply);
-//  - an *indexed* path consuming the load database's maintained aggregates
-//    (per-PE completion sums, per-PE chare buckets, the work-order index).
-// The two paths must pick bit-identical migrations: same FP accumulation
-// order wherever a sum feeds a comparison, and the same tie-breaks (the old
-// max_element/min_element keep the first — i.e. lowest-PE — extremum, so the
-// indexed heaps order ties toward the smaller PE).  test_lb_incremental fuzzes
-// this equivalence.
+// Each strategy has one algorithm (DESIGN.md §13).  It reads the Stats'
+// index (per-PE completion sums, per-PE chare buckets, the work-order index):
+// the load database's maintained one for a snapshot, or index_of's
+// from-scratch one for a hand-built Stats.  Decisions are bit-identical to
+// the pre-database from-scratch algorithms, which tests/lb_reference.hpp
+// keeps as the oracle: same FP accumulation order wherever a sum feeds a
+// comparison, and the same tie-breaks (the old max_element/min_element keep
+// the first — i.e. lowest-PE — extremum, so the heaps order ties toward the
+// smaller PE).  test_lb_incremental fuzzes this equivalence.
 
 #include "lb/strategy.hpp"
 
@@ -22,7 +20,6 @@
 #include <map>
 #include <numeric>
 #include <queue>
-#include <set>
 
 #include "sim/rng.hpp"
 
@@ -68,44 +65,49 @@ double SpeedMap::sum_first(int npes) const {
   return acc;
 }
 
+StatsAux index_of(const Stats& s) {
+  StatsAux aux;
+  aux.valid = true;
+  for (const ChareInfo& c : s.chares) aux.total_work += c.work;
+  const auto n = static_cast<std::uint32_t>(s.chares.size());
+  aux.bucket_ranks.resize(n);
+  std::iota(aux.bucket_ranks.begin(), aux.bucket_ranks.end(), 0u);
+  std::stable_sort(aux.bucket_ranks.begin(), aux.bucket_ranks.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return s.chares[a].pe < s.chares[b].pe;
+                   });
+  double speed = 1.0;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const ChareInfo& c = s.chares[aux.bucket_ranks[k]];
+    if (aux.pes.empty() || aux.pes.back() != c.pe) {
+      aux.pes.push_back(c.pe);
+      aux.bucket_off.push_back(k);
+      aux.done_all.push_back(0.0);
+      aux.done_nonmig.push_back(0.0);
+      speed = s.pe_speed[static_cast<std::size_t>(c.pe)];
+    }
+    aux.done_all.back() += c.work / speed;
+    if (!c.migratable) aux.done_nonmig.back() += c.work / speed;
+  }
+  aux.bucket_off.push_back(n);
+  for (std::uint32_t r = 0; r < n; ++r)
+    if (s.chares[r].migratable) aux.desc_by_work.push_back(r);
+  std::sort(aux.desc_by_work.begin(), aux.desc_by_work.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              if (s.chares[a].work != s.chares[b].work) return s.chares[a].work > s.chares[b].work;
+              return a < b;  // deterministic tie-break
+            });
+  return aux;
+}
+
 namespace {
 
-bool indexed_ok(const Stats& s) {
-  // The indexed aggregates assume no hosting PE needs the old
-  // `min(c.pe, npes - 1)` clamp; shrink rounds take the rebuild path.
-  return s.aux.valid && s.npes >= 1 && s.aux.max_hosting_pe < s.npes;
-}
-
-std::vector<std::size_t> migratable_by_desc_work(const Stats& s) {
-  if (s.aux.valid)  // maintained (work desc, rank asc) index — same sequence
-    return {s.aux.desc_by_work.begin(), s.aux.desc_by_work.end()};
-  std::vector<std::size_t> ids;
-  ids.reserve(s.chares.size());
-  for (std::size_t i = 0; i < s.chares.size(); ++i)
-    if (s.chares[i].migratable) ids.push_back(i);
-  std::sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
-    if (s.chares[a].work != s.chares[b].work) return s.chares[a].work > s.chares[b].work;
-    return a < b;  // deterministic tie-break
-  });
-  return ids;
-}
-
-std::vector<double> base_completion(const Stats& s) {
-  // Completion contributed by non-migratable chares (they stay put).
-  std::vector<double> done(static_cast<std::size_t>(s.npes), 0.0);
-  if (indexed_ok(s)) {
-    // Per-PE sums maintained in bucket order; a PE's partial sums see exactly
-    // the same addend sequence as the interleaved loop below, so the scatter
-    // is bit-identical.
-    for (std::size_t k = 0; k < s.aux.pes.size(); ++k)
-      done[static_cast<std::size_t>(s.aux.pes[k])] = s.aux.done_nonmig[k];
-    return done;
-  }
-  for (const ChareInfo& c : s.chares) {
-    if (!c.migratable && c.pe < s.npes)
-      done[static_cast<std::size_t>(c.pe)] += c.work / s.pe_speed[static_cast<std::size_t>(c.pe)];
-  }
-  return done;
+/// The snapshot's own index, or one built from scratch into `scratch` for a
+/// hand-built Stats.
+const StatsAux& indexed(const Stats& s, StatsAux& scratch) {
+  if (s.aux.valid) return s.aux;
+  scratch = index_of(s);
+  return scratch;
 }
 
 std::vector<Migration> to_migrations(const Stats& s, const std::vector<int>& target) {
@@ -171,12 +173,19 @@ class GreedyLB final : public Strategy {
  public:
   std::string name() const override { return "GreedyLB"; }
   std::vector<Migration> assign(const Stats& s) override {
+    StatsAux scratch;
+    const StatsAux& aux = indexed(s, scratch);
+    // Completion contributed by non-migratable chares (they stay put); a
+    // shrink round leaves out those hosted at or above npes.
+    std::vector<double> done(static_cast<std::size_t>(s.npes), 0.0);
+    for (std::size_t k = 0; k < aux.pes.size(); ++k)
+      if (aux.pes[k] < s.npes) done[static_cast<std::size_t>(aux.pes[k])] = aux.done_nonmig[k];
     std::vector<int> pes(static_cast<std::size_t>(s.npes));
     std::iota(pes.begin(), pes.end(), 0);
-    MinCompletionAssigner assigner(s, pes, base_completion(s));
+    MinCompletionAssigner assigner(s, pes, std::move(done));
     std::vector<int> target(s.chares.size());
     for (std::size_t i = 0; i < s.chares.size(); ++i) target[i] = s.chares[i].pe;
-    for (std::size_t i : migratable_by_desc_work(s)) target[i] = assigner.place(s.chares[i].work);
+    for (std::uint32_t i : aux.desc_by_work) target[i] = assigner.place(s.chares[i].work);
     return to_migrations(s, target);
   }
 };
@@ -187,92 +196,57 @@ class RefineLB final : public Strategy {
   std::string name() const override { return "RefineLB"; }
 
   std::vector<Migration> assign(const Stats& s) override {
-    if (indexed_ok(s)) return assign_indexed(s);
-    return assign_rebuild(s);
-  }
-
- private:
-  // Original from-scratch algorithm, kept verbatim as the reference the
-  // indexed path must match bit-for-bit (and as the shrink-round fallback).
-  std::vector<Migration> assign_rebuild(const Stats& s) {
-    const auto n = static_cast<std::size_t>(s.npes);
-    std::vector<double> done(n, 0.0);
+    StatsAux scratch;
+    const StatsAux& aux = indexed(s, scratch);
+    if (aux.pes.empty() || aux.pes.back() < s.npes) {
+      std::vector<Migration> out;
+      for (const auto& [rank, to] : refine(s, aux)) {
+        const ChareInfo& c = s.chares[rank];
+        if (to != c.pe) out.push_back(Migration{c.col, c.idx, c.pe, to});
+      }
+      return out;
+    }
+    // Shrink round: a chare hosted at or above npes counts toward PE npes-1
+    // and is moved there unless refinement picks it for another PE.
+    Stats clamped{s.npes, s.pe_speed, s.chares, {}};
+    for (ChareInfo& c : clamped.chares) c.pe = std::min(c.pe, s.npes - 1);
+    clamped.aux = index_of(clamped);
     std::vector<int> target(s.chares.size());
-    std::vector<std::vector<std::size_t>> on_pe(n);
-    double total_work = 0;
-    for (std::size_t i = 0; i < s.chares.size(); ++i) {
-      const ChareInfo& c = s.chares[i];
-      const int pe = std::min(c.pe, s.npes - 1);
-      target[i] = pe;
-      done[static_cast<std::size_t>(pe)] += c.work / s.pe_speed[static_cast<std::size_t>(pe)];
-      if (c.migratable) on_pe[static_cast<std::size_t>(pe)].push_back(i);
-      total_work += c.work;
-    }
-    const double total_speed = s.pe_speed.sum_first(s.npes);
-    const double target_time = total_work / total_speed;
-
-    for (int iter = 0; iter < 8 * s.npes; ++iter) {
-      const auto hot = static_cast<std::size_t>(
-          std::max_element(done.begin(), done.end()) - done.begin());
-      const auto cold = static_cast<std::size_t>(
-          std::min_element(done.begin(), done.end()) - done.begin());
-      if (done[hot] <= target_time * tol_) break;
-      // Move the largest chare that fits without overshooting the target.
-      std::size_t pick = s.chares.size();
-      double pick_work = -1;
-      for (std::size_t i : on_pe[hot]) {
-        const double w = s.chares[i].work;
-        if (done[cold] + w / s.pe_speed[cold] <= target_time * tol_ && w > pick_work) {
-          pick = i;
-          pick_work = w;
-        }
-      }
-      if (pick == s.chares.size()) {
-        // Nothing fits under the cap; move the smallest to make progress.
-        for (std::size_t i : on_pe[hot])
-          if (pick == s.chares.size() || s.chares[i].work < pick_work ||
-              pick_work < 0) {
-            pick = i;
-            pick_work = s.chares[i].work;
-          }
-        if (pick == s.chares.size()) break;
-      }
-      on_pe[hot].erase(std::find(on_pe[hot].begin(), on_pe[hot].end(), pick));
-      on_pe[cold].push_back(pick);
-      done[hot] -= pick_work / s.pe_speed[hot];
-      done[cold] += pick_work / s.pe_speed[cold];
-      target[pick] = static_cast<int>(cold);
-    }
+    for (std::size_t i = 0; i < s.chares.size(); ++i) target[i] = clamped.chares[i].pe;
+    for (const auto& [rank, to] : refine(clamped, clamped.aux)) target[rank] = to;
     return to_migrations(s, target);
   }
 
-  // Indexed path over the maintained aggregates: lazy min/max completion
-  // heaps instead of per-iteration O(P) extremum scans, and sorted per-PE
-  // bucket views (materialized only for PEs the loop actually touches)
-  // instead of linear fit scans + erase(find).
+ private:
+  // Refinement over the index: lazy min/max completion heaps instead of
+  // per-iteration O(P) extremum scans, and sorted per-PE bucket views
+  // (materialized only for PEs the loop actually touches) instead of linear
+  // fit scans + erase(find).  Returns the moved chares' (rank, final PE),
+  // rank ascending; every host must be below npes.
   //
-  // Equivalence notes (the fuzz oracle pins all of these):
-  //  - done[] starts from the maintained per-PE sums, which accumulate each
-  //    PE's own chares in the same (canonical) order the rebuild loop visits
+  // Equivalence with the from-scratch algorithm (tests/lb_reference.hpp,
+  // pinned by the fuzz oracle):
+  //  - done[] starts from the per-PE sums, which accumulate each PE's own
+  //    chares in the same (canonical) order the from-scratch loop visits
   //    them, so every entry is bit-identical.
   //  - the heaps break value-ties toward the smaller PE, matching
   //    max_element/min_element returning the first extremum.
   //  - a view is sorted by (work desc, arrival asc) where arrival is the
-  //    chare's position in the rebuild path's per-PE list (canonical rank for
+  //    chare's position in the from-scratch per-PE list (canonical rank for
   //    initial members, a global counter for chares moved in later).  "Largest
   //    fitting, first in list among ties" is then the first element of the
   //    fitting suffix — found by partition_point, valid because the fit
   //    predicate done + w/speed <= cap is monotone in w even in FP — and
   //    "smallest, first in list among ties" is the first element of the
   //    minimal-work tail block.
-  //  - the done[] update arithmetic is token-identical to the rebuild path.
-  std::vector<Migration> assign_indexed(const Stats& s) {
+  //  - the done[] update arithmetic is token-identical to the from-scratch loop.
+  std::vector<std::pair<std::uint32_t, int>> refine(const Stats& s, const StatsAux& aux) {
     const auto n = static_cast<std::size_t>(s.npes);
     std::vector<double> done(n, 0.0);
-    for (std::size_t k = 0; k < s.aux.pes.size(); ++k)
-      done[static_cast<std::size_t>(s.aux.pes[k])] = s.aux.done_all[k];
+    for (std::size_t k = 0; k < aux.pes.size(); ++k)
+      done[static_cast<std::size_t>(aux.pes[k])] = aux.done_all[k];
     const double total_speed = s.pe_speed.sum_first(s.npes);
-    const double target_time = s.aux.total_work / total_speed;
+    const double target_time = aux.total_work / total_speed;
 
     struct Entry {
       double work;
@@ -290,10 +264,10 @@ class RefineLB final : public Strategy {
     std::vector<char> built(n, 0);
     std::uint64_t arrival_counter = s.chares.size();
     auto bucket_of = [&](int pe) -> std::pair<std::uint32_t, std::uint32_t> {
-      const auto it = std::lower_bound(s.aux.pes.begin(), s.aux.pes.end(), pe);
-      if (it == s.aux.pes.end() || *it != pe) return {0, 0};
-      const auto k = static_cast<std::size_t>(it - s.aux.pes.begin());
-      return {s.aux.bucket_off[k], s.aux.bucket_off[k + 1]};
+      const auto it = std::lower_bound(aux.pes.begin(), aux.pes.end(), pe);
+      if (it == aux.pes.end() || *it != pe) return {0, 0};
+      const auto k = static_cast<std::size_t>(it - aux.pes.begin());
+      return {aux.bucket_off[k], aux.bucket_off[k + 1]};
     };
     auto ensure_view = [&](std::size_t pe) -> std::vector<Entry>& {
       std::vector<Entry>& v = view[pe];
@@ -302,7 +276,7 @@ class RefineLB final : public Strategy {
         const auto [b, e] = bucket_of(static_cast<int>(pe));
         v.reserve((e - b) + extras[pe].size());
         for (std::uint32_t k = b; k < e; ++k) {
-          const std::uint32_t r = s.aux.bucket_ranks[k];
+          const std::uint32_t r = aux.bucket_ranks[k];
           if (s.chares[r].migratable) v.push_back({s.chares[r].work, r, r});
         }
         std::sort(v.begin(), v.end(), before);
@@ -382,13 +356,7 @@ class RefineLB final : public Strategy {
     }
 
     std::sort(moves.begin(), moves.end());
-    std::vector<Migration> out;
-    out.reserve(moves.size());
-    for (const auto& [rank, to] : moves) {
-      const ChareInfo& c = s.chares[rank];
-      if (to != c.pe) out.push_back(Migration{c.col, c.idx, c.pe, to});
-    }
-    return out;
+    return moves;
   }
 
   double tol_;
@@ -417,11 +385,12 @@ class HybridLB final : public Strategy {
         group_done[static_cast<std::size_t>(group_of(std::min(c.pe, s.npes - 1)))] +=
             c.work / group_speed[static_cast<std::size_t>(group_of(std::min(c.pe, s.npes - 1)))];
 
-    const std::vector<std::size_t> order = migratable_by_desc_work(s);
+    StatsAux scratch;
+    const std::vector<std::uint32_t>& order = indexed(s, scratch).desc_by_work;
     std::vector<int> chare_group(s.chares.size());
     for (std::size_t i = 0; i < s.chares.size(); ++i)
       chare_group[i] = group_of(std::min(s.chares[i].pe, s.npes - 1));
-    for (std::size_t i : order) {
+    for (std::uint32_t i : order) {
       int best = 0;
       double best_t = 0;
       for (int g = 0; g < ngroups; ++g) {
@@ -454,7 +423,7 @@ class HybridLB final : public Strategy {
           done[static_cast<std::size_t>(c.pe)] +=
               c.work / s.pe_speed[static_cast<std::size_t>(c.pe)];
       MinCompletionAssigner assigner(s, pes, done);
-      for (std::size_t i : order)
+      for (std::uint32_t i : order)
         if (chare_group[i] == g) target[i] = assigner.place(s.chares[i].work);
     }
     return to_migrations(s, target);

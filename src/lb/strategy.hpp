@@ -82,16 +82,15 @@ class SpeedMap {
   std::vector<std::pair<int, double>> entries_;  ///< (pe, speed != 1.0), pe ascending
 };
 
-/// Incrementally-maintained auxiliary indexes the load database attaches to a
-/// snapshot (DESIGN.md §13).  Value-copied with the Stats, so a strategy
-/// running after the modeled gather delay never references live DB storage.
-/// Hand-built Stats (tests, gossip replays) leave `valid` false and the
-/// strategies fall back to their from-scratch rebuild paths — which are the
-/// pre-database algorithms kept verbatim, so both paths decide identically.
+/// The index every strategy reads (DESIGN.md §13).  The load database
+/// maintains it incrementally and attaches it to each snapshot.  A hand-built
+/// Stats (tests, gossip replays) leaves `valid` false, and the strategies
+/// index it from scratch with index_of.  Value-copied with the Stats, so a
+/// strategy running after the modeled gather delay never references live DB
+/// storage.
 struct StatsAux {
   bool valid = false;
   double total_work = 0;       ///< canonical-order left-fold over all chares
-  int max_hosting_pe = -1;     ///< largest PE hosting a chare (reconfig guard)
   /// Database snapshot generation (internal).  LoadDb::recycle uses it to
   /// prove a returned buffer is last round's snapshot, in which case the next
   /// snapshot patches only the chares that changed instead of re-copying all
@@ -106,11 +105,16 @@ struct StatsAux {
 };
 
 struct Stats {
-  int npes = 0;        ///< active PEs (assignment targets are 0..npes-1)
+  int npes = 0;        ///< active PEs (assignment targets are 0..npes-1), >= 1
   SpeedMap pe_speed;   ///< frequency scale per PE (sparse, default 1.0)
   std::vector<ChareInfo> chares;  ///< canonical (col, idx) order
-  StatsAux aux;        ///< maintained indexes; invalid for hand-built Stats
+  StatsAux aux;        ///< maintained index; invalid for hand-built Stats
 };
+
+/// Builds `s`'s index from its chare list alone, in the same fold orders the
+/// load database maintains (so the result equals a snapshot's aux block,
+/// except for db_gen).
+StatsAux index_of(const Stats& s);
 
 struct Migration {
   CollectionId col = -1;
@@ -128,14 +132,13 @@ class Strategy {
 
 /// Sort chares by descending work; assign each to the PE with the earliest
 /// predicted completion time (work/speed).  O(n log n), ignores current
-/// placement (may migrate heavily).  With a valid aux block the maintained
-/// work-order index replaces the sort.
+/// placement (may migrate heavily); the work-order index replaces the sort.
 std::unique_ptr<Strategy> make_greedy();
 
 /// Moves chares off overloaded PEs onto underloaded ones until the predicted
-/// max is within `tolerance` of the mean; minimizes migrations.  With a valid
-/// aux block a round costs O(moved log P) over indexed completion heaps
-/// instead of O(8 P · objects) full scans.
+/// max is within `tolerance` of the mean; minimizes migrations.  Over a
+/// snapshot's index a round costs O(moved log P) on completion heaps instead
+/// of O(8 P · objects) full scans.
 std::unique_ptr<Strategy> make_refine(double tolerance = 1.05);
 
 /// Two-level hierarchical scheme (HybridLB in the paper): PEs are split into

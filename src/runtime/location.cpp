@@ -8,7 +8,6 @@
 // the "departed" and "arrived" control messages; a per-element epoch makes the
 // protocol robust to control-message reordering.
 
-#include <cassert>
 #include <utility>
 
 #include "lb/manager.hpp"
@@ -150,12 +149,7 @@ void Runtime::perform_migration(CollectionId col, ObjIndex idx, int to_pe) {
     const ChareTypeId type = c.type;
     auto payload = std::make_shared<std::vector<std::byte>>(std::move(data));
     send_control(to_pe, bytes, [this, col, idx, to_pe, epoch, type, unpack_cost, payload] {
-      const ChareTypeInfo& info = Registry::instance().type(type);
-      assert(info.create_default != nullptr &&
-             "migratable chares must be default-constructible");
-      std::unique_ptr<ArrayElementBase> fresh(info.create_default());
-      pup::Unpacker u(*payload);
-      fresh->pup(u);
+      std::unique_ptr<ArrayElementBase> fresh = Registry::instance().unpack_element(type, *payload);
       charge(unpack_cost);
       install_element(col, idx, std::move(fresh), to_pe, epoch, /*migrated=*/true);
     });

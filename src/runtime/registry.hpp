@@ -6,9 +6,12 @@
 // stable EntryId and registers a type-erased invoker that unpacks the argument
 // with PUP and calls the member function.
 
+#include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 #include "pup/pup.hpp"
@@ -56,6 +59,7 @@ struct ChareTypeInfo {
   /// Default-construct an instance (used to rebuild migrated / restored
   /// elements before unpacking their state); null when not available.
   ArrayElementBase* (*create_default)() = nullptr;
+  const char* name = "";  ///< typeid name, for error messages
 };
 
 class Registry {
@@ -110,6 +114,11 @@ class Registry {
   const ChareTypeInfo& type(ChareTypeId id) const {
     return types_.at(static_cast<std::size_t>(id));
   }
+  /// Rebuilds a migrated or restored element from its packed state:
+  /// default-construct, then pup from `bytes`.  Throws std::logic_error
+  /// naming the chare type when it has no default constructor.
+  std::unique_ptr<ArrayElementBase> unpack_element(ChareTypeId id,
+                                                   const std::vector<std::byte>& bytes) const;
 
  private:
   template <auto Mfp>
@@ -141,6 +150,7 @@ class Registry {
   template <class C>
   static ChareTypeInfo make_type_info() {
     ChareTypeInfo info;
+    info.name = typeid(C).name();
     if constexpr (std::is_default_constructible_v<C>) {
       info.create_default = []() -> ArrayElementBase* { return new C(); };
     }

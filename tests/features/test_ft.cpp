@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "ft/checkpoint.hpp"
@@ -168,6 +169,38 @@ TEST(MemCheckpoint, CheckpointAndRecoverFromFailure) {
   h.rt.on_pe(0, [&] { arr.broadcast<&Cell::work>(Msg{1}); });
   h.machine.run();
   EXPECT_EQ(find_cell(h.rt, arr.id(), 7)->steps, 6);
+}
+
+/// Seeded with a value; no default constructor, so it can never be rebuilt
+/// from packed state.
+class NoDefaultCell : public charm::ArrayElement<NoDefaultCell, std::int32_t> {
+ public:
+  explicit NoDefaultCell(int v) : v_(v) {}
+  void pup(pup::Er& p) override {
+    ArrayElementBase::pup(p);
+    p | v_;
+  }
+
+ private:
+  int v_;
+};
+
+TEST(MemCheckpoint, RestoringTypeWithoutDefaultConstructorThrows) {
+  Harness h(4);
+  auto arr = ArrayProxy<NoDefaultCell>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % 4, i);
+  ft::MemCheckpointer ckpt(h.rt);
+  h.rt.on_pe(0, [&] {
+    ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
+      ckpt.fail_and_recover(2, Callback::to_function([](ReductionResult&&) {}));
+    }));
+  });
+  try {
+    h.machine.run();
+    FAIL() << "restoring a type without a default constructor did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("NoDefaultCell"), std::string::npos) << e.what();
+  }
 }
 
 TEST(MemCheckpoint, VictimElementsRestoredFromBuddy) {

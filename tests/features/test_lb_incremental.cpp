@@ -1,9 +1,10 @@
 // Incremental LB decision loop oracles (DESIGN.md §13).
 //
-// The load database must stay bit-identical to a from-scratch rebuild after
+// The load database must stay bit-identical to a from-scratch gather after
 // ANY churn sequence — load updates, migrations, dynamic insert/destroy,
-// checkpoint-restore sweeps and shrink/expand — and the indexed strategy
-// paths must pick exactly the migrations the pre-database algorithms pick.
+// checkpoint-restore sweeps and shrink/expand — and every strategy must pick
+// exactly the migrations the pre-database algorithms in lb_reference.hpp
+// pick, from a snapshot's maintained index and from index_of's.
 // Everything here compares with ==, never with tolerances: the contract is
 // byte-stability of every checked-in benchmark figure.
 
@@ -12,7 +13,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "lb/load_db.hpp"
 #include "runtime/charm.hpp"
 
+#include "lb_reference.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -78,8 +82,7 @@ std::uint64_t mix(std::uint64_t x) {  // splitmix64
 
 /// Recomputes every aux field from the chare list alone (same fold orders the
 /// database uses) and compares exactly.
-void expect_aux_consistent(const lb::Stats& st) {
-  const lb::StatsAux& aux = st.aux;
+void expect_index_matches_fold(const lb::Stats& st, const lb::StatsAux& aux) {
   ASSERT_TRUE(aux.valid);
 
   std::vector<int> pes;
@@ -87,7 +90,6 @@ void expect_aux_consistent(const lb::Stats& st) {
   std::sort(pes.begin(), pes.end());
   pes.erase(std::unique(pes.begin(), pes.end()), pes.end());
   EXPECT_EQ(aux.pes, pes);
-  EXPECT_EQ(aux.max_hosting_pe, pes.empty() ? -1 : pes.back());
 
   double total = 0.0;
   for (const auto& c : st.chares) total += c.work;
@@ -125,21 +127,34 @@ void expect_aux_consistent(const lb::Stats& st) {
   EXPECT_EQ(aux.desc_by_work, desc);
 }
 
-/// Every strategy must decide identically from the indexed snapshot and from
-/// the same chare list with the aux block cleared (the pre-database rebuild
-/// algorithms, kept verbatim).
-void expect_same_decisions(const lb::Stats& st) {
-  lb::Stats cleared = st;
-  cleared.aux = lb::StatsAux{};
-  const auto check = [&](const char* name, auto factory, auto... args) {
-    const std::vector<lb::Migration> fast = factory(args...)->assign(st);
-    const std::vector<lb::Migration> slow = factory(args...)->assign(cleared);
-    EXPECT_TRUE(migs_equal(fast, slow)) << "strategy " << name;
+/// Both the Stats' own index and the one lb::index_of builds match the fold.
+void expect_aux_consistent(const lb::Stats& st) {
+  expect_index_matches_fold(st, st.aux);
+  SCOPED_TRACE("index_of");
+  expect_index_matches_fold(st, lb::index_of(st));
+}
+
+/// Every strategy must decide exactly as its pre-database algorithm in
+/// lb_reference.hpp, both from the Stats' own index and from the same chare
+/// list with the index cleared (a hand-built Stats, indexed by index_of).
+void expect_reference_decisions(const lb::Stats& st) {
+  lb::Stats hand = st;
+  hand.aux = lb::StatsAux{};
+  const auto check = [&](const char* name, std::unique_ptr<lb::Strategy> strat,
+                         const std::vector<lb::Migration>& want) {
+    EXPECT_TRUE(migs_equal(strat->assign(st), want)) << "strategy " << name;
+    EXPECT_TRUE(migs_equal(strat->assign(hand), want)) << "strategy " << name << ", hand-built";
   };
-  check("greedy", [] { return lb::make_greedy(); });
-  check("refine(1.05)", [](double t) { return lb::make_refine(t); }, 1.05);
-  check("refine(1.4)", [](double t) { return lb::make_refine(t); }, 1.4);
-  check("hybrid", [] { return lb::make_hybrid(); });
+  check("greedy", lb::make_greedy(), lbref::greedy(st));
+  check("refine(1.05)", lb::make_refine(1.05), lbref::refine(st, 1.05));
+  check("refine(1.4)", lb::make_refine(1.4), lbref::refine(st, 1.4));
+  check("hybrid", lb::make_hybrid(), lbref::hybrid(st));
+}
+
+/// True when some chare is hosted at or above `st.npes` (a shrink round).
+bool hosts_beyond_npes(const lb::Stats& st) {
+  return std::any_of(st.chares.begin(), st.chares.end(),
+                     [&](const lb::ChareInfo& c) { return c.pe >= st.npes; });
 }
 
 // ---- SpeedMap exactness ------------------------------------------------------
@@ -226,6 +241,7 @@ void run_churn_fuzz(std::uint64_t seed) {
   std::map<int, double> speeds;
   std::uint64_t key = 0;
   std::uint64_t ctr = 0;
+  int shrink_rounds = 0;
   const auto rnd = [&] { return mix(seed ^ ++ctr); };
   // Dyadic loads (k/256) keep every per-PE sum exact, so the shadow model can
   // compare round aggregates with == regardless of accumulation order.
@@ -305,7 +321,8 @@ void run_churn_fuzz(std::uint64_t seed) {
     EXPECT_TRUE(st.pe_speed == sp);
     EXPECT_EQ(st.npes, npes);
     expect_aux_consistent(st);
-    expect_same_decisions(st);
+    expect_reference_decisions(st);
+    if (hosts_beyond_npes(st)) ++shrink_rounds;
 
     if (round % 7 == 3) {  // snapshots with no intervening churn are idempotent
       const lb::Stats st_copy = st;
@@ -329,6 +346,7 @@ void run_churn_fuzz(std::uint64_t seed) {
   EXPECT_GT(db.counters().dirty_flushed, 0);
   EXPECT_GT(db.counters().patched_copies, 0)
       << "steady rounds should have exercised the patched-copy path";
+  EXPECT_GT(shrink_rounds, 0) << "some rounds should have npes below a hosting PE";
 }
 
 TEST(LoadDbFuzz, ChurnMatchesRebuildBitwise) {
@@ -343,7 +361,7 @@ TEST(LoadDbFuzz, EmptyAndRefilledDatabase) {
   const lb::SpeedMap sp;
   lb::Stats st = db.snapshot(4, sp);
   EXPECT_TRUE(st.chares.empty());
-  EXPECT_EQ(st.aux.max_hosting_pe, -1);
+  EXPECT_TRUE(st.aux.pes.empty());
   EXPECT_EQ(st.aux.total_work, 0.0);
   const auto agg0 = db.round_aggregates(4, sp);
   EXPECT_EQ(agg0.max_load, 0.0);
@@ -433,14 +451,14 @@ class ChurnWorkerT : public charm::ArrayElement<ChurnWorkerT<SelfMigrate>, std::
 using MigWorker = ChurnWorkerT<true>;
 using SteadyWorker = ChurnWorkerT<false>;
 
-void expect_snapshot_matches_rebuild(Runtime& rt) {
+void expect_snapshot_matches_reference(Runtime& rt, CollectionId col) {
   lb::Stats snap = rt.lb().snapshot_stats(rt.active_pes());
-  const lb::Stats reb = rt.lb().rebuild_stats(rt.active_pes());
-  EXPECT_EQ(snap.npes, reb.npes);
-  EXPECT_TRUE(snap.pe_speed == reb.pe_speed);
-  ASSERT_TRUE(chares_equal(snap.chares, reb.chares));
+  const lb::Stats ref = lbref::rebuild_stats(rt, {col}, rt.active_pes());
+  EXPECT_EQ(snap.npes, ref.npes);
+  EXPECT_TRUE(snap.pe_speed == ref.pe_speed);
+  ASSERT_TRUE(chares_equal(snap.chares, ref.chares));
   expect_aux_consistent(snap);
-  expect_same_decisions(snap);
+  expect_reference_decisions(snap);
 }
 
 TEST(IncrementalOracle, SelfMigrationChurnMatchesRebuild) {
@@ -454,7 +472,7 @@ TEST(IncrementalOracle, SelfMigrationChurnMatchesRebuild) {
   // The advisor runs at the round barrier — every element synced, nothing
   // migrating — which is exactly where snapshot and rebuild must agree.
   h.rt.lb().set_advisor([&](const std::vector<lb::RoundInfo>&, const lb::RoundInfo&) {
-    expect_snapshot_matches_rebuild(h.rt);
+    expect_snapshot_matches_reference(h.rt, arr.id());
     ++checks;
     return false;
   });
@@ -477,7 +495,7 @@ TEST(IncrementalOracle, StrategyRoundsKeepDatabaseConsistent) {
   h.rt.lb().set_strategy(lb::make_refine(1.05));
   int checks = 0;
   h.rt.lb().set_advisor([&](const std::vector<lb::RoundInfo>&, const lb::RoundInfo& cur) {
-    expect_snapshot_matches_rebuild(h.rt);
+    expect_snapshot_matches_reference(h.rt, arr.id());
     ++checks;
     return cur.round % 2 == 0;  // balance every other round
   });
@@ -555,12 +573,12 @@ TEST(IncrementalOracle, InsertDestroyChurnMatchesRebuild) {
   h.rt.on_pe(0, [&] { arr.broadcast<&DynWorker::prime>(PhaseMsg{}); });
   h.machine.run();
   EXPECT_EQ(h.rt.lb().rounds_completed(), 1);
-  expect_snapshot_matches_rebuild(h.rt);
+  expect_snapshot_matches_reference(h.rt, arr.id());
   for (int phase = 0; phase < 6; ++phase) {
     SCOPED_TRACE(phase);
     h.rt.on_pe(0, [&, phase] { arr.broadcast<&DynWorker::kick>(PhaseMsg{phase}); });
     h.machine.run();
-    expect_snapshot_matches_rebuild(h.rt);
+    expect_snapshot_matches_reference(h.rt, arr.id());
   }
   EXPECT_GT(h.rt.collection(arr.id()).total_elements, 0);
   const auto& ctr = h.rt.lb().db_counters();
@@ -594,20 +612,45 @@ TEST(IncrementalOracle, FailAndRecoverRestoresDatabase) {
   ASSERT_TRUE(recovered);
   // The restore sweep extracted every element (remove hooks) and re-seeded
   // the survivors (add hooks); the database must match a fresh rebuild.
-  expect_snapshot_matches_rebuild(h.rt);
+  expect_snapshot_matches_reference(h.rt, arr.id());
   // And the AtSync protocol keeps working on the restored database.
   h.rt.on_pe(0, [&] { arr.broadcast<&SteadyWorker::step>(IterMsg{3}); });
   h.machine.run();
   EXPECT_GE(h.rt.lb().rounds_completed(), 10);
-  expect_snapshot_matches_rebuild(h.rt);
+  expect_snapshot_matches_reference(h.rt, arr.id());
 }
 
-TEST(IncrementalOracle, ShrinkExpandReconfigKeepsDatabaseConsistent) {
+/// Runs the production strategy on the manager's real input and checks each
+/// decision against the reference algorithm on the same Stats.
+class ReferenceChecked final : public lb::Strategy {
+ public:
+  using Reference = std::function<std::vector<lb::Migration>(const lb::Stats&)>;
+  ReferenceChecked(std::unique_ptr<lb::Strategy> inner, Reference ref)
+      : inner_(std::move(inner)), ref_(std::move(ref)) {}
+  std::string name() const override { return inner_->name(); }
+  std::vector<lb::Migration> assign(const lb::Stats& st) override {
+    std::vector<lb::Migration> got = inner_->assign(st);
+    EXPECT_TRUE(migs_equal(got, ref_(st))) << inner_->name() << " round " << rounds;
+    ++rounds;
+    if (hosts_beyond_npes(st)) ++shrink_rounds;
+    return got;
+  }
+  int rounds = 0;
+  int shrink_rounds = 0;
+
+ private:
+  std::unique_ptr<lb::Strategy> inner_;
+  Reference ref_;
+};
+
+void run_shrink_expand(std::unique_ptr<lb::Strategy> strat, ReferenceChecked::Reference ref) {
   Harness h(8);
   auto arr = ArrayProxy<SteadyWorker>::create(h.rt);
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 8);
   h.rt.lb().register_collection(arr.id());
-  h.rt.lb().set_strategy(lb::make_greedy());
+  auto checked = std::make_unique<ReferenceChecked>(std::move(strat), std::move(ref));
+  ReferenceChecked& rounds = *checked;
+  h.rt.lb().set_strategy(std::move(checked));
   bool shrunk = false;
   bool expanded = false;
   h.rt.on_pe(0, [&] {
@@ -615,7 +658,7 @@ TEST(IncrementalOracle, ShrinkExpandReconfigKeepsDatabaseConsistent) {
     h.rt.lb().request_reconfig(3, 1e-4, Callback::to_function([&](ReductionResult&&) {
       shrunk = true;
       EXPECT_EQ(h.rt.active_pes(), 3);
-      expect_snapshot_matches_rebuild(h.rt);
+      expect_snapshot_matches_reference(h.rt, arr.id());
       for (const auto& c : h.rt.lb().snapshot_stats(3).chares) EXPECT_LT(c.pe, 3);
       h.rt.lb().request_reconfig(8, 1e-4, Callback::to_function([&](ReductionResult&&) {
         expanded = true;
@@ -626,13 +669,27 @@ TEST(IncrementalOracle, ShrinkExpandReconfigKeepsDatabaseConsistent) {
   EXPECT_TRUE(shrunk);
   EXPECT_TRUE(expanded);
   EXPECT_EQ(h.rt.active_pes(), 8);
-  expect_snapshot_matches_rebuild(h.rt);
+  EXPECT_EQ(rounds.rounds, 2) << "one shrink and one expand decision";
+  EXPECT_EQ(rounds.shrink_rounds, 1);
+  expect_snapshot_matches_reference(h.rt, arr.id());
 }
 
-TEST(IncrementalOracle, ShrinkTargetSnapshotUsesRebuildPath) {
-  // A snapshot targeting fewer PEs than chares currently occupy must keep the
-  // old clamp semantics: the aux guard (max_hosting_pe >= npes) sends both
-  // paths through the verbatim rebuild algorithms.
+TEST(IncrementalOracle, ShrinkExpandReconfigKeepsDatabaseConsistent) {
+  {
+    SCOPED_TRACE("greedy");
+    run_shrink_expand(lb::make_greedy(), [](const lb::Stats& st) { return lbref::greedy(st); });
+  }
+  {
+    SCOPED_TRACE("refine(1.05)");
+    run_shrink_expand(lb::make_refine(1.05),
+                      [](const lb::Stats& st) { return lbref::refine(st, 1.05); });
+  }
+}
+
+TEST(IncrementalOracle, ShrinkTargetClampMatchesReference) {
+  // A snapshot targeting fewer PEs than chares currently occupy: Greedy
+  // leaves the evicted non-migratable load out, Refine clamps hosts onto the
+  // last PE, and both must still decide exactly as the reference.
   Harness h(4);
   auto arr = ArrayProxy<SteadyWorker>::create(h.rt);
   for (int i = 0; i < 12; ++i) arr.seed(i, i % 4);
@@ -641,10 +698,10 @@ TEST(IncrementalOracle, ShrinkTargetSnapshotUsesRebuildPath) {
   h.machine.run();
   lb::Stats st = h.rt.lb().snapshot_stats(2);  // chares still live on PEs 0..3
   ASSERT_TRUE(st.aux.valid);
-  EXPECT_EQ(st.aux.max_hosting_pe, 3);
-  const lb::Stats reb = h.rt.lb().rebuild_stats(2);
-  ASSERT_TRUE(chares_equal(st.chares, reb.chares));
-  expect_same_decisions(st);
+  EXPECT_EQ(st.aux.pes.back(), 3);
+  const lb::Stats ref = lbref::rebuild_stats(h.rt, {arr.id()}, 2);
+  ASSERT_TRUE(chares_equal(st.chares, ref.chares));
+  expect_reference_decisions(st);
 }
 
 }  // namespace
