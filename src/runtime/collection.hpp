@@ -6,6 +6,11 @@
 // PeLocal block; cross-PE effects travel as messages.  This is what makes the
 // emulation faithful to the paper's distributed location manager (§II-D):
 // each PE holds O(local elements + homes hashed to it), never O(total).
+// Home records and cache entries sit in flat LocTables (32- and 24-byte
+// slots); envelopes parked at a home live in a side map that exists only
+// while something is parked on that PE.  `elems` stays a node-based map:
+// its iteration order drives broadcast delivery, LB registration,
+// checkpoint order and FP reduction order (DESIGN.md §12).
 
 #include <cstdint>
 #include <deque>
@@ -16,18 +21,22 @@
 #include "runtime/callback.hpp"
 #include "runtime/chare.hpp"
 #include "runtime/envelope.hpp"
+#include "runtime/loc_table.hpp"
 #include "runtime/types.hpp"
 #include "sim/paged_table.hpp"
 
 namespace charm {
 
-/// Home-table record: the authoritative location of one element.
+/// Home-table record: the authoritative location of one element.  Messages
+/// parked while it is unknown or in transit live in PeLocal::parked.
 struct HomeRecord {
   int location = kInvalidPe;
+  std::uint32_t arrived_epoch = 0;  ///< last migration epoch seen complete
   bool in_transit = false;
-  std::uint32_t arrived_epoch = 0;       ///< last migration epoch seen complete
-  std::vector<Envelope> buffered;        ///< messages parked during migration
 };
+static_assert(sizeof(LocTable<HomeRecord>) == 16);
+static_assert(sizeof(LocTable<HomeRecord>::Slot) == 32);
+static_assert(sizeof(LocTable<int>::Slot) == 24);
 
 /// One reduction's combined state.  Used both as the collection-global slot
 /// (flat combine / tree bookkeeping) and as a per-PE partial combine under
@@ -47,14 +56,42 @@ struct ReduxSlot {
 using ReduxMap = std::unordered_map<std::uint64_t, ReduxSlot>;
 
 struct PeLocal {
+  using Parked = std::unordered_map<ObjIndex, std::vector<Envelope>, ObjIndexHash>;
+
   std::unordered_map<ObjIndex, std::unique_ptr<ArrayElementBase>, ObjIndexHash> elems;
-  std::unordered_map<ObjIndex, HomeRecord, ObjIndexHash> home;
-  std::unordered_map<ObjIndex, int, ObjIndexHash> loc_cache;
+  LocTable<HomeRecord> home;
+  LocTable<int> loc_cache;
+  /// Messages parked at this home, per element in arrival order.  Allocated
+  /// on the first park and dropped once empty.
+  std::unique_ptr<Parked> parked;
   /// Per-PE partial combines under tree collectives, keyed by sequence.
   ReduxMap partial;
   /// Recycled map node: the steady state extracts one partial per wave and
   /// reuses its node for the next, so tree reductions allocate nothing.
   ReduxMap::node_type partial_spare;
+
+  void park(Envelope env) {
+    if (parked == nullptr) parked = std::make_unique<Parked>();
+    (*parked)[env.idx].push_back(std::move(env));
+  }
+  /// Takes the messages parked for `ix`, oldest first.
+  std::vector<Envelope> unpark(const ObjIndex& ix) {
+    if (parked == nullptr) return {};
+    Parked::node_type node = parked->extract(ix);
+    if (parked->empty()) parked.reset();
+    return node.empty() ? std::vector<Envelope>{} : std::move(node.mapped());
+  }
+  /// Drops a home record together with the messages parked under it.
+  void erase_home(const ObjIndex& ix) {
+    home.erase(ix);
+    if (parked != nullptr && parked->erase(ix) != 0 && parked->empty()) parked.reset();
+  }
+  /// Drops every home record, parked message and cache entry.
+  void clear_location() {
+    home.clear();
+    loc_cache.clear();
+    parked.reset();
+  }
 };
 
 /// A chare array or group instance.
@@ -95,6 +132,16 @@ class Collection {
   /// on a never-touched PE stays zero-byte.
   PeLocal* local_if(int p) { return pe.probe(static_cast<std::size_t>(p)); }
   const PeLocal* local_if(int p) const { return pe.probe(static_cast<std::size_t>(p)); }
+
+  /// Host bytes of the paged PeLocal blocks plus every location table's
+  /// slot storage.  `elems` nodes and parked envelopes are not counted.
+  std::size_t memory_bytes() const {
+    std::size_t bytes = pe.memory_bytes();
+    pe.for_each_touched([&bytes](std::size_t, const PeLocal& pl) {
+      bytes += pl.home.memory_bytes() + pl.loc_cache.memory_bytes();
+    });
+    return bytes;
+  }
 
   ArrayElementBase* find(int p, const ObjIndex& ix) {
     PeLocal* pl = local_if(p);

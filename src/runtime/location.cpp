@@ -30,11 +30,12 @@ void Runtime::handle_point_miss(Envelope env, int pe) {
     return;
   }
 
-  HomeRecord& r = c.local(pe).home[env.idx];
+  PeLocal& pl = c.local(pe);
+  const HomeRecord r = pl.home[env.idx];
   if (r.location == kInvalidPe || r.in_transit || r.location == pe) {
     // Element not yet created here, or mid-migration: park the message.  It
     // is re-launched (and re-counted) when the element lands.
-    r.buffered.push_back(std::move(env));
+    pl.park(std::move(env));
     return;
   }
 
@@ -60,14 +61,11 @@ void Runtime::home_departed(CollectionId col, ObjIndex idx, std::uint32_t epoch)
 
 void Runtime::home_arrived(CollectionId col, ObjIndex idx, int loc, std::uint32_t epoch) {
   const int pe = machine_.current_pe();
-  HomeRecord& r = collection(col).local(pe).home[idx];
+  PeLocal& pl = collection(col).local(pe);
+  HomeRecord& r = pl.home[idx];
   if (epoch >= r.arrived_epoch) {
-    r.arrived_epoch = epoch;
-    r.location = loc;
-    r.in_transit = false;
-    std::vector<Envelope> parked = std::move(r.buffered);
-    r.buffered.clear();
-    for (Envelope& env : parked) launch_envelope(std::move(env), loc);
+    r = HomeRecord{loc, epoch, false};
+    for (Envelope& env : pl.unpark(idx)) launch_envelope(std::move(env), loc);
   }
 }
 
@@ -176,11 +174,11 @@ void Runtime::destroy_local(CollectionId col, ObjIndex idx, int pe) {
   --c.total_elements;
   const int h = home_pe(idx);
   if (h == pe) {
-    hosting->home.erase(idx);
+    hosting->erase_home(idx);
   } else {
     send_control(h, 16, [this, col, idx, h] {
       // Erasing a missing record is a no-op, so probing stays equivalent.
-      if (PeLocal* pl = collection(col).local_if(h)) pl->home.erase(idx);
+      if (PeLocal* pl = collection(col).local_if(h)) pl->erase_home(idx);
     });
   }
 }
@@ -192,17 +190,10 @@ void Runtime::rebuild_location_tables() {
     // Touched-only sweeps: an untouched block has nothing to clear and hosts
     // no elements, and re-homing writes one record per element regardless of
     // visit order, so the rebuilt tables are identical to a dense walk.
-    c.pe.for_each_touched([](std::size_t, PeLocal& pl) {
-      pl.home.clear();
-      pl.loc_cache.clear();
-    });
+    c.pe.for_each_touched([](std::size_t, PeLocal& pl) { pl.clear_location(); });
     c.pe.for_each_touched([this, &c](std::size_t p, PeLocal& pl) {
-      for (auto& [ix, obj] : pl.elems) {
-        HomeRecord& r = c.local(home_pe(ix)).home[ix];
-        r.location = static_cast<int>(p);
-        r.arrived_epoch = obj->epoch_;
-        r.in_transit = false;
-      }
+      for (auto& [ix, obj] : pl.elems)
+        c.local(home_pe(ix)).home[ix] = HomeRecord{static_cast<int>(p), obj->epoch_, false};
     });
   }
 }

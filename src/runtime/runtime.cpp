@@ -59,10 +59,7 @@ void Runtime::seed_element(CollectionId col, ObjIndex idx,
   ++c.total_elements;
   lb_->on_element_added(c, *raw);
   if (!c.is_group) {
-    HomeRecord& r = c.local(home_pe(idx)).home[idx];
-    r.location = pe;
-    r.arrived_epoch = 1;
-    r.in_transit = false;
+    c.local(home_pe(idx)).home[idx] = HomeRecord{pe, 1, false};
   }
 }
 
@@ -118,8 +115,7 @@ int Runtime::route_point(Collection& c, const ObjIndex& idx, int src_pe) {
   // already probes; the cache lookup must not materialize either).
   if (const PeLocal* pl = c.local_if(sp); pl != nullptr) {
     if (pl->elems.find(idx) != pl->elems.end()) return sp;
-    auto it = pl->loc_cache.find(idx);
-    if (it != pl->loc_cache.end()) return it->second;
+    if (const int* loc = pl->loc_cache.find(idx)) return *loc;
   }
   return home_pe(idx);
 }
@@ -325,7 +321,7 @@ Runtime::MemoryFootprint Runtime::memory_footprint() const {
   f.touched_pes = machine_.touched_pes();
   f.pe_state_bytes = machine_.pe_state_bytes();
   f.event_queue_bytes = machine_.event_queue_bytes();
-  for (const auto& c : collections_) f.collection_bytes += c->pe.memory_bytes();
+  for (const auto& c : collections_) f.collection_bytes += c->memory_bytes();
   f.collection_bytes += dead_.memory_bytes();
   return f;
 }

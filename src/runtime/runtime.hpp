@@ -227,13 +227,14 @@ class Runtime {
 
   // ---- memory accounting (DESIGN.md §12) -----------------------------------
 
-  /// Structural host-memory census of the lazy per-PE state.  Counts pages
-  /// and queue storage the paging layer owns directly; container-internal
-  /// heap nodes (map buckets, element objects) are covered by peak RSS.
+  /// Structural host-memory census of the lazy per-PE state.  Counts pages,
+  /// queue storage and location-table slots, which the runtime owns
+  /// directly; other container-internal heap nodes (`elems` map nodes,
+  /// element objects) are covered by peak RSS.
   struct MemoryFootprint {
     std::size_t touched_pes = 0;       ///< machine-level first-touch census
     std::size_t pe_state_bytes = 0;    ///< PE pages + ready-queue storage
-    std::size_t collection_bytes = 0;  ///< PeLocal pages across collections
+    std::size_t collection_bytes = 0;  ///< PeLocal pages + location-table slots
     std::size_t event_queue_bytes = 0; ///< global event-list heap + arena
     std::size_t total() const {
       return pe_state_bytes + collection_bytes + event_queue_bytes;

@@ -18,14 +18,12 @@ int Core::resolve_dest(int pe, const ObjIndex& idx) {
   if (c.find(pe, idx) != nullptr) return pe;
   const PeLocal* pl = c.local_if(pe);
   if (pl != nullptr) {
-    if (auto it = pl->loc_cache.find(idx); it != pl->loc_cache.end())
-      return it->second;
+    if (const int* loc = pl->loc_cache.find(idx)) return *loc;
   }
   int dest = rt_.home_pe(idx);
   if (dest == pe && pl != nullptr) {
-    auto hit = pl->home.find(idx);
-    if (hit != pl->home.end() && hit->second.location != kInvalidPe)
-      dest = hit->second.location;
+    const HomeRecord* r = pl->home.find(idx);
+    if (r != nullptr && r->location != kInvalidPe) dest = r->location;
   }
   return dest;
 }
@@ -36,16 +34,16 @@ int Core::better_location(int pe, const ObjIndex& idx) {
   int better = kInvalidPe;
   if (rt_.home_pe(idx) == pe) {
     if (pl != nullptr) {
-      auto it = pl->home.find(idx);
-      if (it != pl->home.end() && !it->second.in_transit &&
-          it->second.location != kInvalidPe && it->second.location != pe) {
-        better = it->second.location;
+      const HomeRecord* r = pl->home.find(idx);
+      if (r != nullptr && !r->in_transit && r->location != kInvalidPe &&
+          r->location != pe) {
+        better = r->location;
       }
     }
   } else {
     if (pl != nullptr) {
-      auto it = pl->loc_cache.find(idx);
-      if (it != pl->loc_cache.end() && it->second != pe) better = it->second;
+      const int* loc = pl->loc_cache.find(idx);
+      if (loc != nullptr && *loc != pe) better = *loc;
     }
     if (better == kInvalidPe) better = rt_.home_pe(idx);
   }

@@ -149,37 +149,52 @@ class Spawnable : public charm::ArrayElement<Spawnable, std::int32_t> {
   explicit Spawnable(const PingMsg& m) : tag(m.value) {}
   int tag = -1;
   int received = 0;
+  std::vector<int> order;  ///< every received value, in delivery order
   void recv(const PingMsg& m) {
     ++received;
     tag = m.value;
+    order.push_back(m.value);
   }
   void die() { charm::Runtime::current().destroy_self(); }
   void pup(pup::Er& p) override {
     ArrayElementBase::pup(p);
     p | tag;
     p | received;
+    p | order;
   }
 };
 
 TEST(RuntimeBasic, InsertCreatesElementAndDeliversLaterSends) {
-  Harness h(4);
-  auto arr = ArrayProxy<Spawnable>::create(h.rt);
-  arr.seed(0, 0);
-  h.rt.on_pe(0, [&] {
-    arr.insert(42, PingMsg{1234, 0});
-    // This send races the creation; the home PE must buffer and deliver it.
-    arr[42].send<&Spawnable::recv>(PingMsg{5, -1});
-  });
-  h.machine.run();
-  Spawnable* s = nullptr;
-  for (int pe = 0; pe < 4; ++pe) {
-    auto* found = h.rt.collection(arr.id()).find(pe, charm::IndexTraits<std::int32_t>::encode(42));
-    if (found) s = static_cast<Spawnable*>(found);
+  // Sends that race the creation are parked at the home PE and must all be
+  // delivered once the element lands, in the order they were sent.  Sending
+  // before the insert guarantees every message reaches the home first.
+  for (const bool sends_first : {false, true}) {
+  for (int n : {1, 8}) {
+    SCOPED_TRACE(testing::Message() << n << " racing sends, sends_first " << sends_first);
+    Harness h(4);
+    auto arr = ArrayProxy<Spawnable>::create(h.rt);
+    arr.seed(0, 0);
+    h.rt.on_pe(0, [&] {
+      if (!sends_first) arr.insert(42, PingMsg{1234, 0});
+      for (int i = 0; i < n; ++i) arr[42].send<&Spawnable::recv>(PingMsg{5 + i, -1});
+      if (sends_first) arr.insert(42, PingMsg{1234, 0});
+    });
+    h.machine.run();
+    Spawnable* s = nullptr;
+    for (int pe = 0; pe < 4; ++pe) {
+      auto* found = h.rt.collection(arr.id()).find(pe, charm::IndexTraits<std::int32_t>::encode(42));
+      if (found) s = static_cast<Spawnable*>(found);
+    }
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->received, n);
+    std::vector<int> sent;
+    for (int i = 0; i < n; ++i) sent.push_back(5 + i);
+    EXPECT_EQ(s->order, sent);
+    EXPECT_EQ(s->tag, 5 + n - 1);
+    EXPECT_EQ(h.rt.collection(arr.id()).total_elements, 2);
+    EXPECT_EQ(h.rt.outstanding(), 0);
   }
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->received, 1);
-  EXPECT_EQ(s->tag, 5);
-  EXPECT_EQ(h.rt.collection(arr.id()).total_elements, 2);
+  }
 }
 
 TEST(RuntimeBasic, DestroySelfRemovesElement) {
