@@ -530,27 +530,24 @@ std::int64_t Mesh::nblocks() const { return rt_.collection(blocks_.id()).total_e
 
 double Mesh::total_mass() const {
   double m = 0;
-  Collection& c = rt_.collection(blocks_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe)
-    for (auto& [ix, obj] : c.local(pe).elems) m += static_cast<Block*>(obj.get())->mass();
+  rt_.collection(blocks_.id()).for_each_element(
+      [&m](const ArrayElementBase& e) { m += static_cast<const Block&>(e).mass(); });
   return m;
 }
 
 int Mesh::max_depth_present() const {
   int d = 0;
-  Collection& c = rt_.collection(blocks_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe)
-    for (auto& [ix, obj] : c.local(pe).elems)
-      d = std::max(d, static_cast<Block*>(obj.get())->depth());
+  rt_.collection(blocks_.id()).for_each_element([&d](const ArrayElementBase& e) {
+    d = std::max(d, static_cast<const Block&>(e).depth());
+  });
   return d;
 }
 
 int Mesh::min_depth_present() const {
   int d = 64;
-  Collection& c = rt_.collection(blocks_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe)
-    for (auto& [ix, obj] : c.local(pe).elems)
-      d = std::min(d, static_cast<Block*>(obj.get())->depth());
+  rt_.collection(blocks_.id()).for_each_element([&d](const ArrayElementBase& e) {
+    d = std::min(d, static_cast<const Block&>(e).depth());
+  });
   return d;
 }
 

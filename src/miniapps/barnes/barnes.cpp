@@ -268,25 +268,21 @@ int Simulation::npieces() const {
 
 std::size_t Simulation::total_bodies() const {
   std::size_t n = 0;
-  Collection& c = rt_.collection(pieces_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe)
-    for (auto& [ix, obj] : c.local(pe).elems)
-      n += static_cast<Piece*>(obj.get())->bodies().size();
+  rt_.collection(pieces_.id()).for_each_element([&n](const ArrayElementBase& e) {
+    n += static_cast<const Piece&>(e).bodies().size();
+  });
   return n;
 }
 
 std::array<double, 3> Simulation::total_momentum() const {
   std::array<double, 3> m{0, 0, 0};
-  Collection& c = rt_.collection(pieces_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe) {
-    for (auto& [ix, obj] : c.local(pe).elems) {
-      for (const Body& b : static_cast<Piece*>(obj.get())->bodies()) {
-        m[0] += b.m * b.vx;
-        m[1] += b.m * b.vy;
-        m[2] += b.m * b.vz;
-      }
+  rt_.collection(pieces_.id()).for_each_element([&m](const ArrayElementBase& e) {
+    for (const Body& b : static_cast<const Piece&>(e).bodies()) {
+      m[0] += b.m * b.vx;
+      m[1] += b.m * b.vy;
+      m[2] += b.m * b.vz;
     }
-  }
+  });
   return m;
 }
 

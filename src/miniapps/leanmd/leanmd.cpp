@@ -431,37 +431,30 @@ void Simulation::run(int steps, Callback done) {
 
 std::size_t Simulation::total_atoms() const {
   std::size_t n = 0;
-  Collection& c = rt_.collection(cells_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe)
-    for (auto& [ix, obj] : c.local(pe).elems)
-      n += static_cast<Cell*>(obj.get())->atoms().size();
+  rt_.collection(cells_.id()).for_each_element([&n](const ArrayElementBase& e) {
+    n += static_cast<const Cell&>(e).atoms().size();
+  });
   return n;
 }
 
 std::array<double, 3> Simulation::total_momentum() const {
   std::array<double, 3> m{0, 0, 0};
-  Collection& c = rt_.collection(cells_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe) {
-    for (auto& [ix, obj] : c.local(pe).elems) {
-      for (const Atom& a : static_cast<Cell*>(obj.get())->atoms()) {
-        m[0] += a.vx;
-        m[1] += a.vy;
-        m[2] += a.vz;
-      }
+  rt_.collection(cells_.id()).for_each_element([&m](const ArrayElementBase& e) {
+    for (const Atom& a : static_cast<const Cell&>(e).atoms()) {
+      m[0] += a.vx;
+      m[1] += a.vy;
+      m[2] += a.vz;
     }
-  }
+  });
   return m;
 }
 
 double Simulation::kinetic_energy() const {
   double e = 0;
-  Collection& c = rt_.collection(cells_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe) {
-    for (auto& [ix, obj] : c.local(pe).elems) {
-      for (const Atom& a : static_cast<Cell*>(obj.get())->atoms())
-        e += 0.5 * (a.vx * a.vx + a.vy * a.vy + a.vz * a.vz);
-    }
-  }
+  rt_.collection(cells_.id()).for_each_element([&e](const ArrayElementBase& el) {
+    for (const Atom& a : static_cast<const Cell&>(el).atoms())
+      e += 0.5 * (a.vx * a.vx + a.vy * a.vy + a.vz * a.vz);
+  });
   return e;
 }
 

@@ -115,9 +115,8 @@ void Engine::window_complete(double gvt_min) {
 
 std::uint64_t Engine::total_executed() const {
   std::uint64_t n = 0;
-  Collection& c = rt_.collection(lps_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe)
-    for (auto& [ix, obj] : c.local(pe).elems) n += static_cast<Lp*>(obj.get())->executed();
+  rt_.collection(lps_.id()).for_each_element(
+      [&n](const ArrayElementBase& e) { n += static_cast<const Lp&>(e).executed(); });
   return n;
 }
 

@@ -156,9 +156,8 @@ void Sim::run(int iters, Callback done) {
 
 double Sim::global_delta() const {
   double d = 0;
-  Collection& c = rt_.collection(tiles_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe)
-    for (auto& [ix, obj] : c.local(pe).elems) d += static_cast<Tile*>(obj.get())->last_delta();
+  rt_.collection(tiles_.id()).for_each_element(
+      [&d](const ArrayElementBase& e) { d += static_cast<const Tile&>(e).last_delta(); });
   return d;
 }
 

@@ -16,6 +16,7 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "runtime/callback.hpp"
@@ -141,6 +142,16 @@ class Collection {
       bytes += pl.home.memory_bytes() + pl.loc_cache.memory_bytes();
     });
     return bytes;
+  }
+
+  /// Calls `f(const ArrayElementBase&)` for every element, PE by PE in
+  /// ascending order (the order of a dense `for pe < npes` loop, so FP folds
+  /// are unchanged), skipping never-touched PEs without materializing them.
+  template <class F>
+  void for_each_element(F&& f) const {
+    pe.for_each_touched([&f](std::size_t, const PeLocal& pl) {
+      for (const auto& [ix, obj] : pl.elems) f(std::as_const(*obj));
+    });
   }
 
   ArrayElementBase* find(int p, const ObjIndex& ix) {

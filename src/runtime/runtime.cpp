@@ -92,20 +92,19 @@ void Runtime::launch_envelope(Envelope env, int dst, bool count) {
   const std::size_t wire = env.wire_size();
   bytes_sent_ += wire;
   const int prio = env.priority;
-  // The envelope moves straight into the handler closure — no shared_ptr
-  // box, no per-message allocation (sim::UniqueFn stores the closure in a
-  // recycled block).
-  machine_.send(
-      dst, wire, prio,
-      [this, dst, env = std::move(env)]() mutable {
-        if (pe_alive(dst)) {
-          on_envelope(std::move(env));
-        } else {
-          release_payload(std::move(env.payload));
-        }
-        note_message_done();
-      },
-      /*src_override=*/0);
+  // The envelope moves straight into the handler closure, and the closure
+  // lives inline in its event slot: no shared_ptr box, no closure block.
+  auto deliver = [this, dst, env = std::move(env)]() mutable {
+    if (pe_alive(dst)) {
+      on_envelope(std::move(env));
+    } else {
+      release_payload(std::move(env.payload));
+    }
+    note_message_done();
+  };
+  static_assert(sim::UniqueFn::kFitsInline<decltype(deliver)>,
+                "the point-send closure must fit the event slot");
+  machine_.send(dst, wire, prio, std::move(deliver), /*src_override=*/0);
 }
 
 int Runtime::route_point(Collection& c, const ObjIndex& idx, int src_pe) {
@@ -290,20 +289,6 @@ void Runtime::broadcast_forward(
       broadcast_leg(col, ep, payload, priority, root, c);
     }
   }
-}
-
-void Runtime::send_control(int dst, std::size_t bytes, sim::Handler fn,
-                           int priority) {
-  ++outstanding_;
-  ++msgs_sent_;
-  bytes_sent_ += bytes + Envelope::kHeaderBytes;
-  machine_.send(
-      dst, bytes + Envelope::kHeaderBytes, priority,
-      [this, dst, fn = std::move(fn)]() mutable {
-        if (pe_alive(dst)) fn();
-        note_message_done();
-      },
-      /*src_override=*/0);
 }
 
 // ---- services -------------------------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "introspect/metrics.hpp"
@@ -250,9 +251,23 @@ class Runtime {
 
   // ---- internals used by sibling modules (lb/ft/tram) -------------------------
 
-  /// Sends a counted control message executing `fn` on `dst`.
-  void send_control(int dst, std::size_t bytes, sim::Handler fn,
-                    int priority = kDefaultPriority);
+  /// Sends a counted control message executing `fn` on `dst`.  The caller's
+  /// closure is captured as is, so a small one stays inline in the event
+  /// slot; wrapping it in a sim::Handler first would box every message.
+  template <class F>
+  void send_control(int dst, std::size_t bytes, F&& fn,
+                    int priority = kDefaultPriority) {
+    ++outstanding_;
+    ++msgs_sent_;
+    bytes_sent_ += bytes + Envelope::kHeaderBytes;
+    machine_.send(
+        dst, bytes + Envelope::kHeaderBytes, priority,
+        [this, dst, fn = std::forward<F>(fn)]() mutable {
+          if (pe_alive(dst)) fn();
+          note_message_done();
+        },
+        /*src_override=*/0);
+  }
 
   // ---- payload recycling -------------------------------------------------
 

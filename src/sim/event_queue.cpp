@@ -25,6 +25,9 @@ Event& EventQueue::emplace(Time time, std::uint64_t seq, Event::Kind kind,
         "sim::EventQueue: more than 2^24 live event slots or sequence number "
         "past 2^40");
   }
+  if (bytes > kMaxBytes) {
+    throw std::length_error("sim::EventQueue: message of 4 GiB or more");
+  }
   // Park the event in an arena slot; only the 16-byte key takes part in the
   // sift, so the closure buffer inside the event's handler is never touched
   // again until the handler runs in place.
@@ -32,10 +35,10 @@ Event& EventQueue::emplace(Time time, std::uint64_t seq, Event::Kind kind,
   Event& e = slot(id);
   e.time = time;
   e.seq = seq;
-  e.kind = kind;
   e.pe = pe;
   e.priority = priority;
-  e.bytes = bytes;
+  e.bytes = static_cast<std::uint32_t>(bytes);
+  e.kind = kind;
   // e.fn is empty here: slots are recycled only through release(), which
   // destroys the handler.
 

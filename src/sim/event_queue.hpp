@@ -29,17 +29,23 @@ namespace sim {
 using Time = double;
 using Handler = UniqueFn;
 
+// Layout: a 32-byte header, then the 96-byte handler starting at a 16-byte
+// boundary, so an Event is exactly two cache lines and every runtime message
+// closure (up to UniqueFn::kInlineBytes) lives in the slot itself.
 struct Event {
   enum class Kind : std::uint8_t { kArrive, kExec };
 
-  Time time = 0;           // kArrive: arrival time at the destination PE
+  Time time = 0;             // kArrive: arrival time at the destination PE
   std::uint64_t seq = 0;
-  Kind kind = Kind::kArrive;
   int pe = 0;
-  int priority = 0;        // message priority (lower runs first); kArrive only
-  std::size_t bytes = 0;   // payload size; kArrive only
-  Handler fn;              // kArrive only
+  int priority = 0;          // message priority (lower runs first); kArrive only
+  std::uint32_t bytes = 0;   // payload size; kArrive only
+  Kind kind = Kind::kArrive;
+  Handler fn;                // kArrive only
 };
+
+static_assert(offsetof(Event, fn) == 32, "Event header must stay 32 bytes");
+static_assert(sizeof(Event) == 128, "Event must stay two cache lines");
 
 class EventQueue {
  public:
@@ -51,6 +57,8 @@ class EventQueue {
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
   static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
+  /// Largest message size the 32-bit Event::bytes field holds.
+  static constexpr std::size_t kMaxBytes = UINT32_MAX;
 
   /// Events in the heap; detached slots are not counted.
   bool empty() const { return heap_.empty(); }
@@ -59,8 +67,8 @@ class EventQueue {
   /// Allocates an arena slot and heap key for an event at (time, seq), fills
   /// in the POD fields, and returns the slot so the caller can move the
   /// handler straight in.  The handler slot is guaranteed empty on return.
-  /// Throws std::length_error when kMaxSlots slots are live or seq reaches
-  /// kMaxSeq.
+  /// Throws std::length_error when kMaxSlots slots are live, seq reaches
+  /// kMaxSeq, or bytes exceeds kMaxBytes.
   Event& emplace(Time time, std::uint64_t seq, Event::Kind kind, int pe,
                  int priority, std::size_t bytes);
 

@@ -3,18 +3,21 @@
 // messaging hot path.
 //
 // Why not std::function?  Every message handler the runtime creates closes
-// over an Envelope (~100 bytes).  std::function's small-buffer optimization
-// tops out at two pointers, so each such closure costs one heap allocation at
-// send time and one free at delivery — per message.  UniqueFn removes both:
+// over an Envelope (64 bytes; with `this` and the destination PE the point-
+// send closure is 80 bytes).  std::function's small-buffer optimization tops
+// out at two pointers, so each such closure costs one heap allocation at send
+// time and one free at delivery — per message.  UniqueFn removes both:
 //
-//   * Inline storage of kInlineBytes (64): small closures (timer thunks,
-//     control messages, driver lambdas) live inside the Event itself and are
-//     moved by value when the event heap sifts.
+//   * Inline storage of kInlineBytes (88): the runtime's message closures
+//     (point sends, home forwards, location-cache teach and most other
+//     control messages), timer thunks and driver lambdas live inside the
+//     Event's arena slot itself, so such a message owns no other storage.
+//     sizeof(UniqueFn) is 96, which keeps sim::Event at 128 bytes.
 //   * Larger closures are placed in fixed-size blocks drawn from a
-//     thread-local free list (size classes 128 B through 2 KiB).  Blocks are
+//     thread-local free list (size classes 128 B through 2 KiB); the block
+//     pointer occupies the first 8 bytes of the inline buffer.  Blocks are
 //     recycled when the closure is destroyed, so the steady state performs
-//     zero heap allocations, and moving a boxed closure is a pointer swap —
-//     heap sifts never copy a large closure.
+//     zero heap allocations, and moving a boxed closure copies a pointer.
 //   * Move-only: closures may own their payload (an Envelope moved straight
 //     into the capture) instead of sharing it through a shared_ptr box.
 //
@@ -23,6 +26,7 @@
 // events in a stopped machine) can always return their block.
 
 #include <cstddef>
+#include <cstring>
 #include <functional>  // std::bad_function_call
 #include <memory>
 #include <new>
@@ -108,7 +112,13 @@ class BlockCache {
 class UniqueFn {
  public:
   /// Closures up to this size are stored inline in the UniqueFn itself.
-  static constexpr std::size_t kInlineBytes = 64;
+  static constexpr std::size_t kInlineBytes = 88;
+
+  /// True when a closure of type Fn is stored inline (no block is drawn).
+  template <class Fn>
+  static constexpr bool kFitsInline = sizeof(Fn) <= kInlineBytes &&
+                                      alignof(Fn) <= alignof(std::max_align_t) &&
+                                      std::is_nothrow_move_constructible_v<Fn>;
 
   UniqueFn() = default;
   UniqueFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -118,15 +128,13 @@ class UniqueFn {
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   UniqueFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (kFitsInline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &inline_ops<Fn>;
     } else {
       void* block = detail::BlockCache::acquire(sizeof(Fn));
       ::new (block) Fn(std::forward<F>(f));
-      boxed_ = block;
+      std::memcpy(storage_, &block, sizeof block);
       ops_ = &boxed_ops<Fn>;
     }
   }
@@ -153,7 +161,7 @@ class UniqueFn {
 
   void operator()() {
     if (ops_ == nullptr) throw std::bad_function_call();
-    ops_->invoke(slot());
+    ops_->invoke(storage_);
   }
 
   explicit operator bool() const { return ops_ != nullptr; }
@@ -162,26 +170,30 @@ class UniqueFn {
   /// block cache; the wrapper becomes empty.
   void reset() noexcept {
     if (ops_ == nullptr) return;
-    if (boxed_ != nullptr) {
-      ops_->destroy(boxed_);
-      detail::BlockCache::release(boxed_, ops_->size);
-    } else {
-      ops_->destroy(storage_);
-    }
+    ops_->destroy(storage_);
     ops_ = nullptr;
-    boxed_ = nullptr;
   }
 
   /// True when the held closure lives in the inline buffer (test hook).
-  bool is_inline() const { return ops_ != nullptr && boxed_ == nullptr; }
+  bool is_inline() const { return ops_ != nullptr && !ops_->boxed; }
 
  private:
+  // Every hook takes the inline buffer.  The boxed hooks read the block
+  // pointer out of its first 8 bytes, so moving and destroying need no
+  // branch on where the closure lives.
   struct Ops {
-    void (*invoke)(void*);
+    void (*invoke)(void* storage);
     void (*relocate)(void* dst, void* src);  // move-construct + destroy src
-    void (*destroy)(void*);
-    std::size_t size;
+    void (*destroy)(void* storage);
+    bool boxed;
   };
+
+  template <class Fn>
+  static Fn* block_of(void* storage) {
+    void* block = nullptr;
+    std::memcpy(&block, storage, sizeof block);
+    return static_cast<Fn*>(block);
+  }
 
   template <class Fn>
   static constexpr Ops inline_ops{
@@ -191,29 +203,30 @@ class UniqueFn {
         static_cast<Fn*>(src)->~Fn();
       },
       [](void* p) { static_cast<Fn*>(p)->~Fn(); },
-      sizeof(Fn)};
+      /*boxed=*/false};
 
   template <class Fn>
   static constexpr Ops boxed_ops{
-      [](void* p) { (*static_cast<Fn*>(p))(); },
-      /*relocate=*/nullptr,  // boxed closures move by pointer, never relocate
-      [](void* p) { static_cast<Fn*>(p)->~Fn(); },
-      sizeof(Fn)};
-
-  void* slot() { return boxed_ != nullptr ? boxed_ : static_cast<void*>(storage_); }
+      [](void* p) { (*block_of<Fn>(p))(); },
+      [](void* dst, void* src) { std::memcpy(dst, src, sizeof(void*)); },
+      [](void* p) {
+        Fn* fn = block_of<Fn>(p);
+        fn->~Fn();
+        detail::BlockCache::release(fn, sizeof(Fn));
+      },
+      /*boxed=*/true};
 
   void steal(UniqueFn& other) noexcept {
     ops_ = other.ops_;
-    boxed_ = other.boxed_;
-    if (ops_ != nullptr && boxed_ == nullptr)
-      ops_->relocate(storage_, other.storage_);
+    if (ops_ != nullptr) ops_->relocate(storage_, other.storage_);
     other.ops_ = nullptr;
-    other.boxed_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
-  void* boxed_ = nullptr;
 };
+
+static_assert(sizeof(UniqueFn) == 96,
+              "UniqueFn must stay 96 bytes so sim::Event stays 128");
 
 }  // namespace sim

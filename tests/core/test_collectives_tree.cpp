@@ -57,7 +57,9 @@ TEST(SpanningTreeShape, ParentChildInverseFuzz) {
       // Every in-range child points back at its parent.
       for (int i = 1; i <= t.arity; ++i) {
         const long c = t.child(r, i);
-        if (c < npes) ASSERT_EQ(t.parent(static_cast<int>(c)), r);
+        if (c < npes) {
+          ASSERT_EQ(t.parent(static_cast<int>(c)), r);
+        }
       }
       if (r > 0) {
         // The parent is one level up and counts this rank among its children.
@@ -229,7 +231,9 @@ TEST(TreeReduction, RandomizedFuzzMatchesFlatEveryArity) {
       EXPECT_EQ(tree.results, flat.results)
           << "trial " << trial << " P=" << s.npes << " n=" << s.elements
           << " arity=" << arity;
-      if (s.npes > 1) EXPECT_GT(tree.partial_sends, 0u);
+      if (s.npes > 1) {
+        EXPECT_GT(tree.partial_sends, 0u);
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 // Ordering invariants of the scheduler's hot-path queues, the move/destroy
 // semantics of sim::UniqueFn, and the zero-allocation guarantee for the
-// steady-state point-send path.
+// steady-state point-send path (and, for message closures, for bursts of
+// any size).
 //
 // The queue tests pin down the total orders the simulation's determinism
 // rests on: (time, seq) for the global event list and
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -232,6 +234,15 @@ TEST(EventQueue, OverflowingTheKeyLayoutThrowsInEveryBuild) {
   EXPECT_EQ(pop_key(q).second, EventQueue::kMaxSeq - 1);
 }
 
+TEST(EventQueue, MessageOfFourGibibytesThrowsInEveryBuild) {
+  EventQueue q;
+  Event& e = q.emplace(0.0, 0, Event::Kind::kArrive, 0, 0, EventQueue::kMaxBytes);
+  EXPECT_EQ(e.bytes, EventQueue::kMaxBytes) << "the largest size must round-trip";
+  EXPECT_THROW(q.emplace(1.0, 1, Event::Kind::kArrive, 0, 0, std::size_t{1} << 32),
+               std::length_error);
+  EXPECT_EQ(q.size(), 1u) << "a refused emplace leaves the queue unchanged";
+}
+
 // ---- ReadyQueue -------------------------------------------------------------
 
 /// Parks a message in `arena` the way the machine does on arrival: emplace
@@ -367,6 +378,71 @@ TEST(UniqueFn, SmallClosuresAreInlineLargeAreBoxed) {
   EXPECT_EQ(x, 3);
 }
 
+/// A closure of exactly N bytes (byte alignment, so no padding).
+template <std::size_t N>
+struct SizedClosure {
+  unsigned char bytes[N]{};
+  void operator()() { ++bytes[N - 1]; }
+};
+
+TEST(UniqueFn, InlineBufferHoldsExactlyKInlineBytes) {
+  using Fits = SizedClosure<UniqueFn::kInlineBytes>;
+  using Spills = SizedClosure<UniqueFn::kInlineBytes + 1>;
+  static_assert(sizeof(Fits) == UniqueFn::kInlineBytes);
+  static_assert(UniqueFn::kFitsInline<Fits> && !UniqueFn::kFitsInline<Spills>);
+  UniqueFn fits(Fits{});
+  UniqueFn spills(Spills{});
+  EXPECT_TRUE(fits.is_inline());
+  EXPECT_FALSE(spills.is_inline());
+  fits();
+  spills();
+}
+
+TEST(UniqueFn, BoxedClosureMovesAndDestroysThroughTheInlineBuffer) {
+  // The block pointer of a boxed closure lives in the inline buffer: moves
+  // must carry it over exactly once, and every destruction path must return
+  // the block (a double free or a leak aborts under ASan).
+  int ctor = 0, dtor = 0, runs = 0;
+  struct Boxed {
+    LifeCounter life;
+    int* runs;
+    unsigned char pad[UniqueFn::kInlineBytes]{};
+    void operator()() { ++*runs; }
+  };
+  auto make = [&] { return UniqueFn(Boxed{LifeCounter(&ctor, &dtor), &runs}); };
+  {
+    // At most two are live at once below; start with two cached blocks.
+    UniqueFn w1 = make();
+    UniqueFn w2 = make();
+  }
+  const std::size_t cached = sim::detail::BlockCache::cached_blocks();
+  {
+    UniqueFn a = make();
+    ASSERT_FALSE(a.is_inline());
+    UniqueFn b(std::move(a));            // move-construct
+    EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+    b();
+    UniqueFn c = make();
+    c = std::move(b);                    // move-assign over a boxed closure
+    c();
+    UniqueFn d([&runs] { ++runs; });
+    d = std::move(c);                    // move-assign over an inline closure
+    EXPECT_FALSE(d.is_inline());
+    d();
+    auto& self = d;
+    d = std::move(self);                 // self-move keeps the closure
+    d();
+    UniqueFn e = make();
+    e.reset();                           // explicit reset
+    EXPECT_FALSE(static_cast<bool>(e));
+    e = make();                          // destroyed at scope exit
+  }
+  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(ctor, dtor) << "every boxed closure must be destroyed exactly once";
+  EXPECT_EQ(sim::detail::BlockCache::cached_blocks(), cached)
+      << "every block must return to the cache";
+}
+
 TEST(UniqueFn, EmptyInvokeThrows) {
   UniqueFn f;
   EXPECT_THROW(f(), std::bad_function_call);
@@ -460,6 +536,86 @@ TEST(ZeroAlloc, SteadyStatePointSendDeliverDoesNotAllocate) {
 
   const charm::PayloadPool& pool = rt.payload_pool();
   EXPECT_GT(pool.hits(), 0u);
+}
+
+TEST(ZeroAlloc, CrossPeBurstClosuresLiveInTheirEventSlots) {
+  // One handler puts more cross-PE sends in flight than the closure block
+  // cache retains.  Every element sits away from its home PE and from the
+  // sender, and moves between two such PEs before each burst, so each send
+  // also takes a stale-cache bounce to the home, a home forward and a
+  // location-cache teach message.  The point-send, forward and teach closures
+  // must all live inline in their event slots: once the arena, ready queues
+  // and caches are warm, the only heap traffic left is payload buffers beyond
+  // the payload pool's retention, which the pool counts as misses or grows.
+  constexpr int kPes = 8;
+  constexpr int kElems = 64;
+  constexpr int kSends = 10000;
+  static_assert(kSends > sim::detail::BlockCache::kMaxFreePerClass[0]);
+  sim::Machine m(sim::MachineConfig{kPes, {}, 4});
+  charm::Runtime rt(m);
+  auto arr = charm::ArrayProxy<PingSink>::create(rt);
+  const charm::CollectionId col = arr.id();
+
+  // Elements homed away from the sender (PE 0), with two placements each.
+  std::vector<std::int32_t> ids;
+  std::vector<std::array<int, 2>> placement;
+  for (std::int32_t i = 0; static_cast<int>(ids.size()) < kElems; ++i) {
+    const int home = rt.home_pe(charm::IndexTraits<std::int32_t>::encode(i));
+    if (home == 0) continue;
+    std::vector<int> away;
+    for (int pe = 1; pe < kPes; ++pe)
+      if (pe != home) away.push_back(pe);
+    const std::size_t k = static_cast<std::size_t>(i) % away.size();
+    ids.push_back(i);
+    placement.push_back({away[k], away[(k + 1) % away.size()]});
+  }
+  for (std::size_t e = 0; e < ids.size(); ++e) arr.seed(ids[e], placement[e][0]);
+
+  auto burst = [&] {
+    rt.on_pe(0, [&] {
+      for (int i = 0; i < kSends; ++i)
+        arr[ids[static_cast<std::size_t>(i % kElems)]].send<&PingSink::take>(PingMsg{i});
+    });
+    m.run();
+  };
+  auto move_all = [&](int to) {
+    for (std::size_t e = 0; e < ids.size(); ++e) {
+      const int from = placement[e][static_cast<std::size_t>(1 - to)];
+      const charm::ObjIndex ix = charm::IndexTraits<std::int32_t>::encode(ids[e]);
+      rt.on_pe(from, [&rt, col, ix, e, to, &placement] {
+        rt.migrate(col, ix, placement[e][static_cast<std::size_t>(to)]);
+      });
+    }
+    m.run();
+  };
+
+  // Warm-up: the first burst teaches PE 0 every location; each later one
+  // reaches a stale cache.  The measured burst repeats the second one's
+  // pattern exactly (cache says placement 0, elements at placement 1).
+  burst();
+  move_all(1);
+  burst();
+  move_all(0);
+  burst();
+  move_all(1);
+
+  const charm::PayloadPool& pool = rt.payload_pool();
+  const std::uint64_t pool_allocs = pool.misses() + pool.grows();
+  const std::uint64_t msgs = rt.messages_sent();
+  const std::uint64_t fwds = rt.forwards();
+  g_allocs = 0;
+  g_counting = true;
+  burst();
+  g_counting = false;
+
+  EXPECT_EQ(rt.forwards() - fwds, 2u * kSends) << "stale bounce + home forward";
+  EXPECT_EQ(rt.messages_sent() - msgs, 4u * kSends)
+      << "send, bounce, forward and teach per message";
+  EXPECT_GT(pool.misses() + pool.grows(), pool_allocs)
+      << "the burst must outrun the payload pool's retention";
+  EXPECT_EQ(g_allocs, pool.misses() + pool.grows() - pool_allocs)
+      << "message closures must not allocate";
+  EXPECT_EQ(rt.outstanding(), 0);
 }
 
 // POD reductions recycle everything in steady state: contribution values land
