@@ -44,12 +44,10 @@
 namespace bench {
 
 inline sim::MachineConfig machine_config(int npes,
-                                         sim::NetworkParams net = sim::NetworkParams::bluegene_q(),
-                                         int pes_per_chip = 4) {
+                                         sim::NetworkParams net = sim::NetworkParams::bluegene_q()) {
   sim::MachineConfig cfg;
   cfg.npes = npes;
   cfg.net = net;
-  cfg.pes_per_chip = pes_per_chip;
   return cfg;
 }
 

@@ -22,8 +22,7 @@ struct Outcome {
 };
 
 Outcome run_policy(power::Policy policy, double lb_period, bool meta) {
-  sim::Machine m(bench::machine_config(16, sim::NetworkParams::bluegene_q(),
-                                       /*pes_per_chip=*/4));
+  sim::Machine m(bench::machine_config(16, sim::NetworkParams::bluegene_q()));
   bench::attach_trace(m);
   Runtime rt(m);
   stencil::Params sp;

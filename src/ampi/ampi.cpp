@@ -163,7 +163,7 @@ void Comm::charge_kernel(double base_seconds, double working_set_bytes) {
   double miss_fraction = 0.0;
   if (working_set_bytes > cache && working_set_bytes > 0)
     miss_fraction = 1.0 - cache / working_set_bytes;
-  charm::charge(base_seconds * (1.0 + r_->state_->opts.miss_penalty * miss_fraction));
+  charm::charge(base_seconds * (1.0 + kMissPenalty * miss_fraction));
 }
 
 double Comm::now() const { return charm::now(); }

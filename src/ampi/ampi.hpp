@@ -29,14 +29,15 @@ namespace charm::ampi {
 
 constexpr int kAnySource = -1;
 constexpr int kAnyTag = -1;
+/// charge_kernel's slowdown factor per unit of working-set miss fraction.
+constexpr double kMissPenalty = 1.5;
 
 struct Options {
   std::size_t stack_bytes = 128 * 1024;
   /// Working-set cache model for charge_kernel (Fig 14; DESIGN.md §1):
-  /// modeled aggregate cache per node and the slowdown when the working set
-  /// spills out of it.
+  /// modeled aggregate cache per node; the slowdown when the working set
+  /// spills out of it is kMissPenalty.
   double cache_bytes = 36e6;
-  double miss_penalty = 1.5;
 };
 
 class Rank;
@@ -73,7 +74,7 @@ class Comm {
   /// Charge compute work (virtual seconds at nominal frequency).
   void charge(double seconds);
   /// Charge a kernel with the working-set cache model: the effective cost is
-  /// base * (1 + miss_penalty * miss_fraction(working_set)).
+  /// base * (1 + kMissPenalty * miss_fraction(working_set)).
   void charge_kernel(double base_seconds, double working_set_bytes);
 
   double now() const;

@@ -12,6 +12,8 @@ namespace charm::ft {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x434B50543134ull;  // "CKPT14"
+constexpr double kDiskBandwidth = 1.0e9;  ///< per-PE file-write bandwidth (B/s)
+constexpr double kOpenOverhead = 0.5e-3;  ///< per-PE file open/close cost (s)
 
 struct ElementRecord {
   CollectionId col = -1;
@@ -26,8 +28,7 @@ struct ElementRecord {
 
 }  // namespace
 
-void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done,
-                        DiskParams params) {
+void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done) {
   // Host-side serialization (contents), with per-PE costs charged in virtual
   // time for the pack and the parallel file write.
   std::vector<ElementRecord> records;
@@ -68,8 +69,8 @@ void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done,
   const double ckpt_begin = rt.now();
   auto remaining = std::make_shared<int>(rt.npes());
   for (int pe = 0; pe < rt.npes(); ++pe) {
-    const double cost = params.open_overhead +
-                        pe_bytes[static_cast<std::size_t>(pe)] / params.disk_bw;
+    const double cost =
+        kOpenOverhead + pe_bytes[static_cast<std::size_t>(pe)] / kDiskBandwidth;
     rt.send_control(pe, 32, [&rt, cost, remaining, done, ckpt_begin]() {
       rt.charge(cost);
       if (--*remaining == 0) {

@@ -8,7 +8,7 @@
 // are positional, exactly like Charm++'s registration order requirement).
 //
 // The file is written host-side; the *cost* (per-PE pack + parallel file
-// write at disk_bw) is charged in virtual time.
+// write at a fixed per-PE disk bandwidth) is charged in virtual time.
 
 #include <string>
 
@@ -17,16 +17,10 @@
 
 namespace charm::ft {
 
-struct DiskParams {
-  double disk_bw = 1.0e9;        ///< per-PE file-write bandwidth (B/s)
-  double open_overhead = 0.5e-3; ///< per-PE file open/close cost (s)
-};
-
 /// Serializes every checkpointable collection to `path`; invokes `done` when
 /// the modeled parallel write completes.  Call from a driver handler while the
 /// application is at a step boundary.
-void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done,
-                        DiskParams params = {});
+void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done);
 
 /// Repopulates previously created (empty) collections from `path`, placing
 /// each element at its home PE under the *current* PE count.  Driver-side;

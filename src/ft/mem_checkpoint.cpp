@@ -11,6 +11,11 @@
 
 namespace charm::ft {
 
+namespace {
+constexpr double kPackBandwidth = 6.0e9;  ///< local PUP/copy bandwidth (B/s)
+constexpr double kRestartBarriers = 3.0;  ///< restart barriers (paper: "several")
+}  // namespace
+
 MemCheckpointer::MemCheckpointer(Runtime& rt, MemCkptParams params)
     : rt_(rt),
       params_(params),
@@ -57,7 +62,7 @@ void MemCheckpointer::checkpoint(Callback done) {
         }
       }
       stage_bytes_ += static_cast<std::uint64_t>(bytes);
-      rt_.charge(bytes / params_.pack_bw);  // local copy
+      rt_.charge(bytes / kPackBandwidth);  // local copy
 
       // Ship the second copy to the buddy (real message cost).
       const int buddy = (pe + 1) % P;
@@ -67,7 +72,7 @@ void MemCheckpointer::checkpoint(Callback done) {
             if (epoch_ != ep) return;
             stage_buddy_[static_cast<std::size_t>(buddy)] =
                 stage_local_[static_cast<std::size_t>(pe)];
-            rt_.charge(bytes / params_.pack_bw);  // copy-in
+            rt_.charge(bytes / kPackBandwidth);  // copy-in
             if (--*remaining != 0) return;
             rt_.after(rt_.my_pe(), rt_.tree_wave_latency(), [this, ep, done, begin]() {
               if (epoch_ != ep) return;
@@ -214,7 +219,7 @@ void MemCheckpointer::begin_restore() {
       buddy_valid_[static_cast<std::size_t>(v)] = 1;
     }
     rt_.rebuild_location_tables();
-    rt_.after(rt_.my_pe(), params_.barrier_count * 2.0 * rt_.tree_wave_latency(),
+    rt_.after(rt_.my_pe(), kRestartBarriers * 2.0 * rt_.tree_wave_latency(),
               [this, ep, vs]() {
                 if (epoch_ != ep) return;
                 rt_.machine().note_phase(sim::PhaseEvent{
@@ -248,7 +253,7 @@ void MemCheckpointer::begin_restore() {
 
     auto restore_here = [this, ep, pe, store, bytes, finish]() {
       if (epoch_ != ep) return;
-      rt_.charge(bytes / params_.pack_bw);  // unpack
+      rt_.charge(bytes / kPackBandwidth);  // unpack
       for (const Copy& copy : *store) {
         const ChareTypeId type = rt_.collection(copy.col).type;
         rt_.seed_element(copy.col, copy.idx, Registry::instance().unpack_element(type, copy.bytes),

@@ -40,9 +40,7 @@ class FaultInjector;
 namespace charm::ft {
 
 struct MemCkptParams {
-  double pack_bw = 6.0e9;        ///< local PUP/copy bandwidth (B/s)
   double detect_delay = 10e-3;   ///< failure detection time before recovery (s)
-  double barrier_count = 3.0;    ///< restart barriers (paper: "several")
 };
 
 /// One completed recovery (possibly covering several coalesced failures).

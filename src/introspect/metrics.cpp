@@ -58,7 +58,7 @@ void Monitor::reset(int npes) {
   journal_.reserve(64);
 }
 
-double Monitor::imbalance() const {
+Monitor::BusyFold Monitor::busy_fold() const {
   // Touched-only fold, averaged over the configured P: untouched PEs hold
   // busy = 0, so max and sum match the dense scan exactly.
   double mx = 0, sum = 0;
@@ -66,9 +66,12 @@ double Monitor::imbalance() const {
     if (pc.busy > mx) mx = pc.busy;
     sum += pc.busy;
   });
-  const double avg =
-      pes_.size() == 0 ? 0 : sum / static_cast<double>(pes_.size());
-  return avg > 0 ? mx / avg : 0;
+  return {mx, pes_.size() == 0 ? 0 : sum / static_cast<double>(pes_.size())};
+}
+
+double Monitor::imbalance() const {
+  const BusyFold f = busy_fold();
+  return f.avg > 0 ? f.max / f.avg : 0;
 }
 
 void Monitor::on_entry(int pe, int col, int ep, double, double dt) {
@@ -109,16 +112,10 @@ void Monitor::record_sample(double t) {
   } else {
     Sample s;
     s.t = t;
-    double mx = 0, sum = 0;
-    pes_.for_each_touched([&](std::size_t, const PeCounters& pc) {
-      if (pc.busy > mx) mx = pc.busy;
-      sum += pc.busy;
-    });
-    const double avg =
-        pes_.size() == 0 ? 0 : sum / static_cast<double>(pes_.size());
-    s.busy_max = mx;
-    s.busy_avg = avg;
-    s.lambda = avg > 0 ? mx / avg : 0;
+    const BusyFold f = busy_fold();
+    s.busy_max = f.max;
+    s.busy_avg = f.avg;
+    s.lambda = f.avg > 0 ? f.max / f.avg : 0;
     s.busy = busy_;
     s.exec = exec_;
     s.execs = execs_;

@@ -106,10 +106,6 @@ class Monitor : public sim::Observer {
   void set_interval(double dt);
   double interval() const { return interval_; }
 
-  /// Pre-sizes the sample buffer (default reserve kSampleReserve) so
-  /// steady-state sampling never reallocates inside the measured window.
-  void reserve_samples(std::size_t n) { samples_.reserve(n); }
-
   // ---- live queries ----------------------------------------------------
 
   int npes() const { return static_cast<int>(pes_.size()); }
@@ -119,8 +115,6 @@ class Monitor : public sim::Observer {
   }
   /// PEs whose counters were ever written (first-touch census).
   std::size_t touched_pes() const { return pes_.touched(); }
-  /// Host bytes held by the per-PE counter storage.
-  std::size_t counter_bytes() const { return pes_.memory_bytes(); }
   /// Virtual time of the most recent machine step.
   double time() const { return last_time_; }
   /// exec fraction of the PE's elapsed virtual time so far.
@@ -206,6 +200,12 @@ class Monitor : public sim::Observer {
   }
   void sample_up_to(double now);
   void record_sample(double t);
+  /// Max and average (over the configured P) of cumulative per-PE busy.
+  struct BusyFold {
+    double max = 0;
+    double avg = 0;
+  };
+  BusyFold busy_fold() const;
 
   double interval_ = 0;
   double next_boundary_ = 0;

@@ -13,17 +13,12 @@
 
 namespace charm::lb {
 
-struct GossipParams {
-  double overload_tol = 1.03;  ///< overloaded when load > avg * tol
-  int probes_per_pe = 4;       ///< random targets each overloaded PE probes
-};
-
 struct GossipResult {
   std::vector<Migration> migrations;
   int probes = 0;  ///< probe messages issued (for traffic modeling)
 };
 
-GossipResult gossip_assign(const Stats& stats, std::uint64_t seed,
-                           const GossipParams& params = {});
+/// A PE is overloaded above 1.03x the average load and probes 4 random PEs.
+GossipResult gossip_assign(const Stats& stats, std::uint64_t seed);
 
 }  // namespace charm::lb

@@ -7,7 +7,12 @@
 
 namespace charm::lb {
 
-GossipResult gossip_assign(const Stats& s, std::uint64_t seed, const GossipParams& p) {
+namespace {
+constexpr double kOverloadTol = 1.03;  ///< overloaded when load > avg * tol
+constexpr int kProbesPerPe = 4;        ///< random targets each overloaded PE probes
+}  // namespace
+
+GossipResult gossip_assign(const Stats& s, std::uint64_t seed) {
   GossipResult result;
   const auto n = static_cast<std::size_t>(s.npes);
 
@@ -32,15 +37,15 @@ GossipResult gossip_assign(const Stats& s, std::uint64_t seed, const GossipParam
 
   sim::Rng rng(seed);
   for (std::size_t pe = 0; pe < n; ++pe) {
-    if (load[pe] <= avg * p.overload_tol) continue;
+    if (load[pe] <= avg * kOverloadTol) continue;
     // Probe a handful of random PEs; each accepting target takes chares until
     // it reaches the average or we run out of excess.
-    for (int probe = 0; probe < p.probes_per_pe && load[pe] > avg * p.overload_tol; ++probe) {
+    for (int probe = 0; probe < kProbesPerPe && load[pe] > avg * kOverloadTol; ++probe) {
       const auto target = static_cast<std::size_t>(rng.next_below(n));
       ++result.probes;
       if (target == pe || load[target] >= avg) continue;  // probe declined
       auto& lst = on_pe[pe];
-      for (auto it = lst.begin(); it != lst.end() && load[pe] > avg * p.overload_tol;) {
+      for (auto it = lst.begin(); it != lst.end() && load[pe] > avg * kOverloadTol;) {
         const std::size_t id = *it;
         const double dt_src = s.chares[id].work / s.pe_speed[pe];
         const double dt_dst = s.chares[id].work / s.pe_speed[target];

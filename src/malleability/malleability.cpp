@@ -15,7 +15,6 @@ namespace charm::ccs {
 void Server::request_shrink(int target_pes, Callback done) {
   if (target_pes <= 0 || target_pes > rt_.active_pes())
     throw std::invalid_argument("request_shrink: bad target PE count");
-  ++served_;
   const double delay = costs_.shrink_base_s + costs_.per_pe_s * target_pes;
   rt_.lb().request_reconfig(target_pes, delay, std::move(done));
 }
@@ -23,7 +22,6 @@ void Server::request_shrink(int target_pes, Callback done) {
 void Server::request_expand(int target_pes, Callback done) {
   if (target_pes < rt_.active_pes() || target_pes > rt_.npes())
     throw std::invalid_argument("request_expand: bad target PE count");
-  ++served_;
   const double delay = costs_.expand_base_s + costs_.per_pe_s * target_pes;
   rt_.lb().request_reconfig(target_pes, delay, std::move(done));
 }

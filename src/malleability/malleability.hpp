@@ -34,12 +34,9 @@ class Server {
   /// Expand the job to `target_pes` (PEs must exist in the machine).
   void request_expand(int target_pes, Callback done);
 
-  int requests_served() const { return served_; }
-
  private:
   Runtime& rt_;
   ReconfigCosts costs_;
-  int served_ = 0;
 };
 
 }  // namespace charm::ccs

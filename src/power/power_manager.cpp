@@ -67,7 +67,6 @@ void Manager::apply_dvfs() {
     const double t = model_.temperature(chip);
     if (t > dvfs_.threshold_c && lvl > 0) {
       --lvl;
-      ++throttles_;
     } else if (t < dvfs_.threshold_c - dvfs_.margin_c &&
                lvl + 1 < static_cast<int>(dvfs_.levels.size())) {
       ++lvl;

@@ -42,8 +42,6 @@ class Manager {
 
   const ThermalModel& thermal() const { return model_; }
   double max_temp_seen() const { return model_.max_seen(); }
-  int throttle_events() const { return throttles_; }
-  int chip_of(int pe) const { return pe / pes_per_chip_; }
   int nchips() const { return model_.nchips(); }
 
  private:
@@ -61,7 +59,6 @@ class Manager {
   bool running_ = false;
   std::vector<double> last_busy_;
   std::vector<int> level_;  ///< current DVFS level index per chip
-  int throttles_ = 0;
 };
 
 }  // namespace charm::power

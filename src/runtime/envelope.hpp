@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "runtime/index.hpp"
@@ -34,6 +35,22 @@ struct Envelope {
 
   /// Modeled wire footprint: payload plus the fixed header.
   std::size_t wire_size() const { return payload.size() + kHeaderBytes; }
+
+  /// The one builder for both kinds: `target` is the entry method of a
+  /// kPoint message and the creator of a kCreate message.
+  static Envelope make(Kind kind, CollectionId col, const ObjIndex& idx,
+                       std::int32_t target, int priority,
+                       std::vector<std::byte> payload, int src_pe) {
+    Envelope env;
+    env.kind = kind;
+    env.col = col;
+    env.idx = idx;
+    (kind == Kind::kPoint ? env.ep : env.creator) = target;
+    env.priority = priority;
+    env.src_pe = src_pe;
+    env.payload = std::move(payload);
+    return env;
+  }
 };
 
 }  // namespace charm

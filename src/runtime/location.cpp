@@ -82,12 +82,7 @@ void Runtime::install_element(CollectionId col, ObjIndex idx,
   if (migrated) raw->on_migrated();
   lb_->on_element_added(c, *raw);
 
-  const int h = home_pe(idx);
-  if (h == pe) {
-    home_arrived(col, idx, pe, epoch);
-  } else {
-    send_control(h, 16, [this, col, idx, pe, epoch] { home_arrived(col, idx, pe, epoch); });
-  }
+  run_at_home(idx, pe, [this, col, idx, pe, epoch] { home_arrived(col, idx, pe, epoch); });
 
   if (migrated) lb_->note_migration_arrival();
 }
@@ -95,20 +90,15 @@ void Runtime::install_element(CollectionId col, ObjIndex idx,
 void Runtime::perform_migration(CollectionId col, ObjIndex idx, int to_pe) {
   Collection& c = collection(col);
   const int from = machine_.current_pe();
-  ArrayElementBase* elem = c.find(from, idx);
+  const ArrayElementBase* elem = c.find(from, idx);
   if (elem == nullptr || elem->pe_ != from)
     throw std::logic_error("perform_migration: element not on the executing PE");
   if (to_pe == from) return;
 
-  lb_->on_element_removed(*elem);  // departure: the arrival gets a fresh slot
-  elem->epoch_ += 1;
-  const std::uint32_t epoch = elem->epoch_;
-
-  // Extract the element from the local table.
-  auto& m = c.local(from).elems;
-  auto it = m.find(idx);
-  std::unique_ptr<ArrayElementBase> obj = std::move(it->second);
-  m.erase(it);
+  // Departure: the element leaves the table and the LB database (the arrival
+  // gets a fresh slot).
+  std::unique_ptr<ArrayElementBase> obj = remove_element(c, idx, from);
+  const std::uint32_t epoch = ++obj->epoch_;
 
   std::size_t bytes;
   std::vector<std::byte> data;
@@ -127,12 +117,7 @@ void Runtime::perform_migration(CollectionId col, ObjIndex idx, int to_pe) {
   charge(bytes / kMigrateBandwidth);  // pack / copy-out cost
 
   // Tell the home the element is in transit.
-  const int h = home_pe(idx);
-  if (h == from) {
-    home_departed(col, idx, epoch);
-  } else {
-    send_control(h, 16, [this, col, idx, epoch] { home_departed(col, idx, epoch); });
-  }
+  run_at_home(idx, from, [this, col, idx, epoch] { home_departed(col, idx, epoch); });
 
   const double unpack_cost = static_cast<double>(bytes) / kMigrateBandwidth;
   if (c.raw_move) {
@@ -164,23 +149,13 @@ void Runtime::migrate(CollectionId col, ObjIndex idx, int to_pe) {
 
 void Runtime::destroy_local(CollectionId col, ObjIndex idx, int pe) {
   Collection& c = collection(col);
-  PeLocal* hosting = c.local_if(pe);
-  if (hosting == nullptr) return;
-  auto& m = hosting->elems;
-  auto it = m.find(idx);
-  if (it == m.end()) return;
-  lb_->on_element_removed(*it->second);
-  m.erase(it);
+  if (remove_element(c, idx, pe) == nullptr) return;
   --c.total_elements;
   const int h = home_pe(idx);
-  if (h == pe) {
-    hosting->erase_home(idx);
-  } else {
-    send_control(h, 16, [this, col, idx, h] {
-      // Erasing a missing record is a no-op, so probing stays equivalent.
-      if (PeLocal* pl = collection(col).local_if(h)) pl->erase_home(idx);
-    });
-  }
+  run_at_home(idx, pe, [this, col, idx, h] {
+    // Erasing a missing record is a no-op, so probing stays equivalent.
+    if (PeLocal* pl = collection(col).local_if(h)) pl->erase_home(idx);
+  });
 }
 
 void Runtime::rebuild_location_tables() {

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -84,16 +85,27 @@ void absorb_scalar(ReduxSlot& slot, double value, ReduceOp op, Runtime& rt) {
   }
 }
 
-/// Resets a recycled slot to its freshly-constructed state.  nums keeps its
-/// (pooled) capacity; chunks and cb were moved out / dropped at completion.
-void reset_slot(ReduxSlot& slot) {
-  slot.count = 0;
-  slot.has_nums = false;
-  slot.op = ReduceOp::kSum;
-  slot.nums.clear();
-  slot.chunks.clear();
-  slot.cb = Callback{};
-  slot.wave_remaining = 0;
+/// Slot `seq` of `map`, created on first use by re-keying the recycled
+/// `spare` node when there is one (no allocation once a slot has retired).
+ReduxSlot& slot_for(ReduxMap& map, ReduxMap::node_type& spare, std::uint64_t seq) {
+  auto it = map.find(seq);
+  if (it != map.end()) return it->second;
+  if (!spare) return map[seq];
+  spare.key() = seq;
+  spare.mapped() = ReduxSlot{};
+  return map.insert(std::move(spare)).position->second;
+}
+
+/// Retires slot `seq` of `map`: moves its state out and keeps the map node
+/// as the `spare` for the next slot_for.  Empty when the slot is gone
+/// (cleared mid-wave by an FT rollback).
+std::optional<ReduxSlot> retire_slot(ReduxMap& map, ReduxMap::node_type& spare,
+                                     std::uint64_t seq) {
+  auto node = map.extract(seq);
+  if (!node) return std::nullopt;
+  std::optional<ReduxSlot> slot(std::move(node.mapped()));
+  spare = std::move(node);
+  return slot;
 }
 
 /// Modeled wire size of a partial-combine message body (seq + count + op /
@@ -107,29 +119,6 @@ std::size_t partial_body_bytes(const ReduxSlot& part) {
 
 }  // namespace
 
-ReduxSlot& Runtime::redux_slot(Collection& c, std::uint64_t seq) {
-  auto it = c.redux.find(seq);
-  if (it != c.redux.end()) return it->second;
-  if (c.redux_spare) {
-    c.redux_spare.key() = seq;
-    reset_slot(c.redux_spare.mapped());
-    return c.redux.insert(std::move(c.redux_spare)).position->second;
-  }
-  return c.redux[seq];
-}
-
-ReduxSlot& Runtime::partial_slot(Collection& c, int pe, std::uint64_t seq) {
-  PeLocal& pl = c.local(pe);
-  auto it = pl.partial.find(seq);
-  if (it != pl.partial.end()) return it->second;
-  if (pl.partial_spare) {
-    pl.partial_spare.key() = seq;
-    reset_slot(pl.partial_spare.mapped());
-    return pl.partial.insert(std::move(pl.partial_spare)).position->second;
-  }
-  return pl.partial[seq];
-}
-
 template <class Absorb>
 void Runtime::contribute_with(ArrayElementBase& elem, const Callback& cb,
                               Absorb&& absorb) {
@@ -141,14 +130,15 @@ void Runtime::contribute_with(ArrayElementBase& elem, const Callback& cb,
   charge(kContributeCost);
 
   if (tree_collectives()) {
-    ReduxSlot& part = partial_slot(c, elem.pe_, seq);
+    PeLocal& pl = c.local(elem.pe_);
+    ReduxSlot& part = slot_for(pl.partial, pl.partial_spare, seq);
     absorb(part);
     ++part.count;
     note_tree_contribution(c, seq, cb);
     return;
   }
 
-  ReduxSlot& slot = redux_slot(c, seq);
+  ReduxSlot& slot = slot_for(c.redux, c.redux_spare, seq);
   absorb(slot);
   if (cb.valid()) slot.cb = cb;
   ++slot.count;
@@ -173,32 +163,28 @@ void Runtime::contribute_scalar(ArrayElementBase& elem, double value, ReduceOp o
 
 void Runtime::complete_reduction(Collection& c, std::uint64_t seq) {
   c.redux_floor = std::max(c.redux_floor, seq + 1);
-  auto node = c.redux.extract(seq);
-  ReduxSlot& slot = node.mapped();
-  ReductionResult result;
-  result.nums = std::move(slot.nums);
-  result.chunks = std::move(slot.chunks);
-  const Callback cb = slot.cb;
-  slot.cb = Callback{};
-  c.redux_spare = std::move(node);  // recycle the map node
+  ReduxSlot slot = *retire_slot(c.redux, c.redux_spare, seq);
+  ReductionResult result{std::move(slot.nums), std::move(slot.chunks)};
 
   // Critical-path cost of the combine tree after the last contribution.
   // The result moves straight into the completion closure (no shared_ptr
-  // box; sim::Handler is move-only).
+  // box; sim::Handler is move-only).  A timer post, counted by hand as a
+  // message.
   const double delay = tree_wave_latency();
   ++outstanding_;
   ++msgs_sent_;
-  machine_.post(0, now() + delay, [this, cb, result = std::move(result)]() mutable {
-    if (cb.valid()) cb.invoke(*this, std::move(result));
-    note_message_done();
-  });
+  machine_.post(0, now() + delay,
+                [this, cb = std::move(slot.cb), result = std::move(result)]() mutable {
+                  if (cb.valid()) cb.invoke(*this, std::move(result));
+                  note_message_done();
+                });
 }
 
 // ---- tree up-sweep (DESIGN.md §10) -------------------------------------------
 
 void Runtime::note_tree_contribution(Collection& c, std::uint64_t seq,
                                      const Callback& cb) {
-  ReduxSlot& g = redux_slot(c, seq);
+  ReduxSlot& g = slot_for(c.redux, c.redux_spare, seq);
   if (cb.valid()) g.cb = cb;
   ++g.count;
   if (g.count >= c.total_elements) start_tree_upsweep(c, seq);
@@ -209,10 +195,7 @@ void Runtime::start_tree_upsweep(Collection& c, std::uint64_t seq) {
   // partials is final.  Advance the floor exactly like the flat path and
   // retire the global bookkeeping slot.
   c.redux_floor = std::max(c.redux_floor, seq + 1);
-  auto node = c.redux.extract(seq);
-  const Callback cb = node.mapped().cb;
-  node.mapped().cb = Callback{};
-  c.redux_spare = std::move(node);
+  const Callback cb = retire_slot(c.redux, c.redux_spare, seq)->cb;
 
   const SpanningTree tree(active_pes_, /*root=*/0, cfg_.tree_fanout);
   const int P = active_pes_;
@@ -238,7 +221,8 @@ void Runtime::start_tree_upsweep(Collection& c, std::uint64_t seq) {
   // kick keeps QD open by hand — timer posts are not counted.
   for (int r = 0; r < P; ++r) {
     if (!redux_on_path_[static_cast<std::size_t>(r)]) continue;
-    ReduxSlot& part = partial_slot(c, r, seq);
+    PeLocal& pl = c.local(r);
+    ReduxSlot& part = slot_for(pl.partial, pl.partial_spare, seq);
     if (r == 0) part.cb = cb;  // rank 0's slot carries the callback
     int kids = 0;
     for (int i = 1; i <= tree.arity; ++i) {
@@ -266,23 +250,18 @@ void Runtime::send_tree_partial(CollectionId col, std::uint64_t seq, int rank) {
   const SpanningTree tree(active_pes_, /*root=*/0, cfg_.tree_fanout);
   const int parent = tree.parent(rank);
   PeLocal& pl = c.local(rank);
-  auto node = pl.partial.extract(seq);
-  if (!node) return;  // cleared mid-wave (FT rollback)
-  ReduxSlot& part = node.mapped();
-  const std::int64_t count = part.count;
-  const bool has_nums = part.has_nums;
-  const ReduceOp op = part.op;
-  const std::size_t body = partial_body_bytes(part);
-  std::vector<double> nums = std::move(part.nums);
-  std::vector<std::vector<std::byte>> chunks = std::move(part.chunks);
-  part.cb = Callback{};
-  pl.partial_spare = std::move(node);
+  std::optional<ReduxSlot> part = retire_slot(pl.partial, pl.partial_spare, seq);
+  if (!part) return;
+  const std::int64_t count = part->count;
+  const bool has_nums = part->has_nums;
+  const ReduceOp op = part->op;
+  const std::size_t body = partial_body_bytes(*part);
 
   ++redux_partials_sent_;
   machine_.note_collective(body + Envelope::kHeaderBytes);
   send_control(parent, body,
-               [this, col, seq, count, has_nums, op, nums = std::move(nums),
-                chunks = std::move(chunks)]() mutable {
+               [this, col, seq, count, has_nums, op, nums = std::move(part->nums),
+                chunks = std::move(part->chunks)]() mutable {
                  tree_partial_arrive(col, seq, count, has_nums, op,
                                      std::move(nums), std::move(chunks));
                });
@@ -294,7 +273,8 @@ void Runtime::tree_partial_arrive(CollectionId col, std::uint64_t seq,
                                   std::vector<std::vector<std::byte>>&& chunks) {
   Collection& c = collection(col);
   const int rank = machine_.current_pe();
-  ReduxSlot& part = partial_slot(c, rank, seq);
+  PeLocal& pl = c.local(rank);
+  ReduxSlot& part = slot_for(pl.partial, pl.partial_spare, seq);
   charge(kContributeCost);  // per-level combine work
   part.count += count;
   if (has_nums) {
@@ -311,16 +291,9 @@ void Runtime::tree_partial_arrive(CollectionId col, std::uint64_t seq,
 
 void Runtime::complete_tree_root(Collection& c, std::uint64_t seq) {
   PeLocal& pl = c.local(0);
-  auto node = pl.partial.extract(seq);
-  if (!node) return;  // cleared mid-wave (FT rollback)
-  ReduxSlot& part = node.mapped();
-  ReductionResult result;
-  result.nums = std::move(part.nums);
-  result.chunks = std::move(part.chunks);
-  const Callback cb = part.cb;
-  part.cb = Callback{};
-  pl.partial_spare = std::move(node);
-  if (cb.valid()) cb.invoke(*this, std::move(result));
+  std::optional<ReduxSlot> root = retire_slot(pl.partial, pl.partial_spare, seq);
+  if (!root || !root->cb.valid()) return;
+  root->cb.invoke(*this, ReductionResult{std::move(root->nums), std::move(root->chunks)});
 }
 
 void Runtime::clear_reductions(CollectionId col) {

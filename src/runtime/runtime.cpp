@@ -66,16 +66,10 @@ void Runtime::seed_element(CollectionId col, ObjIndex idx,
 void Runtime::insert_element(CollectionId col, ObjIndex idx, CreatorId creator,
                              std::vector<std::byte> ctor_payload, int pe_hint,
                              int priority) {
-  Envelope env;
-  env.kind = Envelope::Kind::kCreate;
-  env.col = col;
-  env.idx = idx;
-  env.creator = creator;
-  env.priority = priority;
-  env.payload = std::move(ctor_payload);
-  env.src_pe = machine_.in_handler() ? machine_.current_pe() : kInvalidPe;
-  int dst = pe_hint != kInvalidPe ? pe_hint : home_pe(idx);
-  launch_envelope(std::move(env), dst);
+  const int src_pe = machine_.in_handler() ? machine_.current_pe() : kInvalidPe;
+  launch_envelope(Envelope::make(Envelope::Kind::kCreate, col, idx, creator, priority,
+                                 std::move(ctor_payload), src_pe),
+                  pe_hint != kInvalidPe ? pe_hint : home_pe(idx));
 }
 
 void Runtime::destroy_self() {
@@ -86,25 +80,22 @@ void Runtime::destroy_self() {
 
 // ---- messaging -----------------------------------------------------------------
 
-void Runtime::launch_envelope(Envelope env, int dst, bool count) {
-  if (count) ++outstanding_;
-  ++msgs_sent_;
-  const std::size_t wire = env.wire_size();
-  bytes_sent_ += wire;
-  const int prio = env.priority;
-  // The envelope moves straight into the handler closure, and the closure
-  // lives inline in its event slot: no shared_ptr box, no closure block.
-  auto deliver = [this, dst, env = std::move(env)]() mutable {
-    if (pe_alive(dst)) {
-      on_envelope(std::move(env));
-    } else {
-      release_payload(std::move(env.payload));
+void Runtime::launch_envelope(Envelope env, int dst) {
+  // The envelope moves straight into the message closure, and the closure
+  // lives inline in its event slot (no shared_ptr box, no closure block).  A
+  // dead destination recycles the payload.
+  struct EnvelopeArrival {
+    Envelope env;
+    void operator()(Runtime& rt) { rt.on_envelope(std::move(env)); }
+    void operator()(Runtime& rt, DeadDestination) {
+      rt.release_payload(std::move(env.payload));
     }
-    note_message_done();
   };
-  static_assert(sim::UniqueFn::kFitsInline<decltype(deliver)>,
+  static_assert(sim::UniqueFn::kFitsInline<Counted<EnvelopeArrival>>,
                 "the point-send closure must fit the event slot");
-  machine_.send(dst, wire, prio, std::move(deliver), /*src_override=*/0);
+  const std::size_t wire = env.wire_size();
+  const int priority = env.priority;
+  counted_send(dst, wire, priority, EnvelopeArrival{std::move(env)});
 }
 
 int Runtime::route_point(Collection& c, const ObjIndex& idx, int src_pe) {
@@ -122,15 +113,9 @@ int Runtime::route_point(Collection& c, const ObjIndex& idx, int src_pe) {
 void Runtime::send_point_to(CollectionId col, ObjIndex idx, EntryId ep,
                             std::vector<std::byte> payload, int priority,
                             int src_pe, int dst) {
-  Envelope env;
-  env.kind = Envelope::Kind::kPoint;
-  env.col = col;
-  env.idx = idx;
-  env.ep = ep;
-  env.priority = priority;
-  env.payload = std::move(payload);
-  env.src_pe = src_pe;
-  launch_envelope(std::move(env), dst);
+  launch_envelope(
+      Envelope::make(Envelope::Kind::kPoint, col, idx, ep, priority, std::move(payload), src_pe),
+      dst);
 }
 
 void Runtime::send_point(CollectionId col, ObjIndex idx, EntryId ep,
@@ -143,15 +128,10 @@ void Runtime::send_point(CollectionId col, ObjIndex idx, EntryId ep,
 
 void Runtime::typed_miss(CollectionId col, ObjIndex idx, EntryId ep, int priority,
                          std::vector<std::byte> payload, int pe) {
-  Envelope env;
-  env.kind = Envelope::Kind::kPoint;
-  env.col = col;
-  env.idx = idx;
-  env.ep = ep;
-  env.priority = priority;
-  env.payload = std::move(payload);
-  env.src_pe = pe;  // the typed slot only exists when sender == destination
-  handle_point_miss(std::move(env), pe);
+  // The typed slot only exists when sender == destination, so src_pe is pe.
+  handle_point_miss(
+      Envelope::make(Envelope::Kind::kPoint, col, idx, ep, priority, std::move(payload), pe),
+      pe);
 }
 
 void Runtime::on_envelope(Envelope env) {
@@ -171,48 +151,19 @@ void Runtime::on_envelope(Envelope env) {
     return;
   }
 
-  ArrayElementBase* elem = c.find(pe, env.idx);
-  if (elem != nullptr) {
-    deliver_here(std::move(env), pe);
+  if (ArrayElementBase* elem = c.find(pe, env.idx)) {
+    deliver_local(*elem, env.ep, env.payload.data(), env.payload.size());
+    release_payload(std::move(env.payload));
   } else {
     handle_point_miss(std::move(env), pe);
   }
 }
 
-void Runtime::deliver_here(Envelope env, int pe) {
-  Collection& c = collection(env.col);
-  ArrayElementBase* elem = c.find(pe, env.idx);
-  assert(elem != nullptr);
-
-  const EntryInfo& einfo = Registry::instance().entry(env.ep);
-  pup::Unpacker u(env.payload);
-
-  ExecFrame f = begin_exec(*elem);
-  const double t0 = machine_.handler_elapsed();
-  einfo.invoke(elem, u);
-  end_entry(*elem, pe, env.col, env.ep, t0);
-
-  // The payload was fully consumed by the entry invocation above; recycle
-  // its capacity before the (rare) destroy/migrate epilogue.
-  release_payload(std::move(env.payload));
-  end_exec(f, env.col, env.idx, pe);
-}
-
-void Runtime::deliver_local(Collection& c, ArrayElementBase& elem, EntryId ep,
-                            const std::byte* data, std::size_t size) {
+void Runtime::deliver_local(ArrayElementBase& elem, EntryId ep, const std::byte* data,
+                            std::size_t size) {
   const EntryInfo& einfo = Registry::instance().entry(ep);
   pup::Unpacker u(data, size);
-
-  const CollectionId col = elem.col_;
-  const ObjIndex idx = elem.idx_;
-  const int pe = elem.pe_;
-
-  ExecFrame f = begin_exec(elem);
-  const double t0 = machine_.handler_elapsed();
-  einfo.invoke(&elem, u);
-  end_entry(elem, pe, col, ep, t0);
-  end_exec(f, col, idx, pe);
-  (void)c;
+  run_entry(elem, ep, [&] { einfo.invoke(&elem, u); });
 }
 
 void Runtime::broadcast(CollectionId col, EntryId ep, std::vector<std::byte> payload,
@@ -233,44 +184,36 @@ void Runtime::broadcast_leg(CollectionId col, EntryId ep,
                             int priority, int root, int relative_rank) {
   const int abs = (root + relative_rank) % active_pes_;
   const std::size_t wire = payload->size() + Envelope::kHeaderBytes;
-  ++outstanding_;
-  ++msgs_sent_;
-  bytes_sent_ += wire;
   machine_.note_collective(wire);
-  machine_.send(
-      abs, wire, priority,
-      [this, col, ep, payload, priority, root, relative_rank, abs]() {
-        if (pe_alive(abs)) {
-          // Forward down the spanning tree before local delivery so subtree
-          // sends overlap with this PE's delivery work.
-          broadcast_forward(col, ep, payload, priority, root, relative_rank);
-          Collection& c = collection(col);
-          // A PE with no block for this collection hosts no elements; the
-          // broadcast leg still forwards (above) but delivers to nothing, so
-          // probing preserves behaviour while keeping untouched PEs unpaged.
-          if (PeLocal* pl = c.local_if(abs); pl != nullptr) {
-            std::vector<ObjIndex> snapshot;
-            snapshot.reserve(pl->elems.size());
-            for (const auto& [ix, unused] : pl->elems) snapshot.push_back(ix);
-            for (const ObjIndex& ix : snapshot) {
-              ArrayElementBase* e = c.find(abs, ix);
-              if (e == nullptr) continue;
-              charge(kDeliverCost);
-              if (ep == kResumeEntry) {
-                // Instrumented like any delivery, so work done in
-                // resume_from_sync shows up in the next round's LB load.
-                const double t0 = machine_.handler_elapsed();
-                e->resume_from_sync();
-                end_entry(*e, abs, col, kResumeEntry, t0);
-              } else {
-                deliver_local(c, *e, ep, *payload);
-              }
-            }
-          }
-        }
-        note_message_done();
-      },
-      /*src_override=*/0);
+  counted_send(abs, wire, priority,
+               [col, ep, payload, priority, root, relative_rank, abs](Runtime& rt) {
+    // Forward down the spanning tree before local delivery so subtree sends
+    // overlap with this PE's delivery work.
+    rt.broadcast_forward(col, ep, payload, priority, root, relative_rank);
+    Collection& c = rt.collection(col);
+    // A PE with no block for this collection hosts no elements; the
+    // broadcast leg still forwards (above) but delivers to nothing, so
+    // probing preserves behaviour while keeping untouched PEs unpaged.
+    PeLocal* pl = c.local_if(abs);
+    if (pl == nullptr) return;
+    std::vector<ObjIndex> snapshot;
+    snapshot.reserve(pl->elems.size());
+    for (const auto& [ix, unused] : pl->elems) snapshot.push_back(ix);
+    for (const ObjIndex& ix : snapshot) {
+      ArrayElementBase* e = c.find(abs, ix);
+      if (e == nullptr) continue;
+      rt.charge(kDeliverCost);
+      if (ep == kResumeEntry) {
+        // Frameless, but instrumented like any delivery, so work done in
+        // resume_from_sync shows up in the next round's LB load.
+        const double t0 = rt.machine_.handler_elapsed();
+        e->resume_from_sync();
+        rt.end_entry(*e, abs, col, kResumeEntry, t0);
+      } else {
+        rt.deliver_local(*e, ep, payload->data(), payload->size());
+      }
+    }
+  });
 }
 
 void Runtime::broadcast_forward(
@@ -327,15 +270,20 @@ void Runtime::set_pe_dead(int pe, bool dead) {
 std::unique_ptr<ArrayElementBase> Runtime::extract_local(CollectionId col, ObjIndex idx,
                                                          int pe) {
   Collection& c = collection(col);
+  std::unique_ptr<ArrayElementBase> obj = remove_element(c, idx, pe);
+  if (obj) --c.total_elements;
+  return obj;
+}
+
+std::unique_ptr<ArrayElementBase> Runtime::remove_element(Collection& c,
+                                                          const ObjIndex& idx, int pe) {
   PeLocal* pl = c.local_if(pe);
   if (pl == nullptr) return nullptr;
-  auto& m = pl->elems;
-  auto it = m.find(idx);
-  if (it == m.end()) return nullptr;
+  auto it = pl->elems.find(idx);
+  if (it == pl->elems.end()) return nullptr;
   std::unique_ptr<ArrayElementBase> obj = std::move(it->second);
   lb_->on_element_removed(*obj);
-  m.erase(it);
-  --c.total_elements;
+  pl->elems.erase(it);
   return obj;
 }
 

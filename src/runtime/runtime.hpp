@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -126,25 +127,17 @@ class Runtime {
       send_point_to(col, idx, ep, pack_pooled(arg), priority, src_pe, dst);
       return;
     }
-    const std::size_t wire = Envelope::kHeaderBytes + pup::size_of(arg);
-    ++outstanding_;
-    ++msgs_sent_;
-    bytes_sent_ += wire;
-    machine_.send(
-        dst, wire, priority,
-        [this, col, idx, ep, inv, priority, arg = Arg(std::forward<A>(arg))]() mutable {
-          const int pe = machine_.current_pe();
-          if (pe_alive(pe)) {
-            Collection& cc = collection(col);
-            if (ArrayElementBase* elem = cc.find(pe, idx)) {
-              deliver_typed(*elem, col, idx, ep, inv, arg, pe);
-            } else {
-              typed_miss(col, idx, ep, priority, pack_pooled(arg), pe);
-            }
-          }
-          note_message_done();
-        },
-        /*src_override=*/0);
+    // Captures ordered widest first to keep padding small: the closure stays
+    // inline in its event slot for arguments up to 40 bytes.
+    counted_send(dst, Envelope::kHeaderBytes + pup::size_of(arg), priority,
+                 [idx, inv, col, ep, priority, arg = Arg(std::forward<A>(arg))](Runtime& rt) {
+                   const int pe = rt.my_pe();
+                   if (ArrayElementBase* elem = rt.collection(col).find(pe, idx)) {
+                     rt.deliver_local_typed(*elem, ep, inv, arg);
+                   } else {
+                     rt.typed_miss(col, idx, ep, priority, rt.pack_pooled(arg), pe);
+                   }
+                 });
   }
 
   void broadcast(CollectionId col, EntryId ep, std::vector<std::byte> payload,
@@ -192,16 +185,12 @@ class Runtime {
   /// Marks a PE failed: its elements are dropped by the FT recovery protocol
   /// and messages to it are discarded (counted, so QD still converges).
   void set_pe_dead(int pe, bool dead);
-  bool pe_dead(int pe) const { return dead_.test(static_cast<std::size_t>(pe)); }
   /// Live at both layers: not marked dead by the FT protocol and not
   /// quarantined by machine-level fault injection.  Both reads are
   /// chunk/page probes, so the hot path never materializes PE state.
   bool pe_alive(int pe) const {
     return !dead_.test(static_cast<std::size_t>(pe)) && !machine_.pe_failed(pe);
   }
-
-  /// The element whose handler is currently executing (null outside).
-  ArrayElementBase* current_element() const { return exec_elem_; }
 
   LbManager& lb() { return *lb_; }
 
@@ -240,33 +229,20 @@ class Runtime {
     std::size_t total() const {
       return pe_state_bytes + collection_bytes + event_queue_bytes;
     }
-    /// Structural bytes per touched PE (0 when nothing is touched yet).
-    double bytes_per_touched_pe() const {
-      return touched_pes == 0 ? 0.0
-                              : static_cast<double>(total()) /
-                                    static_cast<double>(touched_pes);
-    }
   };
   MemoryFootprint memory_footprint() const;
 
   // ---- internals used by sibling modules (lb/ft/tram) -------------------------
 
-  /// Sends a counted control message executing `fn` on `dst`.  The caller's
-  /// closure is captured as is, so a small one stays inline in the event
-  /// slot; wrapping it in a sim::Handler first would box every message.
+  /// Sends a counted control message of `bytes` plus the envelope header
+  /// executing `fn` on `dst`.  The caller's closure is captured as is, so a
+  /// small one stays inline in the event slot; wrapping it in a sim::Handler
+  /// first would box every message.
   template <class F>
   void send_control(int dst, std::size_t bytes, F&& fn,
                     int priority = kDefaultPriority) {
-    ++outstanding_;
-    ++msgs_sent_;
-    bytes_sent_ += bytes + Envelope::kHeaderBytes;
-    machine_.send(
-        dst, bytes + Envelope::kHeaderBytes, priority,
-        [this, dst, fn = std::forward<F>(fn)]() mutable {
-          if (pe_alive(dst)) fn();
-          note_message_done();
-        },
-        /*src_override=*/0);
+    counted_send(dst, bytes + Envelope::kHeaderBytes, priority,
+                 [fn = std::forward<F>(fn)](Runtime&) mutable { fn(); });
   }
 
   // ---- payload recycling -------------------------------------------------
@@ -315,29 +291,26 @@ class Runtime {
   /// use migrate() for that).
   void perform_migration(CollectionId col, ObjIndex idx, int to_pe);
 
-  /// Invoke an entry on a *local* element inline (broadcast delivery, TRAM).
-  void deliver_local(Collection& c, ArrayElementBase& elem, EntryId ep,
-                     const std::byte* data, std::size_t size);
-  void deliver_local(Collection& c, ArrayElementBase& elem, EntryId ep,
-                     const std::vector<std::byte>& payload) {
-    deliver_local(c, elem, ep, payload.data(), payload.size());
-  }
+  /// Invoke an entry on a *local* element inline (point, broadcast and TRAM
+  /// delivery).
+  void deliver_local(ArrayElementBase& elem, EntryId ep, const std::byte* data,
+                     std::size_t size);
 
-  /// Invoke an entry on a *local* element with a typed argument (same-PE TRAM
-  /// delivery): no serialization at all, instrumentation identical.
+  /// Invoke an entry on a *local* element with a typed argument (same-PE
+  /// typed sends, TRAM): the devirtualized equivalent of deliver_local, with
+  /// no serialization at all and identical instrumentation.
   template <class Arg>
-  void deliver_local_typed(Collection& c, ArrayElementBase& elem, EntryId ep,
+  void deliver_local_typed(ArrayElementBase& elem, EntryId ep,
                            DirectInvoker<Arg> inv, const Arg& arg) {
-    (void)c;
-    deliver_typed(elem, elem.col_, elem.idx_, ep, inv, arg, elem.pe_);
+    run_entry(elem, ep, [&] { inv(&elem, arg); });
   }
 
   /// Removes and returns a local element without any protocol (FT rollback).
   std::unique_ptr<ArrayElementBase> extract_local(CollectionId col, ObjIndex idx, int pe);
 
   /// Rebuilds home tables and clears caches from current element placement
-  /// (FT recovery, malleability reconfiguration).  Modeled cost charged via
-  /// `per_record_cost` on each PE... cost is charged by the caller.
+  /// (FT recovery, malleability reconfiguration).  Charges no virtual time:
+  /// the caller models the rebuild's cost.
   void rebuild_location_tables();
 
  private:
@@ -347,9 +320,45 @@ class Runtime {
     Callback cb;
   };
 
-  void launch_envelope(Envelope env, int dst, bool count = true);
+  /// Marks the call a counted message makes on its body when the
+  /// destination PE died before delivery (see counted_send).
+  struct DeadDestination {};
+
+  /// What every counted message puts in its event slot: the destination and
+  /// the caller's body, which takes the Runtime as an argument instead of
+  /// capturing it, so wrapping grows no closure.
+  template <class Body>
+  struct Counted {
+    Body body;
+    int dst;
+    void operator()() {
+      Runtime& rt = *current_;
+      if (rt.pe_alive(dst)) {
+        body(rt);
+      } else if constexpr (std::is_invocable_v<Body&, Runtime&, DeadDestination>) {
+        body(rt, DeadDestination{});
+      }
+      rt.note_message_done();
+    }
+  };
+
+  /// The one counted runtime send (DESIGN.md §7): counts the message toward
+  /// QD and the traffic totals, sends `wire` modeled bytes to `dst`, and on
+  /// arrival runs `body(rt)` unless `dst` died meanwhile (a body that also
+  /// accepts DeadDestination is told, to recycle what it owns), then closes
+  /// the message for QD.
+  template <class Body>
+  void counted_send(int dst, std::size_t wire, int priority, Body&& body) {
+    ++outstanding_;
+    ++msgs_sent_;
+    bytes_sent_ += wire;
+    machine_.send(dst, wire, priority,
+                  Counted<std::remove_cvref_t<Body>>{std::forward<Body>(body), dst},
+                  /*src_override=*/0);
+  }
+
+  void launch_envelope(Envelope env, int dst);
   void on_envelope(Envelope env);
-  void deliver_here(Envelope env, int pe);
   void handle_point_miss(Envelope env, int pe);
 
   /// Routing decision for a point message, shared by the packed and typed
@@ -394,14 +403,17 @@ class Runtime {
     }
   }
 
-  /// Invoke an entry with a typed argument: the devirtualized equivalent of
-  /// deliver_here's unpack-and-invoke, with identical instrumentation.
-  template <class Arg>
-  void deliver_typed(ArrayElementBase& elem, CollectionId col, const ObjIndex& idx,
-                     EntryId ep, DirectInvoker<Arg> inv, const Arg& arg, int pe) {
+  /// The one entry-invocation frame: runs `invoke()` as entry `ep` of the
+  /// local element `elem`, charging its work to the element and reporting
+  /// the entry span, then runs the destroy/migrate epilogue it requested.
+  template <class Invoke>
+  void run_entry(ArrayElementBase& elem, EntryId ep, Invoke&& invoke) {
+    const CollectionId col = elem.col_;
+    const ObjIndex idx = elem.idx_;
+    const int pe = elem.pe_;
     ExecFrame f = begin_exec(elem);
     const double t0 = machine_.handler_elapsed();
-    inv(&elem, arg);
+    invoke();
     end_entry(elem, pe, col, ep, t0);
     end_exec(f, col, idx, pe);
   }
@@ -413,6 +425,21 @@ class Runtime {
     machine_.note_entry(pe, col, ep, dt);
   }
   void destroy_local(CollectionId col, ObjIndex idx, int pe);
+  /// Takes element `idx` out of `pe`'s table and the LB database (null when
+  /// absent); the caller settles total_elements and the home record.
+  std::unique_ptr<ArrayElementBase> remove_element(Collection& c, const ObjIndex& idx,
+                                                   int pe);
+  /// Runs `fn` at the home PE of `idx`: inline when that is `pe`, otherwise
+  /// as a 16-byte control message.
+  template <class F>
+  void run_at_home(const ObjIndex& idx, int pe, F&& fn) {
+    const int h = home_pe(idx);
+    if (h == pe) {
+      fn();
+    } else {
+      send_control(h, 16, std::forward<F>(fn));
+    }
+  }
   void install_element(CollectionId col, ObjIndex idx,
                        std::unique_ptr<ArrayElementBase> obj, int pe,
                        std::uint32_t epoch, bool migrated = false);
@@ -428,10 +455,6 @@ class Runtime {
   bool tree_collectives() const {
     return cfg_.collectives == CollectiveTopology::kTree && active_pes_ > 1;
   }
-  /// Global / per-PE slot lookup with map-node recycling (no allocation once
-  /// a slot has completed and stashed its node as the spare).
-  ReduxSlot& redux_slot(Collection& c, std::uint64_t seq);
-  ReduxSlot& partial_slot(Collection& c, int pe, std::uint64_t seq);
   /// Shared body of contribute / contribute_scalar: `absorb(slot)` folds the
   /// value into the flat slot or this PE's tree partial.
   template <class Absorb>

@@ -33,13 +33,6 @@ struct SpanningTree {
   constexpr long child(int r, int i) const {
     return static_cast<long>(r) * arity + i;
   }
-  /// Number of in-range children of relative rank r.
-  constexpr int num_children(int r) const {
-    int n = 0;
-    for (int i = 1; i <= arity; ++i)
-      if (child(r, i) < npes) ++n;
-    return n;
-  }
   /// Depth of relative rank r below the root.
   constexpr int depth(int r) const {
     int d = 0;

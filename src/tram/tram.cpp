@@ -122,7 +122,7 @@ void Core::deliver_batch(int pe, Buffer buf, bool flush_through) {
       ArrayElementBase* elem = c.find(pe, head.idx);
       rt_.charge(kDeliverCost);
       if (elem != nullptr) {
-        rt_.deliver_local(c, *elem, head.ep, data, head.len);
+        rt_.deliver_local(*elem, head.ep, data, head.len);
       } else {
         std::vector<std::byte> payload = rt_.acquire_payload(head.len);
         payload.insert(payload.end(), data, data + head.len);

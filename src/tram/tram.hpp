@@ -52,11 +52,10 @@ class Core {
     ++items_;
     const int dest = resolve_dest(pe, dest_idx);
     if (dest == pe) {
-      Collection& c = rt_.collection(col_);
-      ArrayElementBase* elem = c.find(pe, dest_idx);
+      ArrayElementBase* elem = rt_.collection(col_).find(pe, dest_idx);
       rt_.charge(kDeliverCost);
       if (elem != nullptr) {
-        rt_.deliver_local_typed(c, *elem, ep, inv, item);
+        rt_.deliver_local_typed(*elem, ep, inv, item);
         return;
       }
       local_miss(pe, dest_idx, ep, rt_.pack_pooled(item), /*flush_through=*/false);

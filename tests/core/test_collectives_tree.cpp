@@ -200,7 +200,7 @@ struct Outcome {
 };
 
 Outcome run_scenario(const Scenario& s, charm::RuntimeConfig cfg) {
-  Harness h(s.npes, {}, 4, cfg);
+  Harness h(s.npes, {}, cfg);
   auto arr = ArrayProxy<Fuzzer>::create(h.rt);
   for (int i = 0; i < s.elements; ++i) arr.seed(i, s.homes[static_cast<std::size_t>(i)]);
   Outcome out;
@@ -240,7 +240,7 @@ TEST(TreeReduction, RandomizedFuzzMatchesFlatEveryArity) {
 
 TEST(TreeReduction, VectorSumMatchesFlat) {
   auto run = [](charm::RuntimeConfig cfg) {
-    Harness h(5, {}, 4, cfg);
+    Harness h(5, {}, cfg);
     auto arr = ArrayProxy<Fuzzer>::create(h.rt);
     for (int i = 0; i < 17; ++i) arr.seed(i, i % 5);
     std::vector<double> result;
@@ -259,7 +259,7 @@ TEST(TreeReduction, GatherCollectsEveryChunk) {
   // tree: grouped per PE, combined level by level), so gathers compare as
   // multisets — exactly-once delivery of every element's bytes.
   auto run = [](charm::RuntimeConfig cfg) {
-    Harness h(4, {}, 4, cfg);
+    Harness h(4, {}, cfg);
     auto arr = ArrayProxy<Fuzzer>::create(h.rt);
     for (int i = 0; i < 12; ++i) arr.seed(i, i % 4);
     std::vector<double> gathered;
@@ -285,7 +285,7 @@ TEST(TreeReduction, GatherCollectsEveryChunk) {
 
 TEST(TreeReduction, BarrierFiresExactlyOnce) {
   for (int arity : {2, 4, 8}) {
-    Harness h(7, {}, 4, Harness::tree_config(arity));
+    Harness h(7, {}, Harness::tree_config(arity));
     auto arr = ArrayProxy<Fuzzer>::create(h.rt);
     for (int i = 0; i < 9; ++i) arr.seed(i, i % 7);
     int fired = 0;
@@ -300,7 +300,7 @@ TEST(TreeReduction, PipelinedBurstsKeepSequenceOrder) {
   // Each element fires sum, max, min back to back; reduction n must complete
   // with reduction n's op, in order, exactly as the flat path sequences them.
   auto run = [](charm::RuntimeConfig cfg) {
-    Harness h(3, {}, 4, cfg);
+    Harness h(3, {}, cfg);
     auto arr = ArrayProxy<Fuzzer>::create(h.rt);
     for (int i = 0; i < 6; ++i) arr.seed(i, i % 3);
     std::vector<double> results;
@@ -319,7 +319,7 @@ TEST(TreeReduction, PartialSendsCountOnPathPesOnly) {
   // All PEs hold contributions: every PE but the root sends exactly one
   // partial.  Contributions from a single PE cost only that PE's root path.
   {
-    Harness h(8, {}, 4, Harness::tree_config(2));
+    Harness h(8, {}, Harness::tree_config(2));
     auto arr = ArrayProxy<Fuzzer>::create(h.rt);
     for (int i = 0; i < 8; ++i) arr.seed(i, i);
     double result = -1;
@@ -332,7 +332,7 @@ TEST(TreeReduction, PartialSendsCountOnPathPesOnly) {
   {
     // Elements only on PE 5: rel path 5 -> 2 -> 0 under arity 2, so two
     // partial hops — O(depth), not O(P).
-    Harness h(8, {}, 4, Harness::tree_config(2));
+    Harness h(8, {}, Harness::tree_config(2));
     auto arr = ArrayProxy<Fuzzer>::create(h.rt);
     for (int i = 0; i < 4; ++i) arr.seed(i, 5);
     double result = -1;
@@ -345,7 +345,7 @@ TEST(TreeReduction, PartialSendsCountOnPathPesOnly) {
 }
 
 TEST(TreeReduction, CallbackToBroadcastReachesEveryElement) {
-  Harness h(4, {}, 4, Harness::tree_config(2));
+  Harness h(4, {}, Harness::tree_config(2));
   auto arr = ArrayProxy<Fuzzer>::create(h.rt);
   for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
   Fuzzer::cb = arr.bcast_callback<&Fuzzer::count>();
@@ -368,7 +368,7 @@ TEST(TreeBroadcast, DeliversExactlyOnceEveryArityAndRoot) {
         charm::RuntimeConfig cfg;
         cfg.collectives = topo;
         cfg.tree_fanout = arity;
-        Harness h(16, {}, 4, cfg);
+        Harness h(16, {}, cfg);
         auto arr = ArrayProxy<Fuzzer>::create(h.rt);
         for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
         h.rt.on_pe(root, [&] { arr.broadcast<&Fuzzer::count>(StartMsg{}); });
@@ -391,7 +391,7 @@ TEST(FlatBroadcast, DeadInteriorPeDropsItsSubtree) {
   // subtree over 16 PEs is {1, 3, 4, 7, 8, 9, 10, 15}.
   charm::RuntimeConfig cfg;
   cfg.tree_fanout = 2;
-  Harness h(16, {}, 4, cfg);
+  Harness h(16, {}, cfg);
   auto arr = ArrayProxy<Fuzzer>::create(h.rt);
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
   const int victim = 1;
@@ -412,7 +412,7 @@ TEST(TreeBroadcast, RoutesAroundFailedInteriorPe) {
   // the sender must skip it and descend directly, so every element on a live
   // PE still gets the broadcast exactly once while the dead subtree root
   // receives nothing (kDrop).
-  Harness h(16, {}, 4, Harness::tree_config(2));
+  Harness h(16, {}, Harness::tree_config(2));
   auto arr = ArrayProxy<Fuzzer>::create(h.rt);
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
   const int victim = 1;
@@ -433,7 +433,7 @@ TEST(TreeReduction, MigrationMidReductionStillCompletesExactly) {
   // Half the elements contribute, one of the remaining elements migrates,
   // then the rest contribute: the parked partials and the mover's
   // contribution from its new PE must still combine to the exact total.
-  Harness h(4, {}, 4, Harness::tree_config(2));
+  Harness h(4, {}, Harness::tree_config(2));
   auto arr = ArrayProxy<Fuzzer>::create(h.rt);
   for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
   std::vector<double> results;
@@ -466,7 +466,7 @@ TEST(TreeReduction, RecoveryClearsParkedPartials) {
   // partials are parked mid-reduction must drop them, or the restored
   // elements' fresh round would combine stale values into the reused
   // sequence number and report a corrupted total.
-  Harness h(4, {}, 4, Harness::tree_config(2));
+  Harness h(4, {}, Harness::tree_config(2));
   auto arr = ArrayProxy<Fuzzer>::create(h.rt);
   for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
   charm::ft::MemCheckpointer ckpt(h.rt);
@@ -542,7 +542,7 @@ Fingerprint take_fingerprint(Harness& h) {
 }
 
 Fingerprint run_barnes(int arity) {
-  Harness h(8, {}, 4, Harness::tree_config(arity));
+  Harness h(8, {}, Harness::tree_config(arity));
   charm::barnes::Params p;
   p.pieces_per_dim = 2;
   p.nparticles = 256;
@@ -570,7 +570,7 @@ TEST(TreeDeterminism, BarnesRunsAreIdenticalPerArity) {
 }
 
 Fingerprint run_lulesh(int arity, double* checksum) {
-  Harness h(8, {}, 4, Harness::tree_config(arity));
+  Harness h(8, {}, Harness::tree_config(arity));
   charm::lulesh::Config cfg;
   cfg.ranks_per_dim = 2;
   cfg.elems_per_dim = 4;

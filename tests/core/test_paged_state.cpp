@@ -211,7 +211,7 @@ TEST(PagedStateRuntime, BroadcastLegsOnEmptyPesLeaveCollectionUnpaged) {
 
 TEST(PagedStateRuntime, ReductionOverSparseElementsStaysSparseFlatAndTree) {
   for (const bool tree : {false, true}) {
-    Harness h(64, {}, 4, tree ? Harness::tree_config(2) : charm::RuntimeConfig{});
+    Harness h(64, {}, tree ? Harness::tree_config(2) : charm::RuntimeConfig{});
     auto arr = ArrayProxy<Sparse>::create(h.rt);
     for (int i = 0; i < 8; ++i) arr.seed(i, i * 3);
     double sum = -1;

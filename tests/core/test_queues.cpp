@@ -799,4 +799,55 @@ TEST(ZeroAlloc, SteadyStateSamePeTypedSendDoesNotAllocate) {
   EXPECT_EQ(pool.hits() + pool.misses(), 0u);
 }
 
+/// 16-byte argument: same-PE typed delivery closures are sized to hold one
+/// this large inline.
+struct PairMsg {
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+  template <class P>
+  void pup(P& p) {
+    p | a;
+    p | b;
+  }
+};
+
+class PairSink : public charm::ArrayElement<PairSink, std::int32_t> {
+ public:
+  std::int64_t sum = 0;
+  void take(const PairMsg& m) { sum += m.a + m.b; }
+};
+
+TEST(ZeroAlloc, SamePeTypedClosuresWithSixteenByteArgumentsLiveInTheirEventSlots) {
+  // One handler puts more same-PE typed sends in flight than the closure
+  // block cache retains, so a delivery closure that boxed would allocate
+  // once the cache runs dry.  After a warm-up burst sizes the event arena
+  // and the ready queue, the same burst must not allocate at all.
+  static_assert(sizeof(PairMsg) == 16);
+  constexpr int kSends = 10000;
+  static_assert(kSends > sim::detail::BlockCache::kMaxFreePerClass[0]);
+  sim::Machine m(sim::MachineConfig{2, {}, 4});
+  charm::Runtime rt(m);
+  auto arr = charm::ArrayProxy<PairSink>::create(rt);
+  for (int i = 0; i < 16; ++i) arr.seed(i, 0);
+
+  auto burst = [&] {
+    rt.on_pe(0, [&arr] {
+      for (int i = 0; i < kSends; ++i)
+        arr[i % 16].send<&PairSink::take>(PairMsg{i, 1});
+    });
+    m.run();
+  };
+  burst();
+
+  const std::uint64_t msgs = rt.messages_sent();
+  g_allocs = 0;
+  g_counting = true;
+  burst();
+  g_counting = false;
+  EXPECT_EQ(rt.messages_sent() - msgs, static_cast<std::uint64_t>(kSends));
+  EXPECT_EQ(g_allocs, 0u)
+      << "a same-PE typed closure with a 16-byte argument must stay inline";
+  EXPECT_EQ(rt.outstanding(), 0);
+}
+
 }  // namespace

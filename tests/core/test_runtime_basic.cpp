@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <utility>
+#include <vector>
+
 #include "runtime/charm.hpp"
 
 #include "test_util.hpp"
@@ -235,6 +240,151 @@ TEST(RuntimeBasic, PrioritizedMessagesJumpTheQueue) {
   ASSERT_EQ(o->order.size(), 2u);
   EXPECT_EQ(o->order[0], 2);
   EXPECT_EQ(o->order[1], 1);
+}
+
+/// The runtime's traffic counters at one instant; differences of two
+/// snapshots pin what one message kind costs.
+struct Traffic {
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+  std::int64_t outstanding = 0;
+
+  static Traffic of(const charm::Runtime& rt) {
+    return {rt.messages_sent(), rt.bytes_sent(), rt.outstanding()};
+  }
+  Traffic operator-(const Traffic& o) const {
+    return {msgs - o.msgs, bytes - o.bytes, outstanding - o.outstanding};
+  }
+  friend bool operator==(const Traffic&, const Traffic&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const Traffic& t) {
+    return os << "{msgs " << t.msgs << ", bytes " << t.bytes << ", outstanding "
+              << t.outstanding << "}";
+  }
+};
+
+/// Contributes 1 to a sum reduction and records what the contribute call
+/// itself sent.
+class Adder : public charm::ArrayElement<Adder, std::int32_t> {
+ public:
+  static inline std::vector<Traffic> at_contribute;
+  static inline Callback done;
+  void add() {
+    const Traffic before = Traffic::of(charm::runtime());
+    contribute(1.0, charm::ReduceOp::kSum, done);
+    at_contribute.push_back(Traffic::of(charm::runtime()) - before);
+  }
+};
+
+TEST(RuntimeBasic, EachMessageKindCountsOnceWithItsWireBytes) {
+  // Every runtime message passes one counted send: at the send it adds one
+  // message, its modeled wire bytes and one outstanding message, and the
+  // outstanding count returns to zero once its handler has run (or was
+  // skipped at a dead PE).
+  constexpr std::uint64_t kHdr = charm::Envelope::kHeaderBytes;
+  ASSERT_EQ(kHdr, 48u);
+  ASSERT_EQ(pup::size_of(PingMsg{}), 8u);
+  constexpr std::uint64_t kPing = kHdr + 8;
+  constexpr std::uint64_t kControl16 = kHdr + 16;
+  constexpr std::uint64_t kFunctionCallback = kHdr + 64;
+
+  Harness h(4);
+  auto arr = ArrayProxy<Counter>::create(h.rt);
+  auto index_homed_at = [&](int home) {
+    std::int32_t i = 0;
+    while (h.rt.home_pe(charm::IndexTraits<std::int32_t>::encode(i)) != home) ++i;
+    return i;
+  };
+  // Distinct homes, so three distinct elements.
+  const std::int32_t at_home = index_homed_at(2);  // lives at its home, PE 2
+  const std::int32_t local = index_homed_at(3);    // lives on the sender, PE 0
+  const std::int32_t away = index_homed_at(1);     // home PE 1, lives on PE 3
+  arr.seed(at_home, 2);
+  arr.seed(local, 0);
+  arr.seed(away, 3);
+
+  // Runs `send` in a handler on PE 0; returns the change across the call
+  // and the change once the machine has drained.
+  auto measure = [&](auto&& send) {
+    Traffic before, sent;
+    h.rt.on_pe(0, [&] {
+      before = Traffic::of(h.rt);
+      send();
+      sent = Traffic::of(h.rt);
+    });
+    h.machine.run();
+    return std::pair{sent - before, Traffic::of(h.rt) - before};
+  };
+  auto ping = [&](std::int32_t ix) { arr[ix].send<&Counter::recv>(PingMsg{1, 0}); };
+  const std::uint64_t fwd0 = h.rt.forwards();
+
+  // Packed cross-PE point send, straight to the element's home.
+  auto [cross_sent, cross_done] = measure([&] { ping(at_home); });
+  EXPECT_EQ(cross_sent, (Traffic{1, kPing, 1}));
+  EXPECT_EQ(cross_done, (Traffic{1, kPing, 0}));
+
+  // Typed same-PE send: same wire size, no pack.
+  auto [typed_sent, typed_done] = measure([&] { ping(local); });
+  EXPECT_EQ(typed_sent, (Traffic{1, kPing, 1}));
+  EXPECT_EQ(typed_done, (Traffic{1, kPing, 0}));
+  EXPECT_EQ(h.rt.forwards(), fwd0);
+
+  // Forward through the home: send to the home, home forward to the
+  // element, and a 16-byte control message teaching the sender.
+  auto [fwd_sent, fwd_done] = measure([&] { ping(away); });
+  EXPECT_EQ(fwd_sent, (Traffic{1, kPing, 1}));
+  EXPECT_EQ(fwd_done, (Traffic{3, kPing + kControl16 + kPing, 0}));
+  EXPECT_EQ(h.rt.forwards(), fwd0 + 1);
+  // Taught: the next send goes straight to the element.
+  auto [taught_sent, taught_done] = measure([&] { ping(away); });
+  EXPECT_EQ(taught_sent, (Traffic{1, kPing, 1}));
+  EXPECT_EQ(taught_done, (Traffic{1, kPing, 0}));
+  EXPECT_EQ(h.rt.forwards(), fwd0 + 1);
+
+  // Control message.
+  auto [ctl_sent, ctl_done] = measure([&] { h.rt.send_control(3, 16, [] {}); });
+  EXPECT_EQ(ctl_sent, (Traffic{1, kControl16, 1}));
+  EXPECT_EQ(ctl_done, (Traffic{1, kControl16, 0}));
+
+  // Broadcast: the root leg leaves at once, one leg per PE in all.
+  auto [bc_sent, bc_done] = measure([&] { arr.broadcast<&Counter::recv>(PingMsg{2, 0}); });
+  EXPECT_EQ(bc_sent, (Traffic{1, kPing, 1}));
+  EXPECT_EQ(bc_done, (Traffic{4, 4 * kPing, 0}));
+
+  // Reduction completion: the last contribution posts the completion, one
+  // message with no wire bytes; its function callback is one control
+  // message.  The header-only broadcast starting the round is 4 legs.
+  auto adders = ArrayProxy<Adder>::create(h.rt);
+  for (int i = 0; i < 8; ++i) adders.seed(i, i % 4);
+  double total = 0;
+  Adder::done = Callback::to_function([&](ReductionResult&& r) { total = r.num(); });
+  Adder::at_contribute.clear();
+  auto [red_sent, red_done] = measure([&] { adders.broadcast<&Adder::add>(); });
+  EXPECT_EQ(total, 8.0);
+  EXPECT_EQ(red_sent, (Traffic{1, kHdr, 1}));
+  EXPECT_EQ(red_done, (Traffic{4 + 1 + 1, 4 * kHdr + 0 + kFunctionCallback, 0}));
+  ASSERT_EQ(Adder::at_contribute.size(), 8u);
+  EXPECT_EQ(std::count(Adder::at_contribute.begin(), Adder::at_contribute.end(),
+                       (Traffic{1, 0, 1})),
+            1)
+      << "exactly one contribution completes the reduction";
+  EXPECT_EQ(std::count(Adder::at_contribute.begin(), Adder::at_contribute.end(), Traffic{}),
+            7);
+
+  // A send to a dead PE still counts, is dropped on arrival, and QD still
+  // balances; the QD callback is one more control message.
+  Counter* victim = find_counter(h, arr.id(), at_home);
+  const int received = victim->received;
+  h.rt.set_pe_dead(2, true);
+  bool quiet = false;
+  auto [dead_sent, dead_done] = measure([&] {
+    ping(at_home);
+    h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) { quiet = true; }));
+  });
+  EXPECT_EQ(dead_sent, (Traffic{1, kPing, 1}));
+  EXPECT_EQ(dead_done, (Traffic{2, kPing + kFunctionCallback, 0}));
+  EXPECT_TRUE(quiet);
+  EXPECT_EQ(victim->received, received);
+  EXPECT_EQ(h.rt.outstanding(), 0);
 }
 
 TEST(RuntimeBasic, GroupHasOneElementPerPe) {

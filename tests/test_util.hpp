@@ -14,9 +14,8 @@ namespace charmtest {
 struct Harness {
   sim::Machine machine;
   charm::Runtime rt;
-  explicit Harness(int npes, sim::NetworkParams net = {}, int pes_per_chip = 4,
-                   charm::RuntimeConfig cfg = {})
-      : machine(sim::MachineConfig{npes, net, pes_per_chip}), rt(machine, cfg) {}
+  explicit Harness(int npes, sim::NetworkParams net = {}, charm::RuntimeConfig cfg = {})
+      : machine(sim::MachineConfig{npes, net}), rt(machine, cfg) {}
 
   /// Tree-collectives fixture: CollectiveTopology::kTree with the given arity.
   static charm::RuntimeConfig tree_config(int arity) {
