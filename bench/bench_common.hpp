@@ -38,7 +38,6 @@
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
 #include "trace/chrome_export.hpp"
-#include "trace/time_profile.hpp"
 #include "trace/trace.hpp"
 
 namespace bench {
@@ -356,36 +355,28 @@ inline trace::EntryLabeler entry_labeler() {
   };
 }
 
-/// A full trace or sample buffer silently truncates every output written
-/// from it, so overflow fails the run: prints what was dropped (and, for the
-/// timeline, the smallest multiple of the interval that fits) and returns 1.
+/// A full sample buffer silently truncates the timeline written from it, so
+/// overflow fails the run: prints what was dropped and the smallest multiple
+/// of the interval that fits, and returns 1.
 inline int check_drops() {
-  int rc = 0;
-  if (shared_tracer().dropped() > 0) {
-    std::fprintf(stderr, "trace: ERROR %llu events dropped at the buffer cap\n",
-                 static_cast<unsigned long long>(shared_tracer().dropped()));
-    rc = 1;
-  }
   const introspect::Monitor& mon = shared_monitor();
-  if (mon.dropped_samples() > 0) {
-    // Boundaries crossed so far, plus one for the partial window at the end.
-    const double boundaries =
-        static_cast<double>(mon.samples().size() + mon.dropped_samples() + 1);
-    const double fit =
-        mon.interval() *
-        std::ceil(boundaries / static_cast<double>(introspect::Monitor::kSampleCap));
-    std::fprintf(stderr,
-                 "metrics: ERROR %llu samples dropped at the %zu-sample cap; the "
-                 "timeline stops at t=%g s of %g s; --metrics=%g fits\n",
-                 static_cast<unsigned long long>(mon.dropped_samples()),
-                 introspect::Monitor::kSampleCap, mon.samples().back().t, mon.time(), fit);
-    rc = 1;
-  }
-  return rc;
+  if (mon.dropped_samples() == 0) return 0;
+  // Boundaries crossed so far, plus one for the partial window at the end.
+  const double boundaries =
+      static_cast<double>(mon.samples().size() + mon.dropped_samples() + 1);
+  const double fit =
+      mon.interval() *
+      std::ceil(boundaries / static_cast<double>(introspect::Monitor::kSampleCap));
+  std::fprintf(stderr,
+               "metrics: ERROR %llu samples dropped at the %zu-sample cap; the "
+               "timeline stops at t=%g s of %g s; --metrics=%g fits\n",
+               static_cast<unsigned long long>(mon.dropped_samples()),
+               introspect::Monitor::kSampleCap, mon.samples().back().t, mon.time(), fit);
+  return 1;
 }
 
 /// Writes the accumulated trace / stats outputs (if any) and returns the
-/// process exit code: non-zero when an output is truncated (see check_drops)
+/// process exit code: non-zero when the timeline is truncated (see check_drops)
 /// or a check() failed.  Call as the last statement of main:
 /// `return bench::finish();`
 inline int finish() {
@@ -434,12 +425,12 @@ inline int finish() {
 /// run: busy / overhead / idle fractions per bin, averaged over PEs.
 inline void print_time_profile(int npes, int nbins) {
   if (options().trace_file.empty()) return;
-  const trace::TimeProfile p = trace::build_time_profile(shared_tracer(), npes, nbins);
+  const stats::TimeProfile p = stats::time_profile(shared_tracer().events(), npes, nbins);
   std::printf("   time profile (%d bins of %.3g ms, mean over %d PEs):\n", p.nbins,
               p.bin_width * 1e3, p.npes);
   std::printf("%16s%16s%16s%16s%16s\n", "bin_start_ms", "busy", "overhead", "idle", "sum");
   for (int b = 0; b < p.nbins; ++b) {
-    const trace::ProfileBin& bin = p.mean[static_cast<std::size_t>(b)];
+    const stats::ProfileBin& bin = p.mean[static_cast<std::size_t>(b)];
     std::printf("%16.4f%16.4f%16.4f%16.4f%16.4f\n", (p.t0 + b * p.bin_width) * 1e3,
                 bin.busy, bin.overhead, bin.idle, bin.busy + bin.overhead + bin.idle);
   }

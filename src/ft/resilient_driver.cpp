@@ -13,7 +13,6 @@ ResilientDriver::ResilientDriver(Runtime& rt, MemCheckpointer& ckpt,
       total_steps_(total_steps),
       ckpt_period_(ckpt_period) {
   ckpt_.set_failure_observer([this](int) {
-    ++failures_;
     ++gen_;  // anything the lost step still delivers is stale now
   });
   ckpt_.set_recovery_observer([this]() {

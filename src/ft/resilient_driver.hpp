@@ -41,7 +41,6 @@ class ResilientDriver {
 
   int steps_completed() const { return step_; }
   int steps_replayed() const { return replayed_; }
-  int failures_observed() const { return failures_; }
 
  private:
   void advance();
@@ -56,7 +55,6 @@ class ResilientDriver {
   int step_ = 0;             ///< last completed step
   int last_ckpt_step_ = -1;  ///< step count at the last committed checkpoint
   int replayed_ = 0;
-  int failures_ = 0;
   bool finished_ = false;
   std::uint64_t gen_ = 0;  ///< bumped per failure; stale boundaries bail
 };

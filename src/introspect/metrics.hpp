@@ -128,8 +128,6 @@ class Monitor : public sim::Observer {
   std::uint64_t total_execs() const { return execs_; }
   std::uint64_t total_msgs() const { return msgs_; }
   std::uint64_t total_bytes() const { return bytes_; }
-  std::uint64_t collective_msgs() const { return coll_msgs_; }
-  std::uint64_t collective_bytes() const { return coll_bytes_; }
   /// Total ready-queue population across PEs right now.
   std::uint64_t ready_depth() const { return cur_ready_; }
   /// Global event-queue depth as of the last step.

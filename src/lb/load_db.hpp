@@ -83,7 +83,6 @@ class LoadDb {
   }
 
   std::int64_t size() const { return live_; }
-  bool has_pending_membership() const { return membership_dirty_; }
 
   /// Round statistics for round_complete(): max/avg of per-PE raw load over
   /// active PEs, and average frequency-scaled work.  O(hosting PEs), no

@@ -1,7 +1,7 @@
-// Centralized load balancing strategies: GreedyLB, RefineLB, HybridLB, plus
-// RotateLB/RandomLB for testing.  All strategies are speed-aware: predicted
-// completion of PE p is sum(work)/speed[p], so they remain correct under DVFS
-// and heterogeneous clouds.
+// Centralized load balancing strategies: GreedyLB, RefineLB, HybridLB.  All
+// strategies are speed-aware: predicted completion of PE p is
+// sum(work)/speed[p], so they remain correct under DVFS and heterogeneous
+// clouds.
 //
 // Each strategy has one algorithm (DESIGN.md §13).  It reads the Stats'
 // index (per-PE completion sums, per-PE chare buckets, the work-order index):
@@ -20,8 +20,6 @@
 #include <map>
 #include <numeric>
 #include <queue>
-
-#include "sim/rng.hpp"
 
 namespace charm::lb {
 
@@ -430,36 +428,6 @@ class HybridLB final : public Strategy {
   }
 };
 
-class RotateLB final : public Strategy {
- public:
-  std::string name() const override { return "RotateLB"; }
-  std::vector<Migration> assign(const Stats& s) override {
-    std::vector<Migration> out;
-    for (const ChareInfo& c : s.chares)
-      if (c.migratable)
-        out.push_back(Migration{c.col, c.idx, c.pe, (c.pe + 1) % s.npes});
-    return out;
-  }
-};
-
-class RandomLB final : public Strategy {
- public:
-  explicit RandomLB(std::uint64_t seed) : seed_(seed) {}
-  std::string name() const override { return "RandomLB"; }
-  std::vector<Migration> assign(const Stats& s) override {
-    sim::Rng rng(seed_++);
-    std::vector<int> target(s.chares.size());
-    for (std::size_t i = 0; i < s.chares.size(); ++i)
-      target[i] = s.chares[i].migratable
-                      ? static_cast<int>(rng.next_below(static_cast<std::uint64_t>(s.npes)))
-                      : s.chares[i].pe;
-    return to_migrations(s, target);
-  }
-
- private:
-  std::uint64_t seed_;
-};
-
 }  // namespace
 
 std::unique_ptr<Strategy> make_greedy() { return std::make_unique<GreedyLB>(); }
@@ -467,20 +435,5 @@ std::unique_ptr<Strategy> make_refine(double tolerance) {
   return std::make_unique<RefineLB>(tolerance);
 }
 std::unique_ptr<Strategy> make_hybrid() { return std::make_unique<HybridLB>(); }
-std::unique_ptr<Strategy> make_rotate() { return std::make_unique<RotateLB>(); }
-std::unique_ptr<Strategy> make_random(std::uint64_t seed) {
-  return std::make_unique<RandomLB>(seed);
-}
-
-double imbalance_of(const Stats& s) {
-  std::vector<double> done(static_cast<std::size_t>(s.npes), 0.0);
-  for (const ChareInfo& c : s.chares) {
-    const int pe = std::min(c.pe, s.npes - 1);
-    done[static_cast<std::size_t>(pe)] += c.work / s.pe_speed[static_cast<std::size_t>(pe)];
-  }
-  const double mx = *std::max_element(done.begin(), done.end());
-  const double avg = std::accumulate(done.begin(), done.end(), 0.0) / s.npes;
-  return avg > 0 ? mx / avg : 1.0;
-}
 
 }  // namespace charm::lb

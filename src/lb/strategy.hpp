@@ -149,11 +149,4 @@ std::unique_ptr<Strategy> make_hybrid();
 /// Orthogonal recursive bisection over chare spatial coordinates (Barnes-Hut).
 std::unique_ptr<Strategy> make_orb();
 
-/// Testing strategies.
-std::unique_ptr<Strategy> make_rotate();
-std::unique_ptr<Strategy> make_random(std::uint64_t seed);
-
-/// Predicted max/avg completion ratio for a placement (used by tests/MetaLB).
-double imbalance_of(const Stats& stats);
-
 }  // namespace charm::lb

@@ -93,18 +93,6 @@ double Block::mass() const {
   return m * h * h * h;
 }
 
-double Block::max_gradient() const {
-  const int B = p_.block;
-  double g = 0;
-  auto at = [&](int i, int j, int k) {
-    return field_[static_cast<std::size_t>((k * B + j) * B + i)];
-  };
-  for (int k = 0; k < B; ++k)
-    for (int j = 0; j < B; ++j)
-      for (int i = 0; i + 1 < B; ++i) g = std::max(g, std::abs(at(i + 1, j, k) - at(i, j, k)));
-  return g;
-}
-
 std::array<double, 3> Block::lb_coords() const {
   const auto c = coords_of(index());
   const double w = 1.0 / (1 << depth());

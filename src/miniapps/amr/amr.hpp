@@ -178,16 +178,10 @@ class Block : public charm::ArrayElement<Block, BitIndex> {
 
   int depth() const { return index().depth; }
   double mass() const;
-  double max_gradient() const;
   const std::vector<double>& field() const { return field_; }
   int step() const { return step_; }
 
   static Callback chunk_cb;  ///< per-chunk completion reduction target
-
-  // test/debug introspection
-  int dbg_expected() const { return faces_expected_; }
-  int dbg_seen() const { return faces_seen_; }
-  std::size_t dbg_early() const { return early_.size(); }
 
  private:
   friend class Mesh;

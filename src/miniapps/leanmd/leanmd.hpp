@@ -101,7 +101,6 @@ class Cell : public charm::ArrayElement<Cell, Index3D> {
   void pup(pup::Er& p) override;
 
   const std::vector<Atom>& atoms() const { return atoms_; }
-  int steps_done() const { return step_; }
 
   /// Populates atoms deterministically from the density profile.
   void populate();

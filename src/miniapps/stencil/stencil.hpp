@@ -56,9 +56,6 @@ class Tile : public charm::ArrayElement<Tile, Index2D> {
   void pup(pup::Er& p) override;
 
   int iters_done() const { return gather_.step(); }
-  int dbg_expected() const { return gather_.expected(); }
-  int dbg_seen() const { return gather_.seen(); }
-  std::size_t dbg_early() const { return gather_.buffered_steps(); }
   /// Sum of squared updates in the last sweep (convergence diagnostic).
   double last_delta() const { return last_delta_; }
 
@@ -87,7 +84,6 @@ class Sim {
   ArrayProxy<Tile, Index2D> tiles() const { return tiles_; }
   /// Global sum of squared last-sweep updates (host-side scan).
   double global_delta() const;
-  int ntiles() const { return p_.tiles_x * p_.tiles_y; }
 
  private:
   Runtime& rt_;

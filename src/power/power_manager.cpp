@@ -3,8 +3,14 @@
 #include "lb/manager.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace charm::power {
+
+namespace {
+constexpr std::array<double, 6> kLevels{0.5, 0.6, 0.7, 0.8, 0.9, 1.0};  // frequency scales
+constexpr double kMarginC = 3.0;  // unthrottle below threshold - margin (°C)
+}  // namespace
 
 Manager::Manager(Runtime& rt, ThermalParams thermal, DvfsParams dvfs, double period_s)
     : rt_(rt),
@@ -14,7 +20,7 @@ Manager::Manager(Runtime& rt, ThermalParams thermal, DvfsParams dvfs, double per
       model_((rt.npes() + pes_per_chip_ - 1) / pes_per_chip_, thermal),
       last_busy_(static_cast<std::size_t>(rt.npes()), 0.0),
       level_(static_cast<std::size_t>(model_.nchips()),
-             static_cast<int>(dvfs.levels.size()) - 1) {}
+             static_cast<int>(kLevels.size()) - 1) {}
 
 void Manager::start(Policy policy, double lb_period_s) {
   policy_ = policy;
@@ -67,11 +73,11 @@ void Manager::apply_dvfs() {
     const double t = model_.temperature(chip);
     if (t > dvfs_.threshold_c && lvl > 0) {
       --lvl;
-    } else if (t < dvfs_.threshold_c - dvfs_.margin_c &&
-               lvl + 1 < static_cast<int>(dvfs_.levels.size())) {
+    } else if (t < dvfs_.threshold_c - kMarginC &&
+               lvl + 1 < static_cast<int>(kLevels.size())) {
       ++lvl;
     }
-    const double f = dvfs_.levels[static_cast<std::size_t>(lvl)];
+    const double f = kLevels[static_cast<std::size_t>(lvl)];
     for (int pe = chip * pes_per_chip_;
          pe < std::min((chip + 1) * pes_per_chip_, rt_.npes()); ++pe) {
       rt_.machine().pe(pe).set_freq(f);

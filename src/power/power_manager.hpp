@@ -24,10 +24,10 @@ namespace charm::power {
 
 enum class Policy { kNone, kNaiveDvfs, kDvfsLb, kMetaTemp };
 
+/// DVFS moves a chip one frequency level (0.5, 0.6, ..., 1.0) per control
+/// period: down above `threshold_c`, up below threshold_c - 3 °C.
 struct DvfsParams {
-  std::vector<double> levels{0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
-  double threshold_c = 50.0;  ///< throttle above this chip temperature
-  double margin_c = 3.0;      ///< unthrottle below threshold - margin
+  double threshold_c = 50.0;  ///< throttle above this chip temperature (°C)
 };
 
 class Manager {
@@ -42,7 +42,6 @@ class Manager {
 
   const ThermalModel& thermal() const { return model_; }
   double max_temp_seen() const { return model_.max_seen(); }
-  int nchips() const { return model_.nchips(); }
 
  private:
   void tick();

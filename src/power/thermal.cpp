@@ -4,34 +4,37 @@
 
 namespace charm::power {
 
+namespace {
+constexpr double kStaticW = 8.0;      // leakage power per chip (W)
+constexpr double kDynW = 40.0;        // dynamic power per chip at u=1, f=1 (W)
+constexpr double kHeatCPerJ = 0.125;  // °C gained per joule
+constexpr double kCoolPerS = 0.15;    // fractional decay toward ambient per second
+constexpr double kInitialC = 40.0;    // chip temperature at t = 0 (°C)
+}  // namespace
+
 ThermalModel::ThermalModel(int nchips, ThermalParams params)
     : params_(params),
-      temps_(static_cast<std::size_t>(nchips), params.t_initial_c),
-      max_seen_(params.t_initial_c) {}
+      temps_(static_cast<std::size_t>(nchips), kInitialC),
+      max_seen_(kInitialC) {}
 
 double ThermalModel::cool_of(int chip) const {
-  if (nchips() <= 1 || params_.cool_spread == 0) return params_.cool_per_s;
+  if (nchips() <= 1 || params_.cool_spread == 0) return kCoolPerS;
   const double frac = static_cast<double>(chip) / (nchips() - 1) - 0.5;
-  return params_.cool_per_s * (1.0 - params_.cool_spread * frac);
+  return kCoolPerS * (1.0 - params_.cool_spread * frac);
 }
 
 double ThermalModel::step(int chip, double dt, double utilization, double freq) {
   double& t = temps_.at(static_cast<std::size_t>(chip));
-  const double power =
-      params_.p_static_w + params_.p_dyn_w * utilization * freq * freq * freq;
+  const double power = kStaticW + kDynW * utilization * freq * freq * freq;
   const double cool = cool_of(chip);
   // Sub-step the ODE for stability when dt is large relative to cooling.
   const int substeps = std::max(1, static_cast<int>(dt * cool * 10));
   const double h = dt / substeps;
   for (int s = 0; s < substeps; ++s) {
-    t += h * (params_.heat_c_per_j * power - cool * (t - params_.ambient_c));
+    t += h * (kHeatCPerJ * power - cool * (t - params_.ambient_c));
   }
   max_seen_ = std::max(max_seen_, t);
   return t;
-}
-
-double ThermalModel::max_temperature() const {
-  return *std::max_element(temps_.begin(), temps_.end());
 }
 
 }  // namespace charm::power

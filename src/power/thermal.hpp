@@ -1,8 +1,9 @@
 #pragma once
 // Lumped-RC thermal model per chip (DESIGN.md §1: substitute for on-chip
 // sensors).  A chip groups pes_per_chip consecutive PEs; its temperature
-// integrates dT/dt = heat * power - cool * (T - ambient), with dynamic power
-// proportional to utilization * frequency^3 (DVFS's cubic lever).
+// starts at 40 °C and integrates dT/dt = heat * power - cool * (T - ambient)
+// with heat = 0.125 °C/J, cool = 0.15/s, and power = 8 W leakage + 40 W *
+// utilization * frequency^3 (DVFS's cubic lever).
 
 #include <vector>
 
@@ -10,14 +11,9 @@ namespace charm::power {
 
 struct ThermalParams {
   double ambient_c = 30.0;     ///< room/CRAC-set inlet temperature (°C)
-  double p_static_w = 8.0;     ///< leakage power per chip (W)
-  double p_dyn_w = 40.0;       ///< dynamic power per chip at u=1, f=1 (W)
-  double heat_c_per_j = 0.125; ///< °C gained per joule
-  double cool_per_s = 0.15;    ///< fractional decay toward ambient per second
-  /// Machine-room non-uniformity: chip i cools at cool_per_s * (1 ± spread/2)
+  /// Machine-room non-uniformity: chip i cools at 0.15/s * (1 ± spread/2)
   /// across the rack (hot spots are what make naive DVFS throttle unevenly).
   double cool_spread = 0.0;
-  double t_initial_c = 40.0;
 };
 
 class ThermalModel {
@@ -29,8 +25,6 @@ class ThermalModel {
   double step(int chip, double dt, double utilization, double freq);
 
   double temperature(int chip) const { return temps_.at(static_cast<std::size_t>(chip)); }
-  const std::vector<double>& temperatures() const { return temps_; }
-  double max_temperature() const;
   double max_seen() const { return max_seen_; }
   int nchips() const { return static_cast<int>(temps_.size()); }
   /// Per-chip cooling rate (rack hot spots via cool_spread).

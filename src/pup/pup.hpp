@@ -110,7 +110,6 @@ class Unpacker final : public Er {
     cursor_ += n;
   }
   std::size_t remaining() const { return size_ - cursor_; }
-  std::size_t cursor() const { return cursor_; }
 
  private:
   const std::byte* data_;
@@ -385,13 +384,6 @@ void from_bytes(const std::byte* data, std::size_t size, T& v) {
 template <class T>
 void from_bytes(const std::vector<std::byte>& buf, T& v) {
   from_bytes(buf.data(), buf.size(), v);
-}
-
-template <class T>
-T make_from_bytes(const std::vector<std::byte>& buf) {
-  T v{};
-  from_bytes(buf, v);
-  return v;
 }
 
 }  // namespace pup

@@ -45,13 +45,8 @@ class DepGather {
  public:
   /// The step currently gathering (or, after close(), the next one).
   int step() const { return step_; }
-  int expected() const { return expected_; }
-  int seen() const { return seen_; }
   /// A gather is open and still waiting for arrivals.
   bool gathering() const { return expected_ > 0; }
-  bool complete() const { return seen_ >= expected_; }
-  /// Distinct future steps with buffered arrivals (diagnostics).
-  std::size_t buffered_steps() const { return early_.size(); }
 
   /// Opens the gather for `step`, expecting `expected` arrivals.  Buffered
   /// messages for older steps are pruned; buffered messages for `step` are

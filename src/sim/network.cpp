@@ -43,8 +43,12 @@ NetworkParams NetworkParams::cloud_ethernet() {
   return p;
 }
 
+namespace {
+constexpr double kSelfOverhead = 0.08e-6;  // local (same-PE) delivery overhead (s)
+}  // namespace
+
 double NetworkModel::transit_time(int src, int dst, std::size_t bytes) const {
-  if (src == dst) return params_.self_overhead;
+  if (src == dst) return kSelfOverhead;
   double t = params_.latency + static_cast<double>(bytes) / params_.bandwidth;
   if (params_.use_topology) t += params_.per_hop * topo_->hops(src, dst);
   return t;

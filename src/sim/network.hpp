@@ -16,7 +16,6 @@ struct NetworkParams {
   double latency = 1.2e-6;      ///< base wire latency (s)
   double bandwidth = 4.0e9;     ///< payload bandwidth (bytes/s)
   double per_hop = 40e-9;       ///< added latency per torus hop (s)
-  double self_overhead = 0.08e-6;  ///< local (same-PE) delivery overhead (s)
   bool use_topology = true;     ///< include per-hop term
 
   /// Blue Gene/Q-like: low latency, modest per-link bandwidth, big torus.

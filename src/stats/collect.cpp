@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <tuple>
 
 #include "stats/critical_path.hpp"
@@ -55,6 +57,44 @@ ImbalanceStats imbalance_of(const std::vector<double>& busy) {
   return im;
 }
 
+/// Seconds of entry (busy) and handler (exec) spans per (PE, window) cell,
+/// indexed [pe * nwin + w].
+struct WindowSums {
+  std::vector<double> busy;
+  std::vector<double> exec;
+};
+
+// The one place exec and entry spans are split into time windows: window w
+// is [bounds[w], bounds[w+1]) for ascending `bounds`, each span is cut to
+// [bounds.front(), bounds.back()), and every cell sums its overlaps in log
+// order.  Spans on PEs outside [0, npes) are skipped.
+WindowSums fold_windows(const std::vector<trace::Event>& events, int npes,
+                        const std::vector<double>& bounds) {
+  const std::size_t nwin = bounds.size() - 1;
+  WindowSums s;
+  s.busy.assign(static_cast<std::size_t>(npes) * nwin, 0);
+  s.exec.assign(static_cast<std::size_t>(npes) * nwin, 0);
+  for (const trace::Event& e : events) {
+    if (e.kind != trace::Kind::kExec && e.kind != trace::Kind::kEntry) continue;
+    if (e.pe < 0 || e.pe >= npes) continue;
+    double lo = std::max(e.begin, bounds.front());
+    const double hi = std::min(e.end, bounds.back());
+    if (hi <= lo) continue;
+    double* cells = (e.kind == trace::Kind::kExec ? s.exec : s.busy).data() +
+                    static_cast<std::size_t>(e.pe) * nwin;
+    auto it = std::upper_bound(bounds.begin(), bounds.end(), lo);
+    std::size_t w = static_cast<std::size_t>(it - bounds.begin()) - 1;
+    while (true) {
+      const double top = std::min(hi, bounds[w + 1]);
+      if (top > lo) cells[w] += top - lo;
+      if (hi <= bounds[w + 1]) break;
+      lo = bounds[w + 1];
+      ++w;
+    }
+  }
+  return s;
+}
+
 }  // namespace
 
 Report collect(const std::vector<trace::Event>& events, int npes) {
@@ -90,26 +130,8 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
   r.phases.back().t1 = r.makespan;
   if (r.phases.size() == 1) r.phases.front().name = "run";
   const std::size_t nseg = r.phases.size();
-
-  // Distributes [begin, end) over the segments via `fn(seg, overlap)`.
-  auto clip = [&](double begin, double end, auto&& fn) {
-    if (end <= begin) return;
-    auto it = std::upper_bound(bounds.begin(), bounds.end(), begin);
-    std::size_t seg = static_cast<std::size_t>(it - bounds.begin()) - 1;
-    double lo = begin;
-    while (true) {
-      const bool last = seg + 1 >= nseg;
-      const double s1 = last ? end : bounds[seg + 1];  // last segment is open-ended
-      const double top = std::min(end, s1);
-      if (top > lo) fn(seg, top - lo);
-      if (last || end <= s1) break;
-      lo = s1;
-      ++seg;
-    }
-  };
-
-  std::vector<double> seg_busy(static_cast<std::size_t>(r.npes) * nseg, 0);
-  std::vector<double> seg_exec(static_cast<std::size_t>(r.npes) * nseg, 0);
+  bounds.push_back(std::numeric_limits<double>::infinity());  // last segment is open-ended
+  const WindowSums seg = fold_windows(events, r.npes, bounds);
 
   // ---- pass B: everything else ----------------------------------------------
   std::map<std::tuple<int, int, int>, EntryUsage> entries;  // (col, ep, pe)
@@ -143,9 +165,6 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
         if (e.pe >= 0 && e.pe < r.npes) {
           r.pes[static_cast<std::size_t>(e.pe)].busy += dt;
           pending[static_cast<std::size_t>(e.pe)].push_back(PendingEntry{e.a, e.b, dt});
-          clip(e.begin, e.end, [&](std::size_t seg, double dt_seg) {
-            seg_busy[static_cast<std::size_t>(e.pe) * nseg + seg] += dt_seg;
-          });
         }
         break;
       }
@@ -156,9 +175,6 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
         PeUsage& p = r.pes[pe];
         ++p.execs;
         p.exec += span;
-        clip(e.begin, e.end, [&](std::size_t seg, double dt_seg) {
-          seg_exec[pe * nseg + seg] += dt_seg;
-        });
         // Attribute the span to the entry methods that ran inside it; the
         // busy/exec gap (scheduling, sends, runtime bookkeeping) is split
         // evenly across them.  Entry-less spans land on the (-1, -1) key.
@@ -240,12 +256,13 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
     std::vector<double> busy(static_cast<std::size_t>(r.npes), 0);
     for (int pe = 0; pe < r.npes; ++pe) busy[static_cast<std::size_t>(pe)] = r.pes[static_cast<std::size_t>(pe)].busy;
     r.imbalance = imbalance_of(busy);
-    for (std::size_t seg = 0; seg < nseg; ++seg) {
-      PhaseStats& ph = r.phases[seg];
+    for (std::size_t w = 0; w < nseg; ++w) {
+      PhaseStats& ph = r.phases[w];
       for (int pe = 0; pe < r.npes; ++pe) {
-        busy[static_cast<std::size_t>(pe)] = seg_busy[static_cast<std::size_t>(pe) * nseg + seg];
-        ph.busy += seg_busy[static_cast<std::size_t>(pe) * nseg + seg];
-        ph.exec += seg_exec[static_cast<std::size_t>(pe) * nseg + seg];
+        const std::size_t cell = static_cast<std::size_t>(pe) * nseg + w;
+        busy[static_cast<std::size_t>(pe)] = seg.busy[cell];
+        ph.busy += seg.busy[cell];
+        ph.exec += seg.exec[cell];
       }
       ph.idle = std::max(0.0, static_cast<double>(r.npes) * (ph.t1 - ph.t0) - ph.exec);
       ph.imbalance = imbalance_of(busy);
@@ -254,6 +271,52 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
 
   r.critical_path = critical_path(events, r.npes);
   return r;
+}
+
+TimeProfile time_profile(const std::vector<trace::Event>& events, int npes, int nbins,
+                         double t_end) {
+  if (npes <= 0 || nbins <= 0)
+    throw std::invalid_argument("time_profile: npes and nbins must be positive");
+
+  TimeProfile p;
+  p.npes = npes;
+  p.nbins = nbins;
+  if (t_end < 0) {
+    for (const trace::Event& e : events)
+      if (e.kind == trace::Kind::kExec) t_end = std::max(t_end, e.end);
+    if (t_end <= 0) t_end = 1.0;  // empty trace: one all-idle profile
+  }
+  p.t1 = t_end;
+  p.bin_width = (p.t1 - p.t0) / nbins;
+
+  std::vector<double> bounds(static_cast<std::size_t>(nbins) + 1);
+  for (int b = 0; b < nbins; ++b) bounds[static_cast<std::size_t>(b)] = p.t0 + b * p.bin_width;
+  bounds.back() = p.t1;
+  const WindowSums bins = fold_windows(events, npes, bounds);
+
+  p.pe_bins.resize(bins.busy.size());
+  for (std::size_t i = 0; i < p.pe_bins.size(); ++i) {
+    const double exec_f = std::min(1.0, bins.exec[i] / p.bin_width);
+    // busy ≤ exec: fp noise, and entry spans that nest inside another entry
+    // span (each counted, as in collect), can push the entry sum past exec.
+    const double busy_f = std::min(exec_f, bins.busy[i] / p.bin_width);
+    p.pe_bins[i] = ProfileBin{busy_f, exec_f - busy_f, 1.0 - exec_f};
+  }
+
+  p.mean.assign(static_cast<std::size_t>(nbins), {});
+  for (int b = 0; b < nbins; ++b) {
+    ProfileBin& m = p.mean[static_cast<std::size_t>(b)];
+    for (int pe = 0; pe < npes; ++pe) {
+      const ProfileBin& bin = p.at(pe, b);
+      m.busy += bin.busy;
+      m.overhead += bin.overhead;
+      m.idle += bin.idle;
+    }
+    m.busy /= npes;
+    m.overhead /= npes;
+    m.idle /= npes;
+  }
+  return p;
 }
 
 }  // namespace stats

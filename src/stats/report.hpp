@@ -1,10 +1,11 @@
 #pragma once
 // Post-mortem performance analytics over a trace log: the Projections-style
 // views the paper's evaluation is built from (usage profiles, communication
-// matrices, load-imbalance and phase breakdowns).  Everything here is derived
-// from the tracer's event stream after the run — collection charges zero
-// virtual time by construction, and the same event log always produces the
-// same Report, so stats output is as deterministic as the simulation itself.
+// matrices, load-imbalance and phase breakdowns, time profiles).  Everything
+// here is derived from the tracer's event stream after the run — collection
+// charges zero virtual time by construction, and the same event log always
+// produces the same Report, so stats output is as deterministic as the
+// simulation itself.
 //
 // The three consumers are the figure benches (--stats=FILE JSON emission),
 // `tools/statsview` (human-readable reports and A-vs-B regression diffs), and
@@ -141,5 +142,37 @@ Report collect(const std::vector<trace::Event>& events, int npes);
 inline Report collect(const trace::Tracer& tracer, int npes) {
   return collect(tracer.events(), npes);
 }
+
+/// One interval of Projections' "time profile" view (the paper's Fig 11).
+/// Fractions are of the bin width, so busy + overhead + idle == 1.
+struct ProfileBin {
+  double busy = 0;      ///< fraction of the bin inside entry methods
+  double overhead = 0;  ///< fraction executing but outside entry methods
+  double idle = 0;      ///< fraction with no handler running
+};
+
+struct TimeProfile {
+  double t0 = 0;         ///< profile start (virtual seconds)
+  double t1 = 0;         ///< profile end (virtual seconds)
+  double bin_width = 0;  ///< (t1 - t0) / nbins
+  int nbins = 0;
+  int npes = 0;
+  std::vector<ProfileBin> pe_bins;  ///< [pe * nbins + bin]
+  std::vector<ProfileBin> mean;     ///< per-bin average over PEs
+
+  const ProfileBin& at(int pe, int bin) const {
+    return pe_bins[static_cast<std::size_t>(pe) * static_cast<std::size_t>(nbins) +
+                   static_cast<std::size_t>(bin)];
+  }
+};
+
+/// Bins each PE's virtual time [0, t_end) into `nbins` equal intervals with
+/// the same window fold that builds collect()'s phase table, so a PE's
+/// Σ busy·bin_width and Σ (busy + overhead)·bin_width are its PeUsage busy
+/// and exec (per bin, exec is clamped to the bin width and busy to exec).
+/// `t_end` < 0 means "until the last exec span ends" (1.0 for a log without
+/// one); spans past an explicit `t_end` are cut off.
+TimeProfile time_profile(const std::vector<trace::Event>& events, int npes, int nbins,
+                         double t_end = -1.0);
 
 }  // namespace stats

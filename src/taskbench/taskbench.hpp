@@ -112,7 +112,6 @@ class Task : public charm::ArrayElement<Task, std::int32_t> {
   void pup(pup::Er& p) override;
 
   int executed() const { return executed_; }
-  std::uint64_t inputs_received() const { return inputs_; }
 
   /// Reduction target for {executed, inputs} once every task finishes.
   static Callback done_cb;

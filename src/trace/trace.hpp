@@ -22,12 +22,10 @@
 // journal records.
 //
 // Recording is allocation-free per event on the hot path: events land in a
-// reserve-ahead vector grown in large chunks; an optional hard cap turns the
-// tracer into a bounded buffer that counts (rather than stores) overflow.
-// Recording never charges virtual time, so simulation results are
-// bit-identical with tracing on or off.
+// reserve-ahead vector grown in large chunks.  Recording never charges
+// virtual time, so simulation results are bit-identical with tracing on or
+// off.  The post-mortem views over the log live in src/stats.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -56,22 +54,14 @@ struct Event {
 
 class Tracer : public sim::Observer {
  public:
-  /// `reserve_events` is the initial reserve-ahead allocation; `max_events`
-  /// bounds the log (0 = unbounded, growth doubles the reservation).
-  explicit Tracer(std::size_t reserve_events = 1 << 16, std::size_t max_events = 0)
-      : max_events_(max_events) {
-    events_.reserve(max_events ? std::min(reserve_events, max_events) : reserve_events);
-  }
+  /// `reserve_events` is the initial reserve-ahead allocation; growth
+  /// doubles the reservation.
+  explicit Tracer(std::size_t reserve_events = 1 << 16) { events_.reserve(reserve_events); }
 
   const std::vector<Event>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
-  /// Events that arrived after the cap was hit (0 when unbounded).
-  std::uint64_t dropped() const { return dropped_; }
 
-  void clear() {
-    events_.clear();
-    dropped_ = 0;
-  }
+  void clear() { events_.clear(); }
 
   // ---- observer hooks --------------------------------------------------------
 
@@ -99,13 +89,7 @@ class Tracer : public sim::Observer {
 
   // ---- recording ---------------------------------------------------------------
 
-  void record(const Event& e) {
-    if (max_events_ != 0 && events_.size() >= max_events_) {
-      ++dropped_;
-      return;
-    }
-    events_.push_back(e);
-  }
+  void record(const Event& e) { events_.push_back(e); }
 
   void exec(int pe, double begin, double end, std::uint64_t bytes) {
     record({.kind = Kind::kExec, .pe = pe, .begin = begin, .end = end, .bytes = bytes});
@@ -132,8 +116,6 @@ class Tracer : public sim::Observer {
 
  private:
   std::vector<Event> events_;
-  std::size_t max_events_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace trace

@@ -5,9 +5,8 @@
 
 namespace charm::tuning {
 
-ControlPoint::ControlPoint(std::string name, int min_value, int max_value, int initial,
-                           EffectHint hint)
-    : name_(std::move(name)), min_(min_value), max_(max_value), value_(initial), hint_(hint) {
+ControlPoint::ControlPoint(std::string name, int min_value, int max_value, int initial)
+    : name_(std::move(name)), min_(min_value), max_(max_value), value_(initial) {
   if (min_ > max_ || initial < min_ || initial > max_)
     throw std::invalid_argument("ControlPoint: inconsistent range");
 }

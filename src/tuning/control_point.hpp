@@ -1,11 +1,11 @@
 #pragma once
 // Introspective control system (§III-E, Fig 6).
 //
-// A control point is a tunable integer parameter with a bounded range and a
-// direction hint.  The tuner monitors a per-step performance metric, probes
-// neighboring values, and converges on the best setting — the runtime
-// equivalent of the paper's expert-rule control system tuning the number of
-// pipeline messages in a ping benchmark.
+// A control point is a tunable integer parameter with a bounded range.  The
+// tuner monitors a per-step performance metric, probes neighboring values,
+// and converges on the best setting — the runtime equivalent of the paper's
+// expert-rule control system tuning the number of pipeline messages in a ping
+// benchmark.
 
 #include <cstdint>
 #include <string>
@@ -13,24 +13,14 @@
 
 namespace charm::tuning {
 
-/// What the controller should expect when increasing the value (expert-rule
-/// hints from the paper's control-point registration API).
-enum class EffectHint {
-  kUnknown,
-  kMoreParallelism,   ///< larger value => finer grain / more overlap
-  kLessOverhead,      ///< larger value => fewer, bigger operations
-};
-
 class ControlPoint {
  public:
-  ControlPoint(std::string name, int min_value, int max_value, int initial,
-               EffectHint hint = EffectHint::kUnknown);
+  ControlPoint(std::string name, int min_value, int max_value, int initial);
 
   const std::string& name() const { return name_; }
   int value() const { return value_; }
   int min_value() const { return min_; }
   int max_value() const { return max_; }
-  EffectHint hint() const { return hint_; }
   void set_value(int v);
 
  private:
@@ -38,7 +28,6 @@ class ControlPoint {
   int min_;
   int max_;
   int value_;
-  EffectHint hint_;
 };
 
 /// Hill-climbing tuner over one control point: measure a window of steps per

@@ -11,10 +11,10 @@
 #include <sstream>
 
 #include "introspect/metrics.hpp"
+#include "miniapps/leanmd/leanmd.hpp"
 #include "runtime/charm.hpp"
 #include "stats/report.hpp"
 #include "trace/chrome_export.hpp"
-#include "trace/time_profile.hpp"
 #include "trace/trace.hpp"
 
 #include "test_util.hpp"
@@ -169,25 +169,14 @@ TEST(Trace, ResultsBitIdenticalWithTracingOnOffAbsent) {
   }
 }
 
-TEST(Trace, BoundedTracerDropsAndCounts) {
-  trace::Tracer t(/*reserve_events=*/4, /*max_events=*/8);
-  for (int i = 0; i < 20; ++i) t.idle(0, i, i + 1);
-  EXPECT_EQ(t.size(), 8u);
-  EXPECT_EQ(t.dropped(), 12u);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.dropped(), 0u);
-}
-
 // ---- time profile ------------------------------------------------------------
 
 TEST(TimeProfile, HandComputedBins) {
   // One exec span [0,1] on PE0 with an entry method covering [0.25,0.75].
-  std::vector<trace::Event> ev;
   trace::Tracer t;
   t.exec(0, 0.0, 1.0, 0);
   t.entry(0, 0, 0, 0.25, 0.75);
-  auto prof = trace::build_time_profile(t, /*npes=*/1, /*nbins=*/4, /*t_end=*/1.0);
+  auto prof = stats::time_profile(t.events(), /*npes=*/1, /*nbins=*/4, /*t_end=*/1.0);
 
   ASSERT_EQ(prof.nbins, 4);
   EXPECT_DOUBLE_EQ(prof.bin_width, 0.25);
@@ -206,7 +195,7 @@ TEST(TimeProfile, BinsSumToOneAndMatchPeBusyTime) {
   run_pingpong(h, &tracer, 40);
 
   const int nbins = 16;
-  auto prof = trace::build_time_profile(tracer, 2, nbins);
+  auto prof = stats::time_profile(tracer.events(), 2, nbins);
   ASSERT_EQ(prof.npes, 2);
   ASSERT_GT(prof.bin_width, 0.0);
 
@@ -227,6 +216,74 @@ TEST(TimeProfile, BinsSumToOneAndMatchPeBusyTime) {
   // The mean profile also keeps the invariant.
   for (int b = 0; b < nbins; ++b) {
     EXPECT_NEAR(prof.mean[b].busy + prof.mean[b].overhead + prof.mean[b].idle, 1.0, 1e-9);
+  }
+}
+
+TEST(TimeProfile, ExplicitEndCutsLaterSpans) {
+  // PE0 runs exec [0,0.6] around entry [0.1,0.5], then exec [0.7,1.0] around
+  // entry [0.75,0.95]; the profile stops at t_end = 0.8, inside the last span.
+  trace::Tracer t;
+  t.entry(0, 0, 0, 0.1, 0.5);
+  t.exec(0, 0.0, 0.6, 0);
+  t.entry(0, 0, 0, 0.75, 0.95);
+  t.exec(0, 0.7, 1.0, 0);
+  auto prof = stats::time_profile(t.events(), /*npes=*/1, /*nbins=*/2, /*t_end=*/0.8);
+
+  EXPECT_DOUBLE_EQ(prof.t1, 0.8);
+  EXPECT_DOUBLE_EQ(prof.bin_width, 0.4);
+  // Bin 0 [0,0.4): exec 0.4, entry 0.3.  Bin 1 [0.4,0.8): exec 0.2 + 0.1,
+  // entry 0.1 + 0.05; the 0.2 s of exec and entry after 0.8 are cut off.
+  const double kBusy[2] = {0.75, 0.375};
+  const double kOverhead[2] = {0.25, 0.375};
+  const double kIdle[2] = {0.0, 0.25};
+  for (int b = 0; b < 2; ++b) {
+    const auto& bin = prof.at(0, b);
+    EXPECT_NEAR(bin.busy, kBusy[b], 1e-12) << "bin " << b;
+    EXPECT_NEAR(bin.overhead, kOverhead[b], 1e-12) << "bin " << b;
+    EXPECT_NEAR(bin.idle, kIdle[b], 1e-12) << "bin " << b;
+  }
+}
+
+TEST(TimeProfile, IntegratesToCollectUsageOnLeanMdWithLb) {
+  // The profile and collect's phase table share one window fold, so each PE's
+  // profile integrates back to its PeUsage busy and exec.
+  const int npes = 8;
+  trace::Tracer tracer;
+  {
+    Harness h(npes);
+    h.machine.set_tracer(&tracer);
+    leanmd::Params p;
+    p.nx = p.ny = p.nz = 3;
+    p.atoms_per_cell = 12;
+    p.clustering = 3.0;
+    p.epsilon = 1e-6;
+    leanmd::Simulation sim(h.rt, p);
+    h.rt.lb().set_strategy(lb::make_refine(1.05));
+    h.rt.lb().set_period(2);
+    bool done = false;
+    h.rt.on_pe(0, [&] {
+      sim.run(4, Callback::to_function([&](ReductionResult&&) { done = true; }));
+    });
+    h.machine.run();
+    ASSERT_TRUE(done);
+  }
+  const stats::Report r = stats::collect(tracer, npes);
+  ASSERT_GE(r.phases.size(), 2u) << "the run must contain an LB round";
+  EXPECT_EQ(r.phases[1].name, "lb_step");
+
+  const stats::TimeProfile prof = stats::time_profile(tracer.events(), npes, 20);
+  EXPECT_EQ(prof.t1, r.makespan);
+  const double tol = 1e-12 * r.makespan;
+  for (int pe = 0; pe < npes; ++pe) {
+    double busy = 0;
+    double exec = 0;
+    for (int b = 0; b < prof.nbins; ++b) {
+      busy += prof.at(pe, b).busy * prof.bin_width;
+      exec += (prof.at(pe, b).busy + prof.at(pe, b).overhead) * prof.bin_width;
+    }
+    EXPECT_GT(r.pes[static_cast<std::size_t>(pe)].busy, 0.0) << "pe " << pe;
+    EXPECT_NEAR(busy, r.pes[static_cast<std::size_t>(pe)].busy, tol) << "pe " << pe;
+    EXPECT_NEAR(exec, r.pes[static_cast<std::size_t>(pe)].exec, tol) << "pe " << pe;
   }
 }
 
