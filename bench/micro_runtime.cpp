@@ -43,6 +43,15 @@ struct Msg {
   }
 };
 
+/// One timestamp, the shape of PHOLD's event message (8 bytes, memcpy path).
+struct TsMsg {
+  double ts = 0;
+  template <class P>
+  void pup(P& p) {
+    p | ts;
+  }
+};
+
 /// Flat aggregate whose walk collapses to one memcpy (pup::mem_copyable).
 struct MemMsg {
   double a = 0;
@@ -80,6 +89,10 @@ namespace pup {
 template <>
 struct MemCopyable<Msg> : std::true_type {
   static constexpr std::size_t kFieldBytes = sizeof(int);
+};
+template <>
+struct MemCopyable<TsMsg> : std::true_type {
+  static constexpr std::size_t kFieldBytes = sizeof(double);
 };
 template <>
 struct MemCopyable<MemMsg> : std::true_type {
@@ -247,6 +260,39 @@ void BM_LocalSendDeliver(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(pool.misses()));
 }
 BENCHMARK(BM_LocalSendDeliver);
+
+class TsSink : public ArrayElement<TsSink, std::int32_t> {
+ public:
+  double sum = 0;
+  void take(const TsMsg& m) { sum += m.ts; }
+};
+
+void BM_CrossPeBurst(benchmark::State& state) {
+  // One handler puts 10,000 cross-PE sends of an 8-byte argument in flight,
+  // more buffers than the payload pool retains.  The argument rides inline
+  // in its Envelope, so no send takes a payload buffer and
+  // payload_pool_misses stays 0; CI gates it there, because per-send heap
+  // payloads would miss on every send past the pool's retention.
+  constexpr int kSends = 10000;
+  static_assert(kSends > PayloadPool::kMaxFreeBuffers);
+  sim::Machine m(sim::MachineConfig{8, {}, 4});
+  Runtime rt(m);
+  auto arr = ArrayProxy<TsSink>::create(rt);
+  for (int i = 0; i < 64; ++i) arr.seed(i, 1 + i % 7);  // none on the sender
+  auto drive = [&] {
+    rt.on_pe(0, [&] {
+      for (int i = 0; i < kSends; ++i)
+        arr[i % 64].send<&TsSink::take>(TsMsg{static_cast<double>(i)});
+    });
+    m.run();
+  };
+  drive();  // warm the event arena, ready queues and location caches
+  for (auto _ : state) drive();
+  state.SetItemsProcessed(state.iterations() * kSends);
+  state.counters["payload_pool_misses"] =
+      benchmark::Counter(static_cast<double>(rt.payload_pool().misses()));
+}
+BENCHMARK(BM_CrossPeBurst);
 
 void BM_SparseFootprint(benchmark::State& state) {
   // Structural memory of a million-virtual-PE machine whose workload touches

@@ -227,10 +227,11 @@ void print_memory(const char* tag, const RunResult& r) {
                           static_cast<double>(r.touched_pes)
                     : 0;
   std::printf(
-      "   [mem %s] touched=%zu structural=%zu B (pe=%zu coll=%zu evq=%zu) "
-      "bytes/touched_pe=%.0f seeded_rss=%ld KiB peak_rss=%ld KiB\n",
+      "   [mem %s] touched=%zu structural=%zu B (pe=%zu coll=%zu evq=%zu "
+      "pool=%zu) bytes/touched_pe=%.0f seeded_rss=%ld KiB peak_rss=%ld KiB\n",
       tag, r.touched_pes, f.total(), f.pe_state_bytes, f.collection_bytes,
-      f.event_queue_bytes, per_touched, r.seeded_rss_kb, peak_rss_kb());
+      f.event_queue_bytes, f.payload_pool_bytes, per_touched, r.seeded_rss_kb,
+      peak_rss_kb());
 }
 
 bool g_full = false;

@@ -71,7 +71,7 @@ struct PeLocal {
   /// reuses its node for the next, so tree reductions allocate nothing.
   ReduxMap::node_type partial_spare;
 
-  void park(Envelope env) {
+  void park(Envelope&& env) {
     if (parked == nullptr) parked = std::make_unique<Parked>();
     (*parked)[env.idx].push_back(std::move(env));
   }

@@ -15,7 +15,7 @@
 
 namespace charm {
 
-void Runtime::handle_point_miss(Envelope env, int pe) {
+void Runtime::handle_point_miss(Envelope&& env, int pe) {
   Collection& c = collection(env.col);
   if (c.is_group) {  // message to a dead group PE: drop
     release_payload(std::move(env.payload));

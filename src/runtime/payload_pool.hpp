@@ -1,15 +1,20 @@
 #pragma once
 // Free-list pools recycling std::vector capacity across messages.
 //
-// Every point send packs its argument into a payload vector, ships it inside
-// an Envelope, and unpacks it at the destination — after which the vector
-// dies.  Without pooling that is one allocation and one free per message.
+// A point send whose packed argument fits Payload's 32 inline bytes needs no
+// buffer at all (envelope.hpp).  A larger one packs into a vector from
+// PayloadPool, ships it inside an Envelope, and unpacks it at the
+// destination, after which the vector dies.  Without pooling that is one
+// allocation and one free per message.
 // A pool keeps dead buffers (their capacity, not their contents) on a LIFO
 // free list; the next acquire reuses the hottest buffer, so the steady state
 // allocates nothing as long as payloads fit the retained capacity.
 //
 // Pools never shrink a buffer and never zero memory — callers receive an
 // *empty* vector with capacity >= their reservation and append into it.
+// retained_bytes() is the capacity parked on the free list, kept up to date
+// on every acquire and release, so the footprint census reads it in O(1)
+// (DESIGN.md §12).
 //
 // VecPool is the shared mechanism; PayloadPool (bytes, message payloads) and
 // NumsPool (doubles, reduction contribution buffers) are its instantiations.
@@ -34,6 +39,7 @@ class VecPool {
     if (!free_.empty()) {
       std::vector<T> buf = std::move(free_.back());
       free_.pop_back();
+      retained_bytes_ -= buf.capacity() * sizeof(T);
       if (buf.capacity() < reserve_elems) {
         ++grows_;
         buf.reserve(reserve_elems);
@@ -61,6 +67,7 @@ class VecPool {
       return;  // let the vector free itself
     }
     buf.clear();
+    retained_bytes_ += buf.capacity() * sizeof(T);
     free_.push_back(std::move(buf));
   }
 
@@ -69,12 +76,15 @@ class VecPool {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t grows() const { return grows_; }
+  /// Capacity held by the free list, in bytes.
+  std::size_t retained_bytes() const { return retained_bytes_; }
 
  private:
   std::vector<std::vector<T>> free_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t grows_ = 0;
+  std::size_t retained_bytes_ = 0;
 };
 
 /// Message payload buffers.  Worst case pinned memory:

@@ -64,7 +64,7 @@ void Runtime::seed_element(CollectionId col, ObjIndex idx,
 }
 
 void Runtime::insert_element(CollectionId col, ObjIndex idx, CreatorId creator,
-                             std::vector<std::byte> ctor_payload, int pe_hint,
+                             Payload ctor_payload, int pe_hint,
                              int priority) {
   const int src_pe = machine_.in_handler() ? machine_.current_pe() : kInvalidPe;
   launch_envelope(Envelope::make(Envelope::Kind::kCreate, col, idx, creator, priority,
@@ -80,10 +80,11 @@ void Runtime::destroy_self() {
 
 // ---- messaging -----------------------------------------------------------------
 
-void Runtime::launch_envelope(Envelope env, int dst) {
+void Runtime::launch_envelope(Envelope&& env, int dst) {
   // The envelope moves straight into the message closure, and the closure
-  // lives inline in its event slot (no shared_ptr box, no closure block).  A
-  // dead destination recycles the payload.
+  // lives inline in its event slot (no shared_ptr box, no closure block);
+  // with a payload of up to 32 bytes inline, the slot is the whole message.
+  // A dead destination recycles the payload.
   struct EnvelopeArrival {
     Envelope env;
     void operator()(Runtime& rt) { rt.on_envelope(std::move(env)); }
@@ -93,6 +94,8 @@ void Runtime::launch_envelope(Envelope env, int dst) {
   };
   static_assert(sim::UniqueFn::kFitsInline<Counted<EnvelopeArrival>>,
                 "the point-send closure must fit the event slot");
+  static_assert(sizeof(Envelope) <= 80,
+                "an Envelope plus the destination PE fills the 88-byte closure buffer");
   const std::size_t wire = env.wire_size();
   const int priority = env.priority;
   counted_send(dst, wire, priority, EnvelopeArrival{std::move(env)});
@@ -111,15 +114,14 @@ int Runtime::route_point(Collection& c, const ObjIndex& idx, int src_pe) {
 }
 
 void Runtime::send_point_to(CollectionId col, ObjIndex idx, EntryId ep,
-                            std::vector<std::byte> payload, int priority,
-                            int src_pe, int dst) {
+                            Payload payload, int priority, int src_pe, int dst) {
   launch_envelope(
       Envelope::make(Envelope::Kind::kPoint, col, idx, ep, priority, std::move(payload), src_pe),
       dst);
 }
 
 void Runtime::send_point(CollectionId col, ObjIndex idx, EntryId ep,
-                         std::vector<std::byte> payload, int priority) {
+                         Payload payload, int priority) {
   Collection& c = collection(col);
   const int src_pe = machine_.in_handler() ? machine_.current_pe() : kInvalidPe;
   const int dst = route_point(c, idx, src_pe);
@@ -127,20 +129,20 @@ void Runtime::send_point(CollectionId col, ObjIndex idx, EntryId ep,
 }
 
 void Runtime::typed_miss(CollectionId col, ObjIndex idx, EntryId ep, int priority,
-                         std::vector<std::byte> payload, int pe) {
+                         Payload payload, int pe) {
   // The typed slot only exists when sender == destination, so src_pe is pe.
   handle_point_miss(
       Envelope::make(Envelope::Kind::kPoint, col, idx, ep, priority, std::move(payload), pe),
       pe);
 }
 
-void Runtime::on_envelope(Envelope env) {
+void Runtime::on_envelope(Envelope&& env) {
   const int pe = machine_.current_pe();
   Collection& c = collection(env.col);
 
   if (env.kind == Envelope::Kind::kCreate) {
-    const CreatorInfo& info = Registry::instance().creator(env.creator);
-    pup::Unpacker u(env.payload);
+    const CreatorInfo& info = Registry::instance().creator(env.target);
+    pup::Unpacker u(env.payload.data(), env.payload.size());
     std::unique_ptr<ArrayElementBase> obj(info.create(u));
     charge(kCreateCost);
     obj->epoch_ = 1;
@@ -152,7 +154,7 @@ void Runtime::on_envelope(Envelope env) {
   }
 
   if (ArrayElementBase* elem = c.find(pe, env.idx)) {
-    deliver_local(*elem, env.ep, env.payload.data(), env.payload.size());
+    deliver_local(*elem, env.target, env.payload.data(), env.payload.size());
     release_payload(std::move(env.payload));
   } else {
     handle_point_miss(std::move(env), pe);
@@ -249,6 +251,7 @@ Runtime::MemoryFootprint Runtime::memory_footprint() const {
   f.touched_pes = machine_.touched_pes();
   f.pe_state_bytes = machine_.pe_state_bytes();
   f.event_queue_bytes = machine_.event_queue_bytes();
+  f.payload_pool_bytes = payload_pool_.retained_bytes() + nums_pool_.retained_bytes();
   for (const auto& c : collections_) f.collection_bytes += c->memory_bytes();
   f.collection_bytes += dead_.memory_bytes();
   return f;

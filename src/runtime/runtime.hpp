@@ -93,7 +93,7 @@ class Runtime {
 
   /// Dynamic insertion via a creation message (costs modeled).
   void insert_element(CollectionId col, ObjIndex idx, CreatorId creator,
-                      std::vector<std::byte> ctor_payload, int pe_hint = kInvalidPe,
+                      Payload ctor_payload, int pe_hint = kInvalidPe,
                       int priority = kDefaultPriority);
 
   /// Destroys the *currently executing* element when its handler returns
@@ -108,12 +108,14 @@ class Runtime {
   // ---- messaging -----------------------------------------------------------
 
   void send_point(CollectionId col, ObjIndex idx, EntryId ep,
-                  std::vector<std::byte> payload, int priority = kDefaultPriority);
+                  Payload payload, int priority = kDefaultPriority);
 
   /// Typed point send (the proxy layer's entry point).  Routing is identical
-  /// to send_point; when the destination resolves to the sending PE the
-  /// argument travels through a typed in-flight slot — the delivery closure
-  /// itself — instead of a pack/unpack round trip.  The modeled wire size
+  /// to send_point.  A cross-PE send packs the argument with pack_pooled, so
+  /// one of up to 32 bytes rides inline in the Envelope and the message is
+  /// its event slot alone.  When the destination resolves to the sending PE
+  /// the argument travels through a typed in-flight slot — the delivery
+  /// closure itself — instead of a pack/unpack round trip.  The modeled wire size
   /// (header + packed argument bytes, sized via the constexpr/fused path),
   /// charges, QD accounting, and trace/stats events are identical to the
   /// packed path; only host-side work changes.
@@ -218,16 +220,19 @@ class Runtime {
   // ---- memory accounting (DESIGN.md §12) -----------------------------------
 
   /// Structural host-memory census of the lazy per-PE state.  Counts pages,
-  /// queue storage and location-table slots, which the runtime owns
-  /// directly; other container-internal heap nodes (`elems` map nodes,
+  /// queue storage, location-table slots and the capacity the buffer pools
+  /// retain, which the runtime owns directly.  A payload of up to 32 bytes
+  /// rides in its event slot and counts with the event queue; heap payloads
+  /// in flight and other container-internal heap nodes (`elems` map nodes,
   /// element objects) are covered by peak RSS.
   struct MemoryFootprint {
     std::size_t touched_pes = 0;       ///< machine-level first-touch census
     std::size_t pe_state_bytes = 0;    ///< PE pages + ready-queue storage
     std::size_t collection_bytes = 0;  ///< PeLocal pages + location-table slots
     std::size_t event_queue_bytes = 0; ///< global event-list heap + arena
+    std::size_t payload_pool_bytes = 0; ///< capacity on the payload/nums free lists
     std::size_t total() const {
-      return pe_state_bytes + collection_bytes + event_queue_bytes;
+      return pe_state_bytes + collection_bytes + event_queue_bytes + payload_pool_bytes;
     }
   };
   MemoryFootprint memory_footprint() const;
@@ -256,17 +261,40 @@ class Runtime {
   void release_payload(std::vector<std::byte>&& buf) {
     payload_pool_.release(std::move(buf));
   }
-  /// Packs `v` into a pooled payload buffer (the allocation-free analogue of
-  /// pup::to_bytes for the messaging hot path).  Single pass: mem_copyable
-  /// types are one memcpy; dynamic types pack with grow-in-place appends into
-  /// the recycled buffer (capacity >= PayloadPool::kSmallBytes once warm), so
-  /// the separate Sizer walk is gone.
+  /// Recycles a consumed message payload's heap half (an inline payload
+  /// owns nothing).
+  void release_payload(Payload&& payload) {
+    if (payload.on_heap()) payload_pool_.release(payload.take_heap());
+  }
+  /// Packs `v` into a message payload (the allocation-free analogue of
+  /// pup::to_bytes for the messaging hot path).  Single pass: a mem_copyable
+  /// type of up to 32 bytes is one memcpy into the inline bytes and never
+  /// touches the pool; a larger one is one memcpy into a pooled buffer.
+  /// Dynamic types pack with grow-in-place appends into a recycled buffer
+  /// (capacity >= PayloadPool::kSmallBytes once warm), so the separate Sizer
+  /// walk is gone; when the result fits inline it is copied there and the
+  /// buffer goes straight back to the pool.
   template <class T>
-  std::vector<std::byte> pack_pooled(const T& v) {
-    std::vector<std::byte> buf =
-        acquire_payload(pup::mem_copyable<T> ? sizeof(T) : PayloadPool::kSmallBytes);
-    pup::pack_append(buf, v);
-    return buf;
+  Payload pack_pooled(const T& v) {
+    if constexpr (pup::mem_copyable<T> && sizeof(T) <= Payload::kInlineBytes) {
+      return Payload(&v, sizeof(T));
+    } else {
+      std::vector<std::byte> buf =
+          acquire_payload(pup::mem_copyable<T> ? sizeof(T) : PayloadPool::kSmallBytes);
+      pup::pack_append(buf, v);
+      if (buf.size() > Payload::kInlineBytes) return Payload(std::move(buf));
+      Payload small(buf.data(), buf.size());
+      release_payload(std::move(buf));
+      return small;
+    }
+  }
+  /// Copies `n` packed bytes into a message payload: inline when they fit,
+  /// otherwise into a pooled buffer.
+  Payload copy_payload(const std::byte* data, std::size_t n) {
+    if (n <= Payload::kInlineBytes) return Payload(data, n);
+    std::vector<std::byte> buf = acquire_payload(n);
+    buf.insert(buf.end(), data, data + n);
+    return Payload(std::move(buf));
   }
   const PayloadPool& payload_pool() const { return payload_pool_; }
 
@@ -357,9 +385,9 @@ class Runtime {
                   /*src_override=*/0);
   }
 
-  void launch_envelope(Envelope env, int dst);
-  void on_envelope(Envelope env);
-  void handle_point_miss(Envelope env, int pe);
+  void launch_envelope(Envelope&& env, int dst);
+  void on_envelope(Envelope&& env);
+  void handle_point_miss(Envelope&& env, int pe);
 
   /// Routing decision for a point message, shared by the packed and typed
   /// send paths: group index decodes to a PE; otherwise local table, then
@@ -367,12 +395,11 @@ class Runtime {
   int route_point(Collection& c, const ObjIndex& idx, int src_pe);
   /// Builds the Envelope and launches it at an already-routed destination.
   void send_point_to(CollectionId col, ObjIndex idx, EntryId ep,
-                     std::vector<std::byte> payload, int priority, int src_pe,
-                     int dst);
+                     Payload payload, int priority, int src_pe, int dst);
   /// Delivery-time miss on the typed same-PE path: reconstructs the packed
   /// envelope and re-enters the location protocol.
   void typed_miss(CollectionId col, ObjIndex idx, EntryId ep, int priority,
-                  std::vector<std::byte> payload, int pe);
+                  Payload payload, int pe);
 
   /// Saved execution context around an entry invocation, so nested deliveries
   /// (broadcast legs, TRAM batches) instrument correctly.

@@ -2,11 +2,12 @@
 // UniqueFn: a move-only replacement for std::function<void()> on the
 // messaging hot path.
 //
-// Why not std::function?  Every message handler the runtime creates closes
-// over an Envelope (64 bytes; with `this` and the destination PE the point-
-// send closure is 80 bytes).  std::function's small-buffer optimization tops
-// out at two pointers, so each such closure costs one heap allocation at send
-// time and one free at delivery — per message.  UniqueFn removes both:
+// Why not std::function?  Every point-send handler the runtime creates closes
+// over an Envelope (80 bytes, with a payload of up to 32 bytes inline; with
+// the destination PE the point-send closure is 88 bytes).  std::function's
+// small-buffer optimization tops out at two pointers, so each such closure
+// costs one heap allocation at send time and one free at delivery — per
+// message.  UniqueFn removes both:
 //
 //   * Inline storage of kInlineBytes (88): the runtime's message closures
 //     (point sends, home forwards, location-cache teach and most other

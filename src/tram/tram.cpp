@@ -51,7 +51,7 @@ int Core::better_location(int pe, const ObjIndex& idx) {
 }
 
 void Core::local_miss(int pe, const ObjIndex& idx, EntryId ep,
-                      std::vector<std::byte> payload, bool flush_through) {
+                      Payload payload, bool flush_through) {
   const int better = better_location(pe, idx);
   if (better != kInvalidPe && better != pe) {
     route_packed(pe, idx, ep, better, payload.data(), payload.size(), flush_through);
@@ -124,9 +124,7 @@ void Core::deliver_batch(int pe, Buffer buf, bool flush_through) {
       if (elem != nullptr) {
         rt_.deliver_local(*elem, head.ep, data, head.len);
       } else {
-        std::vector<std::byte> payload = rt_.acquire_payload(head.len);
-        payload.insert(payload.end(), data, data + head.len);
-        local_miss(pe, head.idx, head.ep, std::move(payload), flush_through);
+        local_miss(pe, head.idx, head.ep, rt_.copy_payload(data, head.len), flush_through);
       }
     } else {
       route_packed(pe, head.idx, head.ep, head.dest_pe, data, head.len,

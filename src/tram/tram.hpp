@@ -132,7 +132,7 @@ class Core {
   /// location is known, else hand over to the point-send protocol (which
   /// buffers at the home until the element lands).
   void local_miss(int pe, const ObjIndex& idx, EntryId ep,
-                  std::vector<std::byte> payload, bool flush_through);
+                  Payload payload, bool flush_through);
   /// Append an already-packed frame toward `dest` and flush on threshold.
   void route_packed(int pe, const ObjIndex& idx, EntryId ep, int dest,
                     const std::byte* data, std::size_t len, bool flush_through);

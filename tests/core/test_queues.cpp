@@ -1,7 +1,7 @@
 // Ordering invariants of the scheduler's hot-path queues, the move/destroy
 // semantics of sim::UniqueFn, and the zero-allocation guarantee for the
-// steady-state point-send path (and, for message closures, for bursts of
-// any size).
+// steady-state point-send path (and, for cross-PE messages whose argument
+// fits the Envelope's inline payload bytes, for bursts of any size).
 //
 // The queue tests pin down the total orders the simulation's determinism
 // rests on: (time, seq) for the global event list and
@@ -538,22 +538,29 @@ TEST(ZeroAlloc, SteadyStatePointSendDeliverDoesNotAllocate) {
   EXPECT_GT(pool.hits(), 0u);
 }
 
-TEST(ZeroAlloc, CrossPeBurstClosuresLiveInTheirEventSlots) {
-  // One handler puts more cross-PE sends in flight than the closure block
-  // cache retains.  Every element sits away from its home PE and from the
-  // sender, and moves between two such PEs before each burst, so each send
-  // also takes a stale-cache bounce to the home, a home forward and a
-  // location-cache teach message.  The point-send, forward and teach closures
-  // must all live inline in their event slots: once the arena, ready queues
-  // and caches are warm, the only heap traffic left is payload buffers beyond
-  // the payload pool's retention, which the pool counts as misses or grows.
+/// Heap traffic of one measured cross-PE burst (see cross_pe_burst).
+struct BurstCounts {
+  std::size_t allocs = 0;         ///< operator new calls during the burst
+  std::uint64_t pool_allocs = 0;  ///< payload pool misses + grows during it
+};
+
+/// One handler puts more cross-PE sends in flight than the closure block
+/// cache retains (and than the payload pool retains buffers).  Every element
+/// sits away from its home PE and from the sender, and moves between two such
+/// PEs before each burst, so each send also takes a stale-cache bounce to the
+/// home, a home forward and a location-cache teach message.  Returns the heap
+/// traffic of the last of four bursts, once the arena, ready queues and
+/// caches are warm.
+template <class Sink, auto Entry, class MakeMsg>
+BurstCounts cross_pe_burst(MakeMsg make_msg) {
   constexpr int kPes = 8;
   constexpr int kElems = 64;
   constexpr int kSends = 10000;
   static_assert(kSends > sim::detail::BlockCache::kMaxFreePerClass[0]);
+  static_assert(kSends > charm::PayloadPool::kMaxFreeBuffers);
   sim::Machine m(sim::MachineConfig{kPes, {}, 4});
   charm::Runtime rt(m);
-  auto arr = charm::ArrayProxy<PingSink>::create(rt);
+  auto arr = charm::ArrayProxy<Sink>::create(rt);
   const charm::CollectionId col = arr.id();
 
   // Elements homed away from the sender (PE 0), with two placements each.
@@ -574,7 +581,7 @@ TEST(ZeroAlloc, CrossPeBurstClosuresLiveInTheirEventSlots) {
   auto burst = [&] {
     rt.on_pe(0, [&] {
       for (int i = 0; i < kSends; ++i)
-        arr[ids[static_cast<std::size_t>(i % kElems)]].send<&PingSink::take>(PingMsg{i});
+        arr[ids[static_cast<std::size_t>(i % kElems)]].template send<Entry>(make_msg(i));
     });
     m.run();
   };
@@ -607,15 +614,75 @@ TEST(ZeroAlloc, CrossPeBurstClosuresLiveInTheirEventSlots) {
   g_counting = true;
   burst();
   g_counting = false;
+  const BurstCounts counts{g_allocs, pool.misses() + pool.grows() - pool_allocs};
 
   EXPECT_EQ(rt.forwards() - fwds, 2u * kSends) << "stale bounce + home forward";
   EXPECT_EQ(rt.messages_sent() - msgs, 4u * kSends)
       << "send, bounce, forward and teach per message";
-  EXPECT_GT(pool.misses() + pool.grows(), pool_allocs)
-      << "the burst must outrun the payload pool's retention";
-  EXPECT_EQ(g_allocs, pool.misses() + pool.grows() - pool_allocs)
-      << "message closures must not allocate";
   EXPECT_EQ(rt.outstanding(), 0);
+  return counts;
+}
+
+TEST(ZeroAlloc, CrossPeBurstClosuresLiveInTheirEventSlots) {
+  // PingMsg packs to 4 bytes, inline in the Envelope: the point-send,
+  // bounce, forward and teach messages are their event slots and nothing
+  // else, so the whole burst allocates nothing, however far it outruns the
+  // payload pool's retention.
+  const BurstCounts c =
+      cross_pe_burst<PingSink, &PingSink::take>([](int i) { return PingMsg{i}; });
+  EXPECT_EQ(c.allocs, 0u) << "a small cross-PE message must be its event slot alone";
+  EXPECT_EQ(c.pool_allocs, 0u);
+}
+
+TEST(ZeroAlloc, CrossPeBulkBurstAllocatesOnlyPayloadBuffers) {
+  // The same burst with a 960-byte argument: the payload needs a heap
+  // buffer, and the burst outruns the pool's retention, so buffers are
+  // allocated, but only as pool misses or grows; the message closures still
+  // live inline in their event slots.
+  const BurstCounts c = cross_pe_burst<BulkSink, &BulkSink::take>([](int i) {
+    BulkMsg big;
+    big.data[0] = static_cast<double>(i);
+    return big;
+  });
+  EXPECT_GT(c.pool_allocs, 0u) << "the burst must outrun the payload pool's retention";
+  EXPECT_EQ(c.allocs, c.pool_allocs) << "message closures must not allocate";
+}
+
+TEST(PayloadPoolFootprint, RetainedCapacityIsCounted) {
+  // The footprint counts the capacity parked on both pools' free lists,
+  // kept current on every acquire and release.
+  sim::Machine m(sim::MachineConfig{8, {}, 4});
+  charm::Runtime rt(m);
+  EXPECT_EQ(rt.memory_footprint().payload_pool_bytes, 0u);
+
+  std::vector<std::byte> a = rt.acquire_payload(100);
+  std::vector<std::byte> b = rt.acquire_payload(3000);
+  std::vector<double> n = rt.acquire_nums(10);
+  const std::size_t bytes =
+      a.capacity() + b.capacity() + n.capacity() * sizeof(double);
+  rt.release_payload(std::move(a));
+  rt.release_payload(std::move(b));
+  rt.release_nums(std::move(n));
+  const charm::Runtime::MemoryFootprint f = rt.memory_footprint();
+  EXPECT_EQ(f.payload_pool_bytes, bytes);
+  EXPECT_EQ(f.total(), f.pe_state_bytes + f.collection_bytes + f.event_queue_bytes + bytes);
+
+  // Warm the pool with real traffic: 960-byte payloads cycle through it.
+  auto arr = charm::ArrayProxy<BulkSink>::create(rt);
+  for (int i = 0; i < 16; ++i) arr.seed(i, 1 + i % 7);
+  rt.on_pe(0, [&] {
+    for (int i = 0; i < 64; ++i) arr[i % 16].send<&BulkSink::take>(BulkMsg{});
+  });
+  m.run();
+  const charm::PayloadPool& pool = rt.payload_pool();
+  EXPECT_GE(pool.retained_bytes(), pool.free_buffers() * sizeof(BulkMsg));
+  EXPECT_EQ(rt.memory_footprint().payload_pool_bytes,
+            pool.retained_bytes() + rt.nums_pool().retained_bytes());
+
+  // An acquire takes its buffer's capacity off the count.
+  const std::size_t before = pool.retained_bytes();
+  std::vector<std::byte> c = rt.acquire_payload(1);
+  EXPECT_EQ(pool.retained_bytes(), before - c.capacity());
 }
 
 // POD reductions recycle everything in steady state: contribution values land

@@ -1,11 +1,15 @@
 // Core runtime behaviour: entry-method invocation, argument delivery,
 // chare-to-chare messaging, broadcasts, dynamic insertion/destruction,
-// message priorities, and virtual-time accounting.
+// message priorities, virtual-time accounting, and the inline/heap payload
+// boundary of point sends.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <ostream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -385,6 +389,191 @@ TEST(RuntimeBasic, EachMessageKindCountsOnceWithItsWireBytes) {
   EXPECT_TRUE(quiet);
   EXPECT_EQ(victim->received, received);
   EXPECT_EQ(h.rt.outstanding(), 0);
+}
+
+// ---- payload boundary ---------------------------------------------------------
+
+/// 32 bytes through the whole-object memcpy path: the largest argument that
+/// rides inline in an Envelope.
+struct Inline32 {
+  double a = 0, b = 0, c = 0, d = 0;
+  template <class P>
+  void pup(P& p) {
+    p | a;
+    p | b;
+    p | c;
+    p | d;
+  }
+};
+
+/// 40 bytes through the memcpy path: one word past the inline bytes.
+struct Heap40 {
+  double a = 0, b = 0, c = 0, d = 0, e = 0;
+  template <class P>
+  void pup(P& p) {
+    p | a;
+    p | b;
+    p | c;
+    p | d;
+    p | e;
+  }
+};
+
+/// A dynamic type (length-prefixed vector) that packs to under 32 bytes.
+struct SmallDynamic {
+  std::vector<std::int32_t> ids;
+  template <class P>
+  void pup(P& p) {
+    p | ids;
+  }
+};
+
+}  // namespace
+
+template <>
+struct pup::MemCopyable<Inline32> : std::true_type {
+  static constexpr std::size_t kFieldBytes = 4 * sizeof(double);
+};
+template <>
+struct pup::MemCopyable<Heap40> : std::true_type {
+  static constexpr std::size_t kFieldBytes = 5 * sizeof(double);
+};
+
+namespace {
+
+/// Records the repacked bytes of every argument it receives and of the
+/// constructor argument it was created with.
+class ByteSink : public charm::ArrayElement<ByteSink, std::int32_t> {
+ public:
+  ByteSink() = default;
+  explicit ByteSink(const Inline32& m) : created(pup::to_bytes(m)) {}
+  std::vector<std::byte> created;
+  std::vector<std::vector<std::byte>> got;
+  template <class T>
+  void take(const T& m) {
+    got.push_back(pup::to_bytes(m));
+  }
+};
+
+std::vector<std::byte> bytes_of(const charm::Payload& p) {
+  return std::vector<std::byte>(p.data(), p.data() + p.size());
+}
+
+std::uint64_t pool_acquires(const charm::Runtime& rt) {
+  const charm::PayloadPool& pool = rt.payload_pool();
+  return pool.hits() + pool.misses() + pool.grows();
+}
+
+/// Sends `msg` from PE 0 to an element on PE 1 and returns what it received.
+template <class T>
+std::vector<std::vector<std::byte>> send_across(Harness& h, const T& msg) {
+  auto arr = ArrayProxy<ByteSink>::create(h.rt);
+  arr.seed(0, 1);
+  h.rt.on_pe(0, [&] { arr[0].send<&ByteSink::take<T>>(msg); });
+  h.machine.run();
+  EXPECT_EQ(h.rt.outstanding(), 0);
+  ByteSink* s = h.find<ByteSink>(arr.id(), 0);
+  return s == nullptr ? std::vector<std::vector<std::byte>>{} : s->got;
+}
+
+TEST(PayloadBoundary, ThirtyTwoByteMemCopyableArgumentRidesInline) {
+  static_assert(pup::mem_copyable<Inline32>);
+  static_assert(sizeof(Inline32) == charm::Payload::kInlineBytes);
+  const Inline32 msg{1.5, -2.0, 3.25, 4e9};
+  Harness h(2);
+  charm::Payload p = h.rt.pack_pooled(msg);
+  EXPECT_FALSE(p.on_heap());
+  EXPECT_EQ(bytes_of(p), pup::to_bytes(msg));
+  EXPECT_EQ(send_across(h, msg), std::vector<std::vector<std::byte>>{pup::to_bytes(msg)});
+  EXPECT_EQ(pool_acquires(h.rt), 0u) << "an inline payload never touches the pool";
+}
+
+TEST(PayloadBoundary, FortyByteMemCopyableArgumentUsesAPooledHeapBuffer) {
+  static_assert(pup::mem_copyable<Heap40>);
+  const Heap40 msg{1, 2, 3, 4, 5};
+  Harness h(2);
+  charm::Payload p = h.rt.pack_pooled(msg);
+  EXPECT_TRUE(p.on_heap());
+  EXPECT_EQ(bytes_of(p), pup::to_bytes(msg));
+  h.rt.release_payload(std::move(p));
+  EXPECT_EQ(h.rt.payload_pool().free_buffers(), 1u);
+  EXPECT_EQ(send_across(h, msg), std::vector<std::vector<std::byte>>{pup::to_bytes(msg)});
+  EXPECT_EQ(h.rt.payload_pool().hits(), 1u) << "the send reuses the released buffer";
+  EXPECT_EQ(h.rt.payload_pool().free_buffers(), 1u) << "and delivery hands it back";
+}
+
+TEST(PayloadBoundary, SmallDynamicArgumentIsCopiedInline) {
+  static_assert(!pup::mem_copyable<SmallDynamic>);
+  const SmallDynamic msg{{7, -8, 9}};
+  ASSERT_LE(pup::size_of(msg), charm::Payload::kInlineBytes);
+  Harness h(2);
+  charm::Payload p = h.rt.pack_pooled(msg);
+  EXPECT_FALSE(p.on_heap());
+  EXPECT_EQ(bytes_of(p), pup::to_bytes(msg));
+  EXPECT_EQ(h.rt.payload_pool().free_buffers(), 1u)
+      << "the packing buffer goes straight back to the pool";
+  EXPECT_EQ(send_across(h, msg), std::vector<std::vector<std::byte>>{pup::to_bytes(msg)});
+}
+
+/// An index homed at `home`.
+std::int32_t index_homed_at(const charm::Runtime& rt, int home) {
+  std::int32_t i = 0;
+  while (rt.home_pe(charm::IndexTraits<std::int32_t>::encode(i)) != home) ++i;
+  return i;
+}
+
+TEST(PayloadBoundary, InlinePayloadParkedAtTheHomeIsDeliveredAfterInsert) {
+  // The send reaches the home before the element exists there, so the home
+  // parks it; the insert's arrival releases it to the new element.
+  Harness h(4);
+  auto arr = ArrayProxy<ByteSink>::create(h.rt);
+  const std::int32_t ix = index_homed_at(h.rt, 2);
+  const Inline32 msg{9, 8, 7, 6};
+  h.rt.on_pe(0, [&] {
+    arr[ix].send<&ByteSink::take<Inline32>>(msg);
+    arr.insert(ix, Inline32{}, /*pe_hint=*/3);
+  });
+  h.machine.run();
+  int pe = -1;
+  ByteSink* s = h.find<ByteSink>(arr.id(), ix, &pe);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(pe, 3);
+  EXPECT_EQ(s->got, std::vector<std::vector<std::byte>>{pup::to_bytes(msg)});
+  EXPECT_EQ(h.rt.outstanding(), 0);
+  EXPECT_EQ(pool_acquires(h.rt), 0u);
+}
+
+TEST(PayloadBoundary, CreateMessageCarriesAnInlineConstructorArgument) {
+  Harness h(4);
+  auto arr = ArrayProxy<ByteSink>::create(h.rt);
+  const Inline32 arg{0.5, 0.25, 0.125, 0.0625};
+  h.rt.on_pe(0, [&] { arr.insert(5, arg, /*pe_hint=*/2); });
+  h.machine.run();
+  int pe = -1;
+  ByteSink* s = h.find<ByteSink>(arr.id(), 5, &pe);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(pe, 2);
+  EXPECT_EQ(s->created, pup::to_bytes(arg));
+  EXPECT_EQ(pool_acquires(h.rt), 0u);
+}
+
+TEST(PayloadBoundary, SendToADeadPeDropsInlineAndRecyclesHeapPayloads) {
+  // The element lives at its home, so both sends go straight to the dead PE.
+  Harness h(4);
+  auto arr = ArrayProxy<ByteSink>::create(h.rt);
+  const std::int32_t ix = index_homed_at(h.rt, 1);
+  arr.seed(ix, 1);
+  h.rt.set_pe_dead(1, true);
+  h.rt.on_pe(0, [&] {
+    arr[ix].send<&ByteSink::take<Inline32>>(Inline32{1, 2, 3, 4});
+    arr[ix].send<&ByteSink::take<Heap40>>(Heap40{1, 2, 3, 4, 5});
+  });
+  h.machine.run();
+  EXPECT_EQ(h.rt.outstanding(), 0);
+  EXPECT_EQ(h.rt.messages_sent(), 2u);
+  EXPECT_TRUE(h.find<ByteSink>(arr.id(), ix)->got.empty());
+  EXPECT_EQ(h.rt.payload_pool().misses(), 1u) << "only the 40-byte payload is on the heap";
+  EXPECT_EQ(h.rt.payload_pool().free_buffers(), 1u) << "the dead PE recycles it";
 }
 
 TEST(RuntimeBasic, GroupHasOneElementPerPe) {
