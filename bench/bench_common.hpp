@@ -25,12 +25,15 @@
 //   --failures=N   cap the number of injected failures (default 1)
 //   --fault-seed=N seed for the failure schedule / victim draws (default 1)
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "introspect/metrics.hpp"
@@ -98,6 +101,31 @@ inline std::vector<stats::CollectivesCell>& collectives_cells() {
   return cells;
 }
 
+/// Strict numeric flag value: all of `v` must be one finite number >= lo.
+/// Trailing characters ("2x", "2e-4ms"), non-numbers ("abc"), inf/nan and
+/// values that overflow T are rejected; `*out` is written only on success.
+template <typename T>
+bool parse_number(const char* v, T* out, T lo = std::numeric_limits<T>::lowest()) {
+  const char* end = v + std::strlen(v);
+  T x{};
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(x)) return false;
+  }
+  if (x < lo) return false;
+  *out = x;
+  return true;
+}
+
+/// parse_number restricted to values > 0.
+template <typename T>
+bool parse_positive(const char* v, T* out) {
+  constexpr T kSmallest =
+      std::is_floating_point_v<T> ? std::numeric_limits<T>::denorm_min() : T{1};
+  return parse_number(v, out, kSmallest);
+}
+
 namespace detail {
 
 /// One row of the option table.  `arg` == nullptr marks a boolean flag;
@@ -133,28 +161,15 @@ inline const FlagSpec* flag_table(std::size_t* count) {
       {"--metrics", "SEC", "needs a positive interval in virtual seconds",
        [](const char* v) {
          options().metrics = true;
-         if (v != nullptr) {
-           options().metrics_interval = std::strtod(v, nullptr);
-           return options().metrics_interval > 0;
-         }
-         return true;
+         return v == nullptr || parse_positive(v, &options().metrics_interval);
        },
        /*optional_value=*/true},
       {"--mtbf", "SEC", "needs a positive time in seconds",
-       [](const char* v) {
-         options().mtbf = std::strtod(v, nullptr);
-         return options().mtbf > 0;
-       }},
+       [](const char* v) { return parse_positive(v, &options().mtbf); }},
       {"--failures", "N", "needs a positive count",
-       [](const char* v) {
-         options().failures = std::atoi(v);
-         return options().failures > 0;
-       }},
+       [](const char* v) { return parse_positive(v, &options().failures); }},
       {"--fault-seed", "N", nullptr,
-       [](const char* v) {
-         options().fault_seed = std::strtoull(v, nullptr, 10);
-         return true;
-       }},
+       [](const char* v) { return parse_number(v, &options().fault_seed); }},
   };
   *count = sizeof(kFlags) / sizeof(kFlags[0]);
   return kFlags;

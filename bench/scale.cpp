@@ -246,20 +246,11 @@ const bench::detail::FlagSpec kScaleFlags[] = {
        return true;
      }},
     {"--npes", "N", "needs a positive PE count",
-     [](const char* v) {
-       g_npes = std::atoi(v);
-       return g_npes > 0;
-     }},
+     [](const char* v) { return bench::parse_positive(v, &g_npes); }},
     {"--width", "W", "needs a positive cell count",
-     [](const char* v) {
-       g_width = std::atoi(v);
-       return g_width > 0;
-     }},
+     [](const char* v) { return bench::parse_positive(v, &g_width); }},
     {"--steps", "S", "needs a positive step count",
-     [](const char* v) {
-       g_steps = std::atoi(v);
-       return g_steps > 0;
-     }},
+     [](const char* v) { return bench::parse_positive(v, &g_steps); }},
 };
 
 }  // namespace

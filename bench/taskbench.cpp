@@ -49,15 +49,9 @@ const bench::detail::FlagSpec kTaskbenchFlags[] = {
        return true;
      }},
     {"--grain", "SEC", "needs a positive virtual-seconds grain",
-     [](const char* v) {
-       filter().grain = std::strtod(v, nullptr);
-       return filter().grain > 0;
-     }},
+     [](const char* v) { return bench::parse_positive(v, &filter().grain); }},
     {"--npes", "N", "needs a positive PE count",
-     [](const char* v) {
-       filter().npes = std::atoi(v);
-       return filter().npes > 0;
-     }},
+     [](const char* v) { return bench::parse_positive(v, &filter().npes); }},
 };
 
 bool close_enough(double a, double b) {

@@ -1,5 +1,9 @@
 #include "introspect/metrics.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "sim/machine.hpp"
 
 namespace introspect {
@@ -42,7 +46,6 @@ void Monitor::set_interval(double dt) {
 
 void Monitor::reset(int npes) {
   pes_.reset(static_cast<std::size_t>(npes));
-  entry_loads_.clear();
   busy_ = exec_ = 0;
   execs_ = msgs_ = bytes_ = coll_msgs_ = coll_bytes_ = 0;
   last_msgs_ = last_bytes_ = 0;
@@ -69,23 +72,6 @@ Monitor::BusyFold Monitor::busy_fold() const {
   return {mx, pes_.size() == 0 ? 0 : sum / static_cast<double>(pes_.size())};
 }
 
-double Monitor::imbalance() const {
-  const BusyFold f = busy_fold();
-  return f.avg > 0 ? f.max / f.avg : 0;
-}
-
-void Monitor::on_entry(int pe, int col, int ep, double, double dt) {
-  PeCounters& pc = pes_.ref(static_cast<std::size_t>(pe));
-  pc.busy += dt;
-  busy_ += dt;
-  // First use of a (col, ep) key allocates its map node; every later
-  // invocation updates in place, keeping the steady state allocation-free.
-  EntryLoad& l = entry_loads_[{col, ep}];
-  ++l.calls;
-  l.total += dt;
-  l.ewma = l.calls == 1 ? dt : kEwmaAlpha * dt + (1.0 - kEwmaAlpha) * l.ewma;
-}
-
 void Monitor::on_phase(const sim::PhaseEvent& ev) {
   // Barrier-only LB rounds (no strategy ran) and disk checkpoints are traced
   // but not journaled.
@@ -99,40 +85,60 @@ void Monitor::sample_up_to(double now) {
   // k·interval (not by accumulation), so timestamps carry no FP drift and a
   // long event gap yields one sample per crossed boundary with identical
   // counter values — the timeline stays strictly monotone either way.
-  while (next_boundary_ <= now) {
+  while (next_boundary_ <= now && samples_.size() < kSampleCap) {
     record_sample(next_boundary_);
     ++sample_k_;
     next_boundary_ = interval_ * static_cast<double>(sample_k_ + 1);
   }
+  if (next_boundary_ <= now) drop_boundaries_up_to(now);
+}
+
+void Monitor::drop_boundaries_up_to(double now) {
+  // The buffer is full: count the boundaries k·interval <= now in O(1)
+  // instead of one by one (a tiny interval can cross ~1e10 per run).  The
+  // quotient estimates the last such k; the fix-ups settle it with the same
+  // multiplication the recording loop uses, so the count is exactly the one
+  // that loop would reach.  Past 2^64 boundaries the counts saturate.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  auto at = [this](std::uint64_t k) { return interval_ * static_cast<double>(k); };
+  const double q = std::floor(now / interval_);
+  std::uint64_t last = q >= 0x1p64 ? kMax : std::max(sample_k_, static_cast<std::uint64_t>(q));
+  while (last > sample_k_ && at(last) > now) --last;
+  while (last < kMax && at(last + 1) <= now) ++last;
+  const std::uint64_t n = last - sample_k_;
+  dropped_samples_ = n > kMax - dropped_samples_ ? kMax : dropped_samples_ + n;
+  sample_k_ = last;
+  next_boundary_ = last < kMax ? at(last + 1) : std::numeric_limits<double>::infinity();
+  start_window();
 }
 
 void Monitor::record_sample(double t) {
-  if (samples_.size() >= kSampleCap) {
-    ++dropped_samples_;
-  } else {
-    Sample s;
-    s.t = t;
-    const BusyFold f = busy_fold();
-    s.busy_max = f.max;
-    s.busy_avg = f.avg;
-    s.lambda = f.avg > 0 ? f.max / f.avg : 0;
-    s.busy = busy_;
-    s.exec = exec_;
-    s.execs = execs_;
-    s.msgs = msgs_;
-    s.bytes = bytes_;
-    s.coll_msgs = coll_msgs_;
-    s.coll_bytes = coll_bytes_;
-    s.msg_rate = static_cast<double>(msgs_ - last_msgs_) / interval_;
-    s.byte_rate = static_cast<double>(bytes_ - last_bytes_) / interval_;
-    s.ready = cur_ready_;
-    s.ready_hwm = ready_hwm_w_;
-    s.evq = last_evq_;
-    s.evq_hwm = evq_hwm_w_;
-    samples_.push_back(s);
-  }
-  // Start the next window: rates rebase, watermarks restart at the current
-  // instantaneous depths (so hwm >= instantaneous holds at every sample).
+  Sample s;
+  s.t = t;
+  const BusyFold f = busy_fold();
+  s.busy_max = f.max;
+  s.busy_avg = f.avg;
+  s.lambda = f.avg > 0 ? f.max / f.avg : 0;
+  s.busy = busy_;
+  s.exec = exec_;
+  s.execs = execs_;
+  s.msgs = msgs_;
+  s.bytes = bytes_;
+  s.coll_msgs = coll_msgs_;
+  s.coll_bytes = coll_bytes_;
+  s.msg_rate = static_cast<double>(msgs_ - last_msgs_) / interval_;
+  s.byte_rate = static_cast<double>(bytes_ - last_bytes_) / interval_;
+  s.ready = cur_ready_;
+  s.ready_hwm = ready_hwm_w_;
+  s.evq = last_evq_;
+  s.evq_hwm = evq_hwm_w_;
+  samples_.push_back(s);
+  start_window();
+}
+
+void Monitor::start_window() {
+  // Rates rebase and watermarks restart at the current instantaneous depths
+  // (so hwm >= instantaneous holds at every sample).
   last_msgs_ = msgs_;
   last_bytes_ = bytes_;
   ready_hwm_w_ = cur_ready_;

@@ -1,7 +1,7 @@
 #pragma once
 // Live introspection (DESIGN.md §11): an online metrics monitor that keeps
-// incremental per-PE counters on the emulator's hot path and snapshots them
-// at a configurable virtual-time cadence with ZERO virtual-time perturbation.
+// incremental counters on the emulator's hot path and snapshots them at a
+// configurable virtual-time cadence with ZERO virtual-time perturbation.
 //
 // The Monitor is one sink of the machine's observer vocabulary
 // (sim/observer.hpp), beside the tracer.  Every hook is a plain counter
@@ -12,20 +12,13 @@
 // except barrier-only LB rounds and disk checkpoints, which only the tracer
 // records.
 //
-// Two consumption surfaces:
-//   * live queries (Runtime::metrics()): per-PE busy/exec/utilization, ready
-//     and event-queue depths with high watermarks, per-(collection,entry)
-//     EWMA grain, locally computed imbalance λ — the hook the autoscaling /
-//     LB-trigger work consumes (ROADMAP);
-//   * a timeline: fixed-size POD samples recorded at t = k·interval (plus a
-//     decision journal of LB rounds, FT checkpoints/rollbacks, failures and
-//     malleability reconfigurations on the same clock), exported as the
-//     byte-deterministic "timeseries"/"journal" stats sections.
+// What it exports is a timeline: fixed-size POD samples recorded at
+// t = k·interval, plus a decision journal of LB rounds, FT checkpoints/
+// rollbacks, failures and malleability reconfigurations on the same clock,
+// written as the byte-deterministic "timeseries"/"journal" stats sections.
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "sim/observer.hpp"
@@ -45,32 +38,13 @@ struct JournalEvent {
   double value = 0;
 };
 
-/// Live cumulative counters for one PE (since attach).  `busy` counts entry-
-/// method virtual time and `exec` handler virtual time, matching the
-/// post-mortem stats::PeUsage definitions so the two reconcile on a run.
-struct PeCounters {
-  double busy = 0;
-  double exec = 0;
-  std::uint64_t execs = 0;
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint32_t ready = 0;      ///< instantaneous ready-queue depth
-  std::uint32_t ready_hwm = 0;  ///< high watermark since attach
-};
-
-/// Per-(collection, entry) execution-grain statistics with an EWMA of the
-/// invocation grain (the live analogue of the post-mortem grain columns).
-struct EntryLoad {
-  std::uint64_t calls = 0;
-  double total = 0;
-  double ewma = 0;
-};
-
 /// One timeline sample.  Fixed-size POD: recording one writes these fields
 /// and touches nothing else, so steady-state sampling is allocation-free
 /// (gated by the operator-new-counting test).  Cumulative fields are
-/// since-attach totals; `*_hwm` are high watermarks over the sample window;
-/// rates are window deltas divided by the interval.
+/// since-attach totals, with `busy` counting entry-method and `exec` handler
+/// virtual time as the post-mortem stats::PeUsage does; `*_hwm` are high
+/// watermarks over the sample window; rates are window deltas divided by the
+/// interval.
 struct Sample {
   double t = 0;
   double busy_max = 0;
@@ -100,55 +74,27 @@ class Monitor : public sim::Observer {
   void attach(sim::Machine& m);
   void detach();
 
-  /// Sampling cadence in virtual seconds; 0 disables the timeline (counters
-  /// stay live).  Takes effect from the next attach()/now, with boundaries
-  /// always at exact multiples of the interval.
+  /// Sampling cadence in virtual seconds; 0 records the journal only.  Takes
+  /// effect from the next attach()/now, with boundaries always at exact
+  /// multiples of the interval.
   void set_interval(double dt);
   double interval() const { return interval_; }
 
-  // ---- live queries ----------------------------------------------------
+  // ---- exported views ----------------------------------------------------
 
-  int npes() const { return static_cast<int>(pes_.size()); }
-  /// Reads untouched PEs as all-zero counters without materializing them.
-  const PeCounters& pe(int i) const {
-    return pes_.at_or_default(static_cast<std::size_t>(i));
-  }
-  /// PEs whose counters were ever written (first-touch census).
-  std::size_t touched_pes() const { return pes_.touched(); }
   /// Virtual time of the most recent machine step.
   double time() const { return last_time_; }
-  /// exec fraction of the PE's elapsed virtual time so far.
-  double utilization(int i) const {
-    return last_time_ > 0 ? pe(i).exec / last_time_ : 0;
-  }
-  /// λ = max/avg over cumulative per-PE busy (local read, no messages).
-  double imbalance() const;
-  double total_busy() const { return busy_; }
-  double total_exec() const { return exec_; }
-  std::uint64_t total_execs() const { return execs_; }
-  std::uint64_t total_msgs() const { return msgs_; }
-  std::uint64_t total_bytes() const { return bytes_; }
-  /// Total ready-queue population across PEs right now.
-  std::uint64_t ready_depth() const { return cur_ready_; }
-  /// Global event-queue depth as of the last step.
-  std::uint64_t event_queue_depth() const { return last_evq_; }
-
-  const std::map<std::pair<int, int>, EntryLoad>& entry_loads() const {
-    return entry_loads_;
-  }
   const std::vector<Sample>& samples() const { return samples_; }
   const std::vector<JournalEvent>& journal_events() const { return journal_; }
-  /// Samples not recorded because the buffer hit kSampleCap.
+  /// Sample boundaries not recorded because the buffer hit kSampleCap
+  /// (saturating at UINT64_MAX).
   std::uint64_t dropped_samples() const { return dropped_samples_; }
 
   // ---- observer hooks --------------------------------------------------
   // None of these charge virtual time; all are O(1) except the snapshot
   // scan (O(P), only at a crossed sample boundary).
 
-  void on_send(int src, int, std::size_t bytes, int, double, double) override {
-    PeCounters& pc = pes_.ref(static_cast<std::size_t>(src));
-    ++pc.msgs_sent;
-    pc.bytes_sent += bytes;
+  void on_send(int, int, std::size_t bytes, int, double, double) override {
     ++msgs_;
     bytes_ += bytes;
   }
@@ -161,15 +107,14 @@ class Monitor : public sim::Observer {
   /// trace span, so live exec totals reconcile bit-exactly.
   void on_exec_end(int pe, double begin, double end, std::size_t,
                    std::size_t depth) override {
-    const double span = end - begin;
-    PeCounters& pc = pes_.ref(static_cast<std::size_t>(pe));
-    pc.exec += span;
-    ++pc.execs;
-    exec_ += span;
+    exec_ += end - begin;
     ++execs_;
     note_ready(pe, depth);
   }
-  void on_entry(int pe, int col, int ep, double end, double dt) override;
+  void on_entry(int pe, int, int, double, double dt) override {
+    pes_.ref(static_cast<std::size_t>(pe)).busy += dt;
+    busy_ += dt;
+  }
   void on_phase(const sim::PhaseEvent& ev) override;
   /// End of every Machine::step: refresh event-queue depth and record any
   /// crossed sample boundaries (timestamps are exact multiples of the
@@ -183,9 +128,15 @@ class Monitor : public sim::Observer {
 
   static constexpr std::size_t kSampleReserve = 4096;
   static constexpr std::size_t kSampleCap = 1u << 17;
-  static constexpr double kEwmaAlpha = 0.25;
 
  private:
+  /// The per-PE state a Sample folds: entry busy time for busy_max/λ and the
+  /// ready depth whose change updates the total.
+  struct PeCounters {
+    double busy = 0;
+    std::uint32_t ready = 0;
+  };
+
   void reset(int npes);
   void note_ready(int pe, std::size_t depth) {
     PeCounters& pc = pes_.ref(static_cast<std::size_t>(pe));
@@ -193,11 +144,12 @@ class Monitor : public sim::Observer {
     cur_ready_ += d;
     cur_ready_ -= pc.ready;
     pc.ready = d;
-    if (d > pc.ready_hwm) pc.ready_hwm = d;
     if (cur_ready_ > ready_hwm_w_) ready_hwm_w_ = cur_ready_;
   }
   void sample_up_to(double now);
   void record_sample(double t);
+  void drop_boundaries_up_to(double now);
+  void start_window();
   /// Max and average (over the configured P) of cumulative per-PE busy.
   struct BusyFold {
     double max = 0;
@@ -212,7 +164,6 @@ class Monitor : public sim::Observer {
   /// Per-PE counters, paged on first touch: the Monitor's footprint follows
   /// the live touched-PE population, not the configured P (DESIGN.md §12).
   sim::PagedTable<PeCounters> pes_;
-  std::map<std::pair<int, int>, EntryLoad> entry_loads_;
   double busy_ = 0;
   double exec_ = 0;
   std::uint64_t execs_ = 0;

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "introspect/metrics.hpp"
 #include "pup/pup.hpp"
 #include "runtime/collection.hpp"
 #include "runtime/payload_pool.hpp"
@@ -195,14 +194,6 @@ class Runtime {
   }
 
   LbManager& lb() { return *lb_; }
-
-  /// The live introspection monitor attached to the machine, or nullptr when
-  /// metrics are off (DESIGN.md §11).  Consumers query per-PE utilization,
-  /// queue depths, and imbalance mid-run; none of the calls charge virtual
-  /// time, so querying never perturbs the simulation.
-  introspect::Monitor* metrics() const {
-    return machine_.find_observer<introspect::Monitor>();
-  }
 
   // ---- statistics ------------------------------------------------------------
 

@@ -4,8 +4,9 @@
 // handler execution, an entry-method span, a collective leg, a runtime
 // phase, the end of an event-loop step) is one hook call made once at its
 // site.  trace::Tracer (the Projections-style event log) and
-// introspect::Monitor (live counters plus the decision journal) are two
-// sinks of it; where their views differ, each sink filters for itself.
+// introspect::Monitor (the sampled metrics timeline plus the decision
+// journal) are two sinks of it; where their views differ, each sink filters
+// for itself.
 //
 // Hooks never charge virtual time, so attaching any set of observers leaves
 // every virtual clock bit-identical.  With nothing attached each hook site

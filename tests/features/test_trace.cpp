@@ -517,6 +517,7 @@ TEST(Trace, QuarantineMutesEverySink) {
   introspect::Monitor mon;
   HookCounter fake;
   m.set_tracer(&tracer);
+  mon.set_interval(1e-4);
   mon.attach(m);
   m.attach(fake);
 
@@ -538,16 +539,22 @@ TEST(Trace, QuarantineMutesEverySink) {
   for (const trace::Event& e : tracer.events()) EXPECT_NE(e.pe, 1);
   EXPECT_EQ(count_kind(tracer, trace::Kind::kSend), 0u);
 
-  // Monitor: the dead PE's counters stay all-zero.
-  const introspect::PeCounters& dead = mon.pe(1);
-  EXPECT_EQ(dead.busy, 0.0);
-  EXPECT_EQ(dead.exec, 0.0);
-  EXPECT_EQ(dead.execs, 0u);
-  EXPECT_EQ(dead.msgs_sent, 0u);
-  EXPECT_EQ(dead.bytes_sent, 0u);
-  EXPECT_EQ(dead.ready, 0u);
-  EXPECT_EQ(dead.ready_hwm, 0u);
-  EXPECT_EQ(mon.total_msgs(), 0u);
+  // Monitor: the sample closing the run counts no send, entry time or ready
+  // message, and exactly the executions the tracer saw, all on live PE 0
+  // (the muted send's delivery).
+  mon.on_step(mon.time() + mon.interval(), 0);
+  ASSERT_FALSE(mon.samples().empty());
+  const introspect::Sample& last = mon.samples().back();
+  double traced_exec = 0;
+  for (const trace::Event& e : tracer.events())
+    if (e.kind == trace::Kind::kExec) traced_exec += e.end - e.begin;
+  EXPECT_EQ(count_kind(tracer, trace::Kind::kExec), 1u);
+  EXPECT_EQ(last.execs, 1u);
+  EXPECT_EQ(last.exec, traced_exec);
+  EXPECT_EQ(last.msgs, 0u);
+  EXPECT_EQ(last.bytes, 0u);
+  EXPECT_EQ(last.busy, 0.0);
+  EXPECT_EQ(last.ready, 0u);
   // A direct fail_pe is journaled but not traced.
   ASSERT_EQ(mon.journal_events().size(), 1u);
   EXPECT_EQ(mon.journal_events()[0].kind, sim::Phase::kFailure);
