@@ -19,6 +19,7 @@
 #include "lb/load_db.hpp"
 #include "lb_reference.hpp"
 #include "runtime/charm.hpp"
+#include "sim/rng.hpp"
 #include "tram/tram.hpp"
 
 namespace {
@@ -185,6 +186,48 @@ void BM_MachineEventRate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1500);
 }
 BENCHMARK(BM_MachineEventRate);
+
+/// One message of BM_MachineBacklog: on delivery it sends itself on to a
+/// random PE until it has made all its hops.
+struct BacklogHop {
+  static constexpr int kPes = 32;
+  sim::Machine* m;
+  sim::Rng* rng;
+  int left;
+  void operator()() const {
+    if (left > 0)
+      m->send(static_cast<int>(rng->next_below(kPes)), 64, 0,
+              BacklogHop{m, rng, left - 1});
+  }
+};
+
+void BM_MachineBacklog(benchmark::State& state) {
+  // The memory-bound regime of PHOLD, which BM_MachineEventRate's ~1,000
+  // events never reach: each of 32 PEs bursts 4,096 sends to random PEs, so
+  // ~128K messages stay in flight while each makes four hops, and the event
+  // heap and the arena slots of queued messages outgrow the caches.  One
+  // long-lived machine, warmed by a first round, so the arena is recycled.
+  constexpr int kBurst = 4096;
+  constexpr int kHops = 4;
+  sim::Machine m(sim::MachineConfig{BacklogHop::kPes, {}, 4});
+  sim::Rng rng(1);
+  auto drive = [&] {
+    for (int pe = 0; pe < BacklogHop::kPes; ++pe) {
+      m.post(pe, m.time(), [&m, &rng] {
+        for (int i = 0; i < kBurst; ++i) BacklogHop{&m, &rng, kHops}();
+      });
+    }
+    m.run();
+  };
+  drive();
+  const std::uint64_t warm = m.events_processed();
+  for (auto _ : state) {
+    drive();
+    benchmark::DoNotOptimize(m.events_processed());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(m.events_processed() - warm));
+}
+BENCHMARK(BM_MachineBacklog)->Unit(benchmark::kMillisecond);
 
 class Sink : public ArrayElement<Sink, std::int32_t> {
  public:

@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace sim {
@@ -16,8 +15,8 @@ EventQueue::SlotId EventQueue::acquire_slot() {
   return slot_count_++;
 }
 
-Event& EventQueue::emplace(Time time, std::uint64_t seq, Event::Kind kind,
-                           int pe, int priority, std::size_t bytes) {
+Event& EventQueue::emplace(Time time, std::uint64_t seq, int pe, int priority,
+                           std::size_t bytes) {
   // Both fields of the packed key must fit, in every build type: a slot id
   // past 2^24 would corrupt the seq bits and silently reorder the run.
   if ((free_slots_.empty() && slot_count_ >= kMaxSlots) || seq >= kMaxSeq) {
@@ -28,9 +27,9 @@ Event& EventQueue::emplace(Time time, std::uint64_t seq, Event::Kind kind,
   if (bytes > kMaxBytes) {
     throw std::length_error("sim::EventQueue: message of 4 GiB or more");
   }
-  // Park the event in an arena slot; only the 16-byte key takes part in the
-  // sift, so the closure buffer inside the event's handler is never touched
-  // again until the handler runs in place.
+  // Park the message in an arena slot; only the 16-byte key takes part in
+  // the sift, so the closure buffer inside the event's handler is never
+  // touched again until the handler runs in place.
   const SlotId id = acquire_slot();
   Event& e = slot(id);
   e.time = time;
@@ -38,52 +37,40 @@ Event& EventQueue::emplace(Time time, std::uint64_t seq, Event::Kind kind,
   e.pe = pe;
   e.priority = priority;
   e.bytes = static_cast<std::uint32_t>(bytes);
-  e.kind = kind;
   // e.fn is empty here: slots are recycled only through release(), which
   // destroys the handler.
-
-  // Sift up with a hole: shift later parents down, then drop the key in.
-  const Key key{time, (seq << kSlotBits) | id};
-  std::size_t i = heap_.size();
-  heap_.push_back(Key{});
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!earlier(key, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = key;
+  arrivals_.push(Key{time, (seq << kIdBits) | id});
   return e;
 }
 
-EventQueue::SlotId EventQueue::detach_top() {
-  const SlotId top = top_id();
-  const Key last = heap_.back();
-  heap_.pop_back();
-  if (heap_.empty()) return top;
-
-  // Sift the former last key down from the root, moving the earliest child
-  // up into the hole at each level.
-  const std::size_t n = heap_.size();
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first = i * kArity + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t end = std::min(first + kArity, n);
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
-    }
-    if (!earlier(heap_[best], last)) break;
-    heap_[i] = heap_[best];
-    i = best;
+void EventQueue::wake(Time time, std::uint64_t seq, int pe) {
+  if (seq >= kMaxSeq || static_cast<std::uint64_t>(pe) >= kMaxPes) {
+    throw std::length_error(
+        "sim::EventQueue: sequence number past 2^40 or PE id outside "
+        "[0, 2^24)");
   }
-  heap_[i] = last;
-  return top;
+  wakeups_.push(Key{time, (seq << kIdBits) | static_cast<std::uint64_t>(pe)});
+}
+
+Time EventQueue::next_time() const {
+  return wakeup_first() ? wakeups_.top().time : arrivals_.top().time;
+}
+
+EventQueue::Next EventQueue::pop() {
+  if (wakeup_first()) {
+    const Key k = wakeups_.pop();
+    return Next{k.time, true, id_of(k)};
+  }
+  const Key k = arrivals_.pop();
+  // The machine reads the next arrival's header (its PE, priority and seq)
+  // as soon as it is popped; start loading it now.
+  if (!arrivals_.empty())
+    __builtin_prefetch(&slot(id_of(arrivals_.top())));
+  return Next{k.time, false, id_of(k)};
 }
 
 void EventQueue::reserve(std::size_t n) {
-  heap_.reserve(n);
+  arrivals_.reserve(n);
   free_slots_.reserve(n);
   while ((chunks_.size() << kChunkShift) < n)
     chunks_.push_back(std::make_unique<Event[]>(std::size_t{1} << kChunkShift));

@@ -1,6 +1,7 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "sim/fault_injector.hpp"
@@ -8,9 +9,35 @@
 
 namespace sim {
 
-Machine::Machine(MachineConfig cfg)
-    : cfg_(cfg), topo_(cfg.npes), net_(cfg.net, topo_) {
+namespace {
+
+/// Returns `cfg` when the machine can order every time it derives from it;
+/// throws std::invalid_argument otherwise.  Runs before any member is built.
+const MachineConfig& validated(const MachineConfig& cfg) {
   if (cfg.npes <= 0) throw std::invalid_argument("Machine: npes must be positive");
+  // A wake-up key holds the PE in its id bits.
+  if (static_cast<std::uint64_t>(cfg.npes) > EventQueue::kMaxPes)
+    throw std::invalid_argument("Machine: npes must be at most 2^24");
+  const NetworkParams& n = cfg.net;
+  for (const double v : {n.alpha_send, n.alpha_recv, n.latency, n.bandwidth, n.per_hop}) {
+    if (!std::isfinite(v) || v < 0)
+      throw std::invalid_argument("Machine: network parameters must be finite and non-negative");
+  }
+  if (!(n.bandwidth > 0))
+    throw std::invalid_argument("Machine: network bandwidth must be positive");
+  return cfg;
+}
+
+}  // namespace
+
+void Pe::set_freq(double f) {
+  if (!std::isfinite(f) || !(f > 0))
+    throw std::invalid_argument("sim::Pe::set_freq: frequency must be finite and positive");
+  freq_ = f;
+}
+
+Machine::Machine(MachineConfig cfg)
+    : cfg_(validated(cfg)), topo_(cfg.npes), net_(cfg.net, topo_) {
   pes_.reset(static_cast<std::size_t>(cfg.npes));
   // Pre-size the event list for the configured P on small machines, but cap
   // the up-front reservation: at large P capacity is grown by the live
@@ -50,7 +77,8 @@ void Machine::set_tracer(trace::Tracer* t) {
 
 void Machine::charge(double seconds) {
   if (!in_handler()) throw std::logic_error("sim::Machine::charge outside handler");
-  if (seconds < 0) throw std::invalid_argument("sim::Machine::charge: negative work");
+  if (!std::isfinite(seconds) || seconds < 0)
+    throw std::invalid_argument("sim::Machine::charge: work must be finite and non-negative");
   ctx_.elapsed += seconds / pes_.ref(static_cast<std::size_t>(ctx_.pe)).freq_;
 }
 
@@ -69,8 +97,7 @@ void Machine::send(int dst, std::size_t bytes, int priority, Handler fn,
     depart = time_;
   }
   const Time at = depart + net_.transit_time(src, dst, bytes);
-  queue_.emplace(at, next_seq(), Event::Kind::kArrive, dst, priority, bytes)
-      .fn = std::move(fn);
+  queue_.emplace(at, next_seq(), dst, priority, bytes).fn = std::move(fn);
   if (!observers_.empty()) {
     const int hops =
         net_.params().use_topology && src != dst ? topo_.hops(src, dst) : 0;
@@ -79,17 +106,15 @@ void Machine::send(int dst, std::size_t bytes, int priority, Handler fn,
 }
 
 void Machine::post(int pe, Time at, Handler fn, int priority) {
-  queue_.emplace(std::max(at, time_), next_seq(), Event::Kind::kArrive, pe,
-                 priority, 0)
-      .fn = std::move(fn);
+  if (!std::isfinite(at)) throw std::invalid_argument("sim::Machine::post: time must be finite");
+  queue_.emplace(std::max(at, time_), next_seq(), pe, priority, 0).fn = std::move(fn);
 }
 
 void Machine::schedule_exec(int pe_id, Time not_before) {
   Pe& p = pes_.ref(static_cast<std::size_t>(pe_id));
   if (p.exec_pending_) return;
   p.exec_pending_ = true;
-  queue_.emplace(std::max(not_before, p.clock_), next_seq(),
-                 Event::Kind::kExec, pe_id, 0, 0);
+  queue_.wake(std::max(not_before, p.clock_), next_seq(), pe_id);
 }
 
 bool Machine::step() {
@@ -98,18 +123,15 @@ bool Machine::step() {
   // handler executions, at their exact virtual timestamps.  Failures that
   // would land after the last event never fire (the run is over).
   while (injector_ != nullptr && injector_->armed() &&
-         injector_->next_time() <= queue_.top().time) {
+         injector_->next_time() <= queue_.next_time()) {
     inject_failure();
     if (stopped_ || queue_.empty()) return false;
   }
-  // Detach the top event from the heap; it stays in its arena slot.  The
-  // reference stays valid across pushes (arena chunks never move), but copy
-  // the POD fields to locals anyway: a kExec slot is released right away.
-  const EventQueue::SlotId id = queue_.detach_top();
-  Event& ev = queue_.slot(id);
-  const Time at = ev.time;
-  const int pe = ev.pe;
-  const Event::Kind kind = ev.kind;
+  // Pop the next event: a PE wake-up, or an arrival whose message stays in
+  // its arena slot.
+  const EventQueue::Next next = queue_.pop();
+  const Time at = next.time;
+  const int pe = next.wakeup ? static_cast<int>(next.id) : queue_.slot(next.id).pe;
   time_ = std::max(time_, at);
   ++events_processed_;
   // First-touch point for a PE reached by a send/post: materialize its page
@@ -125,7 +147,8 @@ bool Machine::step() {
     reserve_next_ = pes_.touched() * 2;
   }
 
-  if (kind == Event::Kind::kArrive) {
+  if (!next.wakeup) {
+    const EventQueue::SlotId id = next.id;
     if (p.failed_) {
       // In-flight message reaches a quarantined PE: dispose per policy.
       const bool redirected = dispose(pe, at, id);
@@ -142,9 +165,8 @@ bool Machine::step() {
     }
     return true;
   }
-  queue_.release(id);
 
-  // kExec: run the best-priority pending message to completion.
+  // Wake-up: run the best-priority pending message to completion.
   p.exec_pending_ = false;
   if (p.ready_.empty()) {  // spurious (fail_pe drained the queue)
     for (Observer* o : observers_) o->on_step(time_, queue_.size());
@@ -242,9 +264,8 @@ bool Machine::dispose(int dead_pe, Time at, EventQueue::SlotId id) {
       const Pe* cp = pes_.probe(static_cast<std::size_t>(cand));
       if (cp != nullptr && cp->failed_) continue;
       ++redirects_;
-      queue_.emplace(std::max(at, time_), next_seq(), Event::Kind::kArrive,
-                     cand, priority, bytes)
-          .fn = std::move(fn);
+      queue_.emplace(std::max(at, time_), next_seq(), cand, priority, bytes).fn =
+          std::move(fn);
       return true;
     }
   }

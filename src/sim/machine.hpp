@@ -1,6 +1,7 @@
 #pragma once
 // The emulated parallel machine: P virtual PEs with virtual clocks, a global
-// deterministic event list, per-PE prioritized ready queues, and an
+// deterministic event list (message arrivals and PE wake-ups, merged in one
+// (time, seq) order), per-PE prioritized ready queues, and an
 // alpha/beta/per-hop network model over a 3-D torus.
 //
 // Execution model:
@@ -48,7 +49,8 @@ class Pe {
   Time clock() const { return clock_; }
   /// Frequency scale: 1.0 = nominal.  Charged work is divided by this.
   double freq() const { return freq_; }
-  void set_freq(double f) { freq_ = f; }
+  /// Throws std::invalid_argument unless `f` is finite and positive.
+  void set_freq(double f);
   /// Cumulative busy virtual time (for utilization/efficiency accounting).
   double busy_time() const { return busy_; }
   std::uint64_t executed() const { return executed_; }
@@ -73,6 +75,10 @@ class Pe {
 
 class Machine {
  public:
+  /// Throws std::invalid_argument, before allocating anything, unless
+  /// 0 < npes <= 2^24 (a wake-up key holds the PE in 24 bits), every
+  /// NetworkParams time and rate is finite and non-negative, and the
+  /// bandwidth is positive.
   explicit Machine(MachineConfig cfg);
   /// Unlinks every attached observer so a longer-lived one never
   /// dereferences a destroyed machine.
@@ -101,8 +107,8 @@ class Machine {
   }
   /// Host bytes resident in per-PE state (PE pages + ready-queue storage).
   std::size_t pe_state_bytes() const;
-  /// Host bytes resident in the global event list (heap + slot arena; the
-  /// arena also holds every message waiting in a ready queue).
+  /// Host bytes resident in the global event list (both heaps + slot arena;
+  /// the arena also holds every message waiting in a ready queue).
   std::size_t event_queue_bytes() const { return queue_.memory_bytes(); }
   const Torus3D& topology() const { return topo_; }
   const NetworkModel& network() const { return net_; }
@@ -119,6 +125,7 @@ class Machine {
   Time now() const { return in_handler() ? ctx_.start + ctx_.elapsed : time_; }
 
   /// Advance the executing PE's clock by `seconds` of nominal-frequency work.
+  /// Throws std::invalid_argument unless `seconds` is finite and >= 0.
   void charge(double seconds);
 
   /// Virtual time accumulated so far by the executing handler (0 outside).
@@ -131,6 +138,7 @@ class Machine {
             int src_override = -1);
 
   /// Deliver `fn` to `pe` at absolute virtual time `at` (timer/bootstrap).
+  /// Throws std::invalid_argument unless `at` is finite.
   void post(int pe, Time at, Handler fn, int priority = 0);
 
   // ---- control ---------------------------------------------------------

@@ -13,12 +13,13 @@
 // slot ids serves it in exactly heap order, with O(1) push/pop.  The ring
 // head's (arrival, seq) is read from its arena Event, which already stores
 // both.  Non-default priorities (a small minority: control messages,
-// prioritized PDES events) go to a 4-ary min-heap of
+// prioritized PDES events) go to a MinHeap (sim/min_heap.hpp) of
 // {arrival, seq, priority, slot} keys.  pop() merges the two by comparing
 // the ring head against the heap root under the full (priority, arrival,
 // seq) order, so the served sequence is that of a single priority queue.
+// After a FIFO pop it prefetches the new ring head's slot: that message is
+// the one the PE most likely runs next.
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/min_heap.hpp"
 
 namespace sim {
 
@@ -53,33 +55,32 @@ class ReadyQueue {
       ring_[(head_ + fifo_count_) & (ring_.size() - 1)] = id;
       ++fifo_count_;
     } else {
-      heap_push(Key{e.time, e.seq, e.priority, id});
+      heap_.push(Key{e.time, e.seq, e.priority, id});
     }
   }
 
   /// Pops the slot id of the best message under (priority, arrival, seq).
   /// The slot stays live; the caller releases it.
   SlotId pop(const EventQueue& arena) {
-    if (fifo_count_ == 0) return heap_pop();
+    if (fifo_count_ == 0) return heap_.pop().slot;
     if (!heap_.empty()) {
       const Event& f = arena.slot(ring_[head_]);
-      if (!before(Key{f.time, f.seq, kFifoPriority, 0}, heap_.front()))
-        return heap_pop();
+      if (!Before{}(Key{f.time, f.seq, kFifoPriority, 0}, heap_.top()))
+        return heap_.pop().slot;
     }
     const SlotId id = ring_[head_];
     head_ = (head_ + 1) & static_cast<std::uint32_t>(ring_.size() - 1);
     --fifo_count_;
+    if (fifo_count_ != 0) arena.prefetch(ring_[head_]);
     return id;
   }
 
   /// Host bytes held by the ring and heap storage (memory accounting only).
   std::size_t memory_bytes() const {
-    return ring_.capacity() * sizeof(SlotId) + heap_.capacity() * sizeof(Key);
+    return ring_.capacity() * sizeof(SlotId) + heap_.memory_bytes();
   }
 
  private:
-  static constexpr std::size_t kArity = 4;
-
   struct Key {
     Time arrival;
     std::uint64_t seq;
@@ -87,11 +88,13 @@ class ReadyQueue {
     SlotId slot;
   };
 
-  static bool before(const Key& a, const Key& b) {
-    if (a.priority != b.priority) return a.priority < b.priority;
-    if (a.arrival != b.arrival) return a.arrival < b.arrival;
-    return a.seq < b.seq;
-  }
+  struct Before {
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.priority != b.priority) return a.priority < b.priority;
+      if (a.arrival != b.arrival) return a.arrival < b.arrival;
+      return a.seq < b.seq;
+    }
+  };
 
   SlotId back() const {
     return ring_[(head_ + fifo_count_ - 1) & (ring_.size() - 1)];
@@ -109,46 +112,12 @@ class ReadyQueue {
     head_ = 0;
   }
 
-  void heap_push(const Key& k) {
-    std::size_t i = heap_.size();
-    heap_.push_back(k);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!before(k, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = k;
-  }
-
-  SlotId heap_pop() {
-    const SlotId out = heap_.front().slot;
-    const Key item = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n == 0) return out;
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = i * kArity + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t last = std::min(first + kArity, n);
-      for (std::size_t c = first + 1; c < last; ++c)
-        if (before(heap_[c], heap_[best])) best = c;
-      if (!before(heap_[best], item)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = item;
-    return out;
-  }
-
   // FIFO ring (power-of-two capacity) of default-priority slot ids.
   std::vector<SlotId> ring_;
   std::uint32_t head_ = 0;
   std::uint32_t fifo_count_ = 0;
-  // 4-ary min-heap fallback for everything else.
-  std::vector<Key> heap_;
+  // Everything else.
+  MinHeap<Key, Before> heap_;
 };
 
 }  // namespace sim

@@ -4,18 +4,21 @@
 // fits the Envelope's inline payload bytes, for bursts of any size).
 //
 // The queue tests pin down the total orders the simulation's determinism
-// rests on: (time, seq) for the global event list and
-// (priority, arrival, seq) for the per-PE ready queue — including the FIFO
-// fast path that default-priority messages take — and the lifetime of an
-// event-arena slot, which a ready queue refers to by id.
+// rests on: (time, seq) for the global event list, over its arrivals and
+// PE wake-ups together, and (priority, arrival, seq) for the per-PE ready
+// queue — including the FIFO fast path that default-priority messages take
+// — plus the MinHeap both are built on, and the lifetime of an event-arena
+// slot, which a ready queue refers to by id.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -25,6 +28,7 @@
 #include "runtime/charm.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
+#include "sim/min_heap.hpp"
 #include "sim/ready_queue.hpp"
 #include "sim/unique_fn.hpp"
 
@@ -92,11 +96,47 @@ struct LifeCounter {
   void operator()() const {}
 };
 
+// ---- MinHeap ----------------------------------------------------------------
+
+TEST(MinHeap, InterleavedPushPopMatchesReferenceModel) {
+  // Few distinct values, so most comparisons tie on the value and fall
+  // through to the unique tag: the pop sequence must be the reference set's.
+  using Key = std::pair<int, std::uint32_t>;
+  sim::MinHeap<Key, std::less<Key>> heap;
+  std::set<Key> reference;
+  std::mt19937 rng(7);
+  for (std::uint32_t tag = 0; tag < 20000; ++tag) {
+    const Key k{static_cast<int>(rng() % 32) - 16, tag};
+    heap.push(k);
+    reference.insert(k);
+    for (int n = static_cast<int>(rng() % 3); n > 0 && !heap.empty(); --n) {
+      EXPECT_EQ(heap.top(), *reference.begin());
+      EXPECT_EQ(heap.pop(), *reference.begin());
+      reference.erase(reference.begin());
+    }
+    ASSERT_EQ(heap.size(), reference.size());
+  }
+  while (!heap.empty()) {
+    EXPECT_EQ(heap.pop(), *reference.begin());
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(reference.empty());
+  EXPECT_GE(heap.memory_bytes(), sizeof(Key)) << "capacity is kept after draining";
+}
+
 // ---- EventQueue -------------------------------------------------------------
 
-/// Detaches the earliest event, returns its (time, seq), releases its slot.
+/// Pops the earliest event, an arrival, and returns the id of its slot.
+EventQueue::SlotId pop_slot(EventQueue& q) {
+  const EventQueue::Next next = q.pop();
+  EXPECT_FALSE(next.wakeup);
+  return next.id;
+}
+
+/// Pops the earliest event, an arrival, returns its (time, seq), releases
+/// its slot.
 std::pair<double, std::uint64_t> pop_key(EventQueue& q) {
-  const EventQueue::SlotId id = q.detach_top();
+  const EventQueue::SlotId id = pop_slot(q);
   const Event& e = q.slot(id);
   const std::pair<double, std::uint64_t> key{e.time, e.seq};
   q.release(id);
@@ -108,7 +148,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   const double times[] = {5.0, 1.0, 3.0, 2.0, 4.0, 0.5, 2.5};
   std::uint64_t seq = 0;
   for (double t : times)
-    q.emplace(t, seq++, Event::Kind::kArrive, 0, 0, 0);
+    q.emplace(t, seq++, 0, 0, 0);
   double prev = -1;
   while (!q.empty()) {
     const double t = pop_key(q).first;
@@ -121,9 +161,9 @@ TEST(EventQueue, EqualTimesBreakTiesBySeqFifo) {
   EventQueue q;
   // All at the same virtual time, interleaved with earlier/later events.
   for (std::uint64_t s = 0; s < 64; ++s)
-    q.emplace(1.0, s, Event::Kind::kArrive, 0, 0, 0);
-  q.emplace(0.5, 64, Event::Kind::kArrive, 0, 0, 0);
-  q.emplace(2.0, 65, Event::Kind::kArrive, 0, 0, 0);
+    q.emplace(1.0, s, 0, 0, 0);
+  q.emplace(0.5, 64, 0, 0, 0);
+  q.emplace(2.0, 65, 0, 0, 0);
 
   EXPECT_DOUBLE_EQ(pop_key(q).first, 0.5);
   for (std::uint64_t s = 0; s < 64; ++s) {
@@ -145,7 +185,7 @@ TEST(EventQueue, InterleavedPushPopMatchesReferenceModel) {
   for (int round = 0; round < 20; ++round) {
     for (int k = 0; k < 50; ++k) {
       const double t = static_cast<double>((round * 50 + k * 7) % 997);
-      q.emplace(t, seq, Event::Kind::kArrive, 0, 0, 0);
+      q.emplace(t, seq, 0, 0, 0);
       reference.emplace(t, seq);
       ++seq;
     }
@@ -165,16 +205,15 @@ TEST(EventQueue, InterleavedPushPopMatchesReferenceModel) {
 
 TEST(EventQueue, DetachedEventsKeepTheirSlotUntilReleased) {
   EventQueue q;
-  // Detached slots leave the heap but not the arena: later emplaces must
+  // Popped slots leave the heap but not the arena: later emplaces must
   // not reuse them, and their contents survive sifts and arena growth.
   for (std::uint64_t s = 0; s < 8; ++s)
-    q.emplace(static_cast<double>(s), s, Event::Kind::kArrive,
-              static_cast<int>(s), 0, 0);
+    q.emplace(static_cast<double>(s), s, static_cast<int>(s), 0, 0);
   std::vector<EventQueue::SlotId> held;
-  for (int k = 0; k < 4; ++k) held.push_back(q.detach_top());
+  for (int k = 0; k < 4; ++k) held.push_back(pop_slot(q));
   EXPECT_EQ(q.size(), 4u);
   for (std::uint64_t s = 8; s < 8 + 3 * 256; ++s)
-    q.emplace(0.5, s, Event::Kind::kArrive, -1, 0, 0);
+    q.emplace(0.5, s, -1, 0, 0);
   for (std::size_t k = 0; k < held.size(); ++k) {
     EXPECT_EQ(q.slot(held[k]).seq, k);
     EXPECT_EQ(q.slot(held[k]).pe, static_cast<int>(k));
@@ -182,11 +221,11 @@ TEST(EventQueue, DetachedEventsKeepTheirSlotUntilReleased) {
   // The released ids are the next ones handed out (LIFO free list).
   for (EventQueue::SlotId id : held) q.release(id);
   for (std::size_t k = 0; k < held.size(); ++k) {
-    q.emplace(9.0, 2000 + k, Event::Kind::kArrive, 0, 0, 0);
+    q.emplace(9.0, 2000 + k, 0, 0, 0);
   }
   std::vector<EventQueue::SlotId> reused;
   while (!q.empty()) {
-    const EventQueue::SlotId id = q.detach_top();
+    const EventQueue::SlotId id = pop_slot(q);
     if (q.slot(id).time == 9.0) reused.push_back(id);
     q.release(id);
   }
@@ -200,45 +239,143 @@ TEST(EventQueue, DestroyingQueueReleasesPendingAndDetachedClosuresOnce) {
   {
     EventQueue q;
     for (int i = 0; i < 100; ++i) {
-      q.emplace(static_cast<double>(100 - i), static_cast<std::uint64_t>(i),
-                Event::Kind::kArrive, 0, 0, 0)
+      q.emplace(static_cast<double>(100 - i), static_cast<std::uint64_t>(i), 0, 0, 0)
           .fn = [c = LifeCounter(&ctor, &dtor), &runs] {
             c();
             ++runs;
           };
     }
-    // 50 run in place and are released, 20 stay detached (as if parked in
-    // a ready queue), 30 stay in the heap.
+    // 50 run in place and are released, 20 are popped but kept (as if
+    // parked in a ready queue), 30 stay in the heap.
     for (int i = 0; i < 50; ++i) {
-      const EventQueue::SlotId id = q.detach_top();
+      const EventQueue::SlotId id = pop_slot(q);
       q.slot(id).fn();
       q.release(id);
     }
-    for (int i = 0; i < 20; ++i) q.detach_top();
+    for (int i = 0; i < 20; ++i) pop_slot(q);
     EXPECT_EQ(runs, 50);
-    EXPECT_EQ(ctor - dtor, 50) << "detached and pending closures stay alive";
+    EXPECT_EQ(ctor - dtor, 50) << "popped and pending closures stay alive";
   }
   EXPECT_EQ(ctor, dtor) << "every closure must be destroyed exactly once";
 }
 
 TEST(EventQueue, OverflowingTheKeyLayoutThrowsInEveryBuild) {
   EventQueue q;
-  q.emplace(0.0, EventQueue::kMaxSeq - 1, Event::Kind::kArrive, 0, 0, 0);
+  q.emplace(0.0, EventQueue::kMaxSeq - 1, 0, 0, 0);
   try {
-    q.emplace(0.0, EventQueue::kMaxSeq, Event::Kind::kArrive, 0, 0, 0);
+    q.emplace(0.0, EventQueue::kMaxSeq, 0, 0, 0);
     FAIL() << "seq 2^40 must not fit the packed key";
   } catch (const std::length_error& e) {
     EXPECT_NE(std::string(e.what()).find("2^40"), std::string::npos);
   }
   EXPECT_EQ(q.size(), 1u) << "a refused emplace leaves the queue unchanged";
+  // A wake-up key packs the same way, with the PE in the id bits.
+  q.wake(0.0, EventQueue::kMaxSeq - 2, 0);
+  try {
+    q.wake(0.0, EventQueue::kMaxSeq, 0);
+    FAIL() << "seq 2^40 must not fit the packed wake-up key";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2^40"), std::string::npos);
+  }
+  EXPECT_THROW(q.wake(0.0, 0, static_cast<int>(EventQueue::kMaxPes)),
+               std::length_error);
+  EXPECT_THROW(q.wake(0.0, 0, -1), std::length_error);
+  EXPECT_EQ(q.size(), 2u) << "a refused wake leaves the queue unchanged";
+  const EventQueue::Next woken = q.pop();
+  EXPECT_TRUE(woken.wakeup);
+  EXPECT_EQ(woken.id, 0u);
   EXPECT_EQ(pop_key(q).second, EventQueue::kMaxSeq - 1);
+}
+
+/// Pops every event of `q` as (time, seq): an arrival's seq is read from its
+/// slot (which is released), and each wake-up in these tests is queued for
+/// the PE numbered like its seq.
+std::vector<std::pair<double, std::uint64_t>> drain(EventQueue& q) {
+  std::vector<std::pair<double, std::uint64_t>> out;
+  while (!q.empty()) {
+    const double next_time = q.next_time();
+    const EventQueue::Next next = q.pop();
+    EXPECT_EQ(next.time, next_time);
+    if (next.wakeup) {
+      out.emplace_back(next.time, next.id);
+    } else {
+      out.emplace_back(next.time, q.slot(next.id).seq);
+      q.release(next.id);
+    }
+  }
+  return out;
+}
+
+TEST(EventQueue, WakeupsAndArrivalsPopInOneTimeSeqOrder) {
+  EventQueue q;
+  q.emplace(1.0, 5, 0, 0, 0);
+  q.wake(1.0, 3, 3);
+  q.wake(1.0, 7, 7);
+  q.emplace(0.5, 9, 0, 0, 0);
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(drain(q), (std::vector<std::pair<double, std::uint64_t>>{
+                          {0.5, 9}, {1.0, 3}, {1.0, 5}, {1.0, 7}}));
+}
+
+TEST(EventQueue, WakeupsTakeNoArenaSlot) {
+  EventQueue q;
+  for (int pe = 0; pe < 300; ++pe) q.wake(1.0, static_cast<std::uint64_t>(pe), pe);
+  EXPECT_LT(q.memory_bytes(), 256 * sizeof(Event))
+      << "300 wake-ups cost 16-byte keys, not an arena chunk";
+  q.emplace(2.0, 300, 0, 0, 0);
+  for (int k = 0; k < 300; ++k) EXPECT_TRUE(q.pop().wakeup);
+  EXPECT_EQ(pop_slot(q), 0u) << "the only arrival takes the arena's first slot";
+}
+
+TEST(EventQueue, MixedWakeupsAndArrivalsMatchReferenceModel) {
+  // Random interleavings of arrivals, wake-ups and pops over few distinct
+  // times, so most comparisons tie on time and fall through to seq: every
+  // pop must be the minimum of one reference set over both kinds.
+  std::mt19937_64 rng(12345);
+  EventQueue q;
+  std::set<std::pair<double, std::uint64_t>> reference;
+  std::set<std::uint64_t> wakeup_seqs;
+  for (std::uint64_t seq = 0; seq < 20000; ++seq) {
+    const double t = static_cast<double>(rng() % 16) * 0.25;
+    if (rng() % 2 == 0) {
+      q.emplace(t, seq, 0, 0, 0);
+    } else {
+      // The PE id never decides the order; name each PE like its seq.
+      q.wake(t, seq, static_cast<int>(seq));
+      wakeup_seqs.insert(seq);
+    }
+    reference.emplace(t, seq);
+    for (int k = static_cast<int>(rng() % 3); k > 0 && !q.empty(); --k) {
+      const auto expected = *reference.begin();
+      reference.erase(reference.begin());
+      EXPECT_EQ(q.next_time(), expected.first);
+      const EventQueue::Next next = q.pop();
+      ASSERT_EQ(next.wakeup, wakeup_seqs.count(expected.second) == 1);
+      EXPECT_EQ(next.time, expected.first);
+      if (next.wakeup) {
+        EXPECT_EQ(next.id, expected.second);
+      } else {
+        EXPECT_EQ(q.slot(next.id).seq, expected.second);
+        q.release(next.id);
+      }
+    }
+    ASSERT_EQ(q.size(), reference.size());
+  }
+  for (const auto& [t, seq] : drain(q)) {
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(t, reference.begin()->first);
+    // drain() reports a wake-up's PE, which here is its seq.
+    EXPECT_EQ(seq, reference.begin()->second);
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(reference.empty());
 }
 
 TEST(EventQueue, MessageOfFourGibibytesThrowsInEveryBuild) {
   EventQueue q;
-  Event& e = q.emplace(0.0, 0, Event::Kind::kArrive, 0, 0, EventQueue::kMaxBytes);
+  Event& e = q.emplace(0.0, 0, 0, 0, EventQueue::kMaxBytes);
   EXPECT_EQ(e.bytes, EventQueue::kMaxBytes) << "the largest size must round-trip";
-  EXPECT_THROW(q.emplace(1.0, 1, Event::Kind::kArrive, 0, 0, std::size_t{1} << 32),
+  EXPECT_THROW(q.emplace(1.0, 1, 0, 0, std::size_t{1} << 32),
                std::length_error);
   EXPECT_EQ(q.size(), 1u) << "a refused emplace leaves the queue unchanged";
 }
@@ -246,12 +383,12 @@ TEST(EventQueue, MessageOfFourGibibytesThrowsInEveryBuild) {
 // ---- ReadyQueue -------------------------------------------------------------
 
 /// Parks a message in `arena` the way the machine does on arrival: emplace
-/// it, then detach its heap key.  Returns the slot id.
+/// it, then pop its heap key.  Returns the slot id.
 EventQueue::SlotId arrive(EventQueue& arena, int priority, double arrival,
                           std::uint64_t seq) {
-  arena.emplace(arrival, seq, Event::Kind::kArrive, 0, priority, 0);
+  arena.emplace(arrival, seq, 0, priority, 0);
   EXPECT_EQ(arena.size(), 1u);
-  return arena.detach_top();
+  return pop_slot(arena);
 }
 
 /// Pops the best message from `q`, returns its seq, releases its slot.

@@ -7,6 +7,8 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <numeric>
 #include <vector>
 
@@ -236,6 +238,86 @@ TEST(Machine, ArenaSlotsAreRecycledOnEveryExitPath) {
               exit == Exit::kRedirect ? 2u * kBurst : 0u);
     EXPECT_EQ(m.pending_events(), 0u);
   }
+}
+
+// ---- values the event order cannot hold ------------------------------------
+//
+// Both event heaps rely on (time, seq) being a strict total order, which a
+// NaN time breaks and an infinite one makes meaningless; every entry point
+// that lets such a value into a clock or an event time refuses it.
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Machine, ChargeRefusesNonFiniteOrNegativeWork) {
+  for (const double bad : {kNaN, kInf, -kInf, -1e-9}) {
+    SCOPED_TRACE(bad);
+    sim::Machine m(cfg(1));
+    bool threw = false;
+    m.post(0, 0.0, [&] {
+      try {
+        m.charge(bad);
+      } catch (const std::invalid_argument&) {
+        threw = true;
+      }
+      m.charge(1e-3);
+    });
+    m.run();
+    EXPECT_TRUE(threw);
+    EXPECT_DOUBLE_EQ(m.pe(0).clock(), 1e-3 + m.network().params().alpha_recv)
+        << "a refused charge leaves the clock as it was";
+  }
+}
+
+TEST(Machine, PostRefusesNonFiniteTimes) {
+  sim::Machine m(cfg(2));
+  for (const double bad : {kNaN, kInf, -kInf})
+    EXPECT_THROW(m.post(1, bad, [] {}), std::invalid_argument) << bad;
+  EXPECT_EQ(m.pending_events(), 0u);
+  // The finite posts of a mixed batch run in time order.
+  std::vector<double> order;
+  for (const double t : {3.0, 1.0, 2.0, 0.5, 4.0, 0.25})
+    m.post(0, t, [&order, &m] { order.push_back(m.time()); });
+  m.run();
+  EXPECT_EQ(order, (std::vector<double>{0.25, 0.5, 1.0, 2.0, 3.0, 4.0}));
+}
+
+TEST(Machine, SetFreqRefusesNonPositiveOrNonFiniteScales) {
+  sim::Machine m(cfg(1));
+  for (const double bad : {0.0, -0.5, kNaN, kInf})
+    EXPECT_THROW(m.pe(0).set_freq(bad), std::invalid_argument) << bad;
+  EXPECT_EQ(m.pe(0).freq(), 1.0) << "a refused scale leaves the PE at nominal";
+  m.pe(0).set_freq(0.4);
+  EXPECT_EQ(m.pe(0).freq(), 0.4);
+}
+
+TEST(Machine, ConstructorRefusesUnorderableConfigs) {
+  const auto with_net = [](auto edit) {
+    sim::MachineConfig c = cfg(4);
+    edit(c.net);
+    return c;
+  };
+  using P = sim::NetworkParams;
+  const std::vector<sim::MachineConfig> bad = {
+      with_net([](P& n) { n.alpha_send = kNaN; }),
+      with_net([](P& n) { n.alpha_recv = kInf; }),
+      with_net([](P& n) { n.latency = -1e-6; }),
+      with_net([](P& n) { n.per_hop = kNaN; }),
+      with_net([](P& n) { n.bandwidth = 0; }),
+      with_net([](P& n) { n.bandwidth = -1e9; }),
+      with_net([](P& n) { n.bandwidth = kInf; }),
+      with_net([](P& n) { n.bandwidth = kNaN; }),
+      cfg(0),
+      // One past what a wake-up key's 24 id bits hold; refused before the
+      // PE table or the torus is built.
+      cfg(static_cast<int>(sim::EventQueue::kMaxPes) + 1),
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i)
+    EXPECT_THROW(sim::Machine{bad[i]}, std::invalid_argument) << "config " << i;
+  sim::MachineConfig zero_costs = cfg(4);
+  zero_costs.net.alpha_send = zero_costs.net.alpha_recv = 0;
+  zero_costs.net.latency = zero_costs.net.per_hop = 0;
+  EXPECT_NO_THROW(sim::Machine{zero_costs}) << "zero costs are valid";
 }
 
 }  // namespace
