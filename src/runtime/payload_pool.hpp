@@ -87,11 +87,13 @@ class VecPool {
   std::size_t retained_bytes_ = 0;
 };
 
-/// Message payload buffers.  Worst case pinned memory:
-/// kMaxFreeBuffers * kSmallBytes = 4 MiB — sized for a burst handler whose
-/// few thousand in-flight sends all hold buffers before the first delivery
-/// releases one.  kMaxRetainedBytes keeps one giant checkpoint payload from
-/// pinning memory forever.
+/// Message payload buffers.  kMaxFreeBuffers is sized for a burst handler
+/// whose few thousand in-flight sends all hold buffers before the first
+/// delivery releases one.  release() keeps any buffer of up to
+/// kMaxRetainedBytes, so the worst case pinned memory is kMaxFreeBuffers *
+/// kMaxRetainedBytes = 4096 * 64 KiB = 256 MiB (4 MiB when every retained
+/// buffer is kSmallBytes).  kMaxRetainedBytes keeps one giant checkpoint
+/// payload from pinning memory forever.
 class PayloadPool : public VecPool<std::byte, 1024, (1u << 16), 4096> {
  public:
   static constexpr std::size_t kSmallBytes = 1024;

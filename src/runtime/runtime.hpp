@@ -113,32 +113,27 @@ class Runtime {
   /// to send_point.  A cross-PE send packs the argument with pack_pooled, so
   /// one of up to 32 bytes rides inline in the Envelope and the message is
   /// its event slot alone.  When the destination resolves to the sending PE
-  /// the argument travels through a typed in-flight slot — the delivery
-  /// closure itself — instead of a pack/unpack round trip.  The modeled wire size
-  /// (header + packed argument bytes, sized via the constexpr/fused path),
-  /// charges, QD accounting, and trace/stats events are identical to the
-  /// packed path; only host-side work changes.
+  /// and the delivery closure (TypedArrival) fits UniqueFn's inline buffer,
+  /// the argument travels in that closure instead of a pack/unpack round
+  /// trip; a larger argument takes the packed path, whose buffer recycles
+  /// through the payload pool.  The modeled wire size (header + packed
+  /// argument bytes, sized via the constexpr/fused path), charges, QD
+  /// accounting, and trace/stats events are identical on both paths; only
+  /// host-side work changes.
   template <class A, class Arg = std::remove_cvref_t<A>>
   void send_typed(CollectionId col, ObjIndex idx, EntryId ep,
                   DirectInvoker<Arg> inv, A&& arg, int priority = kDefaultPriority) {
     Collection& c = collection(col);
     const int src_pe = machine_.in_handler() ? machine_.current_pe() : kInvalidPe;
     const int dst = route_point(c, idx, src_pe);
-    if (dst != src_pe) {
-      send_point_to(col, idx, ep, pack_pooled(arg), priority, src_pe, dst);
-      return;
+    if constexpr (sim::UniqueFn::kFitsInline<Counted<TypedArrival<Arg>>>) {
+      if (dst == src_pe) {
+        counted_send(dst, Envelope::kHeaderBytes + pup::size_of(arg), priority,
+                     TypedArrival<Arg>{idx, inv, col, ep, priority, Arg(std::forward<A>(arg))});
+        return;
+      }
     }
-    // Captures ordered widest first to keep padding small: the closure stays
-    // inline in its event slot for arguments up to 40 bytes.
-    counted_send(dst, Envelope::kHeaderBytes + pup::size_of(arg), priority,
-                 [idx, inv, col, ep, priority, arg = Arg(std::forward<A>(arg))](Runtime& rt) {
-                   const int pe = rt.my_pe();
-                   if (ArrayElementBase* elem = rt.collection(col).find(pe, idx)) {
-                     rt.deliver_local_typed(*elem, ep, inv, arg);
-                   } else {
-                     rt.typed_miss(col, idx, ep, priority, rt.pack_pooled(arg), pe);
-                   }
-                 });
+    send_point_to(col, idx, ep, pack_pooled(arg), priority, src_pe, dst);
   }
 
   void broadcast(CollectionId col, EntryId ep, std::vector<std::byte> payload,
@@ -358,6 +353,26 @@ class Runtime {
         body(rt, DeadDestination{});
       }
       rt.note_message_done();
+    }
+  };
+
+  /// The typed same-PE delivery closure: the argument itself rides in the
+  /// event slot.  Members are ordered widest first to keep padding small.
+  template <class Arg>
+  struct TypedArrival {
+    ObjIndex idx;
+    DirectInvoker<Arg> inv;
+    CollectionId col;
+    EntryId ep;
+    int priority;
+    Arg arg;
+    void operator()(Runtime& rt) {
+      const int pe = rt.my_pe();
+      if (ArrayElementBase* elem = rt.collection(col).find(pe, idx)) {
+        rt.deliver_local_typed(*elem, ep, inv, arg);
+      } else {
+        rt.typed_miss(col, idx, ep, priority, rt.pack_pooled(arg), pe);
+      }
     }
   };
 

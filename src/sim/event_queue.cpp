@@ -69,11 +69,4 @@ EventQueue::Next EventQueue::pop() {
   return Next{k.time, false, id_of(k)};
 }
 
-void EventQueue::reserve(std::size_t n) {
-  arrivals_.reserve(n);
-  free_slots_.reserve(n);
-  while ((chunks_.size() << kChunkShift) < n)
-    chunks_.push_back(std::make_unique<Event[]>(std::size_t{1} << kChunkShift));
-}
-
 }  // namespace sim

@@ -14,10 +14,13 @@
 // is invoked in place: pop() removes only the heap key and hands out the
 // slot id, the machine parks that 4-byte id in the destination PE's ready
 // queue, and the slot is release()d after the handler returns.  Sifts touch
-// only 16-byte keys.  The arena grows chunk by chunk with stable addresses,
-// so a burst of traffic never moves a pending message — and a handler
-// running from its own slot stays valid while it sends messages that grow
-// the arena.
+// only 16-byte keys.  Storage follows traffic: nothing is reserved up
+// front, the arena grows one 256-event chunk at a time when its free list
+// runs dry, and the heaps grow by vector doubling, so the footprint is the
+// high-water mark of events in flight, however many PEs the run touches.
+// Chunks keep stable addresses, so a burst of traffic never moves a pending
+// message — and a handler running from its own slot stays valid while it
+// sends messages that grow the arena.
 
 #include <cstddef>
 #include <cstdint>
@@ -118,12 +121,6 @@ class EventQueue {
     slot(s).fn.reset();
     free_slots_.push_back(s);
   }
-
-  /// Pre-sizes the arrival heap and slot arena.  Safe mid-run (the arena
-  /// only appends chunks; addresses are stable), so Machine can grow the
-  /// reservation as the touched-PE population grows instead of paying for
-  /// the configured P up front.
-  void reserve(std::size_t n);
 
   /// Host bytes resident in both heaps, arena chunks, and free list.
   std::size_t memory_bytes() const {

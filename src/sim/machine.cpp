@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "sim/fault_injector.hpp"
@@ -39,14 +40,6 @@ void Pe::set_freq(double f) {
 Machine::Machine(MachineConfig cfg)
     : cfg_(validated(cfg)), topo_(cfg.npes), net_(cfg.net, topo_) {
   pes_.reset(static_cast<std::size_t>(cfg.npes));
-  // Pre-size the event list for the configured P on small machines, but cap
-  // the up-front reservation: at large P capacity is grown by the live
-  // touched-PE population instead (see step()), so a million-PE machine
-  // whose workload touches a few thousand PEs never pays for the rest.
-  constexpr std::size_t kInitialReserveCap = 4096;
-  queue_.reserve(
-      std::min(static_cast<std::size_t>(cfg.npes) * 8 + 64, kInitialReserveCap));
-  reserve_next_ = (kInitialReserveCap - 64) / 8;
 }
 
 Machine::~Machine() {
@@ -82,8 +75,16 @@ void Machine::charge(double seconds) {
   ctx_.elapsed += seconds / pes_.ref(static_cast<std::size_t>(ctx_.pe)).freq_;
 }
 
+void Machine::check_pe(const char* where, int pe) const {
+  if (pe < 0 || pe >= cfg_.npes) {
+    throw std::out_of_range(std::string(where) + ": PE " + std::to_string(pe) +
+                            " is outside [0, npes = " + std::to_string(cfg_.npes) + ")");
+  }
+}
+
 void Machine::send(int dst, std::size_t bytes, int priority, Handler fn,
                    int src_override) {
+  check_pe("sim::Machine::send", dst);
   Time depart;
   int src;
   if (in_handler()) {
@@ -106,6 +107,7 @@ void Machine::send(int dst, std::size_t bytes, int priority, Handler fn,
 }
 
 void Machine::post(int pe, Time at, Handler fn, int priority) {
+  check_pe("sim::Machine::post", pe);
   if (!std::isfinite(at)) throw std::invalid_argument("sim::Machine::post: time must be finite");
   queue_.emplace(std::max(at, time_), next_seq(), pe, priority, 0).fn = std::move(fn);
 }
@@ -134,18 +136,8 @@ bool Machine::step() {
   const int pe = next.wakeup ? static_cast<int>(next.id) : queue_.slot(next.id).pe;
   time_ = std::max(time_, at);
   ++events_processed_;
-  // First-touch point for a PE reached by a send/post: materialize its page
-  // and, when the live population crosses the next threshold, grow the event
-  // list so steady-state capacity tracks touched PEs rather than configured P.
+  // First-touch point for a PE reached by a send/post: materialize its page.
   Pe& p = pes_.ref(static_cast<std::size_t>(pe));
-  if (pes_.touched() >= reserve_next_) {
-    // x2, not a bigger multiple: the arena grows on demand anyway, so the
-    // reserve only needs to cover the common ~1-2 in-flight events per live
-    // PE; at a million touched PEs each over-reserved slot is ~128 wasted
-    // bytes (an eighth of a GiB per extra multiple).
-    queue_.reserve(pes_.touched() * 2 + 64);
-    reserve_next_ = pes_.touched() * 2;
-  }
 
   if (!next.wakeup) {
     const EventQueue::SlotId id = next.id;

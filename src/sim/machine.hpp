@@ -133,12 +133,14 @@ class Machine {
 
   /// Send a message from the executing PE (or, outside a handler, inject at
   /// the current global time from `src_override`).  Lower priority values are
-  /// scheduled first at the destination.
+  /// scheduled first at the destination.  Throws std::out_of_range, before
+  /// charging or queueing anything, unless 0 <= dst < npes().
   void send(int dst, std::size_t bytes, int priority, Handler fn,
             int src_override = -1);
 
   /// Deliver `fn` to `pe` at absolute virtual time `at` (timer/bootstrap).
-  /// Throws std::invalid_argument unless `at` is finite.
+  /// Throws std::out_of_range unless 0 <= pe < npes(), and
+  /// std::invalid_argument unless `at` is finite; either before queueing.
   void post(int pe, Time at, Handler fn, int priority = 0);
 
   // ---- control ---------------------------------------------------------
@@ -220,6 +222,9 @@ class Machine {
     double elapsed = 0;
   };
 
+  /// Throws std::out_of_range naming `where`, `pe` and npes() unless `pe`
+  /// is a PE of this machine.
+  void check_pe(const char* where, int pe) const;
   void schedule_exec(int pe, Time not_before);
   std::uint64_t next_seq() { return seq_++; }
   void inject_failure();
@@ -235,9 +240,6 @@ class Machine {
   FaultInjector* injector_ = nullptr;
   PagedTable<Pe> pes_;
   EventQueue queue_;
-  /// Touched-PE threshold at which the event-list reservation grows next
-  /// (population-driven sizing: capacity tracks live PEs, not configured P).
-  std::size_t reserve_next_ = 0;
   ExecCtx ctx_;
   Time time_ = 0;
   std::uint64_t seq_ = 0;

@@ -62,7 +62,6 @@ class MinHeap {
     return out;
   }
 
-  void reserve(std::size_t n) { keys_.reserve(n); }
   /// Host bytes held by the key storage.
   std::size_t memory_bytes() const { return keys_.capacity() * sizeof(Key); }
 

@@ -18,8 +18,8 @@
 //
 // The hot-path accessor is branch-cheap: one shift, one page-pointer load +
 // null test, and a touched-bit check.  The per-page `touched` mask keeps an
-// exact touched-slot census (not just touched pages) for the
-// population-driven sizing and the memory accounting layer.
+// exact touched-slot census (not just touched pages) for the memory
+// accounting layer (Machine::touched_pes, bytes per touched PE).
 
 #include <cstddef>
 #include <cstdint>

@@ -14,11 +14,15 @@
 //     control messages), timer thunks and driver lambdas live inside the
 //     Event's arena slot itself, so such a message owns no other storage.
 //     sizeof(UniqueFn) is 96, which keeps sim::Event at 128 bytes.
-//   * Larger closures are placed in fixed-size blocks drawn from a
-//     thread-local free list (size classes 128 B through 2 KiB); the block
-//     pointer occupies the first 8 bytes of the inline buffer.  Blocks are
-//     recycled when the closure is destroyed, so the steady state performs
-//     zero heap allocations, and moving a boxed closure copies a pointer.
+//   * A larger closure of up to 128 bytes (a reduction completion or tree
+//     partial) is placed in a block drawn from a thread-local free list, and
+//     the block pointer occupies the first 8 bytes of the inline buffer.
+//     Blocks are recycled when the closure is destroyed, so the steady state
+//     performs zero heap allocations, and moving a boxed closure copies a
+//     pointer.  Closures larger still are rare and get plain operator new:
+//     the runtime's typed same-PE send boxes nothing, because an argument
+//     too large for the inline buffer takes the packed path and its bytes
+//     recycle through charm::PayloadPool instead.
 //   * Move-only: closures may own their payload (an Envelope moved straight
 //     into the capture) instead of sharing it through a shared_ptr box.
 //
@@ -39,43 +43,31 @@ namespace sim {
 
 namespace detail {
 
-/// Recycling allocator for closure blocks: five size classes, LIFO free
-/// lists, bounded retention.  Anything larger falls through to operator new.
+/// Recycling allocator for closure blocks of up to kBlockBytes: one LIFO
+/// free list with bounded retention.  Larger closures go to operator new.
 class BlockCache {
  public:
-  static constexpr std::size_t kNumClasses = 5;
-  /// The two large classes exist for the typed same-PE send path, whose
-  /// closures embed the message argument by value (zero-allocation guarantee
-  /// covers payloads up to 1 KiB plus capture overhead).
-  static constexpr std::size_t kClassBytes[kNumClasses] = {128, 256, 512, 1024, 2048};
-  /// Retention bound per class.  A burst handler can put a few thousand
-  /// closures in flight before the first one is destroyed, and the next
-  /// burst should be served entirely from the cache.  The large classes
-  /// retain fewer blocks to bound pinned memory (worst case pinned:
-  /// 4096 * (128+256+512) + 2048 * (1024+2048) bytes ≈ 9.5 MiB).
-  static constexpr std::size_t kMaxFreePerClass[kNumClasses] = {4096, 4096, 4096,
-                                                               2048, 2048};
+  /// The one block size.  The closures that outgrow the inline buffer in
+  /// steady use (reduction completions, tree partials) fit it.
+  static constexpr std::size_t kBlockBytes = 128;
+  /// Retention bound.  A burst handler can put a few thousand closures in
+  /// flight before the first one is destroyed, and the next burst should be
+  /// served entirely from the cache (worst case pinned: 4096 * 128 B =
+  /// 512 KiB).
+  static constexpr std::size_t kMaxFreeBlocks = 4096;
 
   static void* acquire(std::size_t bytes) {
-    const int cls = class_of(bytes);
-    if (cls < 0) return ::operator new(bytes);
-    auto& list = instance().free_[static_cast<std::size_t>(cls)];
-    if (!list.empty()) {
-      void* p = list.back().release();
-      list.pop_back();
-      return p;
-    }
-    return ::operator new(kClassBytes[cls]);
+    if (bytes > kBlockBytes) return ::operator new(bytes);
+    auto& list = instance().free_;
+    if (list.empty()) return ::operator new(kBlockBytes);
+    void* p = list.back().release();
+    list.pop_back();
+    return p;
   }
 
   static void release(void* p, std::size_t bytes) {
-    const int cls = class_of(bytes);
-    if (cls < 0) {
-      ::operator delete(p);
-      return;
-    }
-    auto& list = instance().free_[static_cast<std::size_t>(cls)];
-    if (list.size() >= kMaxFreePerClass[static_cast<std::size_t>(cls)]) {
+    auto& list = instance().free_;
+    if (bytes > kBlockBytes || list.size() >= kMaxFreeBlocks) {
       ::operator delete(p);
       return;
     }
@@ -83,11 +75,7 @@ class BlockCache {
   }
 
   /// Blocks currently cached (test/diagnostic hook).
-  static std::size_t cached_blocks() {
-    std::size_t n = 0;
-    for (const auto& l : instance().free_) n += l.size();
-    return n;
-  }
+  static std::size_t cached_blocks() { return instance().free_.size(); }
 
  private:
   struct OpDelete {
@@ -95,17 +83,12 @@ class BlockCache {
   };
   using Block = std::unique_ptr<void, OpDelete>;
 
-  static int class_of(std::size_t bytes) {
-    for (int c = 0; c < static_cast<int>(kNumClasses); ++c)
-      if (bytes <= kClassBytes[c]) return c;
-    return -1;
-  }
   static BlockCache& instance() {
     thread_local BlockCache cache;
     return cache;
   }
 
-  std::vector<Block> free_[kNumClasses];
+  std::vector<Block> free_;
 };
 
 }  // namespace detail

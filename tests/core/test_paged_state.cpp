@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "runtime/charm.hpp"
+#include "sim/machine.hpp"
 #include "sim/paged_table.hpp"
 
 #include "test_util.hpp"
@@ -163,6 +164,33 @@ TEST(PagedStateFuzz, LazyAndEagerMachinesAreObservationallyIdentical) {
     EXPECT_LT(lazy.touched_pes(), static_cast<std::size_t>(kPes) / 4);
     EXPECT_LT(lazy.pe_state_bytes(), dense.pe_state_bytes());
   }
+}
+
+// ---- event-list footprint ----------------------------------------------------
+
+/// Forwards itself to the next PE until it has visited every PE once.
+struct ChainHop {
+  sim::Machine* m;
+  void operator()() {
+    const int next = m->current_pe() + 1;
+    if (next < m->npes()) m->send(next, 8, 0, ChainHop{m});
+  }
+};
+
+TEST(PagedStateEventList, FootprintFollowsInFlightEventsNotTouchedPes) {
+  // A chain touches every PE of a 65,536-PE machine with one event in
+  // flight at a time, so the event list needs one 256-event arena chunk and
+  // heap and free-list vectors of a key or two — not storage sized by the
+  // touched-PE count.
+  constexpr int kPes = 1 << 16;
+  sim::Machine m(sim::MachineConfig{kPes, {}, 4});
+  m.post(0, 0.0, ChainHop{&m});
+  m.run();
+  EXPECT_EQ(m.touched_pes(), static_cast<std::size_t>(kPes));
+  EXPECT_EQ(m.events_processed(), 2u * kPes) << "one arrival and one wake-up per PE";
+  const std::size_t chunk = 256 * sizeof(sim::Event);
+  EXPECT_GE(m.event_queue_bytes(), chunk);
+  EXPECT_LE(m.event_queue_bytes(), chunk + 1024);
 }
 
 // ---- first-touch semantics under broadcast / reduction ----------------------

@@ -10,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "sim/fault_injector.hpp"
@@ -280,6 +281,46 @@ TEST(Machine, PostRefusesNonFiniteTimes) {
     m.post(0, t, [&order, &m] { order.push_back(m.time()); });
   m.run();
   EXPECT_EQ(order, (std::vector<double>{0.25, 0.5, 1.0, 2.0, 3.0, 4.0}));
+}
+
+/// Expects `call` to throw std::out_of_range naming `bad` and the machine's
+/// npes, leaving the event list as it was.
+template <class F>
+void expect_pe_refused(const sim::Machine& m, int bad, F&& call) {
+  const std::size_t pending = m.pending_events();
+  try {
+    call();
+    ADD_FAILURE() << "PE " << bad << " was accepted";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("PE " + std::to_string(bad)), std::string::npos) << what;
+    EXPECT_NE(what.find("npes = " + std::to_string(m.npes())), std::string::npos) << what;
+  }
+  EXPECT_EQ(m.pending_events(), pending) << "PE " << bad;
+}
+
+TEST(Machine, SendAndPostRefuseOutOfRangePes) {
+  sim::Machine m(cfg(4));
+  for (const int bad : {-1, 4}) {
+    expect_pe_refused(m, bad, [&] { m.post(bad, 0.0, [] {}); });
+    expect_pe_refused(m, bad, [&] { m.send(bad, 8, 0, [] {}); });
+  }
+  EXPECT_EQ(m.pending_events(), 0u);
+
+  int delivered = 0;
+  m.post(2, 1.0, [&] {
+    for (const int bad : {-1, 4}) {
+      const double elapsed = m.handler_elapsed();
+      expect_pe_refused(m, bad, [&] { m.send(bad, 8, 0, [] {}); });
+      expect_pe_refused(m, bad, [&] { m.post(bad, 2.0, [] {}); });
+      EXPECT_EQ(m.handler_elapsed(), elapsed) << "a refused send charges nothing";
+    }
+    m.send(3, 8, 0, [&] { ++delivered; });
+  });
+  m.run();
+  EXPECT_EQ(delivered, 1) << "the handler's valid send still goes out";
+  EXPECT_EQ(m.events_processed(), 4u);
+  EXPECT_EQ(m.pending_events(), 0u);
 }
 
 TEST(Machine, SetFreqRefusesNonPositiveOrNonFiniteScales) {
