@@ -2,9 +2,11 @@
 # Stats byte-identity gate: regenerates every byte-deterministic stats record
 # into DIR -- each smoke bench (run_benches.sh --smoke --stats=DIR) plus
 # fig10_leanmd_ckpt --smoke --metrics=2e-4 into DIR/metrics/ -- and `cmp`s
-# each against its checked-in copy under bench_stats/.  BENCH_micro.json
-# (host wall-clock) is skipped; a record without a baseline fails too.
-# Needs a built build/ tree.
+# each against its checked-in copy under bench_stats/.  A record that
+# differs is named with its top-level keys whose values differ, e.g.
+# `DIFFERS: bench_stats/BENCH_fig08_amr.json [events, phases]`.
+# BENCH_micro.json (host wall-clock) is skipped; a record without a baseline
+# fails too.  Needs a built build/ tree and python3.
 #
 # Usage: scripts/gate.sh DIR
 set -euo pipefail
@@ -25,10 +27,36 @@ fi
 ./build/bench/fig10_leanmd_ckpt --smoke --metrics=2e-4 \
   --stats="$dir/metrics/fig10_leanmd_ckpt.json" > /dev/null
 
+# Prints the top-level keys of JSON records $1 and $2 whose values differ,
+# comma-separated, in the baseline's key order.
+differing_keys() {
+  python3 - "$1" "$2" <<'PY'
+import json
+import sys
+
+try:
+    old, new = (json.load(open(p)) for p in sys.argv[1:3])
+except (OSError, ValueError) as e:
+    print(f"unreadable: {e}")
+    sys.exit(0)
+if not (isinstance(old, dict) and isinstance(new, dict)):
+    print("whole record")
+    sys.exit(0)
+missing = object()
+keys = list(old) + [k for k in new if k not in old]
+print(", ".join(k for k in keys if old.get(k, missing) != new.get(k, missing))
+      or "same values, different bytes")
+PY
+}
+
 fails=0
 for f in bench_stats/BENCH_*.json bench_stats/metrics/*.json; do
   case "$f" in *BENCH_micro.json) continue ;; esac
-  cmp "$f" "$dir/${f#bench_stats/}" || { echo "DIFFERS: $f" >&2; fails=$((fails + 1)); }
+  new="$dir/${f#bench_stats/}"
+  cmp -s "$f" "$new" || {
+    echo "DIFFERS: $f [$(differing_keys "$f" "$new")]" >&2
+    fails=$((fails + 1))
+  }
 done
 for f in "$dir"/BENCH_*.json "$dir"/metrics/*.json; do
   case "$f" in *BENCH_micro.json) continue ;; esac

@@ -98,6 +98,10 @@ void MemCheckpointer::checkpoint(Callback done) {
 void MemCheckpointer::fail_and_recover(int victim, Callback done) {
   if (checkpoints_ == 0)
     throw std::logic_error("fail_and_recover: no checkpoint taken yet");
+  if (victim < 0 || victim >= rt_.active_pes())
+    throw std::out_of_range("ft::MemCheckpointer::fail_and_recover: PE " +
+                            std::to_string(victim) + " outside [0, " +
+                            std::to_string(rt_.active_pes()) + ")");
   on_failure(victim, done);
 }
 
@@ -122,13 +126,10 @@ void MemCheckpointer::on_failure(int victim, Callback done) {
     ckpt_in_progress_ = false;
     ++ckpt_aborted_;
   }
-  rt_.set_pe_dead(victim, true);
-  // Machine quarantines report their own failure in Machine::fail_pe; a
-  // direct fail_and_recover() only marks the runtime dead mask, so report it
-  // here.
-  if (!rt_.machine().pe_failed(victim))
-    rt_.machine().note_phase(sim::PhaseEvent{sim::Phase::kFailure, victim, rt_.now(),
-                                             rt_.now(), /*aux=*/victim});
+  // Quarantine the victim after the epoch bump, so a stale leg disposed on
+  // it bails.  Machine::fail_pe reports the failure; an injected victim is
+  // already quarantined and this is a no-op.
+  rt_.machine().fail_pe(victim);
   // The victim's in-memory state (its local copies and the buddy copies it
   // held for its predecessor) is lost with the process.
   local_[static_cast<std::size_t>(victim)].clear();
@@ -171,10 +172,7 @@ void MemCheckpointer::begin_restore() {
   const int P = rt_.active_pes();
 
   // Replacement processes take over the victims' slots.
-  for (int v : pending_victims_) {
-    rt_.set_pe_dead(v, false);
-    rt_.machine().revive_pe(v);
-  }
+  for (int v : pending_victims_) rt_.machine().revive_pe(v);
 
   // A failure mid-AtSync-round loses that round's messages for good; abort it
   // so the replayed elements can sync afresh.

@@ -21,9 +21,10 @@
 //     recoverable.  Losing a PE *and* its buddy between re-replications is
 //     unrecoverable, as in the paper — reported as a clean std::runtime_error.
 //
-// Failure injection discards the victim PE's chares and drops its queued
-// messages; the same PE slot then plays the role of the replacement process
-// (DESIGN.md §1).
+// Every failure, injected or raised by fail_and_recover, quarantines the
+// victim through sim::Machine::fail_pe: its queued and in-flight messages
+// are discarded, and rollback discards its chares; the same PE slot then
+// plays the role of the replacement process (DESIGN.md §1).
 
 #include <cstdint>
 #include <functional>
@@ -60,8 +61,9 @@ class MemCheckpointer {
   void checkpoint(Callback done);
 
   /// Kill PE `victim`, run the recovery protocol, roll every chare back to
-  /// the last checkpoint, then invoke `done`.  Throws std::logic_error when
-  /// no checkpoint has been committed yet.
+  /// the last checkpoint, then invoke `done`.  Throws, before changing any
+  /// state, std::logic_error when no checkpoint has been committed yet and
+  /// std::out_of_range unless 0 <= victim < active_pes().
   void fail_and_recover(int victim, Callback done);
 
   /// Registers this checkpointer as `fi`'s failure listener: every injected

@@ -15,7 +15,6 @@ Runtime* Runtime::current_ = nullptr;
 Runtime::Runtime(sim::Machine& machine, RuntimeConfig cfg)
     : machine_(machine),
       cfg_(cfg),
-      dead_(static_cast<std::size_t>(machine.npes())),
       active_pes_(machine.npes()) {
   if (current_ != nullptr)
     throw std::logic_error("charm::Runtime: only one runtime may exist at a time");
@@ -253,7 +252,6 @@ Runtime::MemoryFootprint Runtime::memory_footprint() const {
   f.event_queue_bytes = machine_.event_queue_bytes();
   f.payload_pool_bytes = payload_pool_.retained_bytes() + nums_pool_.retained_bytes();
   for (const auto& c : collections_) f.collection_bytes += c->memory_bytes();
-  f.collection_bytes += dead_.memory_bytes();
   return f;
 }
 
@@ -264,10 +262,6 @@ double Runtime::tree_wave_latency() const {
                                     std::log(static_cast<double>(cfg_.tree_fanout)))));
   const auto& np = machine_.network().params();
   return depth * (np.alpha_send + np.alpha_recv + np.latency);
-}
-
-void Runtime::set_pe_dead(int pe, bool dead) {
-  dead_.set(static_cast<std::size_t>(pe), dead);
 }
 
 std::unique_ptr<ArrayElementBase> Runtime::extract_local(CollectionId col, ObjIndex idx,

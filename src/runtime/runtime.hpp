@@ -10,6 +10,9 @@
 //     detection, timers
 //   * element migration (PUP pack/move/unpack, home updates)
 //   * per-element load instrumentation feeding the LB framework
+//   * failed PEs: a PE is dead exactly while the machine quarantines it
+//     (sim::Machine::fail_pe); a counted message to it skips its body but
+//     still balances the quiescence count
 //
 // See DESIGN.md §1 for the emulation methodology.
 
@@ -178,15 +181,10 @@ class Runtime {
   /// Stop the machine; Machine::run() returns.
   void exit() { machine_.stop(); }
 
-  /// Marks a PE failed: its elements are dropped by the FT recovery protocol
-  /// and messages to it are discarded (counted, so QD still converges).
-  void set_pe_dead(int pe, bool dead);
-  /// Live at both layers: not marked dead by the FT protocol and not
-  /// quarantined by machine-level fault injection.  Both reads are
-  /// chunk/page probes, so the hot path never materializes PE state.
-  bool pe_alive(int pe) const {
-    return !dead_.test(static_cast<std::size_t>(pe)) && !machine_.pe_failed(pe);
-  }
+  /// Not quarantined by Machine::fail_pe, the one failure mark (injected
+  /// and FT-driven failures alike).  A page probe, so the hot path never
+  /// materializes PE state.
+  bool pe_alive(int pe) const { return !machine_.pe_failed(pe); }
 
   LbManager& lb() { return *lb_; }
 
@@ -521,10 +519,6 @@ class Runtime {
   sim::Machine& machine_;
   RuntimeConfig cfg_;
   std::vector<std::unique_ptr<Collection>> collections_;
-  /// FT-dead marks, chunk-allocated: test() on a never-failed region reads
-  /// false without touching memory beyond the chunk spine, and there is no
-  /// std::vector<bool> proxy-reference to trip over.
-  sim::ChunkedBitset dead_;
   int active_pes_;
 
   ArrayElementBase* exec_elem_ = nullptr;

@@ -150,16 +150,16 @@ void FaultInjector::committed(const FaultRecord& rec) {
   if (listener_) listener_(log_.back());
 }
 
-void FaultInjector::note_inflight(int pe, bool redirected) {
+void FaultInjector::note_inflight(int pe) {
   if (pe < 0 || static_cast<std::size_t>(pe) >= record_of_pe_.size()) return;
   const int ord = record_of_pe_[static_cast<std::size_t>(pe)];
   if (ord < 0) return;
-  FaultRecord& r = log_[static_cast<std::size_t>(ord)];
-  if (redirected) {
-    ++r.redirected_inflight;
-  } else {
-    ++r.dropped_inflight;
-  }
+  ++log_[static_cast<std::size_t>(ord)].dropped_inflight;
+}
+
+void FaultInjector::revived(int pe) {
+  if (pe >= 0 && static_cast<std::size_t>(pe) < record_of_pe_.size())
+    record_of_pe_[static_cast<std::size_t>(pe)] = -1;
 }
 
 std::string FaultInjector::format_log() const {
@@ -167,11 +167,10 @@ std::string FaultInjector::format_log() const {
   char line[160];
   for (const FaultRecord& r : log_) {
     std::snprintf(line, sizeof(line),
-                  "#%d t=%.17g pe=%d ready=%llu dropped=%llu redirected=%llu\n",
+                  "#%d t=%.17g pe=%d ready=%llu dropped=%llu\n",
                   r.ordinal, r.time, r.pe,
                   static_cast<unsigned long long>(r.dropped_ready),
-                  static_cast<unsigned long long>(r.dropped_inflight),
-                  static_cast<unsigned long long>(r.redirected_inflight));
+                  static_cast<unsigned long long>(r.dropped_inflight));
     out += line;
   }
   return out;

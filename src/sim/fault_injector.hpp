@@ -16,10 +16,12 @@
 //                (longest ready queue, then most accumulated work).  An
 //                optional MTBF stream runs underneath the hooks.
 //
-// On injection the Machine quarantines the victim: queued messages are
-// dropped and in-flight messages addressed to it are disposed of per the
-// configured policy (see DropPolicy).  Each failure appends a FaultRecord to
-// a log; the log's canonical text form is byte-identical across runs with
+// On injection the Machine quarantines the victim (Machine::fail_pe, the
+// same call a manual ft::MemCheckpointer::fail_and_recover makes): its
+// queued messages and every later arrival are disposed of, each handler
+// running in a zero-cost quarantine context so upper-layer accounting
+// (quiescence counting) still balances.  Each failure appends a FaultRecord
+// to a log; the log's canonical text form is byte-identical across runs with
 // the same seed, which is what the resilience harness asserts.
 //
 // The injector is pure sim-layer machinery: recovery is the business of
@@ -40,22 +42,8 @@ class Machine;
 
 enum class FaultMode : std::uint8_t { kOff, kFixed, kMtbf, kNemesis };
 
-/// What happens to a message addressed to a failed PE (both the victim's
-/// queued messages at injection time and later in-flight arrivals).
-enum class DropPolicy : std::uint8_t {
-  /// The message evaporates: its handler runs in a zero-cost quarantine
-  /// context so upper-layer accounting (quiescence counting) still balances,
-  /// but no virtual time is charged and no PE clock advances.
-  kDrop,
-  /// The message is re-delivered to the nearest live PE (victim+1, +2, ...).
-  /// Upper layers still suppress application effects for the dead target;
-  /// this models networks that reroute around a failed node.
-  kRedirect,
-};
-
 struct FaultConfig {
   FaultMode mode = FaultMode::kOff;
-  DropPolicy policy = DropPolicy::kDrop;
   /// kFixed: explicit (virtual time, victim PE) schedule; victim -1 = random.
   std::vector<std::pair<Time, int>> fixed;
   /// kMtbf / kNemesis: mean virtual seconds between failures (0 = hooks only).
@@ -79,9 +67,8 @@ struct FaultRecord {
   int ordinal = 0;              ///< 0-based injection index
   Time time = 0;                ///< exact virtual injection timestamp
   int pe = -1;                  ///< victim
-  std::uint64_t dropped_ready = 0;       ///< victim's queued messages disposed
-  std::uint64_t dropped_inflight = 0;    ///< later arrivals dropped while dead
-  std::uint64_t redirected_inflight = 0; ///< later arrivals rerouted while dead
+  std::uint64_t dropped_ready = 0;     ///< victim's queued messages disposed
+  std::uint64_t dropped_inflight = 0;  ///< later arrivals disposed while dead
 };
 
 class FaultInjector {
@@ -121,9 +108,13 @@ class FaultInjector {
   /// Commits a fired failure: appends to the log, advances the schedule,
   /// then invokes the listener.
   void committed(const FaultRecord& rec);
-  /// Accumulates in-flight disposal counts into the record for `pe`'s most
-  /// recent failure (log stays deterministic: counts are part of replay).
-  void note_inflight(int pe, bool redirected);
+  /// Counts one in-flight disposal into the record of `pe`'s injected
+  /// failure, if it is still quarantined by one (log stays deterministic:
+  /// counts are part of replay).
+  void note_inflight(int pe);
+  /// Closes `pe`'s failure record: once revived, a later manual failure of
+  /// `pe` counts its disposals into no injected record.
+  void revived(int pe);
 
   // ---- results -------------------------------------------------------------
   const std::vector<FaultRecord>& log() const { return log_; }

@@ -142,9 +142,9 @@ bool Machine::step() {
   if (!next.wakeup) {
     const EventQueue::SlotId id = next.id;
     if (p.failed_) {
-      // In-flight message reaches a quarantined PE: dispose per policy.
-      const bool redirected = dispose(pe, at, id);
-      if (injector_ != nullptr) injector_->note_inflight(pe, redirected);
+      // In-flight message reaches a quarantined PE: dispose of it.
+      dispose(pe, id);
+      if (injector_ != nullptr) injector_->note_inflight(pe);
       for (Observer* o : observers_) o->on_step(time_, queue_.size());
       return true;
     }
@@ -214,6 +214,7 @@ void Machine::inject_failure() {
 }
 
 void Machine::fail_pe(int pe_id, FaultRecord* rec) {
+  check_pe("sim::Machine::fail_pe", pe_id);
   // ref(), not probe(): failing a never-touched PE must materialize it so the
   // quarantine flag persists for later arrivals.
   Pe& p = pes_.ref(static_cast<std::size_t>(pe_id));
@@ -222,47 +223,32 @@ void Machine::fail_pe(int pe_id, FaultRecord* rec) {
   if (rec != nullptr) rec->dropped_ready = p.ready_.size();
   // Dispose queued messages in deterministic (priority, arrival, seq) order.
   // They count as dropped_ready, not as in-flight disposals.
-  while (!p.ready_.empty()) dispose(pe_id, time_, p.ready_.pop(queue_));
-  // The injector passes a record; direct calls do not.
+  while (!p.ready_.empty()) dispose(pe_id, p.ready_.pop(queue_));
+  // Outside a handler now() is time_, so an injected failure is stamped at
+  // its injection time; a failure raised inside a handler at the handler's
+  // current time.
+  const Time t = now();
   for (Observer* o : observers_) {
     o->on_ready(pe_id, 0);
-    o->on_phase(PhaseEvent{Phase::kFailure, pe_id, time_, time_, pe_id, 0.0,
-                           /*injected=*/rec != nullptr});
+    o->on_phase(PhaseEvent{Phase::kFailure, pe_id, t, t, pe_id, 0.0});
   }
 }
 
 void Machine::revive_pe(int pe_id) {
+  check_pe("sim::Machine::revive_pe", pe_id);
   // Only a materialized PE can be in quarantine; probe avoids resurrecting
   // pages for PEs that were never failed in the first place.
   Pe* p = pes_.probe(static_cast<std::size_t>(pe_id));
   if (p != nullptr) p->failed_ = false;
+  if (injector_ != nullptr) injector_->revived(pe_id);
 }
 
-bool Machine::dispose(int dead_pe, Time at, EventQueue::SlotId id) {
-  // Take the message out of its slot first: a redirect reuses the arena.
+void Machine::dispose(int dead_pe, EventQueue::SlotId id) {
   Event& msg = queue_.slot(id);
-  const int priority = msg.priority;
-  const std::size_t bytes = msg.bytes;
   Handler fn = std::move(msg.fn);
   queue_.release(id);
-  const DropPolicy policy =
-      injector_ != nullptr ? injector_->config().policy : DropPolicy::kDrop;
-  if (policy == DropPolicy::kRedirect) {
-    // Re-deliver to the nearest live PE; fall through to drop if none is left.
-    for (int k = 1; k < npes(); ++k) {
-      const int cand = (dead_pe + k) % npes();
-      // A never-touched candidate is alive by definition; probing keeps the
-      // scan from materializing every PE between the dead one and a survivor.
-      const Pe* cp = pes_.probe(static_cast<std::size_t>(cand));
-      if (cp != nullptr && cp->failed_) continue;
-      ++redirects_;
-      queue_.emplace(std::max(at, time_), next_seq(), cand, priority, bytes).fn =
-          std::move(fn);
-      return true;
-    }
-  }
-  // Drop: the handler still runs, in a zero-cost quarantine context on the
-  // dead PE, so upper-layer message accounting (quiescence counting) stays
+  // The handler still runs, in a zero-cost quarantine context on the dead
+  // PE, so upper-layer message accounting (quiescence counting) stays
   // balanced.  Charged work is discarded; no clock advances.  Upper layers
   // see pe_failed() and suppress application effects.
   //
@@ -272,15 +258,18 @@ bool Machine::dispose(int dead_pe, Time at, EventQueue::SlotId id) {
   // counters overcount busy/exec time and traffic on dead PEs.  Only the
   // reporting stops; the handler runs identically, so the simulation stays
   // bit-identical with observers on or off.
+  //
+  // The context starts at now(), not time(): a failure raised inside a
+  // handler is later than time(), and a disposed handler's sends must not
+  // depart before it.
   ++drops_;
   const ExecCtx saved = ctx_;
-  ctx_ = ExecCtx{dead_pe, std::max(at, time_), 0.0};
+  ctx_ = ExecCtx{dead_pe, now(), 0.0};
   std::vector<Observer*> muted;
   muted.swap(observers_);
   fn();
   observers_.swap(muted);
   ctx_ = saved;
-  return false;
 }
 
 Time Machine::max_pe_clock() const {

@@ -174,18 +174,19 @@ class Machine {
     const Pe* p = pes_.probe(static_cast<std::size_t>(pe));
     return p != nullptr && p->failed_;
   }
-  /// Quarantines `pe` immediately: queued messages are disposed per the
-  /// injector's drop policy (kDrop when no injector is attached) and later
-  /// arrivals are disposed on delivery.  `rec`, when given, accumulates
-  /// disposal counts and marks the failure as injected for observers.
-  /// Normally driven by the injector, callable directly.
+  /// Quarantines `pe` immediately: queued messages are disposed (see
+  /// dispose()) and later arrivals are disposed on delivery.  Observers see
+  /// one kFailure phase stamped at now().  `rec`, when given, accumulates
+  /// the injector's disposal counts.  The one way a PE fails: driven by the
+  /// injector and by ft::MemCheckpointer; a no-op on a PE already failed.
+  /// Throws std::out_of_range unless 0 <= pe < npes().
   void fail_pe(int pe, FaultRecord* rec = nullptr);
   /// Lifts the quarantine (the replacement process takes over the slot).
+  /// Throws std::out_of_range unless 0 <= pe < npes().
   void revive_pe(int pe);
 
-  /// Messages disposed at failed PEs (machine level), by policy.
+  /// Messages disposed at failed PEs (queued at failure or arriving later).
   std::uint64_t messages_dropped() const { return drops_; }
-  std::uint64_t messages_redirected() const { return redirects_; }
 
   // ---- observers (sim/observer.hpp) ------------------------------------
 
@@ -228,9 +229,9 @@ class Machine {
   void schedule_exec(int pe, Time not_before);
   std::uint64_t next_seq() { return seq_++; }
   void inject_failure();
-  /// Disposes the message in arena slot `id` (released here) per the drop
-  /// policy.  Returns true when it was redirected to a live PE.
-  bool dispose(int dead_pe, Time at, EventQueue::SlotId id);
+  /// Disposes the message in arena slot `id` (released here): its handler
+  /// runs in a zero-cost quarantine context on `dead_pe` at now().
+  void dispose(int dead_pe, EventQueue::SlotId id);
 
   MachineConfig cfg_;
   Torus3D topo_;
@@ -245,7 +246,6 @@ class Machine {
   std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t drops_ = 0;
-  std::uint64_t redirects_ = 0;
   bool stopped_ = false;
 };
 

@@ -29,7 +29,7 @@ enum class Phase : std::uint8_t {
   kCheckpoint,      ///< in-memory double checkpoint committed; value = bytes
   kDiskCheckpoint,  ///< checkpoint_to_file completed
   kRestore,         ///< rollback completed; aux = victims, value = recovery time (s)
-  kFailure,         ///< a PE failed; aux = victim PE
+  kFailure,         ///< a PE failed (Machine::fail_pe, any cause); aux = victim PE
   kShrink,          ///< malleability reconfiguration down; aux = target PEs, value = old
   kExpand,          ///< malleability reconfiguration up; aux = target PEs, value = old
 };
@@ -42,7 +42,6 @@ struct PhaseEvent {
   Time end = 0;
   int aux = -1;
   double value = 0;
-  bool injected = false;  ///< kFailure drawn by the fault injector
 };
 
 /// Base of every machine observer; all hooks default to no-ops.  An observer

@@ -149,67 +149,4 @@ class PagedTable {
   std::vector<std::unique_ptr<Page>> pages_;
 };
 
-/// Chunk-allocated bitset over a fixed logical size: `test` on a never-set
-/// chunk reads false without allocating, `set` materializes 4096-bit chunks
-/// on demand.  Returns plain bool (no std::vector<bool> proxy references), so
-/// it composes with structured bindings and range-for without surprises.
-class ChunkedBitset {
- public:
-  static constexpr std::size_t kChunkShift = 12;  // 4096 bits = 512 B / chunk
-  static constexpr std::size_t kChunkBits = std::size_t{1} << kChunkShift;
-
-  ChunkedBitset() = default;
-  explicit ChunkedBitset(std::size_t n) { reset(n); }
-
-  void reset(std::size_t n) {
-    size_ = n;
-    chunks_.clear();
-    chunks_.resize((n + kChunkBits - 1) >> kChunkShift);
-  }
-
-  std::size_t size() const { return size_; }
-
-  bool test(std::size_t i) const {
-    check(i);
-    const Chunk* c = chunks_[i >> kChunkShift].get();
-    if (c == nullptr) return false;
-    return (c->words[(i & (kChunkBits - 1)) >> 6] &
-            (std::uint64_t{1} << (i & 63))) != 0;
-  }
-
-  void set(std::size_t i, bool value) {
-    check(i);
-    std::unique_ptr<Chunk>& c = chunks_[i >> kChunkShift];
-    if (c == nullptr) {
-      if (!value) return;  // clearing an absent chunk is a no-op
-      c = std::make_unique<Chunk>();
-    }
-    std::uint64_t& word = c->words[(i & (kChunkBits - 1)) >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-    if (value)
-      word |= bit;
-    else
-      word &= ~bit;
-  }
-
-  std::size_t memory_bytes() const {
-    std::size_t live = 0;
-    for (const auto& c : chunks_)
-      if (c != nullptr) ++live;
-    return live * sizeof(Chunk) + chunks_.capacity() * sizeof(chunks_[0]);
-  }
-
- private:
-  struct Chunk {
-    std::uint64_t words[kChunkBits / 64] = {};
-  };
-
-  void check(std::size_t i) const {
-    if (i >= size_) throw std::out_of_range("sim::ChunkedBitset: index out of range");
-  }
-
-  std::size_t size_ = 0;
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-};
-
 }  // namespace sim

@@ -17,9 +17,8 @@
 //   * kPhase  — a runtime phase span (sim::Phase; a = the phase's aux)
 //
 // The tracer is one sink of the machine's observer vocabulary
-// (sim/observer.hpp).  It keeps every fact except shrink/expand decisions
-// and failures not drawn by the fault injector, which only the metrics
-// journal records.
+// (sim/observer.hpp).  It keeps every fact except shrink/expand decisions,
+// which only the metrics journal records.
 //
 // Recording is allocation-free per event on the hot path: events land in a
 // reserve-ahead vector grown in large chunks.  Recording never charges
@@ -83,7 +82,6 @@ class Tracer : public sim::Observer {
   }
   void on_phase(const sim::PhaseEvent& ev) override {
     if (ev.kind == Phase::kShrink || ev.kind == Phase::kExpand) return;
-    if (ev.kind == Phase::kFailure && !ev.injected) return;
     phase_span(ev.kind, ev.pe, ev.begin, ev.end, ev.aux);
   }
 

@@ -396,7 +396,6 @@ TEST(FlatBroadcast, DeadInteriorPeDropsItsSubtree) {
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
   const int victim = 1;
   h.machine.fail_pe(victim);
-  h.rt.set_pe_dead(victim, true);
   h.rt.on_pe(0, [&] { arr.broadcast<&Fuzzer::count>(StartMsg{}); });
   h.machine.run();
   const std::set<int> dropped{1, 3, 4, 7, 8, 9, 10, 15};
@@ -417,7 +416,6 @@ TEST(TreeBroadcast, RoutesAroundFailedInteriorPe) {
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
   const int victim = 1;
   h.machine.fail_pe(victim);
-  h.rt.set_pe_dead(victim, true);
   h.rt.on_pe(0, [&] { arr.broadcast<&Fuzzer::count>(StartMsg{}); });
   h.machine.run();
   for (int i = 0; i < 32; ++i) {

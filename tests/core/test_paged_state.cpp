@@ -1,7 +1,7 @@
-// First-touch paged per-PE state (DESIGN.md §12): PagedTable/ChunkedBitset
-// invariants, randomized dense-vs-lazy machine equivalence, first-touch
-// semantics under broadcast and reduction legs landing on never-touched PEs,
-// and lazy-state interplay with fault injection and migration.
+// First-touch paged per-PE state (DESIGN.md §12): PagedTable invariants,
+// randomized dense-vs-lazy machine equivalence, first-touch semantics under
+// broadcast and reduction legs landing on never-touched PEs, and lazy-state
+// interplay with fault injection and migration.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,7 @@ using charm::Callback;
 using charm::ReductionResult;
 using charmtest::Harness;
 
-// ---- PagedTable / ChunkedBitset unit invariants -----------------------------
+// ---- PagedTable unit invariants ---------------------------------------------
 
 TEST(PagedTable, ProbeAndDefaultReadNeverMaterialize) {
   sim::PagedTable<int> t(1000);
@@ -80,21 +80,6 @@ TEST(PagedTable, MemoryGrowsWithPagesNotLogicalSize) {
   EXPECT_LT(big.memory_bytes(), dense / 10);
   EXPECT_GE(big.memory_bytes(), 2 * small.memory_bytes() / 2);
   EXPECT_THROW(big.ref(1 << 20), std::out_of_range);
-}
-
-TEST(ChunkedBitset, AbsentChunkReadsFalseWithoutAllocating) {
-  sim::ChunkedBitset b(1 << 20);
-  EXPECT_FALSE(b.test(0));
-  EXPECT_FALSE(b.test((1 << 20) - 1));
-  b.set(500, false);  // clearing an absent chunk must stay a no-op
-  const std::size_t spine_only = b.memory_bytes();
-  b.set(700000, true);
-  EXPECT_TRUE(b.test(700000));
-  EXPECT_FALSE(b.test(700001));
-  EXPECT_GT(b.memory_bytes(), spine_only);
-  b.set(700000, false);
-  EXPECT_FALSE(b.test(700000));
-  EXPECT_THROW(b.test(1 << 20), std::out_of_range);
 }
 
 // ---- randomized dense-vs-lazy machine equivalence ---------------------------

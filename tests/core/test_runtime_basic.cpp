@@ -378,7 +378,7 @@ TEST(RuntimeBasic, EachMessageKindCountsOnceWithItsWireBytes) {
   // balances; the QD callback is one more control message.
   Counter* victim = find_counter(h, arr.id(), at_home);
   const int received = victim->received;
-  h.rt.set_pe_dead(2, true);
+  h.machine.fail_pe(2);
   bool quiet = false;
   auto [dead_sent, dead_done] = measure([&] {
     ping(at_home);
@@ -563,7 +563,7 @@ TEST(PayloadBoundary, SendToADeadPeDropsInlineAndRecyclesHeapPayloads) {
   auto arr = ArrayProxy<ByteSink>::create(h.rt);
   const std::int32_t ix = index_homed_at(h.rt, 1);
   arr.seed(ix, 1);
-  h.rt.set_pe_dead(1, true);
+  h.machine.fail_pe(1);
   h.rt.on_pe(0, [&] {
     arr[ix].send<&ByteSink::take<Inline32>>(Inline32{1, 2, 3, 4});
     arr[ix].send<&ByteSink::take<Heap40>>(Heap40{1, 2, 3, 4, 5});

@@ -198,19 +198,14 @@ std::size_t queue_burst(sim::Machine& m, int n, int& runs) {
 
 TEST(Machine, ArenaSlotsAreRecycledOnEveryExitPath) {
   // A queued message leaves its arena slot either by running or by being
-  // disposed when its PE fails (dropped in quarantine or redirected).  On
-  // every path the slot must return to the free list: a second identical
-  // burst then fits in the arena the first one left behind.
-  enum class Exit { kExecute, kDrop, kRedirect };
+  // disposed in quarantine when its PE fails.  On both paths the slot must
+  // return to the free list: a second identical burst then fits in the
+  // arena the first one left behind.
+  enum class Exit { kExecute, kDrop };
   constexpr int kBurst = 300;  // more than one 256-event arena chunk
-  for (const Exit exit : {Exit::kExecute, Exit::kDrop, Exit::kRedirect}) {
+  for (const Exit exit : {Exit::kExecute, Exit::kDrop}) {
     SCOPED_TRACE(static_cast<int>(exit));
     sim::Machine m(cfg(4));
-    sim::FaultConfig fc;
-    fc.policy = exit == Exit::kRedirect ? sim::DropPolicy::kRedirect
-                                        : sim::DropPolicy::kDrop;
-    sim::FaultInjector fi(fc);
-    m.set_fault_injector(&fi);
     // Touch every PE first so page allocation stays out of the measurement.
     for (int pe = 0; pe < 4; ++pe) m.post(pe, 0.0, [] {});
     m.run();
@@ -235,8 +230,6 @@ TEST(Machine, ArenaSlotsAreRecycledOnEveryExitPath) {
     }
     EXPECT_EQ(runs, 2 * kBurst) << "every handler runs exactly once";
     EXPECT_EQ(m.messages_dropped(), exit == Exit::kDrop ? 2u * kBurst : 0u);
-    EXPECT_EQ(m.messages_redirected(),
-              exit == Exit::kRedirect ? 2u * kBurst : 0u);
     EXPECT_EQ(m.pending_events(), 0u);
   }
 }
@@ -321,6 +314,58 @@ TEST(Machine, SendAndPostRefuseOutOfRangePes) {
   EXPECT_EQ(delivered, 1) << "the handler's valid send still goes out";
   EXPECT_EQ(m.events_processed(), 4u);
   EXPECT_EQ(m.pending_events(), 0u);
+}
+
+TEST(Machine, FailAndRevivePeRefuseOutOfRangePes) {
+  sim::Machine m(cfg(4));
+  for (const int bad : {-1, 4}) {
+    expect_pe_refused(m, bad, [&] { m.fail_pe(bad); });
+    expect_pe_refused(m, bad, [&] { m.revive_pe(bad); });
+  }
+  EXPECT_EQ(m.touched_pes(), 0u) << "a refused PE materializes nothing";
+  for (int pe = 0; pe < 4; ++pe) EXPECT_FALSE(m.pe_failed(pe)) << pe;
+}
+
+TEST(Machine, DisposedHandlerSendsDepartNoEarlierThanTheFailure) {
+  // A failure raised inside a handler is later than time(): the victim's
+  // queued handlers are disposed at the raising handler's now(), so a send
+  // one of them makes cannot arrive before the failure that disposed it.
+  sim::Machine m(cfg(3));
+  double arrived = -1, failed_at = -1;
+  m.post(1, 0.0, [&] { m.charge(2.0); });  // PE 1 busy until t = 2, so ...
+  m.post(1, 0.5, [&] {                     // ... this one waits in its queue
+    m.send(2, 8, 0, [&] { arrived = m.now(); });
+  });
+  m.post(0, 1.0, [&] {
+    m.charge(0.5);
+    failed_at = m.now();
+    m.fail_pe(1);
+  });
+  m.run();
+  EXPECT_NEAR(failed_at, 1.5, 1e-6);
+  EXPECT_EQ(m.messages_dropped(), 1u);
+  EXPECT_GT(arrived, failed_at);
+}
+
+TEST(Machine, ManualFailureAfterReviveCountsIntoNoInjectedRecord) {
+  // PE 1 is failed by the injector, revived, then failed by hand.  Only the
+  // in-flight drop of the injected quarantine belongs to its record.
+  sim::Machine m(cfg(3));
+  sim::FaultInjector fi;
+  sim::FaultConfig fc;
+  fc.mode = sim::FaultMode::kFixed;
+  fc.fixed = {{1.0, 1}};
+  fi.configure(fc);
+  m.set_fault_injector(&fi);
+  m.post(0, 1.5, [&] { m.send(1, 8, 0, [] {}); });
+  m.post(0, 2.0, [&] { m.revive_pe(1); });
+  m.post(0, 3.0, [&] {
+    m.fail_pe(1);
+    m.send(1, 8, 0, [] {});
+  });
+  m.run();
+  EXPECT_EQ(fi.format_log(), "#0 t=1 pe=1 ready=0 dropped=1\n");
+  EXPECT_EQ(m.messages_dropped(), 2u);
 }
 
 TEST(Machine, SetFreqRefusesNonPositiveOrNonFiniteScales) {

@@ -388,4 +388,91 @@ TEST_P(FailAnyPe, RecoveryRestoresFullElementSet) {
 
 INSTANTIATE_TEST_SUITE_P(Victims, FailAnyPe, ::testing::Values(0, 1, 2, 3, 4));
 
+TEST(MemCheckpoint, OutOfRangeVictimIsRefusedBeforeAnyStateChanges) {
+  // A refused victim must not abort the checkpoint in flight or start a
+  // recovery: both bad ids throw while the second checkpoint is staged, and
+  // that checkpoint still commits.
+  Harness h(4);
+  auto arr = ArrayProxy<Cell>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
+  ft::MemCheckpointer ckpt(h.rt);
+  bool refused = false, second_done = false;
+  h.rt.on_pe(0, [&] {
+    arr.broadcast<&Cell::init>();
+    h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) {
+      ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
+        ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
+          second_done = true;
+        }));
+        for (const int bad : {-1, h.rt.npes()})
+          EXPECT_THROW(ckpt.fail_and_recover(bad, Callback::ignore()), std::out_of_range)
+              << bad;
+        EXPECT_EQ(ckpt.checkpoints_aborted(), 0);
+        EXPECT_FALSE(ckpt.recovery_pending());
+        refused = true;
+      }));
+    }));
+  });
+  h.machine.run();
+  ASSERT_TRUE(refused);
+  EXPECT_TRUE(second_done) << "the checkpoint in flight was abandoned";
+  EXPECT_EQ(ckpt.checkpoints_taken(), 2);
+  EXPECT_EQ(ckpt.checkpoints_aborted(), 0);
+  EXPECT_EQ(ckpt.recoveries_completed(), 0);
+}
+
+TEST(MemCheckpoint, ManualFailureDisposesQueuedAndInflightMessages) {
+  // fail_and_recover quarantines its victim as an injected failure does: a
+  // message waiting in the victim's ready queue and one still on the wire
+  // are both disposed, never executed, and the quiescence count balances.
+  Harness h(4);
+  const int victim = 2;
+  std::int32_t ix = 0;
+  while (h.rt.home_pe(IndexTraits<std::int32_t>::encode(ix)) != victim) ++ix;
+  auto arr = ArrayProxy<Cell>::create(h.rt);
+  arr.seed(ix, victim);  // lives at its home, so sends go straight to the victim
+  ft::MemCheckpointer ckpt(h.rt);
+  const sim::Machine& m = h.machine;
+  const double detect = ft::MemCkptParams{}.detect_delay;
+  std::uint64_t executed = 0, dropped = 0;
+  bool checked = false, recovered = false;
+  h.rt.on_pe(0, [&] {
+    arr.broadcast<&Cell::init>();
+    h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) {
+      ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
+        // Keep the victim busy for 5 ms so the first send waits in its queue.
+        h.rt.on_pe(victim, [] { charm::charge(5e-3); });
+        h.rt.after(0, 1e-3, [&] {
+          arr[ix].send<&Cell::work>(Msg{1});
+          h.rt.after(0, 1e-3, [&] {
+            ASSERT_EQ(m.pe(victim).queue_length(), 1u);
+            executed = m.pe(victim).executed();
+            dropped = m.messages_dropped();
+            arr[ix].send<&Cell::work>(Msg{1});  // still in flight at the failure
+            ckpt.fail_and_recover(victim, Callback::to_function([&](ReductionResult&&) {
+              recovered = true;
+            }));
+            EXPECT_EQ(m.pe(victim).queue_length(), 0u);
+            // Halfway through detection: the victim is still quarantined.
+            h.rt.after(0, detect / 2, [&] {
+              EXPECT_TRUE(m.pe_failed(victim));
+              EXPECT_EQ(m.pe(victim).executed(), executed);
+              EXPECT_EQ(m.messages_dropped(), dropped + 2);
+              checked = true;
+            });
+          });
+        });
+      }));
+    }));
+  });
+  h.machine.run();
+  ASSERT_TRUE(checked);
+  EXPECT_TRUE(recovered);
+  EXPECT_FALSE(m.pe_failed(victim));
+  EXPECT_EQ(h.rt.outstanding(), 0);
+  Cell* c = find_cell(h.rt, arr.id(), ix);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->steps, 0) << "rolled back to the checkpoint";
+}
+
 }  // namespace

@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "ft/mem_checkpoint.hpp"
 #include "introspect/metrics.hpp"
 #include "miniapps/leanmd/leanmd.hpp"
 #include "runtime/charm.hpp"
+#include "sim/fault_injector.hpp"
 #include "stats/report.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/trace.hpp"
@@ -535,8 +537,11 @@ TEST(Trace, QuarantineMutesEverySink) {
   ASSERT_TRUE(ran) << "a disposed handler still runs";
   EXPECT_EQ(m.messages_dropped(), 1u);
 
-  // Tracer: nothing on the dead PE and no send at all.
-  for (const trace::Event& e : tracer.events()) EXPECT_NE(e.pe, 1);
+  // Tracer: nothing on the dead PE but its failure span, and no send at all.
+  for (const trace::Event& e : tracer.events()) {
+    if (e.kind == trace::Kind::kPhase) continue;
+    EXPECT_NE(e.pe, 1);
+  }
   EXPECT_EQ(count_kind(tracer, trace::Kind::kSend), 0u);
 
   // Monitor: the sample closing the run counts no send, entry time or ready
@@ -555,15 +560,77 @@ TEST(Trace, QuarantineMutesEverySink) {
   EXPECT_EQ(last.bytes, 0u);
   EXPECT_EQ(last.busy, 0.0);
   EXPECT_EQ(last.ready, 0u);
-  // A direct fail_pe is journaled but not traced.
+  // A direct fail_pe is traced and journaled, once each, at the same time.
   ASSERT_EQ(mon.journal_events().size(), 1u);
   EXPECT_EQ(mon.journal_events()[0].kind, sim::Phase::kFailure);
-  EXPECT_EQ(count_kind(tracer, trace::Kind::kPhase), 0u);
+  ASSERT_EQ(count_kind(tracer, trace::Kind::kPhase), 1u);
+  for (const trace::Event& e : tracer.events()) {
+    if (e.kind != trace::Kind::kPhase) continue;
+    EXPECT_EQ(e.pe, 1);
+    EXPECT_EQ(e.begin, mon.journal_events()[0].t);
+  }
 
   // The fake: muted during disposal, live before and after it.
   EXPECT_EQ(fake.during_disposal, 0u);
   EXPECT_GT(fake.hooks, 0u);
   EXPECT_EQ(fake.observed(), &m);
+}
+
+/// One failure of PE 2 after a committed checkpoint, raised by
+/// fail_and_recover (`injected` false) or by a one-shot injection 1 ms
+/// after the commit; returns when recovery has completed.  `at` receives
+/// the failure's virtual time as the caller raised or armed it.
+void fail_once(bool injected, trace::Tracer& tracer, introspect::Monitor& mon, double& at) {
+  Harness h(4);
+  h.machine.set_tracer(&tracer);
+  mon.attach(h.machine);
+  auto arr = ArrayProxy<Ponger>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
+  sim::FaultConfig fc;
+  fc.mode = sim::FaultMode::kFixed;  // no schedule: only the armed strike
+  sim::FaultInjector fi(fc);
+  h.machine.set_fault_injector(&fi);
+  ft::MemCheckpointer ckpt(h.rt);
+  ckpt.attach_injector(fi);
+  h.rt.on_pe(0, [&] {
+    ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
+      at = charm::now() + (injected ? 1e-3 : 0.0);
+      h.rt.after(0, 2e-3, [] {});  // an injection fires only before an event
+      if (injected) {
+        fi.arm(at, 2);
+      } else {
+        ckpt.fail_and_recover(2, Callback::ignore());
+      }
+    }));
+  });
+  h.machine.run();
+  EXPECT_EQ(ckpt.recoveries_completed(), 1);
+  EXPECT_EQ(fi.failures_injected(), injected ? 1 : 0);
+}
+
+TEST(Trace, ManualAndInjectedFailuresAreOneSpanAndOneJournalRowEach) {
+  for (const bool injected : {false, true}) {
+    SCOPED_TRACE(injected ? "injected" : "manual");
+    trace::Tracer tracer;
+    introspect::Monitor mon;
+    double at = -1;
+    fail_once(injected, tracer, mon, at);
+
+    std::vector<const trace::Event*> spans;
+    for (const trace::Event& e : tracer.events())
+      if (e.kind == trace::Kind::kPhase && e.phase == sim::Phase::kFailure) spans.push_back(&e);
+    std::vector<introspect::JournalEvent> rows;
+    for (const introspect::JournalEvent& j : mon.journal_events())
+      if (j.kind == sim::Phase::kFailure) rows.push_back(j);
+    ASSERT_EQ(spans.size(), 1u);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(spans[0]->pe, 2);
+    EXPECT_EQ(spans[0]->a, 2) << "aux is the victim";
+    EXPECT_EQ(rows[0].aux, 2);
+    EXPECT_EQ(spans[0]->begin, at);
+    EXPECT_EQ(spans[0]->end, at);
+    EXPECT_EQ(rows[0].t, at);
+  }
 }
 
 }  // namespace
