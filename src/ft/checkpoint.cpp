@@ -15,52 +15,43 @@ constexpr std::uint64_t kMagic = 0x434B50543134ull;  // "CKPT14"
 constexpr double kDiskBandwidth = 1.0e9;  ///< per-PE file-write bandwidth (B/s)
 constexpr double kOpenOverhead = 0.5e-3;  ///< per-PE file open/close cost (s)
 
-struct ElementRecord {
-  CollectionId col = -1;
-  ObjIndex idx{};
-  std::vector<std::byte> bytes;
-  void pup(pup::Er& p) {
-    p | col;
-    p | idx;
-    p | bytes;
-  }
-};
-
 }  // namespace
 
 void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done) {
-  // Host-side serialization (contents), with per-PE costs charged in virtual
-  // time for the pack and the parallel file write.
-  std::vector<ElementRecord> records;
-  std::vector<double> pe_bytes(static_cast<std::size_t>(rt.npes()), 0.0);
+  for (int pe = 0; pe < rt.npes(); ++pe)
+    if (!rt.pe_alive(pe))
+      throw std::logic_error("ft::checkpoint_to_file: PE " + std::to_string(pe) +
+                             " is failed; its write leg could never complete");
 
+  // Host-side serialization (contents), with per-PE costs charged in virtual
+  // time for the pack and the parallel file write.  Each ElementImage packs
+  // straight into the blob; the count and its byte count are patched in after.
+  std::vector<std::byte> blob;
+  std::vector<double> pe_bytes(static_cast<std::size_t>(rt.npes()), 0.0);
+  pup::Packer pk(blob);
+  std::uint64_t magic = kMagic, n = 0;
+  pk | magic;
+  pk | n;
   for (std::size_t ci = 0; ci < rt.collection_count(); ++ci) {
     Collection& c = rt.collection(static_cast<CollectionId>(ci));
     if (!c.checkpointable) continue;
     c.pe.for_each_touched([&](std::size_t pe, PeLocal& pl) {
       for (auto& [ix, obj] : pl.elems) {
-        ElementRecord rec;
-        rec.col = c.id;
-        rec.idx = ix;
-        pup::Packer pk(rec.bytes);
+        ElementImage head{c.id, ix, {}};
+        pk | head;  // col, idx and an empty byte vector's zero count
+        const std::size_t len_at = blob.size() - sizeof(std::uint64_t);
         obj->pup(pk);
-        pe_bytes[pe] += static_cast<double>(rec.bytes.size());
-        records.push_back(std::move(rec));
+        const std::uint64_t len = blob.size() - len_at - sizeof len;
+        std::memcpy(blob.data() + len_at, &len, sizeof len);
+        pe_bytes[pe] += static_cast<double>(len);
+        ++n;
       }
     });
   }
+  std::memcpy(blob.data() + sizeof magic, &n, sizeof n);
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("checkpoint_to_file: cannot open " + path);
-  std::vector<std::byte> blob;
-  {
-    pup::Packer pk(blob);
-    std::uint64_t magic = kMagic;
-    pk | magic;
-    std::uint64_t n = records.size();
-    pk | n;
-    for (auto& r : records) pk | r;
-  }
   out.write(reinterpret_cast<const char*>(blob.data()),
             static_cast<std::streamsize>(blob.size()));
 
@@ -85,29 +76,41 @@ void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done) {
 }
 
 std::size_t restart_from_file(Runtime& rt, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("restart_from_file: cannot open " + path);
-  std::vector<char> raw{std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>()};
-  std::vector<std::byte> blob(raw.size());
-  std::memcpy(blob.data(), raw.data(), raw.size());
-  pup::Unpacker u(blob);
-  std::uint64_t magic = 0;
-  u | magic;
-  if (magic != kMagic) throw std::runtime_error("restart_from_file: bad checkpoint magic");
-  std::uint64_t n = 0;
-  u | n;
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) throw std::runtime_error("restart_from_file: cannot open " + path);
+  std::vector<std::byte> blob(static_cast<std::size_t>(size));
+  in.seekg(0).read(reinterpret_cast<char*>(blob.data()),
+                   static_cast<std::streamsize>(blob.size()));
+  auto bad = [&path](const std::string& what) {
+    return std::runtime_error("restart_from_file: " + path + ": " + what);
+  };
 
-  std::size_t restored = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ElementRecord rec;
-    u | rec;
-    const ChareTypeId type = rt.collection(rec.col).type;
-    rt.seed_element(rec.col, rec.idx, Registry::instance().unpack_element(type, rec.bytes),
-                    rt.home_pe(rec.idx));
-    ++restored;
+  // Read and check the whole file before seeding anything.
+  pup::Unpacker u(blob);
+  std::vector<ElementImage> images;
+  try {
+    std::uint64_t magic = 0;
+    u | magic;
+    if (magic != kMagic) throw bad("bad checkpoint magic");
+    std::uint64_t n = 0;
+    u | n;
+    for (std::uint64_t i = 0; i < n; ++i) u | images.emplace_back();
+  } catch (const std::out_of_range& e) {
+    throw bad(std::string("truncated: ") + e.what());
   }
-  return restored;
+  if (u.remaining() != 0)
+    throw bad(std::to_string(u.remaining()) + " trailing bytes after the last record");
+  for (const ElementImage& img : images)
+    if (img.col < 0 || static_cast<std::size_t>(img.col) >= rt.collection_count())
+      throw bad("unknown collection id " + std::to_string(img.col));
+
+  for (const ElementImage& img : images) {
+    const ChareTypeId type = rt.collection(img.col).type;
+    rt.seed_element(img.col, img.idx, Registry::instance().unpack_element(type, img.bytes),
+                    rt.home_pe(img.idx));
+  }
+  return images.size();
 }
 
 }  // namespace charm::ft

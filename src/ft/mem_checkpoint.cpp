@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "lb/manager.hpp"
 #include "sim/fault_injector.hpp"
@@ -19,22 +20,21 @@ constexpr double kRestartBarriers = 3.0;  ///< restart barriers (paper: "several
 MemCheckpointer::MemCheckpointer(Runtime& rt, MemCkptParams params)
     : rt_(rt),
       params_(params),
-      local_(static_cast<std::size_t>(rt.npes())),
-      buddy_(static_cast<std::size_t>(rt.npes())),
+      images_(static_cast<std::size_t>(rt.npes())),
       buddy_valid_(static_cast<std::size_t>(rt.npes()), 0) {}
 
 void MemCheckpointer::checkpoint(Callback done) {
-  if (recovery_pending())
-    throw std::logic_error("ft::MemCheckpointer::checkpoint during pending recovery");
+  if (recovery_pending() || ckpt_in_progress_)
+    throw std::logic_error(std::string("ft::MemCheckpointer::checkpoint during ") +
+                           (ckpt_in_progress_ ? "another checkpoint" : "pending recovery"));
   const double begin = rt_.now();
   const int P = rt_.active_pes();
   if (sim::FaultInjector* fi = rt_.machine().fault_injector())
     fi->notify_checkpoint_begin(begin);
 
-  // Stage into scratch stores; the committed checkpoint stays authoritative
+  // Stage into a scratch store; the committed checkpoint stays authoritative
   // until every PE has both copies in place.
-  stage_local_.assign(local_.size(), {});
-  stage_buddy_.assign(buddy_.size(), {});
+  stage_.assign(images_.size(), {});
   stage_bytes_ = 0;
   ckpt_in_progress_ = true;
   const std::uint64_t ep = epoch_;
@@ -44,6 +44,8 @@ void MemCheckpointer::checkpoint(Callback done) {
     rt_.send_control(pe, 16, [this, ep, pe, P, remaining, done, begin]() {
       if (epoch_ != ep) return;  // aborted by a failure
       // Pack every local element of checkpointable collections.
+      std::vector<ElementImage>& store = stage_[static_cast<std::size_t>(pe)];
+      std::vector<std::byte> buf;  // reused, so each image is allocated at its size
       double bytes = 0;
       for (std::size_t ci = 0; ci < rt_.collection_count(); ++ci) {
         Collection& c = rt_.collection(static_cast<CollectionId>(ci));
@@ -51,36 +53,28 @@ void MemCheckpointer::checkpoint(Callback done) {
         PeLocal* pl = c.local_if(pe);
         if (pl == nullptr) continue;  // PE hosts nothing of this collection
         for (auto& [ix, obj] : pl->elems) {
-          Copy copy;
-          copy.col = c.id;
-          copy.idx = ix;
-          copy.pe = pe;
-          pup::Packer pk(copy.bytes);
+          buf.clear();
+          pup::Packer pk(buf);
           obj->pup(pk);
-          bytes += static_cast<double>(copy.bytes.size());
-          stage_local_[static_cast<std::size_t>(pe)].push_back(copy);
+          store.push_back(ElementImage{c.id, ix, buf});
+          bytes += static_cast<double>(buf.size());
         }
       }
       stage_bytes_ += static_cast<std::uint64_t>(bytes);
       rt_.charge(bytes / kPackBandwidth);  // local copy
 
-      // Ship the second copy to the buddy (real message cost).
-      const int buddy = (pe + 1) % P;
+      // Ship the second copy to the buddy (real message cost; the host keeps one).
       rt_.send_control(
-          buddy, static_cast<std::size_t>(bytes),
-          [this, ep, pe, buddy, bytes, remaining, done, begin]() {
+          (pe + 1) % P, static_cast<std::size_t>(bytes),
+          [this, ep, P, bytes, remaining, done, begin]() {
             if (epoch_ != ep) return;
-            stage_buddy_[static_cast<std::size_t>(buddy)] =
-                stage_local_[static_cast<std::size_t>(pe)];
             rt_.charge(bytes / kPackBandwidth);  // copy-in
             if (--*remaining != 0) return;
-            rt_.after(rt_.my_pe(), rt_.tree_wave_latency(), [this, ep, done, begin]() {
+            rt_.after(rt_.my_pe(), rt_.tree_wave_latency(), [this, ep, P, done, begin]() {
               if (epoch_ != ep) return;
               // Commit atomically.
-              local_ = std::move(stage_local_);
-              buddy_ = std::move(stage_buddy_);
-              stage_local_.assign(local_.size(), {});
-              stage_buddy_.assign(buddy_.size(), {});
+              images_ = std::exchange(stage_, {});
+              committed_pes_ = P;
               std::fill(buddy_valid_.begin(), buddy_valid_.end(), char{1});
               total_bytes_ = stage_bytes_;
               ++checkpoints_;
@@ -96,8 +90,6 @@ void MemCheckpointer::checkpoint(Callback done) {
 }
 
 void MemCheckpointer::fail_and_recover(int victim, Callback done) {
-  if (checkpoints_ == 0)
-    throw std::logic_error("fail_and_recover: no checkpoint taken yet");
   if (victim < 0 || victim >= rt_.active_pes())
     throw std::out_of_range("ft::MemCheckpointer::fail_and_recover: PE " +
                             std::to_string(victim) + " outside [0, " +
@@ -115,6 +107,11 @@ void MemCheckpointer::on_failure(int victim, Callback done) {
   if (checkpoints_ == 0)
     throw std::logic_error(
         "ft::MemCheckpointer: PE failure with no committed checkpoint");
+  if (rt_.active_pes() != committed_pes_)
+    throw std::logic_error(
+        "ft::MemCheckpointer: PE failure at " + std::to_string(rt_.active_pes()) +
+        " active PEs, but the committed checkpoint holds " + std::to_string(committed_pes_) +
+        " PEs' images; checkpoint again after a shrink or expand");
   for (int v : pending_victims_) {
     if (v == victim) {  // duplicate report of an already-pending victim
       if (done.valid()) recovery_done_cbs_.push_back(done);
@@ -125,15 +122,14 @@ void MemCheckpointer::on_failure(int victim, Callback done) {
   if (ckpt_in_progress_) {
     ckpt_in_progress_ = false;
     ++ckpt_aborted_;
+    stage_.clear();
   }
   // Quarantine the victim after the epoch bump, so a stale leg disposed on
   // it bails.  Machine::fail_pe reports the failure; an injected victim is
   // already quarantined and this is a no-op.
   rt_.machine().fail_pe(victim);
-  // The victim's in-memory state (its local copies and the buddy copies it
-  // held for its predecessor) is lost with the process.
-  local_[static_cast<std::size_t>(victim)].clear();
-  buddy_[static_cast<std::size_t>(victim)].clear();
+  // The victim's process held its own images and the buddy copy of its
+  // predecessor's; the host store keeps the images, which its buddy holds.
   buddy_valid_[static_cast<std::size_t>(victim)] = 0;
   if (pending_victims_.empty()) burst_begin_ = rt_.now();
   pending_victims_.push_back(victim);
@@ -194,28 +190,18 @@ void MemCheckpointer::begin_restore() {
     });
   }
 
-  // Phase 2: restore.  Live PEs restore from their local copies; each
-  // replacement gets the failed PE's copies from its buddy.  One extra leg
-  // per victim models re-replicating the double copies lost with it.
+  // Phase 2: restore.  Live PEs restore their own images from local memory;
+  // each replacement gets the failed PE's images shipped from its buddy.  One
+  // extra leg per victim models re-replicating the double copies lost with it.
   auto remaining =
       std::make_shared<int>(P + static_cast<int>(pending_victims_.size()));
   auto finish = [this, ep, remaining]() {
     if (epoch_ != ep) return;  // a new failure interrupted this restore
     if (--*remaining != 0) return;
-    const int P2 = rt_.active_pes();
-    // Re-replicate: restored victims regain their local stores and the buddy
-    // copies they held for their predecessors.  Ascending victim order makes
-    // chains of sequentially-failed adjacent PEs come out right.
+    // Re-replicated: each victim again holds its predecessor's buddy copy.
+    for (int v : pending_victims_) buddy_valid_[static_cast<std::size_t>(v)] = 1;
     std::vector<int> vs = pending_victims_;
-    std::sort(vs.begin(), vs.end());
-    for (int v : vs)
-      local_[static_cast<std::size_t>(v)] =
-          buddy_[static_cast<std::size_t>((v + 1) % P2)];
-    for (int v : vs) {
-      buddy_[static_cast<std::size_t>(v)] =
-          local_[static_cast<std::size_t>((v - 1 + P2) % P2)];
-      buddy_valid_[static_cast<std::size_t>(v)] = 1;
-    }
+    std::sort(vs.begin(), vs.end());  // the recovery log lists victims ascending
     rt_.rebuild_location_tables();
     rt_.after(rt_.my_pe(), kRestartBarriers * 2.0 * rt_.tree_wave_latency(),
               [this, ep, vs]() {
@@ -242,19 +228,16 @@ void MemCheckpointer::begin_restore() {
     const bool is_victim =
         std::find(pending_victims_.begin(), pending_victims_.end(), pe) !=
         pending_victims_.end();
-    const int source_store = is_victim ? (pe + 1) % P : pe;
-    const std::vector<Copy>* store =
-        is_victim ? &buddy_[static_cast<std::size_t>(source_store)]
-                  : &local_[static_cast<std::size_t>(pe)];
+    const std::vector<ElementImage>* store = &images_[static_cast<std::size_t>(pe)];
     double bytes = 0;
-    for (const Copy& copy : *store) bytes += static_cast<double>(copy.bytes.size());
+    for (const ElementImage& img : *store) bytes += static_cast<double>(img.bytes.size());
 
     auto restore_here = [this, ep, pe, store, bytes, finish]() {
       if (epoch_ != ep) return;
       rt_.charge(bytes / kPackBandwidth);  // unpack
-      for (const Copy& copy : *store) {
-        const ChareTypeId type = rt_.collection(copy.col).type;
-        rt_.seed_element(copy.col, copy.idx, Registry::instance().unpack_element(type, copy.bytes),
+      for (const ElementImage& img : *store) {
+        const ChareTypeId type = rt_.collection(img.col).type;
+        rt_.seed_element(img.col, img.idx, Registry::instance().unpack_element(type, img.bytes),
                          pe);
       }
       finish();
@@ -262,7 +245,7 @@ void MemCheckpointer::begin_restore() {
 
     if (is_victim) {
       // Buddy ships the copies across the network first.
-      rt_.send_control(source_store, 16, [this, ep, pe, bytes, restore_here]() {
+      rt_.send_control((pe + 1) % P, 16, [this, ep, pe, bytes, restore_here]() {
         if (epoch_ != ep) return;
         rt_.send_control(pe, static_cast<std::size_t>(bytes), restore_here);
       });
@@ -271,13 +254,13 @@ void MemCheckpointer::begin_restore() {
     }
   }
 
-  // Re-replication traffic: each victim's predecessor ships its local copies
-  // back so the victim again holds its buddy's data.
+  // Re-replication traffic: each victim's predecessor ships its images back
+  // so the victim again holds its predecessor's buddy copy.
   for (int v : pending_victims_) {
     const int pred = (v - 1 + P) % P;
     double bytes = 0;
-    for (const Copy& copy : local_[static_cast<std::size_t>(pred)])
-      bytes += static_cast<double>(copy.bytes.size());
+    for (const ElementImage& img : images_[static_cast<std::size_t>(pred)])
+      bytes += static_cast<double>(img.bytes.size());
     rt_.send_control(pred, 16, [this, ep, v, bytes, finish]() {
       if (epoch_ != ep) return;
       rt_.send_control(v, static_cast<std::size_t>(bytes), finish);

@@ -7,8 +7,12 @@
 // failed PE's chares onto the replacement, and every chare rolls back to the
 // last checkpoint; the application then continues.
 //
+// The host keeps one copy of each element image, indexed by owner PE; the
+// buddy copy is a flag (`buddy_valid_`).  Every modeled leg, byte and charge
+// of the two-copy protocol is unchanged.
+//
 // Hardening against injected failures (sim::FaultInjector):
-//   * Checkpoints stage into scratch stores and commit atomically on
+//   * Checkpoints stage into a scratch store and commit atomically on
 //     completion; a failure mid-checkpoint aborts the staged copy and the
 //     previous committed checkpoint stays authoritative.
 //   * Every asynchronous protocol leg carries the epoch it was issued under;
@@ -20,6 +24,8 @@
 //     re-replicated, so a later failure of the old victim's buddy is again
 //     recoverable.  Losing a PE *and* its buddy between re-replications is
 //     unrecoverable, as in the paper — reported as a clean std::runtime_error.
+//   * A failure after a shrink or expand is refused (std::logic_error) until
+//     a checkpoint is taken at the new PE count.
 //
 // Every failure, injected or raised by fail_and_recover, quarantines the
 // victim through sim::Machine::fail_pe: its queued and in-flight messages
@@ -31,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "ft/checkpoint.hpp"
 #include "runtime/callback.hpp"
 #include "runtime/runtime.hpp"
 
@@ -57,13 +64,15 @@ class MemCheckpointer {
   explicit MemCheckpointer(Runtime& rt, MemCkptParams params = {});
 
   /// CkStartMemCheckpoint(callback).  Throws std::logic_error if called
-  /// while a recovery is pending (the global state is not consistent).
+  /// while a recovery is pending (the global state is not consistent) or
+  /// while another checkpoint is in flight.
   void checkpoint(Callback done);
 
   /// Kill PE `victim`, run the recovery protocol, roll every chare back to
   /// the last checkpoint, then invoke `done`.  Throws, before changing any
-  /// state, std::logic_error when no checkpoint has been committed yet and
-  /// std::out_of_range unless 0 <= victim < active_pes().
+  /// state, std::logic_error when no checkpoint has been committed yet or
+  /// active_pes() has changed since the last commit, and std::out_of_range
+  /// unless 0 <= victim < active_pes().
   void fail_and_recover(int victim, Callback done);
 
   /// Registers this checkpointer as `fi`'s failure listener: every injected
@@ -90,13 +99,6 @@ class MemCheckpointer {
   std::string format_recovery_log() const;
 
  private:
-  struct Copy {
-    CollectionId col = -1;
-    ObjIndex idx{};
-    int pe = 0;  ///< owner PE at checkpoint time
-    std::vector<std::byte> bytes;
-  };
-
   /// Common failure path (manual fail_and_recover and injected failures).
   void on_failure(int victim, Callback done);
   /// Revives all pending victims and runs the combined rollback + restore.
@@ -104,16 +106,15 @@ class MemCheckpointer {
 
   Runtime& rt_;
   MemCkptParams params_;
-  // local_[p]: copies of p's elements held in p's memory.
-  // buddy_[b]: copies of ((b-1+P)%P)'s elements held in b's memory.
-  std::vector<std::vector<Copy>> local_;
-  std::vector<std::vector<Copy>> buddy_;
-  // Staging stores for the checkpoint in flight (committed atomically).
-  std::vector<std::vector<Copy>> stage_local_;
-  std::vector<std::vector<Copy>> stage_buddy_;
-  /// buddy_[b] holds committed data (an empty store is valid when the owner
-  /// had no elements; it turns invalid when b's process is lost).
+  // images_[p]: p's element images at the last commit, held (in the model)
+  // in p's memory and in its buddy (p+1)%P's.
+  std::vector<std::vector<ElementImage>> images_;
+  // Staging store for the checkpoint in flight (committed atomically).
+  std::vector<std::vector<ElementImage>> stage_;
+  /// PE b holds the buddy copy of ((b-1+P)%P)'s images (it turns invalid
+  /// when b's process is lost, and valid again once re-replicated).
   std::vector<char> buddy_valid_;
+  int committed_pes_ = 0;  ///< active PEs the committed images are laid out for
   std::uint64_t stage_bytes_ = 0;
   std::uint64_t total_bytes_ = 0;
   int checkpoints_ = 0;

@@ -73,10 +73,8 @@ Monitor::BusyFold Monitor::busy_fold() const {
 }
 
 void Monitor::on_phase(const sim::PhaseEvent& ev) {
-  // Barrier-only LB rounds (no strategy ran) and disk checkpoints are traced
-  // but not journaled.
+  // Barrier-only LB rounds (no strategy ran) are traced but not journaled.
   if (ev.kind == sim::Phase::kLbRound && ev.aux < 0) return;
-  if (ev.kind == sim::Phase::kDiskCheckpoint) return;
   journal_.push_back(JournalEvent{ev.end, ev.kind, ev.aux, ev.value});
 }
 

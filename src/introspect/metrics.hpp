@@ -9,8 +9,7 @@
 // Machine::step boundaries — the sampler injects NO events of its own, so
 // the event order, every virtual clock, and every figure series are
 // bit-identical with metrics on or off.  The journal keeps every phase fact
-// except barrier-only LB rounds and disk checkpoints, which only the tracer
-// records.
+// except barrier-only LB rounds, which only the tracer records.
 //
 // What it exports is a timeline: fixed-size POD samples recorded at
 // t = k·interval, plus a decision journal of LB rounds, FT checkpoints/

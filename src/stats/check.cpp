@@ -211,8 +211,8 @@ void check_metrics(const Value& doc) {
     expect(num(s, "evq_hwm", w, 0) >= num(s, "evq", w, 0), w, "evq_hwm < evq");
     prev = &s;
   });
-  static const std::set<std::string> kKinds = {"lb_round", "checkpoint", "restore",
-                                               "failure",  "shrink",     "expand"};
+  static const std::set<std::string> kKinds = {
+      "lb_round", "checkpoint", "disk_checkpoint", "restore", "failure", "shrink", "expand"};
   double prev_t = 0;
   each_row(doc, schema::kJournal, [&](const Value& e, std::size_t, const std::string& w) {
     const double t = num(e, "t", w, 0);

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "ft/checkpoint.hpp"
 #include "ft/mem_checkpoint.hpp"
@@ -131,6 +134,92 @@ TEST(DiskCheckpoint, CheckpointTimeScalesWithDataPerPe) {
   std::remove(ckpt_path().c_str());
 }
 
+TEST(DiskCheckpoint, RefusedWhileAPeIsFailed) {
+  // The write leg to a failed PE never runs, so `done` could never fire.
+  std::remove(ckpt_path().c_str());
+  Harness h(4);
+  auto arr = ArrayProxy<Cell>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
+  h.machine.fail_pe(2);
+  bool refused = false, done = false;
+  h.rt.on_pe(0, [&] {
+    try {
+      ft::checkpoint_to_file(h.rt, ckpt_path(), Callback::to_function([&](ReductionResult&&) {
+        done = true;
+      }));
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("PE 2"), std::string::npos) << e.what();
+      refused = true;
+    }
+  });
+  h.machine.run();
+  EXPECT_TRUE(refused);
+  EXPECT_FALSE(done);
+  EXPECT_FALSE(std::ifstream(ckpt_path()).good()) << "nothing is written";
+  std::remove(ckpt_path().c_str());
+}
+
+/// Checkpoints `n` cells of each of `cols` collections on 4 PEs to
+/// ckpt_path() and returns the file's bytes.
+std::vector<char> write_cells(int n, int cols) {
+  Harness h(4);
+  for (int c = 0; c < cols; ++c) {
+    auto arr = ArrayProxy<Cell>::create(h.rt);
+    for (int i = 0; i < n; ++i) arr.seed(i, i % 4);
+  }
+  bool done = false;
+  h.rt.on_pe(0, [&] {
+    ft::checkpoint_to_file(h.rt, ckpt_path(),
+                           Callback::to_function([&](ReductionResult&&) { done = true; }));
+  });
+  h.machine.run();
+  EXPECT_TRUE(done);
+  std::ifstream in(ckpt_path(), std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Writes `bytes` to ckpt_path(), restarts one Cell collection on 4 PEs from
+/// it, and expects a std::runtime_error that names the file and contains
+/// `reason`, with no element seeded.
+void expect_restart_refused(const std::vector<char>& bytes, const std::string& reason) {
+  {
+    std::ofstream out(ckpt_path(), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  Harness h(4);
+  auto arr = ArrayProxy<Cell>::create(h.rt);
+  try {
+    ft::restart_from_file(h.rt, ckpt_path());
+    ADD_FAILURE() << "restart accepted a bad file (" << reason << ")";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(ckpt_path()), std::string::npos) << what;
+    EXPECT_NE(what.find(reason), std::string::npos) << what;
+  }
+  EXPECT_EQ(h.rt.collection(arr.id()).total_elements, 0);
+  for (int pe = 0; pe < 4; ++pe)
+    EXPECT_TRUE(h.rt.collection(arr.id()).local(pe).elems.empty()) << "PE " << pe;
+  std::remove(ckpt_path().c_str());
+}
+
+TEST(DiskCheckpoint, TruncatedFileSeedsNothing) {
+  std::vector<char> bytes = write_cells(8, 1);
+  ASSERT_GT(bytes.size(), 40u);
+  bytes.resize(bytes.size() - 40);
+  expect_restart_refused(bytes, "truncated");
+}
+
+TEST(DiskCheckpoint, TrailingBytesAreRejected) {
+  std::vector<char> bytes = write_cells(8, 1);
+  bytes.insert(bytes.end(), 8, '\0');
+  expect_restart_refused(bytes, "8 trailing bytes");
+}
+
+TEST(DiskCheckpoint, UnknownCollectionIdSeedsNothing) {
+  // Two collections checkpointed, one created by the restart program.
+  expect_restart_refused(write_cells(8, 2), "unknown collection id 1");
+}
+
 TEST(MemCheckpoint, CheckpointAndRecoverFromFailure) {
   Harness h(6);
   auto arr = ArrayProxy<Cell>::create(h.rt);
@@ -232,6 +321,37 @@ TEST(MemCheckpoint, VictimElementsRestoredFromBuddy) {
     EXPECT_EQ(pe, 2) << "restored onto the replacement PE";
     EXPECT_EQ(c->data[0], static_cast<double>(ix));
   }
+}
+
+TEST(MemCheckpoint, OverlappingCheckpointIsRefused) {
+  // A second checkpoint while one is staged would pack into the same staging
+  // store and commit twice; it is refused, and the first still recovers all.
+  Harness h(4);
+  auto arr = ArrayProxy<Cell>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
+  ft::MemCheckpointer ckpt(h.rt);
+  bool refused = false, recovered = false;
+  h.rt.on_pe(0, [&] {
+    arr.broadcast<&Cell::init>();
+    h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) {
+      ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
+        ckpt.fail_and_recover(1, Callback::to_function([&](ReductionResult&&) {
+          recovered = true;
+        }));
+      }));
+      try {
+        ckpt.checkpoint(Callback::ignore());
+      } catch (const std::logic_error&) {
+        refused = true;
+      }
+    }));
+  });
+  h.machine.run();
+  EXPECT_TRUE(refused);
+  ASSERT_TRUE(recovered);
+  EXPECT_EQ(ckpt.checkpoints_taken(), 1);
+  EXPECT_EQ(h.rt.collection(arr.id()).total_elements, 8);
+  for (int i = 0; i < 8; ++i) EXPECT_NE(find_cell(h.rt, arr.id(), i), nullptr) << i;
 }
 
 TEST(MemCheckpoint, FailWithoutCheckpointThrows) {

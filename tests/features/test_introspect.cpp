@@ -499,10 +499,11 @@ TEST(Introspect, ExportWritesMonitorSamplesAndJournal) {
   kick_chatter(h, arr, /*seed=*/13, /*chains=*/4, /*hops=*/30);
   h.machine.run();
   mon.on_phase(sim::PhaseEvent{sim::Phase::kLbRound, 0, 0.0, mon.time(), 2, 0.5});
-  // Barrier-only rounds and disk checkpoints are traced but not journaled.
+  // Barrier-only rounds are traced but not journaled; disk checkpoints are
+  // journaled like in-memory ones.
   mon.on_phase(sim::PhaseEvent{sim::Phase::kLbRound, 0, 0.0, mon.time(), -1, 0.0});
   mon.on_phase(sim::PhaseEvent{sim::Phase::kDiskCheckpoint, 0, 0.0, mon.time()});
-  ASSERT_EQ(mon.journal_events().size(), 1u);
+  ASSERT_EQ(mon.journal_events().size(), 2u);
   ASSERT_GT(mon.samples().size(), 0u);
 
   // The exporter reads the monitor directly: the block lands in the JSON
@@ -525,10 +526,11 @@ TEST(Introspect, ExportWritesMonitorSamplesAndJournal) {
   }
   const stats::json::Value* journal = doc.find("journal");
   ASSERT_NE(journal, nullptr);
-  ASSERT_EQ(journal->array.size(), 1u);
+  ASSERT_EQ(journal->array.size(), 2u);
   EXPECT_EQ(journal->array[0].str("kind"), "lb_round");
   EXPECT_EQ(journal->array[0].num("aux"), 2.0);
   EXPECT_EQ(journal->array[0].num("value"), 0.5);
+  EXPECT_EQ(journal->array[1].str("kind"), "disk_checkpoint");
   EXPECT_LT(body.find("\"journal\":["), body.find("\"totals\":"));
 }
 

@@ -10,12 +10,15 @@
 #include <cstdio>
 #include <sstream>
 
+#include "ft/checkpoint.hpp"
 #include "ft/mem_checkpoint.hpp"
 #include "introspect/metrics.hpp"
 #include "miniapps/leanmd/leanmd.hpp"
 #include "runtime/charm.hpp"
 #include "sim/fault_injector.hpp"
+#include "stats/json_export.hpp"
 #include "stats/report.hpp"
+#include "stats/schema.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/trace.hpp"
 
@@ -631,6 +634,52 @@ TEST(Trace, ManualAndInjectedFailuresAreOneSpanAndOneJournalRowEach) {
     EXPECT_EQ(spans[0]->end, at);
     EXPECT_EQ(rows[0].t, at);
   }
+}
+
+TEST(Trace, DiskCheckpointIsOneSpanAndOneJournalRow) {
+  const std::string path = std::string("/tmp/charmlike_") +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".ckpt";
+  trace::Tracer tracer;
+  introspect::Monitor mon;
+  mon.set_interval(1e-4);
+  Harness h(4);
+  h.machine.set_tracer(&tracer);
+  mon.attach(h.machine);
+  auto arr = ArrayProxy<Ponger>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
+  double begin = -1, done = -1;
+  h.rt.on_pe(0, [&] {
+    begin = charm::now();
+    ft::checkpoint_to_file(h.rt, path, Callback::to_function([&](ReductionResult&&) {
+      done = charm::now();
+    }));
+  });
+  h.machine.run();
+  std::remove(path.c_str());
+  ASSERT_GE(done, 0.0);
+
+  std::vector<const trace::Event*> spans;
+  for (const trace::Event& e : tracer.events())
+    if (e.kind == trace::Kind::kPhase && e.phase == sim::Phase::kDiskCheckpoint)
+      spans.push_back(&e);
+  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_EQ(mon.journal_events().size(), 1u);
+  const introspect::JournalEvent& row = mon.journal_events()[0];
+  EXPECT_EQ(row.kind, sim::Phase::kDiskCheckpoint);
+  EXPECT_EQ(spans[0]->begin, begin);
+  EXPECT_EQ(spans[0]->end, row.t);
+  EXPECT_GT(row.t, begin);
+  EXPECT_LE(row.t, done);
+
+  // The exported record names the row and passes the schema check.
+  stats::ExportMeta meta;
+  meta.bench = "disk_checkpoint_probe";
+  meta.metrics = &mon;
+  const std::string body = stats::to_json(stats::collect(tracer, 4), meta);
+  EXPECT_NE(body.find("\"kind\":\"disk_checkpoint\""), std::string::npos);
+  std::string err;
+  EXPECT_TRUE(stats::check(body, &err)) << err;
 }
 
 }  // namespace

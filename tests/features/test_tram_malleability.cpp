@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "ft/mem_checkpoint.hpp"
 #include "malleability/malleability.hpp"
 #include "runtime/charm.hpp"
 #include "tram/tram.hpp"
@@ -252,6 +256,75 @@ TEST(Malleability, ShrinkThenExpandRestoresThroughput) {
   EXPECT_GE(occupied, 7);
   (void)round_times;
   (void)last;
+}
+
+/// Checkpoints at `from` active PEs (of 8), reconfigures to `to`, then fails
+/// PE 3: the recovery must be refused, and one from a checkpoint taken at
+/// `to` PEs must bring back all 32 chares.
+void recover_across_reconfiguration(int from, int to) {
+  sim::Machine machine(sim::MachineConfig{8, {}, 4});
+  Runtime rt(machine);
+  auto arr = ArrayProxy<Mol>::create(rt);
+  for (int i = 0; i < 32; ++i) arr.seed(i, i % 8);
+  rt.lb().register_collection(arr.id());
+  ccs::Server server(rt, {.shrink_base_s = 0.05, .expand_base_s = 0.1, .per_pe_s = 0});
+  ft::MemCheckpointer ckpt(rt);
+  auto reconfigure = [&](int n) {
+    bool done = false;
+    rt.on_pe(0, [&] {
+      const Callback cb = Callback::to_function([&](ReductionResult&&) { done = true; });
+      if (n < rt.active_pes()) {
+        server.request_shrink(n, cb);
+      } else {
+        server.request_expand(n, cb);
+      }
+      arr.broadcast<&Mol::step>(StepMsg{3});
+    });
+    machine.run();
+    machine.resume();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(rt.active_pes(), n);
+  };
+  if (from < 8) reconfigure(from);
+  rt.on_pe(0, [&] { ckpt.checkpoint(Callback::ignore()); });
+  machine.run();
+  machine.resume();
+  reconfigure(to);
+
+  bool refused = false, recovered = false;
+  rt.on_pe(0, [&] {
+    try {
+      ckpt.fail_and_recover(3, Callback::ignore());
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("at " + std::to_string(to) + " active PEs"), std::string::npos) << what;
+      EXPECT_NE(what.find("holds " + std::to_string(from) + " PEs"), std::string::npos) << what;
+      refused = true;
+    }
+    if (!refused) return;
+    EXPECT_FALSE(ckpt.recovery_pending());
+    ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
+      ckpt.fail_and_recover(3, Callback::to_function([&](ReductionResult&&) {
+        recovered = true;
+      }));
+    }));
+  });
+  machine.run();
+  ASSERT_TRUE(refused) << "recovery from " << from << "-PE stores at " << to << " PEs";
+  ASSERT_TRUE(recovered);
+  EXPECT_EQ(rt.collection(arr.id()).total_elements, 32);
+  int total = 0;
+  for (int pe = 0; pe < 8; ++pe)
+    total += static_cast<int>(rt.collection(arr.id()).local(pe).elems.size());
+  EXPECT_EQ(total, 32);
+}
+
+TEST(Malleability, RecoveryAfterShrinkNeedsANewCheckpoint) {
+  recover_across_reconfiguration(8, 4);
+}
+
+TEST(Malleability, RecoveryAfterExpandNeedsANewCheckpoint) {
+  recover_across_reconfiguration(4, 8);
 }
 
 TEST(Malleability, InvalidTargetsRejected) {
