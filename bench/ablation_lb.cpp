@@ -48,7 +48,7 @@ Outcome run_with(const char* which) {
   } else if (s == "Orb") {
     rt.lb().set_strategy(lb::make_orb());
   } else if (s == "Distributed") {
-    rt.lb().use_distributed(true);
+    rt.lb().use_distributed();
   }
   if (s != "NoLB") rt.lb().set_period(4);
 

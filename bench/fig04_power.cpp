@@ -32,15 +32,12 @@ Outcome run_policy(power::Policy policy, double lb_period, bool meta) {
   stencil::Sim sim(rt, sp);
   rt.lb().set_strategy(lb::make_greedy());
   if (meta) {
-    rt.lb().set_advisor(lb::make_meta_advisor(
-        {.imbalance_tol = 1.12, .horizon_rounds = 15, .default_lb_cost = 3e-3, .min_gap = 3}));
+    rt.lb().set_advisor(lb::make_meta_advisor());
   }
 
-  power::ThermalParams tp;   // ambient 30C; full load saturates near 70C
-  tp.cool_spread = 0.7;      // rack hot spots: chips throttle unevenly
-  power::DvfsParams dp;      // threshold 50C as in the paper
-  dp.threshold_c = 50.0;
-  power::Manager pm(rt, tp, dp, /*period=*/0.4);
+  // Ambient 30C, full load saturates near 70C, and rack hot spots make the
+  // chips throttle unevenly at the paper's 50C threshold.
+  power::Manager pm(rt, /*period=*/0.4);
   pm.start(policy, lb_period);
 
   bool done = false;

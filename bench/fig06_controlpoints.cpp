@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   arr.seed(1, 1);
 
   tuning::ControlPoint cp("pipeline_num", 1, 256, 2);
-  tuning::Tuner tuner(cp, {.warmup_steps = 1, .window_steps = 2, .improve_margin = 0.02});
+  tuning::Tuner tuner(cp);
 
   const int total_steps = bench::cap_steps(60, 8);
   int step = 0;

@@ -18,9 +18,7 @@ double time_sort(int npes, bool hist, std::size_t keys_per_pe) {
   sim::Machine m(bench::machine_config(npes, sim::NetworkParams::cray_gemini()));
   bench::attach_trace(m);
   Runtime rt(m);
-  sortlib::SortParams sp;
-  sp.samples_per_pe = 0;  // baseline ships all keys to the root
-  sortlib::Library lib(rt, sp);
+  sortlib::Library lib(rt);
   lib.fill_random(1234, keys_per_pe);
   double t0 = 0, t1 = -1;
   rt.on_pe(0, [&] {

@@ -24,7 +24,7 @@ double time_per_step(int npes, bool distributed_lb) {
   Runtime rt(m);
   amr::Mesh mesh(rt, bench_params());
   if (distributed_lb) {
-    rt.lb().use_distributed(true);
+    rt.lb().use_distributed();
     rt.lb().set_period(4);
   }
   bool done = false;

@@ -414,7 +414,7 @@ void BM_TramAggregationFactor(benchmark::State& state) {
     Runtime rt(m);
     auto arr = ArrayProxy<Sink>::create(rt);
     for (int i = 0; i < 27; ++i) arr.seed(i, i);
-    tram::Stream<&Sink::take> stream(rt, arr, {buffer, 8});
+    tram::Stream<&Sink::take> stream(rt, arr, buffer);
     rt.on_pe(0, [&] {
       sim::Rng rng(1);
       for (int k = 0; k < 4000; ++k)

@@ -19,7 +19,7 @@ int main() {
   p.min_depth = 2;  // 64 blocks initially
   p.max_depth = 4;
   amr::Mesh mesh(rt, p);
-  rt.lb().use_distributed(true);
+  rt.lb().use_distributed();
   rt.lb().set_period(6);
 
   std::printf("AMR3D advection: %lld blocks at depth %d..%d, block=%d^3\n",

@@ -48,11 +48,11 @@ void Rank::pup(pup::Er& p) {
 std::size_t Rank::migration_bytes() const {
   std::size_t inbox_bytes = 0;
   for (const Wire& w : inbox_) inbox_bytes += w.data.size() + 16;
-  return (ult_ ? ult_->stack_bytes() : 0) + inbox_bytes + 256;
+  return (ult_ ? kStackBytes : 0) + inbox_bytes + 256;
 }
 
 void Rank::begin(const StartMsg&) {
-  ult_ = std::make_unique<Ult>(state_->opts.stack_bytes);
+  ult_ = std::make_unique<Ult>();
   ult_->start([this] { state_->main(comm_); });
   run_ult();
 }

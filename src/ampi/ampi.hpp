@@ -33,7 +33,6 @@ constexpr int kAnyTag = -1;
 constexpr double kMissPenalty = 1.5;
 
 struct Options {
-  std::size_t stack_bytes = 128 * 1024;
   /// Working-set cache model for charge_kernel (Fig 14; DESIGN.md §1):
   /// modeled aggregate cache per node; the slowdown when the working set
   /// spills out of it is kMissPenalty.

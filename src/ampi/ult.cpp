@@ -5,7 +5,7 @@
 
 namespace charm::ampi {
 
-Ult::Ult(std::size_t stack_bytes) : stack_(stack_bytes) {}
+Ult::Ult() : stack_(kStackBytes) {}
 
 void Ult::trampoline(unsigned int hi, unsigned int lo) {
   auto* self = reinterpret_cast<Ult*>((static_cast<std::uintptr_t>(hi) << 32) |

@@ -15,9 +15,12 @@
 
 namespace charm::ampi {
 
+/// Stack size of every rank's user-level thread.
+inline constexpr std::size_t kStackBytes = 128 * 1024;
+
 class Ult {
  public:
-  explicit Ult(std::size_t stack_bytes = 256 * 1024);
+  Ult();
   ~Ult() = default;
   Ult(const Ult&) = delete;
   Ult& operator=(const Ult&) = delete;
@@ -34,7 +37,6 @@ class Ult {
 
   bool started() const { return started_; }
   bool finished() const { return finished_; }
-  std::size_t stack_bytes() const { return stack_.size(); }
 
  private:
   static void trampoline(unsigned int hi, unsigned int lo);

@@ -15,6 +15,7 @@ namespace {
 constexpr double kStatsBytesPerChare = 32.0;     ///< stats gathered per chare (B)
 constexpr double kStrategyBaseCost = 20e-6;      ///< fixed decision cost (s)
 constexpr double kStrategyCostPerChare = 1.0e-6; ///< decision cost per chare (s)
+constexpr std::uint64_t kGossipSeed = 42;        ///< distributed rounds' RNG stream
 }  // namespace
 
 Manager::Manager(Runtime& rt) : rt_(rt) {}
@@ -176,10 +177,10 @@ void Manager::run_distributed() {
   const double allreduce_delay = 2.0 * rt_.tree_wave_latency();
   rt_.after(0, allreduce_delay, [this, stats = std::move(stats)]() mutable {
     rt_.charge(kStrategyBaseCost);
-    GossipResult g = gossip_assign(stats, sim::derive_seed(dist_seed_,
+    GossipResult g = gossip_assign(stats, sim::derive_seed(kGossipSeed,
                                                            static_cast<std::uint64_t>(round_)));
     // Model the probe / reply traffic.
-    sim::Rng traffic(sim::derive_seed(dist_seed_, static_cast<std::uint64_t>(round_), 7));
+    sim::Rng traffic(sim::derive_seed(kGossipSeed, static_cast<std::uint64_t>(round_), 7));
     for (int i = 0; i < g.probes; ++i) {
       const int dst =
           static_cast<int>(traffic.next_below(static_cast<std::uint64_t>(rt_.active_pes())));

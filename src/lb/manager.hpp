@@ -62,10 +62,7 @@ class Manager {
   void set_period(int rounds) { period_ = rounds; }
   void set_advisor(Advisor a) { advisor_ = std::move(a); }
   /// Grapevine-style fully distributed balancing instead of a central strategy.
-  void use_distributed(bool on, std::uint64_t seed = 42) {
-    distributed_ = on;
-    dist_seed_ = seed;
-  }
+  void use_distributed() { distributed_ = true; }
 
   /// Force a strategy run at the next AtSync round.
   void request_lb() { forced_ = true; }
@@ -125,7 +122,6 @@ class Manager {
   int period_ = 0;
   bool forced_ = false;
   bool distributed_ = false;
-  std::uint64_t dist_seed_ = 42;
 
   Phase phase_ = Phase::kCollecting;
   std::int64_t synced_ = 0;

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,22 +32,6 @@ struct ChareInfo {
 /// strategies used to index: an absent PE is exactly 1.0.
 class SpeedMap {
  public:
-  SpeedMap() = default;
-  SpeedMap(std::initializer_list<double> dense) { assign_dense(dense.begin(), dense.end()); }
-  SpeedMap(const std::vector<double>& dense) {  // NOLINT(google-explicit-constructor)
-    assign_dense(dense.begin(), dense.end());
-  }
-  SpeedMap& operator=(const std::vector<double>& dense) {
-    entries_.clear();
-    assign_dense(dense.begin(), dense.end());
-    return *this;
-  }
-  SpeedMap& operator=(std::initializer_list<double> dense) {
-    entries_.clear();
-    assign_dense(dense.begin(), dense.end());
-    return *this;
-  }
-
   double operator[](std::size_t pe) const {
     // Entries are sorted by PE and few (only non-unit speeds); a short scan
     // beats binary search at typical sizes and is exact either way.
@@ -72,13 +55,6 @@ class SpeedMap {
   const std::vector<std::pair<int, double>>& entries() const { return entries_; }
 
  private:
-  template <class It>
-  void assign_dense(It first, It last) {
-    int pe = 0;
-    for (It it = first; it != last; ++it, ++pe)
-      if (*it != 1.0) entries_.emplace_back(pe, *it);
-  }
-
   std::vector<std::pair<int, double>> entries_;  ///< (pe, speed != 1.0), pe ascending
 };
 

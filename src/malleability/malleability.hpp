@@ -13,19 +13,13 @@
 
 namespace charm::ccs {
 
-struct ReconfigCosts {
-  /// Process teardown/restart dominates (paper §III-D): base plus a weak
-  /// dependence on the target PE count.
-  double shrink_base_s = 2.0;
-  double expand_base_s = 5.5;
-  double per_pe_s = 0.004;
-};
-
 /// CCS-style command server: queues shrink/expand requests that take effect
-/// at the application's next AtSync boundary.
+/// at the application's next AtSync boundary.  Process teardown/restart
+/// dominates the cost (paper §III-D): 2 s for a shrink or 5.5 s for an
+/// expand, plus 4 ms per target PE.
 class Server {
  public:
-  explicit Server(Runtime& rt, ReconfigCosts costs = {}) : rt_(rt), costs_(costs) {}
+  explicit Server(Runtime& rt) : rt_(rt) {}
 
   /// Shrink the job to `target_pes`; `done` fires when the application has
   /// been rebalanced onto the smaller set.
@@ -36,7 +30,6 @@ class Server {
 
  private:
   Runtime& rt_;
-  ReconfigCosts costs_;
 };
 
 }  // namespace charm::ccs

@@ -77,7 +77,7 @@ Engine::Engine(Runtime& rt, Params p) : rt_(rt), p_(p) {
               static_cast<int>(static_cast<long>(i) * P / p.nlps), p_, lps_);
   }
   if (p.use_tram) {
-    Lp::tram_stream.emplace(rt, lps_, tram::Params{p.tram_buffer, 8});
+    Lp::tram_stream.emplace(rt, lps_, p.tram_buffer);
   }
 }
 

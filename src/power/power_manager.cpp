@@ -9,15 +9,15 @@ namespace charm::power {
 
 namespace {
 constexpr std::array<double, 6> kLevels{0.5, 0.6, 0.7, 0.8, 0.9, 1.0};  // frequency scales
+constexpr double kThresholdC = 50.0;  // throttle above this chip temperature (°C)
 constexpr double kMarginC = 3.0;  // unthrottle below threshold - margin (°C)
 }  // namespace
 
-Manager::Manager(Runtime& rt, ThermalParams thermal, DvfsParams dvfs, double period_s)
+Manager::Manager(Runtime& rt, double period_s)
     : rt_(rt),
-      dvfs_(dvfs),
       period_(period_s),
       pes_per_chip_(rt.machine().config().pes_per_chip),
-      model_((rt.npes() + pes_per_chip_ - 1) / pes_per_chip_, thermal),
+      model_((rt.npes() + pes_per_chip_ - 1) / pes_per_chip_),
       last_busy_(static_cast<std::size_t>(rt.npes()), 0.0),
       level_(static_cast<std::size_t>(model_.nchips()),
              static_cast<int>(kLevels.size()) - 1) {}
@@ -71,9 +71,9 @@ void Manager::apply_dvfs() {
   for (int chip = 0; chip < model_.nchips(); ++chip) {
     int& lvl = level_[static_cast<std::size_t>(chip)];
     const double t = model_.temperature(chip);
-    if (t > dvfs_.threshold_c && lvl > 0) {
+    if (t > kThresholdC && lvl > 0) {
       --lvl;
-    } else if (t < dvfs_.threshold_c - kMarginC &&
+    } else if (t < kThresholdC - kMarginC &&
                lvl + 1 < static_cast<int>(kLevels.size())) {
       ++lvl;
     }

@@ -25,14 +25,11 @@ namespace charm::power {
 enum class Policy { kNone, kNaiveDvfs, kDvfsLb, kMetaTemp };
 
 /// DVFS moves a chip one frequency level (0.5, 0.6, ..., 1.0) per control
-/// period: down above `threshold_c`, up below threshold_c - 3 °C.
-struct DvfsParams {
-  double threshold_c = 50.0;  ///< throttle above this chip temperature (°C)
-};
-
+/// period: down above the paper's 50 °C threshold, up below 47 °C.
 class Manager {
  public:
-  Manager(Runtime& rt, ThermalParams thermal, DvfsParams dvfs, double period_s);
+  /// Samples utilization and applies the policy every `period_s` seconds.
+  Manager(Runtime& rt, double period_s);
 
   /// Begin periodic control.  For kDvfsLb, `lb_period_s` sets the fixed
   /// rebalance interval; for kMetaTemp install a MetaLB advisor on rt.lb()
@@ -48,7 +45,6 @@ class Manager {
   void apply_dvfs();
 
   Runtime& rt_;
-  DvfsParams dvfs_;
   double period_;
   int pes_per_chip_;
   ThermalModel model_;

@@ -65,6 +65,11 @@ class Er {
   /// Process `n` raw bytes at `p` (read on pack, write on unpack).
   virtual void bytes(void* p, std::size_t n) = 0;
 
+  /// Bytes left to read when unpacking (unbounded in the other modes).  A
+  /// container's claimed element count is checked against it before the
+  /// container grows.
+  virtual std::size_t remaining() const { return SIZE_MAX; }
+
  private:
   Mode mode_;
 };
@@ -109,7 +114,7 @@ class Unpacker final : public Er {
     std::memcpy(p, data_ + cursor_, n);
     cursor_ += n;
   }
-  std::size_t remaining() const { return size_ - cursor_; }
+  std::size_t remaining() const override { return size_ - cursor_; }
 
  private:
   const std::byte* data_;
@@ -210,29 +215,58 @@ inline constexpr bool mem_copyable =
 
 // ---- standard library support ---------------------------------------------
 
-template <Serializer P>
-inline P& operator|(P& p, std::string& s) {
-  std::uint64_t n = s.size();
+namespace detail {
+
+/// The containers below, whose packed image starts with an element count.
+template <class T>
+struct CountPrefixed : std::false_type {};
+template <class... A>
+struct CountPrefixed<std::basic_string<A...>> : std::true_type {};
+template <class... A>
+struct CountPrefixed<std::vector<A...>> : std::true_type {};
+template <class... A>
+struct CountPrefixed<std::deque<A...>> : std::true_type {};
+
+/// Packs or unpacks the element count of a container of T.  Unpacking
+/// refuses, with std::out_of_range, a count whose elements cannot fit in the
+/// bytes left, before the container grows.  A mem-copyable T packs sizeof(T)
+/// bytes and a CountPrefixed one at least its count; a pup walk may write
+/// nothing, so a count of other types is not bounded.
+template <class T, Serializer P>
+std::size_t pup_count(P& p, std::size_t size) {
+  std::uint64_t n = size;
   p | n;
-  if (p.unpacking()) s.resize(static_cast<std::size_t>(n));
-  if (n > 0) p.bytes(s.data(), static_cast<std::size_t>(n));
+  constexpr std::size_t kEach =
+      mem_copyable<T> ? sizeof(T) : CountPrefixed<T>::value ? sizeof n : 0;
+  if (kEach > 0 && p.unpacking() && n > p.remaining() / kEach) {
+    throw std::out_of_range("pup: a count of " + std::to_string(n) + " elements exceeds the " +
+                            std::to_string(p.remaining()) + " bytes left");
+  }
+  return static_cast<std::size_t>(n);
+}
+
+}  // namespace detail
+
+template <Serializer P, class Tr, class A>
+P& operator|(P& p, std::basic_string<char, Tr, A>& s) {
+  const std::size_t n = detail::pup_count<char>(p, s.size());
+  if (p.unpacking()) s.resize(n);
+  if (n > 0) p.bytes(s.data(), n);
   return p;
 }
 
-template <Serializer P, class T>
-P& operator|(P& p, std::vector<T>& v) {
-  std::uint64_t n = v.size();
-  p | n;
-  if (p.unpacking()) v.resize(static_cast<std::size_t>(n));
+template <Serializer P, class T, class A>
+P& operator|(P& p, std::vector<T, A>& v) {
+  const std::size_t n = detail::pup_count<T>(p, v.size());
+  if (p.unpacking()) v.resize(n);
   PUParray(p, v.data(), v.size());
   return p;
 }
 
 template <Serializer P>
 inline P& operator|(P& p, std::vector<bool>& v) {
-  std::uint64_t n = v.size();
-  p | n;
-  if (p.unpacking()) v.resize(static_cast<std::size_t>(n));
+  const std::size_t n = detail::pup_count<std::uint8_t>(p, v.size());
+  if (p.unpacking()) v.resize(n);
   for (std::size_t i = 0; i < v.size(); ++i) {
     std::uint8_t b = p.unpacking() ? 0 : static_cast<std::uint8_t>(v[i]);
     p | b;
@@ -271,11 +305,10 @@ P& operator|(P& p, std::optional<T>& o) {
   return p;
 }
 
-template <Serializer P, class T>
-P& operator|(P& p, std::deque<T>& d) {
-  std::uint64_t n = d.size();
-  p | n;
-  if (p.unpacking()) d.resize(static_cast<std::size_t>(n));
+template <Serializer P, class T, class A>
+P& operator|(P& p, std::deque<T, A>& d) {
+  const std::size_t n = detail::pup_count<T>(p, d.size());
+  if (p.unpacking()) d.resize(n);
   for (auto& e : d) p | e;
   return p;
 }

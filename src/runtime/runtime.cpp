@@ -221,13 +221,12 @@ void Runtime::broadcast_forward(
     CollectionId col, EntryId ep,
     const std::shared_ptr<const std::vector<std::byte>>& payload, int priority,
     int root, int relative_rank) {
-  const bool reroute = cfg_.collectives == CollectiveTopology::kTree;
   const SpanningTree tree(active_pes_, root, cfg_.tree_fanout);
   for (int i = 1; i <= tree.arity; ++i) {
     const long child = tree.child(relative_rank, i);
     if (child >= active_pes_) break;
     const int c = static_cast<int>(child);
-    if (reroute && !pe_alive(tree.abs(c))) {
+    if (!pe_alive(tree.abs(c))) {
       broadcast_forward(col, ep, payload, priority, root, c);
     } else {
       broadcast_leg(col, ep, payload, priority, root, c);

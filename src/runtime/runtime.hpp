@@ -41,8 +41,9 @@ using LbManager = lb::Manager;
 ///          figure stats are byte-stable under it).
 ///   kTree: contributions combine per-PE and route up a k-ary spanning tree
 ///          (arity = tree_fanout) as real counted messages with per-level
-///          combine; broadcasts reroute around dead interior PEs.
-/// Broadcasts fan down the same k-ary tree in both modes.
+///          combine.
+/// Broadcasts fan down the same k-ary tree in both modes and route around
+/// dead interior PEs.
 enum class CollectiveTopology { kFlat, kTree };
 
 struct RuntimeConfig {
@@ -508,10 +509,9 @@ class Runtime {
   void broadcast_leg(CollectionId col, EntryId ep,
                      std::shared_ptr<const std::vector<std::byte>> payload,
                      int priority, int root, int relative_rank);
-  /// Forwards a broadcast to the children of `relative_rank`: flat mode sends
-  /// to every in-range child (dead PEs drop the leg and its subtree, the seed
-  /// behavior); tree mode skips dead children and descends directly to their
-  /// children so every live PE is still reached exactly once.
+  /// Forwards a broadcast to the children of `relative_rank`.  A dead child
+  /// is skipped and its children are reached directly, so every live PE
+  /// still gets the broadcast exactly once.
   void broadcast_forward(CollectionId col, EntryId ep,
                          const std::shared_ptr<const std::vector<std::byte>>& payload,
                          int priority, int root, int relative_rank);

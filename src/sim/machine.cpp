@@ -100,8 +100,7 @@ void Machine::send(int dst, std::size_t bytes, int priority, Handler fn,
   const Time at = depart + net_.transit_time(src, dst, bytes);
   queue_.emplace(at, next_seq(), dst, priority, bytes).fn = std::move(fn);
   if (!observers_.empty()) {
-    const int hops =
-        net_.params().use_topology && src != dst ? topo_.hops(src, dst) : 0;
+    const int hops = net_.hops(src, dst);
     for (Observer* o : observers_) o->on_send(src, dst, bytes, hops, depart, at);
   }
 }

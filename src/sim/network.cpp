@@ -39,7 +39,6 @@ NetworkParams NetworkParams::cloud_ethernet() {
   p.latency = 40e-6;
   p.bandwidth = 0.12e9;
   p.per_hop = 0;
-  p.use_topology = false;
   return p;
 }
 
@@ -50,8 +49,7 @@ constexpr double kSelfOverhead = 0.08e-6;  // local (same-PE) delivery overhead 
 double NetworkModel::transit_time(int src, int dst, std::size_t bytes) const {
   if (src == dst) return kSelfOverhead;
   double t = params_.latency + static_cast<double>(bytes) / params_.bandwidth;
-  if (params_.use_topology) t += params_.per_hop * topo_->hops(src, dst);
-  return t;
+  return t + params_.per_hop * hops(src, dst);
 }
 
 }  // namespace sim

@@ -15,8 +15,9 @@ struct NetworkParams {
   double alpha_recv = 0.4e-6;   ///< receiver scheduling overhead per message (s)
   double latency = 1.2e-6;      ///< base wire latency (s)
   double bandwidth = 4.0e9;     ///< payload bandwidth (bytes/s)
-  double per_hop = 40e-9;       ///< added latency per torus hop (s)
-  bool use_topology = true;     ///< include per-hop term
+  /// Added latency per torus hop (s).  0 models a network without a torus
+  /// (the cloud preset): then neither a per-hop term nor a hop count applies.
+  double per_hop = 40e-9;
 
   /// Blue Gene/Q-like: low latency, modest per-link bandwidth, big torus.
   static NetworkParams bluegene_q();
@@ -38,6 +39,12 @@ class NetworkModel {
 
   /// Time from departure at src to arrival in dst's scheduler queue.
   double transit_time(int src, int dst, std::size_t bytes) const;
+
+  /// Torus hops a src -> dst message is charged for: 0 for a self-send and
+  /// on a network with no per-hop term.
+  int hops(int src, int dst) const {
+    return params_.per_hop > 0 && src != dst ? topo_->hops(src, dst) : 0;
+  }
 
  private:
   NetworkParams params_;

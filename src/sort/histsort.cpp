@@ -14,7 +14,7 @@ using detail::SortState;
 void Sorter::local_sort(const StartMsg&) {
   const double n = static_cast<double>(keys.size());
   std::sort(keys.begin(), keys.end());
-  charm::charge(state_->params.cmp_cost * n * std::max(1.0, std::log2(std::max(2.0, n))));
+  charm::charge(kCmpCost * n * std::max(1.0, std::log2(std::max(2.0, n))));
   // Report local extrema and count: {min, -max, n} under elementwise kMin.
   const double mn = keys.empty() ? 9e15 : static_cast<double>(keys.front());
   const double mx = keys.empty() ? 0 : static_cast<double>(keys.back());
@@ -32,7 +32,7 @@ void Sorter::count(const SplitterMsg& m) {
     prev = pos;
   }
   counts[m.splitters.size()] = static_cast<double>(keys.size() - prev);
-  charm::charge(state_->params.cmp_cost * static_cast<double>(m.splitters.size()) *
+  charm::charge(kCmpCost * static_cast<double>(m.splitters.size()) *
                 std::max(1.0, std::log2(std::max(2.0, static_cast<double>(keys.size())))));
   contribute(counts, ReduceOp::kSum, state_->done_internal);
 }
@@ -82,16 +82,16 @@ void Sorter::finish_exchange_if_done() {
   for (const auto& run : incoming_) keys.insert(keys.end(), run.begin(), run.end());
   incoming_.clear();
   std::sort(keys.begin(), keys.end());  // stand-in for the k-way merge
-  charm::charge(state_->params.cmp_cost * static_cast<double>(total) *
+  charm::charge(kCmpCost * static_cast<double>(total) *
                 std::max(1.0, std::log2(static_cast<double>(std::max(2, state_->npes)))));
   contribute(state_->done_internal);
 }
 
 // ---- Library / histsort driver ----------------------------------------------------
 
-Library::Library(Runtime& rt, SortParams params)
+Library::Library(Runtime& rt, int probe_rounds)
     : rt_(rt), state_(std::make_shared<SortState>()) {
-  state_->params = params;
+  state_->probe_rounds = probe_rounds;
   state_->npes = rt.npes();
   auto st = state_;
   proxy_ = GroupProxy<Sorter>::create(rt, [st](int) { return std::make_unique<Sorter>(st); });
@@ -149,7 +149,7 @@ void start_probing(SortState* st, double key_min, double key_max) {
     st->splitters[static_cast<std::size_t>(s)] = static_cast<std::uint64_t>(
         key_min + (key_max - key_min) * (s + 1) / static_cast<double>(P));
   }
-  st->rounds_left = st->params.probe_rounds;
+  st->rounds_left = st->probe_rounds;
   // Issue the first histogram probe.
   st->done_internal = Callback::to_function([st](ReductionResult&& r) {
     refine_and_continue(st, r.nums);

@@ -19,15 +19,10 @@ using detail::SortState;
 void Sorter::send_samples(const StartMsg&) {
   // The multiway-merge baseline ships EVERY key to rank 0, which merges the
   // full set to derive exact splitters — the root gather/merge is the
-  // centralized bottleneck Fig 7 measures.  (samples_per_pe caps the shipped
-  // keys for unit tests; the figure bench uses the full set.)
+  // centralized bottleneck Fig 7 measures.
   KeysMsg m;
   m.from = my_pe();
-  const std::size_t cap = state_->params.samples_per_pe > 0
-                              ? static_cast<std::size_t>(state_->params.samples_per_pe)
-                              : keys.size();
-  const std::size_t n = std::min(keys.size(), cap);
-  m.keys.assign(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(n));
+  m.keys = keys;
   state_->proxy().on(0).send<&Sorter::collect_samples>(m);
 }
 
@@ -43,7 +38,7 @@ void Sorter::collect_samples(const KeysMsg& m) {
 
   const double n = static_cast<double>(st->samples.size());
   std::sort(st->samples.begin(), st->samples.end());
-  charm::charge(st->params.cmp_cost * n * std::max(1.0, std::log2(std::max(2.0, n))));
+  charm::charge(kCmpCost * n * std::max(1.0, std::log2(std::max(2.0, n))));
 
   const int P = st->npes;
   st->splitters.clear();

@@ -9,10 +9,10 @@
 //    logarithmic collective; nothing is centralized.
 //
 //  * merge_sort — the bulk-synchronous "MPI multiway-merge" baseline from the
-//    paper's CHARM interop study: every PE ships samples to rank 0, rank 0
-//    sorts them and picks splitters, barriers separate each phase.  The root
-//    sample processing and P point-to-point arrivals at one PE are the
-//    scalability bottleneck Fig 7 exposes.
+//    paper's CHARM interop study: every PE ships all its keys to rank 0,
+//    rank 0 sorts them and picks splitters, barriers separate each phase.
+//    The root sample processing and P point-to-point arrivals at one PE are
+//    the scalability bottleneck Fig 7 exposes.
 //
 // The Library facade doubles as the paper's interop interface function: an
 // AMPI program can hand its keys to the charm module, run the async sort,
@@ -26,11 +26,8 @@
 
 namespace charm::sortlib {
 
-struct SortParams {
-  double cmp_cost = 3e-9;       ///< cost per comparison-ish operation (s)
-  int probe_rounds = 3;         ///< histsort splitter refinement rounds
-  int samples_per_pe = 32;      ///< baseline keys shipped to root (0 = all)
-};
+/// Modelled cost per comparison-ish operation (s).
+inline constexpr double kCmpCost = 3e-9;
 
 struct StartMsg {
   int dummy = 0;
@@ -64,7 +61,7 @@ class Sorter;
 namespace detail {
 /// Shared driver state for an in-flight sort (root-side probing bookkeeping).
 struct SortState {
-  SortParams params;
+  int probe_rounds = 0;  ///< histsort splitter refinement rounds
   CollectionId col = -1;
   int npes = 0;
   Callback done;           ///< user completion callback
@@ -113,7 +110,8 @@ class Sorter : public charm::Group<Sorter> {
 
 class Library {
  public:
-  explicit Library(Runtime& rt, SortParams params = {});
+  /// `probe_rounds` is the number of histsort splitter refinement rounds.
+  explicit Library(Runtime& rt, int probe_rounds = 3);
 
   /// Deterministically fills each PE's block (keys < 2^48 so double-encoded
   /// reductions stay exact).

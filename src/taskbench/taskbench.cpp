@@ -258,8 +258,7 @@ CellResult run_cell(Runtime& rt, const Params& p) {
                static_cast<int>(static_cast<long>(i) * P / p.width), p, tasks);
   }
   if (p.use_tram) {
-    Task::tram_stream.emplace(rt, tasks,
-                              tram::Params{static_cast<std::size_t>(p.tram_buffer), 8});
+    Task::tram_stream.emplace(rt, tasks, static_cast<std::size_t>(p.tram_buffer));
   }
 
   struct Shared {

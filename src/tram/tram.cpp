@@ -5,10 +5,10 @@
 
 namespace charm::tram {
 
-Core::Core(Runtime& rt, CollectionId target, Params params)
+Core::Core(Runtime& rt, CollectionId target, std::size_t buffer_items)
     : rt_(rt),
       col_(target),
-      params_(params),
+      buffer_items_(buffer_items),
       pes_(static_cast<std::size_t>(rt.npes())) {}
 
 int Core::resolve_dest(int pe, const ObjIndex& idx) {
@@ -79,7 +79,7 @@ void Core::route_packed(int pe, const ObjIndex& idx, EntryId ep, int dest,
   if (len != 0) std::memcpy(buf.frames.data() + at + sizeof(FrameHead), data, len);
   buf.payload_bytes += len;
   ++buf.count;
-  if (buf.count >= params_.buffer_items) flush_buffer(pe, peer, flush_through);
+  if (buf.count >= buffer_items_) flush_buffer(pe, peer, flush_through);
 }
 
 Core::Buffer& Core::buffer_for(int pe, int peer) {
@@ -100,7 +100,7 @@ void Core::flush_buffer(int pe, int peer, bool flush_through) {
   Buffer buf = std::move(it->second);
   state->buffers.erase(it);
 
-  const std::size_t bytes = buf.payload_bytes + buf.count * params_.item_overhead;
+  const std::size_t bytes = buf.payload_bytes + buf.count * kItemOverhead;
   ++batches_;
   routed_items_ += buf.count;
   batch_bytes_ += bytes;

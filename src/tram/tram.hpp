@@ -15,8 +15,8 @@
 // Same-PE destinations skip packing entirely and go through the runtime's
 // typed delivery.
 //
-// Typed facade:
-//   charm::tram::Stream<&Lp::recv_event> stream(rt, lps, {.buffer_items=64});
+// Typed facade (the last argument is the per-peer flush threshold, in items):
+//   charm::tram::Stream<&Lp::recv_event> stream(rt, lps, 64);
 //   stream.send(dest_index, event);            // from any handler
 //   stream.flush_all();                        // end of phase (then QD)
 
@@ -32,15 +32,14 @@
 
 namespace charm::tram {
 
-struct Params {
-  std::size_t buffer_items = 64;  ///< flush threshold per peer buffer
-  std::size_t item_overhead = 8;  ///< modeled per-item framing bytes
-};
+/// Modelled per-item framing bytes of a batch on the wire.
+inline constexpr std::size_t kItemOverhead = 8;
 
 /// Type-erased aggregation core (one per stream, state partitioned per PE).
 class Core {
  public:
-  Core(Runtime& rt, CollectionId target, Params params);
+  /// A peer buffer flushes once it holds `buffer_items` items.
+  Core(Runtime& rt, CollectionId target, std::size_t buffer_items);
 
   /// Insert a typed item from the currently executing PE.  Local
   /// destinations are delivered through the typed fast path (no pack);
@@ -76,7 +75,7 @@ class Core {
     std::memcpy(buf.frames.data() + head_at, &head, sizeof(FrameHead));
     buf.payload_bytes += head.len;
     ++buf.count;
-    if (buf.count >= params_.buffer_items)
+    if (buf.count >= buffer_items_)
       flush_buffer(pe, peer, /*flush_through=*/false);
   }
 
@@ -143,7 +142,7 @@ class Core {
 
   Runtime& rt_;
   CollectionId col_;
-  Params params_;
+  std::size_t buffer_items_;
   /// Per-PE buffer sets, paged on first touch: a stream over a P-PE machine
   /// costs memory only on the PEs that actually insert or relay items.
   sim::PagedTable<PeState> pes_;
@@ -165,8 +164,8 @@ class Stream {
   using Item = typename Traits::Argument;
 
   template <class Ix>
-  Stream(Runtime& rt, const ArrayProxy<Element, Ix>& target, Params params = {})
-      : core_(std::make_shared<Core>(rt, target.id(), params)) {}
+  Stream(Runtime& rt, const ArrayProxy<Element, Ix>& target, std::size_t buffer_items)
+      : core_(std::make_shared<Core>(rt, target.id(), buffer_items)) {}
 
   template <class Ix>
   void send(const Ix& dest, const Item& item) const {

@@ -5,6 +5,17 @@
 
 namespace charm::tuning {
 
+namespace {
+constexpr int kWarmupSteps = 1;          // ignored steps after each change
+constexpr int kWindowSteps = 2;          // measured steps per candidate
+constexpr double kImproveMargin = 0.02;  // relative gain required to keep moving
+
+int advance(int v, int dir, int lo, int hi) {
+  int next = dir > 0 ? std::max(v + 1, v * 2) : std::min(v - 1, v / 2);
+  return std::clamp(next, lo, hi);
+}
+}  // namespace
+
 ControlPoint::ControlPoint(std::string name, int min_value, int max_value, int initial)
     : name_(std::move(name)), min_(min_value), max_(max_value), value_(initial) {
   if (min_ > max_ || initial < min_ || initial > max_)
@@ -13,10 +24,10 @@ ControlPoint::ControlPoint(std::string name, int min_value, int max_value, int i
 
 void ControlPoint::set_value(int v) { value_ = std::clamp(v, min_, max_); }
 
-Tuner::Tuner(ControlPoint& cp, Params params)
-    : cp_(cp), params_(params), best_value_(cp.value()), last_candidate_(cp.value()) {
+Tuner::Tuner(ControlPoint& cp)
+    : cp_(cp), best_value_(cp.value()), last_candidate_(cp.value()) {
   state_ = State::kWarmup;
-  steps_left_ = params_.warmup_steps;
+  steps_left_ = kWarmupSteps;
 }
 
 void Tuner::report(double step_metric) {
@@ -26,7 +37,7 @@ void Tuner::report(double step_metric) {
     case State::kWarmup:
       if (--steps_left_ <= 0) {
         state_ = State::kMeasure;
-        steps_left_ = params_.window_steps;
+        steps_left_ = kWindowSteps;
         accum_ = 0;
         accum_n_ = 0;
       }
@@ -38,13 +49,6 @@ void Tuner::report(double step_metric) {
       return;
   }
 }
-
-namespace {
-int advance(int v, int dir, int lo, int hi) {
-  int next = dir > 0 ? std::max(v + 1, v * 2) : std::min(v - 1, v / 2);
-  return std::clamp(next, lo, hi);
-}
-}  // namespace
 
 void Tuner::window_complete(double avg) {
   ++probes_;
@@ -68,7 +72,7 @@ void Tuner::window_complete(double avg) {
     return;
   }
 
-  if (avg < best_metric_ * (1.0 - params_.improve_margin)) {
+  if (avg < best_metric_ * (1.0 - kImproveMargin)) {
     // Keep moving in the improving direction.
     best_metric_ = avg;
     best_value_ = cur;
@@ -117,7 +121,7 @@ void Tuner::move_to(int v) {
   last_candidate_ = v;
   cp_.set_value(v);
   state_ = State::kWarmup;
-  steps_left_ = params_.warmup_steps;
+  steps_left_ = kWarmupSteps;
 }
 
 }  // namespace charm::tuning

@@ -30,20 +30,13 @@ class ControlPoint {
   int value_;
 };
 
-/// Hill-climbing tuner over one control point: measure a window of steps per
-/// candidate value, move in the improving direction with geometric steps,
-/// then refine and settle.
-struct TunerParams {
-  int warmup_steps = 2;         ///< ignored steps after each change
-  int window_steps = 3;         ///< measured steps per candidate
-  double improve_margin = 0.03; ///< relative gain required to keep moving
-};
-
+/// Hill-climbing tuner over one control point: ignore the first step after
+/// each change, average the next two, keep moving in the improving
+/// direction with geometric steps while a candidate beats the best by more
+/// than 2%, then refine and settle.
 class Tuner {
  public:
-  using Params = TunerParams;
-
-  explicit Tuner(ControlPoint& cp, TunerParams params = {});
+  explicit Tuner(ControlPoint& cp);
 
   /// Feed one step's metric (lower is better).  May adjust the control point.
   void report(double step_metric);
@@ -60,7 +53,6 @@ class Tuner {
   void move_to(int v);
 
   ControlPoint& cp_;
-  Params params_;
   State state_ = State::kWarmup;
   int steps_left_ = 0;
   double accum_ = 0;

@@ -215,7 +215,7 @@ TEST(Amr, DistributedLbReducesMakespan) {
     p.cell_cost = 80e-9;
     Mesh mesh(h.rt, p);
     if (with_lb) {
-      h.rt.lb().use_distributed(true);
+      h.rt.lb().use_distributed();
       h.rt.lb().set_period(4);
     }
     bool done = false;

@@ -30,7 +30,7 @@ TEST(Integration, LeanMdShrinkDoublesStepTimeExpandRestores) {
   p.epsilon = 1e-6;
   leanmd::Simulation sim(h.rt, p);
   h.rt.lb().set_strategy(lb::make_greedy());
-  ccs::Server ccs(h.rt, {.shrink_base_s = 0.01, .expand_base_s = 0.02, .per_pe_s = 0});
+  ccs::Server ccs(h.rt);
 
   bool finished = false;
   h.rt.on_pe(0, [&] {
@@ -80,14 +80,9 @@ TEST(Integration, MetaTempBeatsNaiveDvfs) {
     stencil::Sim sim(rt, sp);
     rt.lb().set_strategy(lb::make_greedy());
     if (meta) {
-      rt.lb().set_advisor(lb::make_meta_advisor(
-          {.imbalance_tol = 1.1, .horizon_rounds = 20, .default_lb_cost = 2e-3, .min_gap = 2}));
+      rt.lb().set_advisor(lb::make_meta_advisor());
     }
-    power::ThermalParams tp;
-    tp.cool_spread = 0.8;
-    power::DvfsParams dp;
-    dp.threshold_c = 50;
-    power::Manager pm(rt, tp, dp, 0.3);
+    power::Manager pm(rt, 0.3);
     pm.start(policy);
     bool done = false;
     rt.on_pe(0, [&] {

@@ -65,7 +65,7 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, SortCorrectness, ::testing::Values(1, 2, 5, 8
 TEST(Sort, HistSortProducesBalancedBlocks) {
   const int P = 16;
   Harness h(P);
-  sortlib::Library lib(h.rt, {.cmp_cost = 3e-9, .probe_rounds = 6, .samples_per_pe = 32});
+  sortlib::Library lib(h.rt, /*probe_rounds=*/6);
   lib.fill_random(7, 1024);
   bool done = false;
   h.rt.on_pe(0, [&] {
@@ -104,7 +104,7 @@ TEST(Sort, BaselineRootCostGrowsFasterWithP) {
   // histsort stays flat-ish (same per-PE data).
   auto time_sort = [](int P, bool hist) {
     Harness h(P);
-    sortlib::Library lib(h.rt, {.cmp_cost = 3e-9, .probe_rounds = 3, .samples_per_pe = 0});
+    sortlib::Library lib(h.rt);
     lib.fill_random(11, 512);
     double t0 = 0, t1 = -1;
     h.rt.on_pe(0, [&] {

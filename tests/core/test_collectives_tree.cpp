@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
-#include <set>
 #include <vector>
 
 #include "ampi/ampi.hpp"
@@ -385,43 +384,28 @@ TEST(TreeBroadcast, DeliversExactlyOnceEveryArityAndRoot) {
   }
 }
 
-TEST(FlatBroadcast, DeadInteriorPeDropsItsSubtree) {
-  // Flat mode sends the leg to a dead child anyway; it drops at delivery and
-  // takes the child's whole subtree with it.  Under arity 2 rel rank 1's
-  // subtree over 16 PEs is {1, 3, 4, 7, 8, 9, 10, 15}.
-  charm::RuntimeConfig cfg;
-  cfg.tree_fanout = 2;
-  Harness h(16, {}, cfg);
-  auto arr = ArrayProxy<Fuzzer>::create(h.rt);
-  for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
-  const int victim = 1;
-  h.machine.fail_pe(victim);
-  h.rt.on_pe(0, [&] { arr.broadcast<&Fuzzer::count>(StartMsg{}); });
-  h.machine.run();
-  const std::set<int> dropped{1, 3, 4, 7, 8, 9, 10, 15};
-  for (int i = 0; i < 32; ++i) {
-    auto* e = h.find<Fuzzer>(arr.id(), i);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->deliveries, dropped.count(i % 16) ? 0 : 1) << "element " << i;
-  }
-}
-
 TEST(TreeBroadcast, RoutesAroundFailedInteriorPe) {
   // Kill rel rank 1 (an interior node under arity 2 with children 3 and 4):
-  // the sender must skip it and descend directly, so every element on a live
-  // PE still gets the broadcast exactly once while the dead subtree root
-  // receives nothing (kDrop).
-  Harness h(16, {}, Harness::tree_config(2));
-  auto arr = ArrayProxy<Fuzzer>::create(h.rt);
-  for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
-  const int victim = 1;
-  h.machine.fail_pe(victim);
-  h.rt.on_pe(0, [&] { arr.broadcast<&Fuzzer::count>(StartMsg{}); });
-  h.machine.run();
-  for (int i = 0; i < 32; ++i) {
-    auto* e = h.find<Fuzzer>(arr.id(), i);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->deliveries, i % 16 == victim ? 0 : 1) << "element " << i;
+  // under either topology the sender must skip it and descend directly, so
+  // every element on a live PE still gets the broadcast exactly once while
+  // the dead subtree root receives nothing.
+  for (const auto topo : {charm::CollectiveTopology::kFlat, charm::CollectiveTopology::kTree}) {
+    charm::RuntimeConfig cfg;
+    cfg.collectives = topo;
+    cfg.tree_fanout = 2;
+    Harness h(16, {}, cfg);
+    auto arr = ArrayProxy<Fuzzer>::create(h.rt);
+    for (int i = 0; i < 32; ++i) arr.seed(i, i % 16);
+    const int victim = 1;
+    h.machine.fail_pe(victim);
+    h.rt.on_pe(0, [&] { arr.broadcast<&Fuzzer::count>(StartMsg{}); });
+    h.machine.run();
+    for (int i = 0; i < 32; ++i) {
+      auto* e = h.find<Fuzzer>(arr.id(), i);
+      ASSERT_NE(e, nullptr);
+      EXPECT_EQ(e->deliveries, i % 16 == victim ? 0 : 1)
+          << (topo == charm::CollectiveTopology::kTree ? "tree" : "flat") << " element " << i;
+    }
   }
 }
 
@@ -574,10 +558,8 @@ Fingerprint run_lulesh(int arity, double* checksum) {
   cfg.elems_per_dim = 4;
   cfg.iterations = 4;
   cfg.migrate_every = 2;
-  charm::ampi::Options opts;
-  opts.stack_bytes = 128 * 1024;
   bool done = false;
-  charm::lulesh::run(h.rt, cfg, opts, [&](const charm::lulesh::Stats& s) {
+  charm::lulesh::run(h.rt, cfg, charm::ampi::Options{}, [&](const charm::lulesh::Stats& s) {
     *checksum = s.checksum;
     done = true;
   });

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "pup/pup.hpp"
@@ -129,6 +133,75 @@ TEST(Pup, UnderrunThrows) {
   pup::Unpacker u(small);
   double d;
   EXPECT_THROW(u | d, std::out_of_range);
+}
+
+/// Counts every allocation made through any CountingAlloc<T>.
+int g_allocations = 0;
+
+template <class T>
+struct CountingAlloc {
+  using value_type = T;
+  CountingAlloc() = default;
+  template <class U>
+  CountingAlloc(const CountingAlloc<U>&) {}  // NOLINT(google-explicit-constructor)
+  T* allocate(std::size_t n) {
+    ++g_allocations;
+    return std::allocator<T>{}.allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) { std::allocator<T>{}.deallocate(p, n); }
+  bool operator==(const CountingAlloc&) const = default;
+};
+
+/// Unpacks `v` from `buf` through both walks (concrete Unpacker and the
+/// virtual Er), expecting std::out_of_range and no allocation by `v`.
+template <class C>
+void expect_refused_without_allocating(const std::vector<std::byte>& buf) {
+  for (const bool virtual_walk : {false, true}) {
+    C v;
+    const int before = g_allocations;  // a deque allocates on construction
+    pup::Unpacker u(buf);
+    if (virtual_walk) {
+      pup::Er& er = u;
+      EXPECT_THROW(er | v, std::out_of_range);
+    } else {
+      EXPECT_THROW(u | v, std::out_of_range);
+    }
+    EXPECT_EQ(g_allocations, before) << (virtual_walk ? "Er walk" : "Unpacker walk");
+    EXPECT_TRUE(v.empty());
+  }
+}
+
+TEST(Pup, CountBeyondTheBytesLeftThrowsBeforeAllocating) {
+  // 16 bytes that claim 2^40 elements: the count, then 8 bytes of data.
+  std::vector<std::byte> buf = pup::to_bytes(std::uint64_t{1} << 40);
+  buf.resize(16);
+  std::vector<std::uint64_t> plain;
+  pup::Unpacker u(buf);
+  EXPECT_THROW(u | plain, std::out_of_range);
+  expect_refused_without_allocating<std::vector<std::uint64_t, CountingAlloc<std::uint64_t>>>(buf);
+  expect_refused_without_allocating<std::vector<std::byte, CountingAlloc<std::byte>>>(buf);
+  expect_refused_without_allocating<
+      std::basic_string<char, std::char_traits<char>, CountingAlloc<char>>>(buf);
+  expect_refused_without_allocating<std::deque<std::uint64_t, CountingAlloc<std::uint64_t>>>(buf);
+  // Nested: each inner vector packs at least its own 8-byte count.
+  using Inner = std::vector<int>;
+  expect_refused_without_allocating<std::vector<Inner, CountingAlloc<Inner>>>(buf);
+}
+
+TEST(Pup, CountThatFitsStillRoundTrips) {
+  // The bound is exact: a count whose elements fill the buffer is accepted.
+  const std::vector<std::uint32_t> v{1, 2, 3};
+  std::vector<std::byte> buf = pup::to_bytes(v);
+  std::vector<std::uint32_t, CountingAlloc<std::uint32_t>> back;
+  pup::Unpacker u(buf);
+  u | back;
+  EXPECT_EQ(u.remaining(), 0u);
+  EXPECT_TRUE(std::equal(back.begin(), back.end(), v.begin(), v.end()));
+  buf.pop_back();
+  pup::Unpacker short_u(buf);
+  std::vector<std::uint32_t> none;
+  EXPECT_THROW(short_u | none, std::out_of_range);
+  EXPECT_EQ(none.capacity(), 0u) << "refused before the resize";
 }
 
 TEST(Pup, RngStateSurvivesMigrationRoundTrip) {

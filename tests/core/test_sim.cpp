@@ -84,7 +84,6 @@ TEST(Machine, PriorityOrdersReadyQueue) {
 
 TEST(Machine, SendDelaysScaleWithSizeAndDistance) {
   sim::MachineConfig c = cfg(64);
-  c.net.use_topology = true;
   sim::Machine m(c);
   double t_small = 0, t_big = 0;
   m.post(0, 0.0, [&] {
@@ -95,6 +94,45 @@ TEST(Machine, SendDelaysScaleWithSizeAndDistance) {
   EXPECT_GT(t_small, 0);
   const double payload_time = (1 << 20) / c.net.bandwidth;
   EXPECT_GE(t_big, t_small + payload_time * 0.5);
+}
+
+TEST(Machine, HopsAreReportedAndChargedExactlyWhenPerHopIsPositive) {
+  // One 64-byte send from PE 0 to PE 63 of a 4x4x4 torus.  A network with
+  // per_hop == 0 (the cloud preset) has no torus: no hop is reported and
+  // the transit is latency + bytes/bandwidth alone.
+  struct Send {
+    int hops = -1;
+    int torus_hops = 0;
+    double transit = 0;
+  };
+  struct Recorder : sim::Observer {
+    Send* out = nullptr;
+    void on_send(int, int, std::size_t, int hops, sim::Time depart, sim::Time at) override {
+      out->hops = hops;
+      out->transit = at - depart;
+    }
+  };
+  const auto send_0_to_63 = [](double per_hop) {
+    Send out;
+    Recorder rec;
+    rec.out = &out;
+    sim::MachineConfig c = cfg(64);
+    c.net.per_hop = per_hop;
+    sim::Machine m(c);
+    m.attach(rec);
+    m.post(0, 0.0, [&] { m.send(63, 64, 0, [] {}); });
+    m.run();
+    out.torus_hops = m.topology().hops(0, 63);
+    return out;
+  };
+  const Send none = send_0_to_63(0);
+  const Send torus = send_0_to_63(40e-9);
+  ASSERT_GT(torus.torus_hops, 0);
+  EXPECT_EQ(none.hops, 0);
+  EXPECT_EQ(torus.hops, torus.torus_hops);
+  const sim::NetworkParams n;
+  EXPECT_DOUBLE_EQ(none.transit, n.latency + 64 / n.bandwidth);
+  EXPECT_DOUBLE_EQ(torus.transit - none.transit, 40e-9 * torus.torus_hops);
 }
 
 TEST(Machine, SelfSendIsCheap) {

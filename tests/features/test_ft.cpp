@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -213,6 +215,18 @@ TEST(DiskCheckpoint, TrailingBytesAreRejected) {
   std::vector<char> bytes = write_cells(8, 1);
   bytes.insert(bytes.end(), 8, '\0');
   expect_restart_refused(bytes, "8 trailing bytes");
+}
+
+TEST(DiskCheckpoint, HugeClaimedImageIsRefusedBeforeAllocating) {
+  // The one image's byte count is patched to claim 2^40 bytes, far more
+  // than the file holds: refused as truncated, never allocated.
+  std::vector<char> bytes = write_cells(1, 1);
+  const std::size_t len_at = 2 * sizeof(std::uint64_t) + pup::size_of(CollectionId{}) +
+                             pup::size_of(ObjIndex{});
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  ASSERT_GE(bytes.size(), len_at + sizeof huge);
+  std::memcpy(bytes.data() + len_at, &huge, sizeof huge);
+  expect_restart_refused(bytes, "truncated");
 }
 
 TEST(DiskCheckpoint, UnknownCollectionIdSeedsNothing) {

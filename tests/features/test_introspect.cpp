@@ -430,7 +430,7 @@ TEST(Introspect, JournalRecordsShrinkAndExpand) {
   auto arr = ArrayProxy<Worker>::create(h.rt);
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 8);
   h.rt.lb().register_collection(arr.id());
-  ccs::Server server(h.rt, {.shrink_base_s = 0.05, .expand_base_s = 0.1, .per_pe_s = 0});
+  ccs::Server server(h.rt);
 
   bool shrunk = false;
   h.rt.on_pe(0, [&] {

@@ -11,6 +11,7 @@
 #include "runtime/charm.hpp"
 #include "trace/trace.hpp"
 
+#include "lb_reference.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -20,11 +21,10 @@ using namespace charm;
 // ---- pure strategy tests over synthetic stats --------------------------------
 
 lb::Stats synthetic_stats(int npes, const std::vector<double>& works,
-                          std::vector<double> speeds = {}) {
+                          const std::vector<double>& speeds = {}) {
   lb::Stats s;
   s.npes = npes;
-  s.pe_speed = speeds.empty() ? std::vector<double>(static_cast<std::size_t>(npes), 1.0)
-                              : std::move(speeds);
+  s.pe_speed = lbref::speed_map(speeds);
   for (std::size_t i = 0; i < works.size(); ++i) {
     lb::ChareInfo c;
     c.col = 0;
@@ -121,7 +121,6 @@ TEST(LbStrategy, OrbPreservesSpatialLocalityAndBalance) {
   // spatially compact and balanced.
   lb::Stats s;
   s.npes = 4;
-  s.pe_speed = {1, 1, 1, 1};
   for (int x = 0; x < 8; ++x) {
     for (int y = 0; y < 8; ++y) {
       lb::ChareInfo c;
@@ -283,7 +282,7 @@ TEST(LbManager, DistributedModeAlsoImproves) {
       static_cast<Worker*>(obj.get())->weight = 6.0;
     h.rt.lb().register_collection(arr.id());
     if (with_lb) {
-      h.rt.lb().use_distributed(true);
+      h.rt.lb().use_distributed();
       h.rt.lb().set_period(2);
     }
     h.rt.on_pe(0, [&] { arr.broadcast<&Worker::step>(IterMsg{10}); });
@@ -294,10 +293,7 @@ TEST(LbManager, DistributedModeAlsoImproves) {
 }
 
 TEST(LbManager, MetaAdvisorTriggersOnlyWhenWorthIt) {
-  auto advisor = lb::make_meta_advisor({.imbalance_tol = 1.2,
-                                        .horizon_rounds = 10,
-                                        .default_lb_cost = 1e-3,
-                                        .min_gap = 1});
+  auto advisor = lb::make_meta_advisor();
   std::vector<lb::RoundInfo> history;
   lb::RoundInfo balanced;
   balanced.round = 5;

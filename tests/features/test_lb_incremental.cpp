@@ -161,7 +161,7 @@ bool hosts_beyond_npes(const lb::Stats& st) {
 
 TEST(SpeedMap, ReadsMatchDenseVector) {
   const std::vector<double> dense{1.0, 0.5, 1.0, 2.0, 0.3};
-  lb::SpeedMap sm = dense;
+  lb::SpeedMap sm = lbref::speed_map(dense);
   for (std::size_t pe = 0; pe < dense.size(); ++pe) EXPECT_EQ(sm[pe], dense[pe]);
   EXPECT_EQ(sm[dense.size() + 7], 1.0);  // beyond the dense range: default
   EXPECT_EQ(sm.entries().size(), 3u);    // only the non-unit speeds are stored
@@ -185,7 +185,7 @@ TEST(SpeedMap, SumFirstMatchesAccumulateBitwise) {
     std::vector<double> dense(static_cast<std::size_t>(mix(seed) % 24));
     for (std::size_t i = 0; i < dense.size(); ++i)
       dense[i] = pool[mix(seed ^ (i + 1)) % pool.size()];
-    const lb::SpeedMap sm = dense;
+    const lb::SpeedMap sm = lbref::speed_map(dense);
     // Also probe past the dense range, where the map extends with 1.0 runs.
     std::vector<double> ext = dense;
     ext.resize(dense.size() + 5, 1.0);

@@ -12,8 +12,7 @@ namespace {
 using namespace charm;
 
 TEST(Thermal, HeatsUnderLoadCoolsWhenIdle) {
-  power::ThermalParams tp;
-  power::ThermalModel model(1, tp);
+  power::ThermalModel model(1);
   const double t0 = model.temperature(0);
   for (int i = 0; i < 200; ++i) model.step(0, 0.1, 1.0, 1.0);
   const double hot = model.temperature(0);
@@ -24,14 +23,13 @@ TEST(Thermal, HeatsUnderLoadCoolsWhenIdle) {
 }
 
 TEST(Thermal, SteadyStateScalesWithFrequencyCubed) {
-  power::ThermalParams tp;
-  power::ThermalModel m_full(1, tp), m_half(1, tp);
+  power::ThermalModel m_full(1), m_half(1);
   for (int i = 0; i < 2000; ++i) {
     m_full.step(0, 0.1, 1.0, 1.0);
     m_half.step(0, 0.1, 1.0, 0.6);
   }
-  const double rise_full = m_full.temperature(0) - tp.ambient_c;
-  const double rise_half = m_half.temperature(0) - tp.ambient_c;
+  const double rise_full = m_full.temperature(0) - power::kAmbientC;
+  const double rise_half = m_half.temperature(0) - power::kAmbientC;
   // Dynamic power at f=0.6 is ~0.22x; total rise must be much smaller.
   EXPECT_LT(rise_half, 0.55 * rise_full);
 }
@@ -65,10 +63,7 @@ TEST(PowerManager, DvfsConstrainsTemperature) {
     Runtime rt(machine);
     auto arr = ArrayProxy<Spinner>::create(rt);
     for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
-    power::ThermalParams tp;
-    power::DvfsParams dp;
-    dp.threshold_c = 50.0;
-    power::Manager pm(rt, tp, dp, /*period=*/0.25);
+    power::Manager pm(rt, /*period=*/0.25);
     pm.start(policy);
     rt.on_pe(0, [&] { arr.broadcast<&Spinner::go>(SpinMsg{1500}); });
     machine.run();

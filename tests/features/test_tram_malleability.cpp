@@ -49,7 +49,7 @@ TEST(Tram, AllItemsDeliveredExactlyOnce) {
   auto arr = ArrayProxy<Sink>::create(h.rt);
   const int nelems = 54;
   for (int i = 0; i < nelems; ++i) arr.seed(i, i % 27);
-  tram::Stream<&Sink::take> stream(h.rt, arr, {.buffer_items = 8, .item_overhead = 8});
+  tram::Stream<&Sink::take> stream(h.rt, arr, 8);
 
   const int per_sender = 40;
   bool flushed = false;
@@ -76,7 +76,7 @@ TEST(Tram, AggregatesFineGrainedTraffic) {
   Harness h(16);
   auto arr = ArrayProxy<Sink>::create(h.rt);
   for (int i = 0; i < 16; ++i) arr.seed(i, i);
-  tram::Stream<&Sink::take> stream(h.rt, arr, {.buffer_items = 32, .item_overhead = 8});
+  tram::Stream<&Sink::take> stream(h.rt, arr, 32);
   h.rt.on_pe(0, [&] {
     for (int k = 0; k < 960; ++k) stream.send(static_cast<std::int32_t>(k % 15 + 1), ItemMsg{k});
     stream.flush_all();
@@ -90,7 +90,7 @@ TEST(Tram, BatchAndControlCountersAccountForWireTraffic) {
   Harness h(8);
   auto arr = ArrayProxy<Sink>::create(h.rt);
   for (int i = 0; i < 8; ++i) arr.seed(i, i);
-  tram::Stream<&Sink::take> stream(h.rt, arr, {.buffer_items = 16, .item_overhead = 8});
+  tram::Stream<&Sink::take> stream(h.rt, arr, 16);
   h.rt.on_pe(0, [&] {
     for (int k = 0; k < 320; ++k) stream.send(static_cast<std::int32_t>(k % 7 + 1), ItemMsg{k});
     stream.flush_all();
@@ -126,7 +126,7 @@ TEST(Tram, FewerMessagesThanDirectSends) {
     Harness h(16);
     auto arr = ArrayProxy<Sink>::create(h.rt);
     for (int i = 0; i < 16; ++i) arr.seed(i, i);
-    tram::Stream<&Sink::take> stream(h.rt, arr, {.buffer_items = 64, .item_overhead = 8});
+    tram::Stream<&Sink::take> stream(h.rt, arr, 64);
     const std::uint64_t before = h.rt.messages_sent();
     h.rt.on_pe(0, [&] {
       sim::Rng rng(3);
@@ -144,7 +144,7 @@ TEST(Tram, RoutesToMigratedElements) {
   Harness h(8);
   auto arr = ArrayProxy<Sink>::create(h.rt);
   for (int i = 0; i < 8; ++i) arr.seed(i, i);
-  tram::Stream<&Sink::take> stream(h.rt, arr, {.buffer_items = 4, .item_overhead = 8});
+  tram::Stream<&Sink::take> stream(h.rt, arr, 4);
   h.rt.on_pe(5, [&] {
     // Move element 5 away from where everyone thinks it is, then stream to it.
     h.rt.migrate(arr.id(), IndexTraits<std::int32_t>::encode(5), 2);
@@ -195,7 +195,7 @@ TEST(Malleability, ShrinkEvacuatesRemovedPes) {
   auto arr = ArrayProxy<Mol>::create(rt);
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 8);
   rt.lb().register_collection(arr.id());
-  ccs::Server server(rt, {.shrink_base_s = 0.1, .expand_base_s = 0.2, .per_pe_s = 0});
+  ccs::Server server(rt);
   bool shrunk = false;
   rt.on_pe(0, [&] {
     server.request_shrink(4, Callback::to_function([&](ReductionResult&&) {
@@ -221,7 +221,7 @@ TEST(Malleability, ShrinkThenExpandRestoresThroughput) {
   auto arr = ArrayProxy<Mol>::create(rt);
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 8);
   rt.lb().register_collection(arr.id());
-  ccs::Server server(rt, {.shrink_base_s = 0.05, .expand_base_s = 0.1, .per_pe_s = 0});
+  ccs::Server server(rt);
 
   std::vector<double> round_times;
   double last = 0;
@@ -267,7 +267,7 @@ void recover_across_reconfiguration(int from, int to) {
   auto arr = ArrayProxy<Mol>::create(rt);
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 8);
   rt.lb().register_collection(arr.id());
-  ccs::Server server(rt, {.shrink_base_s = 0.05, .expand_base_s = 0.1, .per_pe_s = 0});
+  ccs::Server server(rt);
   ft::MemCheckpointer ckpt(rt);
   auto reconfigure = [&](int n) {
     bool done = false;

@@ -25,6 +25,13 @@ namespace lbref {
 using namespace charm;
 using namespace charm::lb;
 
+/// The sparse SpeedMap of a dense per-PE speed vector (PE i runs at dense[i]).
+inline SpeedMap speed_map(const std::vector<double>& dense) {
+  SpeedMap m;
+  for (std::size_t pe = 0; pe < dense.size(); ++pe) m.set(static_cast<int>(pe), dense[pe]);
+  return m;
+}
+
 /// The from-scratch gather: walk every touched PE of each collection in
 /// `cols`, then canonical-sort.  Equal to LbManager::snapshot_stats' chares.
 inline Stats rebuild_stats(Runtime& rt, const std::vector<CollectionId>& cols,
