@@ -31,7 +31,7 @@ double time_sort(int npes, bool hist, std::size_t keys_per_pe) {
     }
   });
   m.run();
-  bench::check(lib.validate(), "sort output globally sorted");
+  bench::check(lib.validate(), "sort output globally sorted and balanced");
   return t1 - t0;
 }
 

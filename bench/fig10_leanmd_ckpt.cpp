@@ -98,6 +98,8 @@ int run_resilient(int npes, int total_steps, int ckpt_period) {
     bench::note("failure schedule (seed " +
                 std::to_string(bench::options().fault_seed) + "):");
     std::printf("%s", fi.format_log().c_str());
+    std::printf("messages dropped at failed PEs: %llu\n",
+                static_cast<unsigned long long>(m.messages_dropped()));
   }
   if (!finished) {
     std::fprintf(stderr, "resilient run did not complete\n");

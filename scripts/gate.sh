@@ -27,34 +27,12 @@ fi
 ./build/bench/fig10_leanmd_ckpt --smoke --metrics=2e-4 \
   --stats="$dir/metrics/fig10_leanmd_ckpt.json" > /dev/null
 
-# Prints the top-level keys of JSON records $1 and $2 whose values differ,
-# comma-separated, in the baseline's key order.
-differing_keys() {
-  python3 - "$1" "$2" <<'PY'
-import json
-import sys
-
-try:
-    old, new = (json.load(open(p)) for p in sys.argv[1:3])
-except (OSError, ValueError) as e:
-    print(f"unreadable: {e}")
-    sys.exit(0)
-if not (isinstance(old, dict) and isinstance(new, dict)):
-    print("whole record")
-    sys.exit(0)
-missing = object()
-keys = list(old) + [k for k in new if k not in old]
-print(", ".join(k for k in keys if old.get(k, missing) != new.get(k, missing))
-      or "same values, different bytes")
-PY
-}
-
 fails=0
 for f in bench_stats/BENCH_*.json bench_stats/metrics/*.json; do
   case "$f" in *BENCH_micro.json) continue ;; esac
   new="$dir/${f#bench_stats/}"
   cmp -s "$f" "$new" || {
-    echo "DIFFERS: $f [$(differing_keys "$f" "$new")]" >&2
+    echo "DIFFERS: $f [$(python3 scripts/differing_keys.py "$f" "$new")]" >&2
     fails=$((fails + 1))
   }
 done

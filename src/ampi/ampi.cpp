@@ -15,8 +15,7 @@ World::World(Runtime& rt, int nranks, MainFn main, Options opts)
   auto proxy = ArrayProxy<Rank, std::int32_t>::create(rt);
   state_->col = proxy.id();
   Collection& c = rt.collection(proxy.id());
-  c.raw_move = true;          // ULT stacks move as live objects
-  c.checkpointable = false;   // stacks cannot be byte-serialized
+  c.raw_move = true;  // ULT stacks move as live objects, never byte-serialized
   for (int r = 0; r < nranks; ++r) {
     proxy.seed(static_cast<std::int32_t>(r), initial_pe(r), state_);
   }

@@ -34,7 +34,7 @@ void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done) {
   pk | n;
   for (std::size_t ci = 0; ci < rt.collection_count(); ++ci) {
     Collection& c = rt.collection(static_cast<CollectionId>(ci));
-    if (!c.checkpointable) continue;
+    if (!c.checkpointable()) continue;
     c.pe.for_each_touched([&](std::size_t pe, PeLocal& pl) {
       for (auto& [ix, obj] : pl.elems) {
         ElementImage head{c.id, ix, {}};

@@ -1,7 +1,6 @@
 #include "ft/mem_checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -49,7 +48,7 @@ void MemCheckpointer::checkpoint(Callback done) {
       double bytes = 0;
       for (std::size_t ci = 0; ci < rt_.collection_count(); ++ci) {
         Collection& c = rt_.collection(static_cast<CollectionId>(ci));
-        if (!c.checkpointable) continue;
+        if (!c.checkpointable()) continue;
         PeLocal* pl = c.local_if(pe);
         if (pl == nullptr) continue;  // PE hosts nothing of this collection
         for (auto& [ix, obj] : pl->elems) {
@@ -177,7 +176,7 @@ void MemCheckpointer::begin_restore() {
   // Phase 1: every PE discards its live elements (rollback).
   for (std::size_t ci = 0; ci < rt_.collection_count(); ++ci) {
     Collection& c = rt_.collection(static_cast<CollectionId>(ci));
-    if (!c.checkpointable) continue;
+    if (!c.checkpointable()) continue;
     rt_.clear_reductions(c.id);
     // Touched-only rollback sweep; extract_local mutates the visited block's
     // maps but never materializes new blocks, so iteration stays safe.
@@ -200,21 +199,13 @@ void MemCheckpointer::begin_restore() {
     if (--*remaining != 0) return;
     // Re-replicated: each victim again holds its predecessor's buddy copy.
     for (int v : pending_victims_) buddy_valid_[static_cast<std::size_t>(v)] = 1;
-    std::vector<int> vs = pending_victims_;
-    std::sort(vs.begin(), vs.end());  // the recovery log lists victims ascending
     rt_.rebuild_location_tables();
     rt_.after(rt_.my_pe(), kRestartBarriers * 2.0 * rt_.tree_wave_latency(),
-              [this, ep, vs]() {
+              [this, ep]() {
                 if (epoch_ != ep) return;
                 rt_.machine().note_phase(sim::PhaseEvent{
                     sim::Phase::kRestore, /*pe=*/0, burst_begin_, rt_.now(),
-                    static_cast<int>(vs.size()), rt_.now() - burst_begin_});
-                RecoveryRecord rec;
-                rec.ordinal = recoveries_;
-                rec.fail_time = burst_begin_;
-                rec.done_time = rt_.now();
-                rec.victims = vs;
-                recovery_log_.push_back(std::move(rec));
+                    static_cast<int>(pending_victims_.size()), rt_.now() - burst_begin_});
                 ++recoveries_;
                 pending_victims_.clear();
                 std::vector<Callback> cbs = std::move(recovery_done_cbs_);
@@ -266,22 +257,6 @@ void MemCheckpointer::begin_restore() {
       rt_.send_control(v, static_cast<std::size_t>(bytes), finish);
     });
   }
-}
-
-std::string MemCheckpointer::format_recovery_log() const {
-  std::string out;
-  char buf[128];
-  for (const RecoveryRecord& r : recovery_log_) {
-    std::snprintf(buf, sizeof(buf), "#%d fail=%.17g done=%.17g victims=[",
-                  r.ordinal, r.fail_time, r.done_time);
-    out += buf;
-    for (std::size_t i = 0; i < r.victims.size(); ++i) {
-      if (i != 0) out += ',';
-      out += std::to_string(r.victims[i]);
-    }
-    out += "]\n";
-  }
-  return out;
 }
 
 }  // namespace charm::ft

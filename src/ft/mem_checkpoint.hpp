@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "ft/checkpoint.hpp"
@@ -49,14 +48,6 @@ namespace charm::ft {
 
 struct MemCkptParams {
   double detect_delay = 10e-3;   ///< failure detection time before recovery (s)
-};
-
-/// One completed recovery (possibly covering several coalesced failures).
-struct RecoveryRecord {
-  int ordinal = 0;
-  double fail_time = 0;          ///< first failure of the burst
-  double done_time = 0;          ///< restore complete, application resumes
-  std::vector<int> victims;      ///< PEs revived by this recovery
 };
 
 class MemCheckpointer {
@@ -92,11 +83,8 @@ class MemCheckpointer {
   int checkpoints_taken() const { return checkpoints_; }
   int checkpoints_aborted() const { return ckpt_aborted_; }
   bool recovery_pending() const { return !pending_victims_.empty(); }
+  /// Completed recoveries; each is one kRestore phase fact (aux = victims).
   int recoveries_completed() const { return recoveries_; }
-
-  const std::vector<RecoveryRecord>& recovery_log() const { return recovery_log_; }
-  /// Canonical text form; byte-identical across same-seed runs.
-  std::string format_recovery_log() const;
 
  private:
   /// Common failure path (manual fail_and_recover and injected failures).
@@ -125,7 +113,6 @@ class MemCheckpointer {
   std::vector<int> pending_victims_;
   std::vector<Callback> recovery_done_cbs_;
   int recoveries_ = 0;
-  std::vector<RecoveryRecord> recovery_log_;
   std::function<void(int)> failure_observer_;
   std::function<void()> recovery_observer_;
   double burst_begin_ = 0;  ///< first failure time, for the trace restore span

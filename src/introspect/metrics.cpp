@@ -8,26 +8,6 @@
 
 namespace introspect {
 
-const char* journal_kind_name(sim::Phase k) {
-  switch (k) {
-    case sim::Phase::kLbRound:
-      return "lb_round";
-    case sim::Phase::kCheckpoint:
-      return "checkpoint";
-    case sim::Phase::kDiskCheckpoint:
-      return "disk_checkpoint";
-    case sim::Phase::kRestore:
-      return "restore";
-    case sim::Phase::kFailure:
-      return "failure";
-    case sim::Phase::kShrink:
-      return "shrink";
-    case sim::Phase::kExpand:
-      return "expand";
-  }
-  return "?";
-}
-
 void Monitor::attach(sim::Machine& m) {
   detach();
   reset(m.npes());
@@ -70,12 +50,6 @@ Monitor::BusyFold Monitor::busy_fold() const {
     sum += pc.busy;
   });
   return {mx, pes_.size() == 0 ? 0 : sum / static_cast<double>(pes_.size())};
-}
-
-void Monitor::on_phase(const sim::PhaseEvent& ev) {
-  // Barrier-only LB rounds (no strategy ran) are traced but not journaled.
-  if (ev.kind == sim::Phase::kLbRound && ev.aux < 0) return;
-  journal_.push_back(JournalEvent{ev.end, ev.kind, ev.aux, ev.value});
 }
 
 void Monitor::sample_up_to(double now) {

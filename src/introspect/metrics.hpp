@@ -8,8 +8,8 @@
 // update that never calls charge(), and sampling rides the existing
 // Machine::step boundaries — the sampler injects NO events of its own, so
 // the event order, every virtual clock, and every figure series are
-// bit-identical with metrics on or off.  The journal keeps every phase fact
-// except barrier-only LB rounds, which only the tracer records.
+// bit-identical with metrics on or off.  The journal keeps every phase fact,
+// as the tracer does.
 //
 // What it exports is a timeline: fixed-size POD samples recorded at
 // t = k·interval, plus a decision journal of LB rounds, FT checkpoints/
@@ -25,11 +25,8 @@
 
 namespace introspect {
 
-/// Stable journal wire name of a phase ("lb_round", "checkpoint", ...).
-const char* journal_kind_name(sim::Phase k);
-
 /// One decision-journal row, tagged onto the sample timeline (field meanings
-/// per sim::Phase).
+/// per sim::Phase; `kind` prints as sim::phase_name).
 struct JournalEvent {
   double t = 0;
   sim::Phase kind{};
@@ -114,7 +111,9 @@ class Monitor : public sim::Observer {
     pes_.ref(static_cast<std::size_t>(pe)).busy += dt;
     busy_ += dt;
   }
-  void on_phase(const sim::PhaseEvent& ev) override;
+  void on_phase(const sim::PhaseEvent& ev) override {
+    journal_.push_back(JournalEvent{ev.end, ev.kind, ev.aux, ev.value});
+  }
   /// End of every Machine::step: refresh event-queue depth and record any
   /// crossed sample boundaries (timestamps are exact multiples of the
   /// interval, so the timeline is monotone and byte-deterministic).

@@ -55,7 +55,7 @@ std::int64_t Manager::registered_total() const {
 
 void Manager::on_element_added(Collection& c, ArrayElementBase& e) {
   if (!tracked(c.id)) return;
-  e.lb_slot_ = db_.add(c.id, e.idx_, e.pe_, e.lb_round_load_, e.migratable_, c.migratable,
+  e.lb_slot_ = db_.add(c.id, e.idx_, e.pe_, e.lb_round_load_, e.migratable_, c.migratable(),
                        e.lb_coords(), &e);
 }
 

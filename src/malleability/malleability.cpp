@@ -14,9 +14,10 @@ constexpr double kPerPeS = 0.004;     // added cost per target PE (s)
 
 // Both CCS entry points funnel into lb::Manager::request_reconfig, whose
 // barrier-synchronized commit is the single point where the reconfiguration
-// actually takes effect — that is where the introspection decision journal
-// records the kShrink/kExpand event (with the old PE count), so direct
-// request_reconfig callers and CCS-driven ones land on the same timeline.
+// actually takes effect — that is where the one kShrink/kExpand phase fact
+// (with the old PE count) is reported to the trace and the journal alike, so
+// direct request_reconfig callers and CCS-driven ones land on the same
+// timeline.
 
 void Server::request_shrink(int target_pes, Callback done) {
   if (target_pes <= 0 || target_pes > rt_.active_pes())

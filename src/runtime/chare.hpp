@@ -64,8 +64,7 @@ class ArrayElementBase {
   /// runtime calls resume_from_sync() when the round completes.
   void at_sync();
 
-  /// Excludes this element from load balancing migrations.
-  void set_migratable(bool m) { migratable_ = m; }
+  /// False for group members, which load balancing never moves.
   bool migratable() const { return migratable_; }
 
   /// Load accumulated since the last AtSync (virtual seconds).

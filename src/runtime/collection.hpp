@@ -102,10 +102,14 @@ class Collection {
 
   CollectionId id = -1;
   ChareTypeId type = -1;
-  bool migratable = true;
   bool raw_move = false;   ///< move live objects without PUP (AMPI ranks)
   bool is_group = false;
-  bool checkpointable = true;  ///< included in FT checkpoints (groups are not)
+
+  /// Load balancing may move its elements (groups stay put).
+  bool migratable() const { return !is_group; }
+  /// Included in FT checkpoints: not groups, and not raw-moved collections,
+  /// whose live objects cannot be byte-serialized.
+  bool checkpointable() const { return !is_group && !raw_move; }
 
   /// Per-PE blocks, paged on first touch: a PE that never hosts an element,
   /// home record, or cache entry for this collection costs zero bytes

@@ -36,10 +36,6 @@ CollectionId Runtime::create_collection(ChareTypeId type, bool is_group) {
   c->id = static_cast<CollectionId>(collections_.size());
   c->type = type;
   c->is_group = is_group;
-  if (is_group) {
-    c->migratable = false;
-    c->checkpointable = false;
-  }
   collections_.push_back(std::move(c));
   return collections_.back()->id;
 }

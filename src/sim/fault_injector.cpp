@@ -19,7 +19,6 @@ void FaultInjector::configure(FaultConfig cfg) {
   armed_oneshot_ = false;
   budget_used_ = 0;
   log_.clear();
-  record_of_pe_.clear();
   schedule_next(cfg_.start_after);
 }
 
@@ -142,35 +141,14 @@ void FaultInjector::committed(const FaultRecord& rec) {
   FaultRecord stored = rec;
   stored.ordinal = static_cast<int>(log_.size());
   log_.push_back(stored);
-  if (rec.pe >= 0) {
-    if (record_of_pe_.size() <= static_cast<std::size_t>(rec.pe))
-      record_of_pe_.resize(static_cast<std::size_t>(rec.pe) + 1, -1);
-    record_of_pe_[static_cast<std::size_t>(rec.pe)] = stored.ordinal;
-  }
   if (listener_) listener_(log_.back());
-}
-
-void FaultInjector::note_inflight(int pe) {
-  if (pe < 0 || static_cast<std::size_t>(pe) >= record_of_pe_.size()) return;
-  const int ord = record_of_pe_[static_cast<std::size_t>(pe)];
-  if (ord < 0) return;
-  ++log_[static_cast<std::size_t>(ord)].dropped_inflight;
-}
-
-void FaultInjector::revived(int pe) {
-  if (pe >= 0 && static_cast<std::size_t>(pe) < record_of_pe_.size())
-    record_of_pe_[static_cast<std::size_t>(pe)] = -1;
 }
 
 std::string FaultInjector::format_log() const {
   std::string out;
-  char line[160];
+  char line[80];
   for (const FaultRecord& r : log_) {
-    std::snprintf(line, sizeof(line),
-                  "#%d t=%.17g pe=%d ready=%llu dropped=%llu\n",
-                  r.ordinal, r.time, r.pe,
-                  static_cast<unsigned long long>(r.dropped_ready),
-                  static_cast<unsigned long long>(r.dropped_inflight));
+    std::snprintf(line, sizeof(line), "#%d t=%.17g pe=%d\n", r.ordinal, r.time, r.pe);
     out += line;
   }
   return out;

@@ -21,8 +21,10 @@
 // queued messages and every later arrival are disposed of, each handler
 // running in a zero-cost quarantine context so upper-layer accounting
 // (quiescence counting) still balances.  Each failure appends a FaultRecord
-// to a log; the log's canonical text form is byte-identical across runs with
-// the same seed, which is what the resilience harness asserts.
+// (when and whom) to a log whose canonical text form is byte-identical
+// across runs with the same seed.  Observers see each failure as its one
+// kFailure phase fact, and the messages it disposed count only in
+// Machine::messages_dropped().
 //
 // The injector is pure sim-layer machinery: recovery is the business of
 // whoever registers the failure listener (ft::MemCheckpointer in practice).
@@ -64,11 +66,9 @@ struct FaultConfig {
 };
 
 struct FaultRecord {
-  int ordinal = 0;              ///< 0-based injection index
-  Time time = 0;                ///< exact virtual injection timestamp
-  int pe = -1;                  ///< victim
-  std::uint64_t dropped_ready = 0;     ///< victim's queued messages disposed
-  std::uint64_t dropped_inflight = 0;  ///< later arrivals disposed while dead
+  int ordinal = 0;  ///< 0-based injection index
+  Time time = 0;    ///< exact virtual injection timestamp
+  int pe = -1;      ///< victim
 };
 
 class FaultInjector {
@@ -108,18 +108,12 @@ class FaultInjector {
   /// Commits a fired failure: appends to the log, advances the schedule,
   /// then invokes the listener.
   void committed(const FaultRecord& rec);
-  /// Counts one in-flight disposal into the record of `pe`'s injected
-  /// failure, if it is still quarantined by one (log stays deterministic:
-  /// counts are part of replay).
-  void note_inflight(int pe);
-  /// Closes `pe`'s failure record: once revived, a later manual failure of
-  /// `pe` counts its disposals into no injected record.
-  void revived(int pe);
 
   // ---- results -------------------------------------------------------------
   const std::vector<FaultRecord>& log() const { return log_; }
   int failures_injected() const { return static_cast<int>(log_.size()); }
-  /// Canonical text form of the log; byte-identical across same-seed runs.
+  /// Canonical text form of the log ("#k t=T pe=P" per failure);
+  /// byte-identical across same-seed runs.
   std::string format_log() const;
 
  private:
@@ -137,7 +131,6 @@ class FaultInjector {
   int armed_victim_ = -1;
   int budget_used_ = 0;      ///< fired + skipped failures
   std::vector<FaultRecord> log_;
-  std::vector<int> record_of_pe_;  ///< per-PE index of the live failure record
 };
 
 }  // namespace sim

@@ -143,7 +143,6 @@ bool Machine::step() {
     if (p.failed_) {
       // In-flight message reaches a quarantined PE: dispose of it.
       dispose(pe, id);
-      if (injector_ != nullptr) injector_->note_inflight(pe);
       for (Observer* o : observers_) o->on_step(time_, queue_.size());
       return true;
     }
@@ -205,23 +204,18 @@ void Machine::inject_failure() {
     return;
   }
   time_ = t;
-  FaultRecord rec;
-  rec.time = t;
-  rec.pe = victim;
-  fail_pe(victim, &rec);
-  injector_->committed(rec);
+  fail_pe(victim);
+  injector_->committed(FaultRecord{.time = t, .pe = victim});
 }
 
-void Machine::fail_pe(int pe_id, FaultRecord* rec) {
+void Machine::fail_pe(int pe_id) {
   check_pe("sim::Machine::fail_pe", pe_id);
   // ref(), not probe(): failing a never-touched PE must materialize it so the
   // quarantine flag persists for later arrivals.
   Pe& p = pes_.ref(static_cast<std::size_t>(pe_id));
   if (p.failed_) return;
   p.failed_ = true;
-  if (rec != nullptr) rec->dropped_ready = p.ready_.size();
   // Dispose queued messages in deterministic (priority, arrival, seq) order.
-  // They count as dropped_ready, not as in-flight disposals.
   while (!p.ready_.empty()) dispose(pe_id, p.ready_.pop(queue_));
   // Outside a handler now() is time_, so an injected failure is stamped at
   // its injection time; a failure raised inside a handler at the handler's
@@ -239,7 +233,6 @@ void Machine::revive_pe(int pe_id) {
   // pages for PEs that were never failed in the first place.
   Pe* p = pes_.probe(static_cast<std::size_t>(pe_id));
   if (p != nullptr) p->failed_ = false;
-  if (injector_ != nullptr) injector_->revived(pe_id);
 }
 
 void Machine::dispose(int dead_pe, EventQueue::SlotId id) {

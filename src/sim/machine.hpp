@@ -35,7 +35,6 @@ class Tracer;
 namespace sim {
 
 class FaultInjector;
-struct FaultRecord;
 
 struct MachineConfig {
   int npes = 1;
@@ -176,11 +175,10 @@ class Machine {
   }
   /// Quarantines `pe` immediately: queued messages are disposed (see
   /// dispose()) and later arrivals are disposed on delivery.  Observers see
-  /// one kFailure phase stamped at now().  `rec`, when given, accumulates
-  /// the injector's disposal counts.  The one way a PE fails: driven by the
-  /// injector and by ft::MemCheckpointer; a no-op on a PE already failed.
-  /// Throws std::out_of_range unless 0 <= pe < npes().
-  void fail_pe(int pe, FaultRecord* rec = nullptr);
+  /// one kFailure phase stamped at now().  The one way a PE fails: driven
+  /// by the injector and by ft::MemCheckpointer; a no-op on a PE already
+  /// failed.  Throws std::out_of_range unless 0 <= pe < npes().
+  void fail_pe(int pe);
   /// Lifts the quarantine (the replacement process takes over the slot).
   /// Throws std::out_of_range unless 0 <= pe < npes().
   void revive_pe(int pe);

@@ -5,13 +5,14 @@
 // phase, the end of an event-loop step) is one hook call made once at its
 // site.  trace::Tracer (the Projections-style event log) and
 // introspect::Monitor (the sampled metrics timeline plus the decision
-// journal) are two sinks of it; where their views differ, each sink filters
-// for itself.
+// journal) are two sinks of it, and neither filters: every phase fact
+// reaches both under the one name sim::phase_name gives it.
 //
 // Hooks never charge virtual time, so attaching any set of observers leaves
 // every virtual clock bit-identical.  With nothing attached each hook site
 // costs one branch.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -21,9 +22,9 @@ namespace sim {
 
 class Machine;
 
-/// Runtime phases and decisions on the virtual timeline.  Wire names:
-/// trace::phase_name (trace and stats phases), introspect::journal_kind_name
-/// (the metrics journal).
+/// Runtime phases and decisions on the virtual timeline.  Each one has a
+/// single wire name, kPhaseNames[kind]: the trace span, the stats `phases`
+/// segment and the metrics journal row all print it.
 enum class Phase : std::uint8_t {
   kLbRound,         ///< AtSync LB round; aux = migrations (-1: barrier only), value = cost (s)
   kCheckpoint,      ///< in-memory double checkpoint committed; value = bytes
@@ -33,6 +34,13 @@ enum class Phase : std::uint8_t {
   kShrink,          ///< malleability reconfiguration down; aux = target PEs, value = old
   kExpand,          ///< malleability reconfiguration up; aux = target PEs, value = old
 };
+
+/// Wire name of every Phase, in enumerator order.
+inline constexpr std::array<const char*, 7> kPhaseNames = {
+    "lb_step", "checkpoint", "disk_checkpoint", "restore", "failure", "shrink", "expand"};
+static_assert(kPhaseNames.size() == static_cast<std::size_t>(Phase::kExpand) + 1);
+
+constexpr const char* phase_name(Phase p) { return kPhaseNames[static_cast<std::size_t>(p)]; }
 
 /// One phase span or decision.  `end` doubles as the journal timestamp.
 struct PhaseEvent {

@@ -89,9 +89,7 @@ void Sorter::finish_exchange_if_done() {
 
 // ---- Library / histsort driver ----------------------------------------------------
 
-Library::Library(Runtime& rt, int probe_rounds)
-    : rt_(rt), state_(std::make_shared<SortState>()) {
-  state_->probe_rounds = probe_rounds;
+Library::Library(Runtime& rt) : rt_(rt), state_(std::make_shared<SortState>()) {
   state_->npes = rt.npes();
   auto st = state_;
   proxy_ = GroupProxy<Sorter>::create(rt, [st](int) { return std::make_unique<Sorter>(st); });
@@ -122,13 +120,20 @@ std::uint64_t Library::total_keys() const {
 
 bool Library::validate() const {
   std::uint64_t prev = 0;
+  std::size_t run = 0, longest_run = 0, largest_block = 0;
   for (int pe = 0; pe < rt_.npes(); ++pe) {
-    for (std::uint64_t k : keys_on(pe)) {
+    const std::vector<std::uint64_t>& block = keys_on(pe);
+    largest_block = std::max(largest_block, block.size());
+    for (std::uint64_t k : block) {
       if (k < prev) return false;
+      run = run > 0 && k == prev ? run + 1 : 1;
+      longest_run = std::max(longest_run, run);
       prev = k;
     }
   }
-  return true;
+  const double ideal = static_cast<double>(total_keys()) / rt_.npes();
+  return static_cast<double>(largest_block) <=
+         kBalanceTolerance * ideal + static_cast<double>(longest_run);
 }
 
 namespace {
@@ -142,14 +147,19 @@ void refine_and_continue(SortState* st, const std::vector<double>& counts);
 
 void start_probing(SortState* st, double key_min, double key_max) {
   const int P = st->npes;
-  st->splitters.resize(static_cast<std::size_t>(P - 1));
-  st->lo.assign(static_cast<std::size_t>(P - 1), static_cast<std::uint64_t>(key_min));
-  st->hi.assign(static_cast<std::size_t>(P - 1), static_cast<std::uint64_t>(key_max) + 1);
+  const auto n = static_cast<std::size_t>(P - 1);
+  st->splitters.resize(n);
+  // Every bracket starts as the whole key range, counted as holding no keys
+  // at its bottom and all keys at its top (the total the first probe reports).
+  st->lo.assign(n, static_cast<std::uint64_t>(key_min));
+  st->hi.assign(n, static_cast<std::uint64_t>(key_max));
+  st->cum_lo.assign(n, 0);
+  st->cum_hi.assign(n, 0);
   for (int s = 0; s < P - 1; ++s) {
     st->splitters[static_cast<std::size_t>(s)] = static_cast<std::uint64_t>(
         key_min + (key_max - key_min) * (s + 1) / static_cast<double>(P));
   }
-  st->rounds_left = st->probe_rounds;
+  st->rounds_left = kProbeRounds;
   // Issue the first histogram probe.
   st->done_internal = Callback::to_function([st](ReductionResult&& r) {
     refine_and_continue(st, r.nums);
@@ -166,13 +176,14 @@ void begin_exchange(SortState* st) {
 }
 
 void refine_and_continue(SortState* st, const std::vector<double>& counts) {
-  // Root-side refinement: adjust each splitter toward its ideal cumulative
-  // rank by bisecting its bracket.
+  // Root-side refinement: narrow each splitter's bracket with the probe's
+  // cumulative count, then probe where the bracket's two measured counts
+  // interpolate to the ideal rank.
   Runtime::current().charge(1e-6 + 0.2e-6 * static_cast<double>(counts.size()));
   const int P = st->npes;
   double total = 0;
   for (double c : counts) total += c;
-  st->total_keys = total;
+  const bool first_probe = st->rounds_left == kProbeRounds;
 
   double cum = 0;
   std::vector<double> cum_at(static_cast<std::size_t>(P - 1), 0);
@@ -186,19 +197,26 @@ void refine_and_continue(SortState* st, const std::vector<double>& counts) {
     return;
   }
   for (int s = 0; s < P - 1; ++s) {
+    const auto i = static_cast<std::size_t>(s);
     const double ideal = total * (s + 1) / static_cast<double>(P);
-    auto& sp = st->splitters[static_cast<std::size_t>(s)];
-    auto& lo = st->lo[static_cast<std::size_t>(s)];
-    auto& hi = st->hi[static_cast<std::size_t>(s)];
-    if (cum_at[static_cast<std::size_t>(s)] < ideal) {
-      lo = sp;
+    auto& sp = st->splitters[i];
+    if (first_probe) st->cum_hi[i] = total;
+    if (cum_at[i] < ideal) {
+      st->lo[i] = sp;
+      st->cum_lo[i] = cum_at[i];
     } else {
-      hi = sp;
+      st->hi[i] = sp;
+      st->cum_hi[i] = cum_at[i];
     }
-    sp = lo + (hi - lo) / 2;
+    const std::uint64_t lo = st->lo[i], hi = st->hi[i];
+    const double span = st->cum_hi[i] - st->cum_lo[i];
+    const double frac = span > 0 ? (ideal - st->cum_lo[i]) / span : 0.5;
+    // Keys are < 2^48, so the bracket width converts to double exactly.
+    const auto step = static_cast<std::uint64_t>(frac * static_cast<double>(hi - lo));
+    sp = std::min(hi, lo + std::max<std::uint64_t>(step, 1));
   }
-  // Independent bisection brackets can momentarily cross; keep the splitter
-  // vector monotone so bucket boundaries stay well-formed.
+  // Independent brackets can momentarily cross; keep the splitter vector
+  // monotone so bucket boundaries stay well-formed.
   for (std::size_t s2 = 1; s2 < st->splitters.size(); ++s2)
     st->splitters[s2] = std::max(st->splitters[s2], st->splitters[s2 - 1]);
   st->done_internal = Callback::to_function([st](ReductionResult&& r) {

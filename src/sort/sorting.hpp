@@ -28,6 +28,9 @@ namespace charm::sortlib {
 
 /// Modelled cost per comparison-ish operation (s).
 inline constexpr double kCmpCost = 3e-9;
+/// Histogram probes per hist_sort: each one counts every PE's keys against
+/// the current splitters, and the last probed splitters are final.
+inline constexpr int kProbeRounds = 3;
 
 struct StartMsg {
   int dummy = 0;
@@ -61,7 +64,6 @@ class Sorter;
 namespace detail {
 /// Shared driver state for an in-flight sort (root-side probing bookkeeping).
 struct SortState {
-  int probe_rounds = 0;  ///< histsort splitter refinement rounds
   CollectionId col = -1;
   int npes = 0;
   Callback done;           ///< user completion callback
@@ -70,8 +72,10 @@ struct SortState {
   // Histogram probing (root-side).
   int rounds_left = 0;
   std::vector<std::uint64_t> splitters;
-  std::vector<std::uint64_t> lo, hi;  ///< bisection bracket per splitter
-  double total_keys = 0;
+  /// Bracket per splitter: keys <= lo[s] number cum_lo[s], below the
+  /// splitter's ideal rank, and keys <= hi[s] number cum_hi[s], at or above it.
+  std::vector<std::uint64_t> lo, hi;
+  std::vector<double> cum_lo, cum_hi;
 
   // Baseline sample collection (root-side).
   std::vector<std::uint64_t> samples;
@@ -110,8 +114,7 @@ class Sorter : public charm::Group<Sorter> {
 
 class Library {
  public:
-  /// `probe_rounds` is the number of histsort splitter refinement rounds.
-  explicit Library(Runtime& rt, int probe_rounds = 3);
+  explicit Library(Runtime& rt);
 
   /// Deterministically fills each PE's block (keys < 2^48 so double-encoded
   /// reductions stay exact).
@@ -124,8 +127,11 @@ class Library {
   /// Bulk-synchronous sample/merge sort baseline with a centralized root.
   void merge_sort(Callback done);
 
-  /// Post-conditions: globally sorted across PE blocks, same multiset size.
+  /// Post-conditions: globally sorted across PE blocks, and no block holds
+  /// more than kBalanceTolerance x its ideal share (total keys / PEs) plus
+  /// the longest run of one key value, which no splitter can cut.
   bool validate() const;
+  static constexpr double kBalanceTolerance = 1.05;
   std::uint64_t total_keys() const;
   const std::vector<std::uint64_t>& keys_on(int pe) const;
 

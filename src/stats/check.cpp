@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/observer.hpp"
 #include "stats/schema.hpp"
 
 namespace stats {
@@ -35,6 +36,12 @@ void expect(bool ok, const std::string& where, const A&... what) {
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// True when `s` is the wire name of a sim::Phase.
+bool is_phase_name(const std::string& s) {
+  return std::find(sim::kPhaseNames.begin(), sim::kPhaseNames.end(), s) !=
+         sim::kPhaseNames.end();
+}
 
 /// Relative tolerance `tol`, with a 1e-12 absolute floor for values near 0
 /// (virtual times are ~1e-6..1e2 s, so a floor as large as `tol` would hide
@@ -211,14 +218,12 @@ void check_metrics(const Value& doc) {
     expect(num(s, "evq_hwm", w, 0) >= num(s, "evq", w, 0), w, "evq_hwm < evq");
     prev = &s;
   });
-  static const std::set<std::string> kKinds = {
-      "lb_round", "checkpoint", "disk_checkpoint", "restore", "failure", "shrink", "expand"};
   double prev_t = 0;
   each_row(doc, schema::kJournal, [&](const Value& e, std::size_t, const std::string& w) {
     const double t = num(e, "t", w, 0);
     expect(t >= prev_t, w, "t ", t, " out of order");
     prev_t = t;
-    expect(kKinds.count(e.str("kind")) == 1, w, "unknown kind \"", e.str("kind"), "\"");
+    expect(is_phase_name(e.str("kind")), w, "unknown kind \"", e.str("kind"), "\"");
     at_least(e, w, {{"aux", -kInf}, {"value", -kInf}});
   });
 }
@@ -338,6 +343,11 @@ void check_doc(const std::string& raw, const Value& doc) {
                                                           const std::string& w) {
     expect_keys(*ph.find("imbalance"), schema::kImbalance, w + ".imbalance");
     expect(i == 0 || close(num(ph, "t0", w), prev_t1), w, "gap after previous phase");
+    // A segment is named by the phase span that opened it; the first one is
+    // "start", or "run" when no phase cut the run.
+    const std::string name = ph.str("name");
+    expect(i == 0 ? name == "start" || name == "run" : is_phase_name(name), w,
+           "unknown phase name \"", name, "\"");
     prev_t1 = num(ph, "t1", w);
   });
   expect(!phases.empty(), "phases", "empty");

@@ -113,7 +113,7 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
   for (const trace::Event& e : events) {
     if (e.kind != trace::Kind::kPhase) continue;
     if (e.end <= 0 || e.end >= r.makespan) continue;
-    boundary_names.emplace(e.end, trace::phase_name(e.phase));  // first writer wins
+    boundary_names.emplace(e.end, sim::phase_name(e.phase));  // first writer wins
   }
   std::vector<double> bounds;  // segment start times
   bounds.push_back(0);

@@ -190,7 +190,7 @@ constexpr Field<Sample> kTimeseriesFields[] = {
 
 constexpr Field<JEvent> kJournalFields[] = {
     {"t", member<&JEvent::t>},
-    {"kind", [](Writer& w, const JEvent& j) { w.val(introspect::journal_kind_name(j.kind)); }},
+    {"kind", [](Writer& w, const JEvent& j) { w.val(sim::phase_name(j.kind)); }},
     {"aux", member<&JEvent::aux>},
     {"value", member<&JEvent::value>},
 };

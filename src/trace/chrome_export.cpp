@@ -30,19 +30,6 @@ void complete_event(std::ostream& os, const char* name, const char* cat, int tid
 
 }  // namespace
 
-const char* phase_name(Phase p) {
-  switch (p) {
-    case Phase::kLbRound: return "lb_step";
-    case Phase::kCheckpoint:
-    case Phase::kDiskCheckpoint: return "checkpoint";
-    case Phase::kRestore: return "restore";
-    case Phase::kFailure: return "failure";
-    case Phase::kShrink: return "shrink";
-    case Phase::kExpand: return "expand";
-  }
-  return "phase";
-}
-
 void write_chrome_trace(const std::vector<Event>& events, std::ostream& os,
                         const EntryLabeler& label) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -109,7 +96,7 @@ void write_chrome_trace(const std::vector<Event>& events, std::ostream& os,
         break;
       case Kind::kPhase:
         sep();
-        complete_event(os, phase_name(e.phase), "phase", e.pe, e.begin, e.end);
+        complete_event(os, sim::phase_name(e.phase), "phase", e.pe, e.begin, e.end);
         break;
     }
   }

@@ -17,8 +17,7 @@
 //   * kPhase  — a runtime phase span (sim::Phase; a = the phase's aux)
 //
 // The tracer is one sink of the machine's observer vocabulary
-// (sim/observer.hpp).  It keeps every fact except shrink/expand decisions,
-// which only the metrics journal records.
+// (sim/observer.hpp) and keeps every fact it reports.
 //
 // Recording is allocation-free per event on the hot path: events land in a
 // reserve-ahead vector grown in large chunks.  Recording never charges
@@ -36,9 +35,6 @@ namespace trace {
 enum class Kind : std::uint8_t { kExec, kEntry, kSend, kRecv, kIdle, kPhase };
 
 using sim::Phase;
-
-/// Stable trace/stats name of a phase ("lb_step", "checkpoint", ...).
-const char* phase_name(Phase p);
 
 struct Event {
   Kind kind = Kind::kExec;
@@ -81,7 +77,6 @@ class Tracer : public sim::Observer {
     entry(pe, col, ep, end - dt, end);
   }
   void on_phase(const sim::PhaseEvent& ev) override {
-    if (ev.kind == Phase::kShrink || ev.kind == Phase::kExpand) return;
     phase_span(ev.kind, ev.pe, ev.begin, ev.end, ev.aux);
   }
 

@@ -25,7 +25,7 @@ ControlPoint::ControlPoint(std::string name, int min_value, int max_value, int i
 void ControlPoint::set_value(int v) { value_ = std::clamp(v, min_, max_); }
 
 Tuner::Tuner(ControlPoint& cp)
-    : cp_(cp), best_value_(cp.value()), last_candidate_(cp.value()) {
+    : cp_(cp), best_value_(cp.value()) {
   state_ = State::kWarmup;
   steps_left_ = kWarmupSteps;
 }
@@ -118,7 +118,6 @@ void Tuner::window_complete(double avg) {
 }
 
 void Tuner::move_to(int v) {
-  last_candidate_ = v;
   cp_.set_value(v);
   state_ = State::kWarmup;
   steps_left_ = kWarmupSteps;

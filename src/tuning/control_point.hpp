@@ -63,7 +63,6 @@ class Tuner {
   int direction_ = +1;  ///< current search direction (multiplicative)
   bool tried_reverse_ = false;
   bool refined_ = false;
-  int last_candidate_ = 0;
   int probes_ = 0;
 };
 

@@ -63,9 +63,11 @@ TEST_P(SortCorrectness, MergeSortSortsAndPreservesKeys) {
 INSTANTIATE_TEST_SUITE_P(PeCounts, SortCorrectness, ::testing::Values(1, 2, 5, 8, 16));
 
 TEST(Sort, HistSortProducesBalancedBlocks) {
+  // kProbeRounds probes place every splitter within a few keys of its ideal
+  // rank: no block exceeds the 5% that validate() allows.
   const int P = 16;
   Harness h(P);
-  sortlib::Library lib(h.rt, /*probe_rounds=*/6);
+  sortlib::Library lib(h.rt);
   lib.fill_random(7, 1024);
   bool done = false;
   h.rt.on_pe(0, [&] {
@@ -73,10 +75,34 @@ TEST(Sort, HistSortProducesBalancedBlocks) {
   });
   h.machine.run();
   ASSERT_TRUE(done);
+  EXPECT_TRUE(lib.validate());
   const double ideal = 1024.0;
   for (int pe = 0; pe < P; ++pe) {
-    EXPECT_LT(static_cast<double>(lib.keys_on(pe).size()), ideal * 2.0) << pe;
+    EXPECT_LE(static_cast<double>(lib.keys_on(pe).size()),
+              sortlib::Library::kBalanceTolerance * ideal)
+        << pe;
   }
+}
+
+TEST(Sort, ValidateRejectsAnUnbalancedBlock) {
+  // Sorted blocks of distinct keys, but PE 0 holds 2x its share.
+  const int P = 4;
+  Harness h(P);
+  sortlib::Library lib(h.rt);
+  std::uint64_t next = 0;
+  for (int pe = 0; pe < P; ++pe) {
+    auto* s = static_cast<sortlib::Sorter*>(h.rt.collection(lib.sorters().id())
+                                                .find(pe, IndexTraits<std::int32_t>::encode(pe)));
+    s->keys.resize(pe == 0 ? 200 : pe == 1 ? 0 : 100);
+    for (auto& k : s->keys) k = next++;
+  }
+  EXPECT_FALSE(lib.validate());
+  // The same blocks are acceptable when one key value fills PE 0: no
+  // splitter can cut a run of equal keys.
+  auto* s0 = static_cast<sortlib::Sorter*>(
+      h.rt.collection(lib.sorters().id()).find(0, IndexTraits<std::int32_t>::encode(0)));
+  for (auto& k : s0->keys) k = 0;
+  EXPECT_TRUE(lib.validate());
 }
 
 TEST(Sort, SkewedInputStillSorts) {

@@ -6,11 +6,13 @@
 // assertions:
 //   * every randomized failure schedule recovers and finishes,
 //   * post-recovery physics is bit-identical to the failure-free run,
-//   * the same seed reproduces a byte-identical failure/recovery trace.
+//   * the same seed reproduces byte-identical traced failure and restore
+//     facts.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -97,11 +99,36 @@ struct RunResult {
   int replayed_steps = 0;
   int ckpt_aborted = 0;
   std::uint64_t dropped = 0;
-  std::string fault_log;
-  std::string recovery_log;
+  /// The traced kFailure and kRestore facts, one line each, in trace order.
+  std::string facts;
   std::vector<double> physics;  ///< per-element data + step counters
   double end_time = 0;
 };
+
+/// One line per traced failure or restore fact: name, PE, span and aux
+/// (the victim of a failure, the victim count of a restore), times in %.17g.
+std::string failure_restore_facts(const trace::Tracer& tracer) {
+  std::string out;
+  char line[160];
+  for (const trace::Event& e : tracer.events()) {
+    if (e.kind != trace::Kind::kPhase ||
+        (e.phase != sim::Phase::kFailure && e.phase != sim::Phase::kRestore))
+      continue;
+    std::snprintf(line, sizeof(line), "%s pe=%d t=[%.17g,%.17g] aux=%d\n",
+                  sim::phase_name(e.phase), e.pe, e.begin, e.end, e.a);
+    out += line;
+  }
+  return out;
+}
+
+/// Number of non-overlapping occurrences of `needle` in `hay`.
+int count_of(const std::string& hay, const std::string& needle) {
+  int n = 0;
+  for (std::size_t at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + needle.size()))
+    ++n;
+  return n;
+}
 
 /// Runs the mini-app to completion, optionally under an injected failure
 /// schedule, and fingerprints the surviving element state.
@@ -109,7 +136,9 @@ RunResult run_mini(const sim::FaultConfig* fcfg,
                    trace::Tracer* tracer = nullptr,
                    ft::MemCkptParams mp = test_ckpt_params()) {
   Harness h(kPes);
-  if (tracer != nullptr) h.machine.set_tracer(tracer);
+  trace::Tracer own;
+  if (tracer == nullptr) tracer = &own;
+  h.machine.set_tracer(tracer);
   Atom::population = kElems;
   auto arr = ArrayProxy<Atom>::create(h.rt);
   for (int i = 0; i < kElems; ++i) arr.seed(i, i % kPes);
@@ -149,8 +178,7 @@ RunResult run_mini(const sim::FaultConfig* fcfg,
   r.replayed_steps = drv.steps_replayed();
   r.ckpt_aborted = ckpt.checkpoints_aborted();
   r.dropped = h.machine.messages_dropped();
-  r.fault_log = fi.format_log();
-  r.recovery_log = ckpt.format_recovery_log();
+  r.facts = failure_restore_facts(*tracer);
   r.end_time = h.machine.time();
   for (int i = 0; i < kElems; ++i) {
     int pe = -1;
@@ -178,8 +206,8 @@ TEST(FixedSchedule, FiresAtExactVirtualTime) {
   ASSERT_EQ(r.failures, 1);
   // The injection lands between handler executions at the exact configured
   // virtual timestamp — no quantization to event times.
-  EXPECT_NE(r.fault_log.find("t=0.002", 0), std::string::npos) << r.fault_log;
-  EXPECT_NE(r.fault_log.find("pe=2"), std::string::npos) << r.fault_log;
+  EXPECT_NE(r.facts.find("failure pe=2 t=[0.002,0.002] aux=2\n"), std::string::npos)
+      << r.facts;
   EXPECT_EQ(r.recoveries, 1);
   EXPECT_EQ(r.physics, baseline().physics);
 }
@@ -205,7 +233,7 @@ TEST(FixedSchedule, RandomVictimIsSeedDeterministic) {
   RunResult a = run_mini(&cfg);
   RunResult b = run_mini(&cfg);
   ASSERT_EQ(a.failures, 1);
-  EXPECT_EQ(a.fault_log, b.fault_log);
+  EXPECT_EQ(a.facts, b.facts);
 }
 
 // ---- multi-failure behaviour -------------------------------------------------
@@ -219,8 +247,13 @@ TEST(MultiFailure, BurstCoalescesIntoOneRecovery) {
   RunResult r = run_mini(&cfg);
   ASSERT_TRUE(r.finished);
   EXPECT_EQ(r.failures, 2);
-  EXPECT_EQ(r.recoveries, 1) << r.recovery_log;
-  EXPECT_NE(r.recovery_log.find("victims=[1,3]"), std::string::npos) << r.recovery_log;
+  EXPECT_EQ(r.recoveries, 1) << r.facts;
+  // Both victims fail, then one restore revives the two of them.
+  EXPECT_EQ(count_of(r.facts, "failure pe=1 "), 1) << r.facts;
+  EXPECT_EQ(count_of(r.facts, "failure pe=3 "), 1) << r.facts;
+  EXPECT_EQ(count_of(r.facts, "restore "), 1) << r.facts;
+  EXPECT_NE(r.facts.find("] aux=2\n"), std::string::npos) << r.facts;
+  EXPECT_GT(r.facts.rfind("restore "), r.facts.rfind("failure ")) << r.facts;
   EXPECT_EQ(r.physics, baseline().physics);
 }
 
@@ -235,7 +268,7 @@ TEST(MultiFailure, SequentialBuddyVictimRecoversViaReReplication) {
   RunResult r = run_mini(&cfg);
   ASSERT_TRUE(r.finished);
   EXPECT_EQ(r.failures, 2);
-  EXPECT_EQ(r.recoveries, 2) << r.recovery_log;
+  EXPECT_EQ(r.recoveries, 2) << r.facts;
   EXPECT_EQ(r.physics, baseline().physics);
 }
 
@@ -431,8 +464,9 @@ TEST(ResilienceSweep, RandomizedFailureSchedulesRecoverBitIdentical) {
     // byte-identically.
     RunResult b = run_mini(&cfg);
     ASSERT_TRUE(b.finished);
-    EXPECT_EQ(a.fault_log, b.fault_log) << "seed " << seed;
-    EXPECT_EQ(a.recovery_log, b.recovery_log) << "seed " << seed;
+    EXPECT_EQ(a.facts, b.facts) << "seed " << seed;
+    EXPECT_EQ(count_of(a.facts, "failure "), a.failures) << "seed " << seed;
+    EXPECT_EQ(count_of(a.facts, "restore "), a.recoveries) << "seed " << seed;
     EXPECT_EQ(a.end_time, b.end_time) << "seed " << seed;
 
     total_failures += a.failures;

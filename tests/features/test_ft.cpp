@@ -15,6 +15,7 @@
 #include "ft/checkpoint.hpp"
 #include "ft/mem_checkpoint.hpp"
 #include "runtime/charm.hpp"
+#include "trace/trace.hpp"
 
 #include "test_util.hpp"
 
@@ -405,6 +406,8 @@ TEST(MemCheckpoint, BackToBackFailuresCoalesceIntoOneRecovery) {
   // extend the pending recovery, and both victims must come back in one
   // combined restore (each callback still fires).
   Harness h(6);
+  trace::Tracer tracer;
+  h.machine.set_tracer(&tracer);
   auto arr = ArrayProxy<Cell>::create(h.rt);
   for (int i = 0; i < 18; ++i) arr.seed(i, i % 6);
   ft::MemCheckpointer ckpt(h.rt);
@@ -428,8 +431,19 @@ TEST(MemCheckpoint, BackToBackFailuresCoalesceIntoOneRecovery) {
   h.machine.run();
   EXPECT_EQ(recovered, 2);
   EXPECT_EQ(ckpt.recoveries_completed(), 1);
-  ASSERT_EQ(ckpt.recovery_log().size(), 1u);
-  EXPECT_EQ(ckpt.recovery_log()[0].victims, (std::vector<int>{1, 4}));
+  // The trace holds both failures, then one restore of two victims.
+  std::vector<int> failed;
+  std::vector<int> restored;
+  for (const trace::Event& e : tracer.events()) {
+    if (e.kind != trace::Kind::kPhase) continue;
+    if (e.phase == sim::Phase::kFailure) failed.push_back(e.a);
+    if (e.phase == sim::Phase::kRestore) {
+      EXPECT_EQ(failed.size(), 2u) << "restore traced before both failures";
+      restored.push_back(e.a);
+    }
+  }
+  EXPECT_EQ(failed, (std::vector<int>{1, 4}));
+  EXPECT_EQ(restored, (std::vector<int>{2}));
   for (int i = 0; i < 18; ++i) {
     Cell* c = find_cell(h.rt, arr.id(), i);
     ASSERT_NE(c, nullptr) << i;

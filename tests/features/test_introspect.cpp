@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "stats/json.hpp"
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
+#include "stats/schema.hpp"
+#include "trace/chrome_export.hpp"
 #include "trace/trace.hpp"
 
 #include "test_util.hpp"
@@ -341,19 +344,25 @@ TEST(Introspect, JournalRecordsLbRounds) {
   h.rt.on_pe(0, [&] { arr.broadcast<&Worker::step>(IterMsg{6}); });
   h.machine.run();
 
-  int lb_rounds = 0, migrations = 0;
+  int lb_rounds = 0, barrier_rounds = 0, migrations = 0;
   double prev_t = 0;
   for (const introspect::JournalEvent& e : mon.journal_events()) {
     EXPECT_GE(e.t, prev_t) << "journal must be time-ordered";
     prev_t = e.t;
     if (e.kind == sim::Phase::kLbRound) {
+      EXPECT_GE(e.value, 0.0);
+      if (e.aux < 0) {  // barrier only: no strategy ran
+        ++barrier_rounds;
+        continue;
+      }
       ++lb_rounds;
       migrations += e.aux;
-      EXPECT_GE(e.value, 0.0);
     }
   }
   EXPECT_GE(lb_rounds, 2) << "period-2 AtSync over 7 steps must journal "
                              "at least two strategy rounds";
+  EXPECT_EQ(lb_rounds + barrier_rounds, static_cast<int>(h.rt.lb().history().size()))
+      << "every AtSync round is journaled, barrier-only ones too";
   int migs = 0;
   for (const auto& r : h.rt.lb().history()) migs += r.migrations;
   EXPECT_EQ(migrations, migs) << "journal aux must mirror the LB history";
@@ -464,6 +473,146 @@ TEST(Introspect, JournalRecordsShrinkAndExpand) {
   EXPECT_LT(shrink_e->t, expand_e->t);
 }
 
+// ---- one phase vocabulary: every fact reaches both sinks -----------------------
+
+/// The traced phase spans of `kind`.
+std::vector<trace::Event> spans_of(const trace::Tracer& t, sim::Phase kind) {
+  std::vector<trace::Event> out;
+  for (const trace::Event& e : t.events())
+    if (e.kind == trace::Kind::kPhase && e.phase == kind) out.push_back(e);
+  return out;
+}
+
+/// The journal rows of `kind`.
+std::vector<introspect::JournalEvent> rows_of(const introspect::Monitor& mon, sim::Phase kind) {
+  std::vector<introspect::JournalEvent> out;
+  for (const introspect::JournalEvent& e : mon.journal_events())
+    if (e.kind == kind) out.push_back(e);
+  return out;
+}
+
+TEST(Introspect, ReconfigIsTracedAndJournaledAtOneTime) {
+  Harness h(8);
+  trace::Tracer tracer;
+  h.machine.set_tracer(&tracer);
+  introspect::Monitor mon;
+  mon.attach(h.machine);
+  auto arr = ArrayProxy<Worker>::create(h.rt);
+  for (int i = 0; i < 32; ++i) arr.seed(i, i % 8);
+  h.rt.lb().register_collection(arr.id());
+
+  bool shrunk = false;
+  h.rt.on_pe(0, [&] {
+    h.rt.lb().request_reconfig(
+        4, 0.0, Callback::to_function([&](ReductionResult&&) { shrunk = true; }));
+    arr.broadcast<&Worker::step>(IterMsg{2});
+  });
+  h.machine.run();
+  ASSERT_TRUE(shrunk);
+  h.machine.resume();
+  bool expanded = false;
+  h.rt.on_pe(0, [&] {
+    h.rt.lb().request_reconfig(
+        8, 0.0, Callback::to_function([&](ReductionResult&&) { expanded = true; }));
+    arr.broadcast<&Worker::step>(IterMsg{2});
+  });
+  h.machine.run();
+  ASSERT_TRUE(expanded);
+
+  for (const sim::Phase kind : {sim::Phase::kShrink, sim::Phase::kExpand}) {
+    SCOPED_TRACE(sim::phase_name(kind));
+    const std::vector<trace::Event> spans = spans_of(tracer, kind);
+    const std::vector<introspect::JournalEvent> rows = rows_of(mon, kind);
+    ASSERT_EQ(spans.size(), 1u);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(spans[0].end, rows[0].t);
+    EXPECT_EQ(spans[0].a, rows[0].aux) << "aux is the target PE count";
+    EXPECT_EQ(rows[0].aux, kind == sim::Phase::kShrink ? 4 : 8);
+  }
+  // The stats phase table is cut at each reconfiguration.
+  int cut = 0;
+  for (const stats::PhaseStats& ph : stats::collect(tracer, 8).phases)
+    cut += ph.name == "shrink" || ph.name == "expand";
+  EXPECT_EQ(cut, 2);
+}
+
+TEST(Introspect, BarrierOnlyLbRoundIsJournaledWithItsSpan) {
+  // No strategy and no period: every AtSync round is a barrier release.
+  Harness h(4);
+  trace::Tracer tracer;
+  h.machine.set_tracer(&tracer);
+  introspect::Monitor mon;
+  mon.attach(h.machine);
+  auto arr = ArrayProxy<Worker>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
+  h.rt.lb().register_collection(arr.id());
+  h.rt.on_pe(0, [&] { arr.broadcast<&Worker::step>(IterMsg{3}); });
+  h.machine.run();
+
+  const std::vector<trace::Event> spans = spans_of(tracer, sim::Phase::kLbRound);
+  const std::vector<introspect::JournalEvent> rows = rows_of(mon, sim::Phase::kLbRound);
+  ASSERT_EQ(spans.size(), 4u) << "one round per step of the 4-step chain";
+  ASSERT_EQ(rows.size(), spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].a, -1) << "barrier only";
+    EXPECT_EQ(rows[i].aux, -1);
+    EXPECT_EQ(rows[i].t, spans[i].end);
+    EXPECT_EQ(rows[i].value, spans[i].end - spans[i].begin) << "value is the round's cost";
+  }
+}
+
+TEST(Introspect, TraceStatsAndJournalNameEveryPhaseFromOneTable) {
+  // One fact of every kind, reported through the machine during a run that
+  // outlasts them all, reaches the Chrome trace, the stats phase table and
+  // the metrics journal under sim::phase_name.
+  Harness h(2);
+  trace::Tracer tracer;
+  h.machine.set_tracer(&tracer);
+  introspect::Monitor mon;
+  mon.set_interval(1e-3);
+  mon.attach(h.machine);
+  constexpr std::size_t kinds = sim::kPhaseNames.size();
+  for (std::size_t k = 0; k < kinds; ++k) {
+    const double t = 1e-3 * static_cast<double>(k + 1);
+    h.machine.post(0, t, [&h, k, t] {
+      h.machine.note_phase(sim::PhaseEvent{static_cast<sim::Phase>(k), 0, t, t});
+    });
+  }
+  h.machine.post(1, 0.0, [&h] { h.machine.charge(1e-3 * static_cast<double>(kinds + 1)); });
+  h.machine.run();
+
+  std::vector<std::string> want(sim::kPhaseNames.begin(), sim::kPhaseNames.end());
+  std::vector<std::string> journal;
+  for (const introspect::JournalEvent& e : mon.journal_events())
+    journal.push_back(sim::phase_name(e.kind));
+  EXPECT_EQ(journal, want);
+
+  std::vector<std::string> traced;
+  std::ostringstream chrome;
+  trace::write_chrome_trace(tracer.events(), chrome);
+  stats::json::Value trace_doc;
+  ASSERT_TRUE(stats::json::parse(chrome.str(), trace_doc, nullptr));
+  for (const stats::json::Value& e : trace_doc.find("traceEvents")->array)
+    if (e.str("cat") == "phase") traced.push_back(e.str("name"));
+  EXPECT_EQ(traced, want);
+
+  stats::ExportMeta meta;
+  meta.bench = "phase_names_probe";
+  meta.metrics = &mon;
+  const std::string body = stats::to_json(stats::collect(tracer, 2), meta);
+  std::string err;
+  EXPECT_TRUE(stats::check(body, &err)) << err;
+  stats::json::Value doc;
+  ASSERT_TRUE(stats::json::parse(body, doc, &err)) << err;
+  std::vector<std::string> segments, rows;
+  for (const stats::json::Value& ph : doc.find("phases")->array) segments.push_back(ph.str("name"));
+  for (const stats::json::Value& j : doc.find("journal")->array) rows.push_back(j.str("kind"));
+  ASSERT_FALSE(segments.empty());
+  EXPECT_EQ(segments.front(), "start");
+  EXPECT_EQ(std::vector<std::string>(segments.begin() + 1, segments.end()), want);
+  EXPECT_EQ(rows, want);
+}
+
 // ---- sample cap --------------------------------------------------------------
 
 TEST(Introspect, SampleCapCountsEveryDroppedBoundary) {
@@ -499,11 +648,10 @@ TEST(Introspect, ExportWritesMonitorSamplesAndJournal) {
   kick_chatter(h, arr, /*seed=*/13, /*chains=*/4, /*hops=*/30);
   h.machine.run();
   mon.on_phase(sim::PhaseEvent{sim::Phase::kLbRound, 0, 0.0, mon.time(), 2, 0.5});
-  // Barrier-only rounds are traced but not journaled; disk checkpoints are
-  // journaled like in-memory ones.
+  // Barrier-only rounds and disk checkpoints are journaled like the rest.
   mon.on_phase(sim::PhaseEvent{sim::Phase::kLbRound, 0, 0.0, mon.time(), -1, 0.0});
   mon.on_phase(sim::PhaseEvent{sim::Phase::kDiskCheckpoint, 0, 0.0, mon.time()});
-  ASSERT_EQ(mon.journal_events().size(), 2u);
+  ASSERT_EQ(mon.journal_events().size(), 3u);
   ASSERT_GT(mon.samples().size(), 0u);
 
   // The exporter reads the monitor directly: the block lands in the JSON
@@ -526,11 +674,13 @@ TEST(Introspect, ExportWritesMonitorSamplesAndJournal) {
   }
   const stats::json::Value* journal = doc.find("journal");
   ASSERT_NE(journal, nullptr);
-  ASSERT_EQ(journal->array.size(), 2u);
-  EXPECT_EQ(journal->array[0].str("kind"), "lb_round");
+  ASSERT_EQ(journal->array.size(), 3u);
+  EXPECT_EQ(journal->array[0].str("kind"), "lb_step");
   EXPECT_EQ(journal->array[0].num("aux"), 2.0);
   EXPECT_EQ(journal->array[0].num("value"), 0.5);
-  EXPECT_EQ(journal->array[1].str("kind"), "disk_checkpoint");
+  EXPECT_EQ(journal->array[1].str("kind"), "lb_step");
+  EXPECT_EQ(journal->array[1].num("aux"), -1.0);
+  EXPECT_EQ(journal->array[2].str("kind"), "disk_checkpoint");
   EXPECT_LT(body.find("\"journal\":["), body.find("\"totals\":"));
 }
 

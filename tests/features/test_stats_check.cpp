@@ -108,17 +108,17 @@ std::string seeded_error(const std::string& name, const std::function<void(Value
 
 TEST(StatsCheck, EveryCheckedInBaselinePasses) {
   int checked = 0;
-  for (const fs::path& dir : {kStatsDir, kStatsDir / "metrics"}) {
+  for (const fs::path& dir : {kStatsDir, kStatsDir / "metrics", kStatsDir / "full"}) {
     for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
       const std::string name = e.path().filename().string();
       if (e.path().extension() != ".json" || name == "BENCH_micro.json") continue;
-      if (dir == kStatsDir && name.rfind("BENCH_", 0) != 0) continue;
+      if (dir != kStatsDir / "metrics" && name.rfind("BENCH_", 0) != 0) continue;
       std::string err;
       EXPECT_TRUE(stats::check(read_file(e.path()), &err)) << e.path() << ": " << err;
       ++checked;
     }
   }
-  EXPECT_GE(checked, 20);
+  EXPECT_GE(checked, 23);
 }
 
 TEST(StatsCheck, RejectsMicrobenchAndUnparsableFiles) {
@@ -241,6 +241,16 @@ TEST(StatsCheck, PhasesTileTheRun) {
     member(member(d, "phases").array.back(), "t1").number *= 0.5;
   });
   EXPECT_NAMES(err, "phases: last t1");
+
+  // A segment is named by a sim::Phase wire name ("start" opens the run).
+  err = seeded_error("BENCH_fig10_leanmd_ckpt.json", [](Value& d) {
+    member(cell(d, "phases", 1), "name").string = "lb_round";
+  });
+  EXPECT_NAMES(err, "phases[1]: unknown phase name");
+  err = seeded_error("BENCH_fig10_leanmd_ckpt.json", [](Value& d) {
+    member(cell(d, "phases", 0), "name").string = "checkpoint";
+  });
+  EXPECT_NAMES(err, "phases[0]: unknown phase name");
 }
 
 TEST(StatsCheck, CriticalPathBoundedByMakespan) {
@@ -340,6 +350,9 @@ TEST(StatsCheck, TimeseriesAndJournal) {
   EXPECT_NAMES(err, "out of order");
 
   err = seeded_error(file, [](Value& d) { member(cell(d, "journal", 0), "kind").string = "nap"; });
+  EXPECT_NAMES(err, "journal[0]: unknown kind");
+  // The journal and the trace share one name per phase: no "lb_round".
+  err = seeded_error(file, [](Value& d) { member(cell(d, "journal", 0), "kind").string = "lb_round"; });
   EXPECT_NAMES(err, "journal[0]: unknown kind");
 }
 

@@ -56,7 +56,7 @@ inline Stats rebuild_stats(Runtime& rt, const std::vector<CollectionId>& cols,
         // Measured load is in virtual seconds on the source PE; normalize
         // back to work units so strategies can predict times on other PEs.
         info.work = obj->round_load() * s.pe_speed[pe];
-        info.migratable = obj->migratable() && c.migratable;
+        info.migratable = obj->migratable() && c.migratable();
         info.coords = obj->lb_coords();
         s.chares.push_back(info);
       }
