@@ -77,11 +77,11 @@ int main(int argc, char** argv) {
     bench::row({static_cast<double>(p), mpi, ampi_v1, ampi_v8, ampi_v8_lb});
   }
   bench::header("Figure 14 (non-cubic)", "virtualization frees LULESH from cubic PE counts");
-  bench::columns({"PEs", "AMPI(v~8)"});
+  bench::columns({"PEs", "AMPI(v~8)", "ranks"});
   for (int p : bench::pe_series({10, 20}, 1)) {
     int nranks = 0;
     const double t = run_weak(p, 8, false, &nranks);
-    std::printf("%16d%16.6g   (%d ranks on %d PEs)\n", p, t, nranks, p);
+    bench::row({static_cast<double>(p), t, static_cast<double>(nranks)});
   }
   bench::note("paper shape: v=8 ~2.4x faster than v=1 (working set fits cache); +LB removes");
   bench::note("the region imbalance; non-cubic counts run with no major overhead");

@@ -60,9 +60,8 @@ std::pair<int, int> cross_dims(int dim) {
 // ---- Block: construction & field ----------------------------------------------------
 
 Block::Block(const ChildCtorMsg& m)
-    : p_(m.params), blocks_(m.col), field_(m.field), face_rel_(m.face_rel), step_(m.step) {
-  target_ = step_;
-}
+    : p_(m.params), blocks_(m.col), field_(m.field), face_rel_(m.face_rel), gather_(m.step),
+      target_(m.step) {}
 
 void Block::init_field() {
   const int B = p_.block;
@@ -127,21 +126,18 @@ int Block::expected_faces(int dim) const {
 
 void Block::begin(const StepMsg& m) {
   if (field_.empty()) init_field();
-  target_ = step_ + m.steps;
+  target_ = gather_.step() + m.steps;
   start_step();
 }
 
 void Block::start_step() {
   const int B = p_.block;
-  faces_expected_ = 0;
-  faces_seen_ = 0;
   for (auto& g : ghost_) g.assign(static_cast<std::size_t>(B * B), 0.0);
-  for (int dim = 0; dim < 3; ++dim) faces_expected_ += expected_faces(dim);
 
   // Send our high faces to the +direction neighbors (their inflow ghosts).
   for (int dim = 0; dim < 3; ++dim) {
     FaceMsg msg;
-    msg.step = step_;
+    msg.step = gather_.step();
     msg.dim = dim;
     msg.sender_depth = static_cast<std::uint8_t>(depth());
     msg.sender_bits = index().bits;
@@ -161,19 +157,15 @@ void Block::start_step() {
     for (const BitIndex& t : face_targets(dim, +1)) blocks_[t].send<&Block::face>(msg);
   }
 
-  auto it = early_.find(step_);
-  if (it != early_.end()) {
-    auto msgs = std::move(it->second);
-    early_.erase(it);
-    for (const FaceMsg& m : msgs) face(m);
-  }
+  // Every block expects at least one ghost per face, so open() never asks
+  // for a direct sweep; ghosts that arrived early replay through face().
+  int expected = 0;
+  for (int dim = 0; dim < 3; ++dim) expected += expected_faces(dim);
+  gather_.open(gather_.step(), expected, [this](const FaceMsg& m) { face(m); });
 }
 
 void Block::face(const FaceMsg& m) {
-  if (m.step != step_ || faces_expected_ == 0) {
-    early_[m.step].push_back(m);
-    return;
-  }
+  if (!gather_.offer(m.step, m)) return;
   const int B = p_.block;
   auto& g = ghost_[static_cast<std::size_t>(m.dim)];
   const int sd = static_cast<int>(m.sender_depth);
@@ -210,7 +202,7 @@ void Block::face(const FaceMsg& m) {
       }
     }
   }
-  if (++faces_seen_ >= faces_expected_) sweep();
+  if (gather_.accept()) sweep();
 }
 
 void Block::sweep() {
@@ -238,14 +230,13 @@ void Block::sweep() {
     }
   }
   field_ = std::move(out);
-  faces_expected_ = 0;
+  gather_.close();
   charm::charge(p_.cell_cost * static_cast<double>(B) * B * B);
-  ++step_;
   at_sync();
 }
 
 void Block::resume_from_sync() {
-  if (step_ < target_) {
+  if (gather_.step() < target_) {
     start_step();
   } else if (target_ > 0) {
     contribute(mass(), ReduceOp::kSum, chunk_cb);
@@ -386,7 +377,7 @@ void Block::apply() {
       const BitIndex child = index().child(oct);
       m.depth = child.depth;
       m.bits = child.bits;
-      m.step = step_;
+      m.step = gather_.step();
       // Upsample this child's octant (nearest).
       m.field.resize(field_.size());
       const int ox = (oct >> 0) & 1, oy = (oct >> 1) & 1, oz = (oct >> 2) & 1;
@@ -427,7 +418,7 @@ void Block::apply() {
       m.col = blocks_.id();
       m.depth = parent.depth;
       m.bits = parent.bits;
-      m.step = step_;
+      m.step = gather_.step();
       blocks_.insert(parent, m, rt().my_pe());
     }
     ChildDataMsg d;
@@ -475,12 +466,9 @@ void Block::pup(pup::Er& p) {
   p | blocks_;
   p | field_;
   pup::PUParray(p, face_rel_.data(), 6);
-  p | step_;
+  p | gather_;
   p | target_;
-  p | faces_expected_;
-  p | faces_seen_;
   for (auto& g : ghost_) p | g;
-  p | early_;
   p | my_desire_;
   p | my_delta_;
   p | coarsen_votes_;

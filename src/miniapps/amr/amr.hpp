@@ -10,7 +10,10 @@
 //     quiescence detection so the whole phase needs O(1) global collectives
 //     (§IV-A-4) and O(#blocks/P) memory per PE;
 //   * per-step AtSync load balancing (DistributedLB in Fig 8);
-//   * blocks are fully PUPable, so double in-memory checkpointing works.
+//   * blocks are fully PUPable, so double in-memory checkpointing works;
+//   * each block gathers its step's low-face ghosts through the shared
+//     charm::DepGather (future-step ghosts wait, finished-step ones drop),
+//     the one step gather the stencil and taskbench use too.
 //
 // Mesh invariant: every block face has a uniform *relative* neighbor level in
 // {-1, 0, +1} (2:1 balance).  The restructuring protocol keeps it:
@@ -39,6 +42,7 @@
 #include <vector>
 
 #include "runtime/charm.hpp"
+#include "runtime/dep_gather.hpp"
 
 namespace charm::amr {
 
@@ -179,7 +183,7 @@ class Block : public charm::ArrayElement<Block, BitIndex> {
   int depth() const { return index().depth; }
   double mass() const;
   const std::vector<double>& field() const { return field_; }
-  int step() const { return step_; }
+  int step() const { return gather_.step(); }
 
   static Callback chunk_cb;  ///< per-chunk completion reduction target
 
@@ -200,12 +204,9 @@ class Block : public charm::ArrayElement<Block, BitIndex> {
   ArrayProxy<Block, BitIndex> blocks_;
   std::vector<double> field_;  ///< B^3, x fastest
   std::array<std::int8_t, 6> face_rel_{};  ///< faces: (-x,+x,-y,+y,-z,+z)
-  int step_ = 0;
+  DepGather<FaceMsg> gather_;  ///< the step and its low-face ghost accounting
   int target_ = 0;
-  int faces_expected_ = 0;
-  int faces_seen_ = 0;
   std::array<std::vector<double>, 3> ghost_;  ///< assembled low-face ghosts
-  std::map<int, std::vector<FaceMsg>> early_;
 
   // restructure state
   int my_desire_ = 0;

@@ -27,9 +27,11 @@ void ArrayElementBase::contribute(std::vector<double> value, ReduceOp op,
 }
 
 void ArrayElementBase::contribute(double value, ReduceOp op, const Callback& cb) {
-  // Scalar fast path: combines in place into a pooled buffer instead of
-  // building a one-element vector per contribution.
-  rt().contribute_scalar(*this, value, op, cb);
+  // A pooled one-element buffer, so steady-state scalar reductions allocate
+  // nothing.
+  std::vector<double> nums = rt().acquire_nums(1);
+  nums.push_back(value);
+  rt().contribute(*this, std::move(nums), /*has_nums=*/true, op, {}, /*has_chunk=*/false, cb);
 }
 
 void ArrayElementBase::contribute(const Callback& cb) {

@@ -31,6 +31,12 @@
 // so a step whose inputs all arrived early completes (and may close/open the
 // next step) from inside the replay loop; open() detects that reentrant
 // advance and returns false so the caller does not run the step body twice.
+//
+// Users: the stencil mini-app (ghost rows), taskbench (graph dependences) and
+// AMR (per-block face ghosts; a refined child starts at its parent's step).
+// LeanMD's Cell is not one: it runs two gathers (forces, then atom
+// transfers) on one step counter, and two DepGathers would pack 3 more bytes
+// per Cell, which moves every LeanMD migration and checkpoint size.
 
 #include <map>
 #include <utility>
@@ -43,6 +49,10 @@ namespace charm {
 template <class Msg>
 class DepGather {
  public:
+  DepGather() = default;
+  /// Starts closed at `step` (an element created mid-run).
+  explicit DepGather(int step) : step_(step) {}
+
   /// The step currently gathering (or, after close(), the next one).
   int step() const { return step_; }
   /// A gather is open and still waiting for arrivals.

@@ -65,26 +65,6 @@ void absorb_nums(ReduxSlot& slot, std::vector<double>&& nums, ReduceOp op,
   }
 }
 
-/// Scalar combine-in-place: identical result to absorbing a one-element
-/// vector, but the value lands in a pooled buffer with no vector built at
-/// the call site.
-void absorb_scalar(ReduxSlot& slot, double value, ReduceOp op, Runtime& rt) {
-  if (!slot.has_nums) {
-    if (slot.nums.capacity() == 0) slot.nums = rt.acquire_nums(1);
-    slot.nums.clear();
-    slot.nums.push_back(value);
-    slot.has_nums = true;
-    slot.op = op;
-    return;
-  }
-  if (slot.nums.empty()) slot.nums.resize(1, 0.0);
-  switch (slot.op) {
-    case ReduceOp::kSum: slot.nums[0] += value; break;
-    case ReduceOp::kMin: slot.nums[0] = std::min(slot.nums[0], value); break;
-    case ReduceOp::kMax: slot.nums[0] = std::max(slot.nums[0], value); break;
-  }
-}
-
 /// Slot `seq` of `map`, created on first use by re-keying the recycled
 /// `spare` node when there is one (no allocation once a slot has retired).
 ReduxSlot& slot_for(ReduxMap& map, ReduxMap::node_type& spare, std::uint64_t seq) {
@@ -119,9 +99,9 @@ std::size_t partial_body_bytes(const ReduxSlot& part) {
 
 }  // namespace
 
-template <class Absorb>
-void Runtime::contribute_with(ArrayElementBase& elem, const Callback& cb,
-                              Absorb&& absorb) {
+void Runtime::contribute(ArrayElementBase& elem, std::vector<double> nums, bool has_nums,
+                         ReduceOp op, std::vector<std::byte> chunk, bool has_chunk,
+                         const Callback& cb) {
   Collection& c = collection(elem.col_);
   if (c.total_elements <= 0)
     throw std::logic_error("contribute on an empty collection");
@@ -129,36 +109,19 @@ void Runtime::contribute_with(ArrayElementBase& elem, const Callback& cb,
   const std::uint64_t seq = elem.redux_seq_++;
   charge(kContributeCost);
 
-  if (tree_collectives()) {
-    PeLocal& pl = c.local(elem.pe_);
-    ReduxSlot& part = slot_for(pl.partial, pl.partial_spare, seq);
-    absorb(part);
-    ++part.count;
+  const bool tree = tree_collectives();
+  PeLocal* pl = tree ? &c.local(elem.pe_) : nullptr;
+  ReduxSlot& slot = tree ? slot_for(pl->partial, pl->partial_spare, seq)
+                         : slot_for(c.redux, c.redux_spare, seq);
+  if (has_nums) absorb_nums(slot, std::move(nums), op, *this);
+  if (has_chunk) slot.chunks.push_back(std::move(chunk));
+  ++slot.count;
+  if (tree) {
     note_tree_contribution(c, seq, cb);
     return;
   }
-
-  ReduxSlot& slot = slot_for(c.redux, c.redux_spare, seq);
-  absorb(slot);
   if (cb.valid()) slot.cb = cb;
-  ++slot.count;
-
   if (slot.count >= c.total_elements) complete_reduction(c, seq);
-}
-
-void Runtime::contribute(ArrayElementBase& elem, std::vector<double> nums, bool has_nums,
-                         ReduceOp op, std::vector<std::byte> chunk, bool has_chunk,
-                         const Callback& cb) {
-  contribute_with(elem, cb, [&](ReduxSlot& slot) {
-    if (has_nums) absorb_nums(slot, std::move(nums), op, *this);
-    if (has_chunk) slot.chunks.push_back(std::move(chunk));
-  });
-}
-
-void Runtime::contribute_scalar(ArrayElementBase& elem, double value, ReduceOp op,
-                                const Callback& cb) {
-  contribute_with(elem, cb,
-                  [&](ReduxSlot& slot) { absorb_scalar(slot, value, op, *this); });
 }
 
 void Runtime::complete_reduction(Collection& c, std::uint64_t seq) {

@@ -201,11 +201,7 @@ void Runtime::broadcast_leg(CollectionId col, EntryId ep,
       if (e == nullptr) continue;
       rt.charge(kDeliverCost);
       if (ep == kResumeEntry) {
-        // Frameless, but instrumented like any delivery, so work done in
-        // resume_from_sync shows up in the next round's LB load.
-        const double t0 = rt.machine_.handler_elapsed();
-        e->resume_from_sync();
-        rt.end_entry(*e, abs, col, kResumeEntry, t0);
+        rt.run_entry(*e, kResumeEntry, [e] { e->resume_from_sync(); });
       } else {
         rt.deliver_local(*e, ep, payload->data(), payload->size());
       }

@@ -58,7 +58,8 @@ inline constexpr double kContributeCost = 0.1e-6;   ///< local reduction combine
 inline constexpr double kDeliverCost = 0.05e-6;     ///< per-element broadcast / TRAM delivery
 
 /// Entry id of the LB resume broadcast (Runtime::broadcast_resume): each
-/// delivery runs resume_from_sync() and reports as this entry.
+/// delivery runs resume_from_sync() in the entry frame and reports as this
+/// entry.
 inline constexpr EntryId kResumeEntry = -1;
 
 class Runtime {
@@ -152,16 +153,11 @@ class Runtime {
 
   // ---- reductions (called through ArrayElementBase) --------------------------
 
+  /// The one contribution path: scalar, vector, empty and byte contributions
+  /// all fold into this PE's tree partial or the collection's flat slot here.
   void contribute(ArrayElementBase& elem, std::vector<double> nums, bool has_nums,
                   ReduceOp op, std::vector<std::byte> chunk, bool has_chunk,
                   const Callback& cb);
-
-  /// Scalar fast path: semantically identical to contributing a one-element
-  /// vector, but the value combines in place into a pooled buffer, so
-  /// steady-state POD sum/min/max reductions allocate nothing (gated by the
-  /// operator-new-counting test in tests/core/test_queues.cpp).
-  void contribute_scalar(ArrayElementBase& elem, double value, ReduceOp op,
-                         const Callback& cb);
 
   // ---- migration -----------------------------------------------------------
 
@@ -223,6 +219,12 @@ class Runtime {
   MemoryFootprint memory_footprint() const;
 
   // ---- internals used by sibling modules (lb/ft/tram) -------------------------
+
+  /// Routing decision for a point message, shared by the packed and typed
+  /// send paths and TRAM: group index decodes to a PE; otherwise local
+  /// table, then location cache, then the home PE.  Probes only, so routing
+  /// from a never-touched PE creates no state.
+  int route_point(Collection& c, const ObjIndex& idx, int src_pe);
 
   /// Sends a counted control message of `bytes` plus the envelope header
   /// executing `fn` on `dst`.  The caller's closure is captured as is, so a
@@ -394,10 +396,6 @@ class Runtime {
   void on_envelope(Envelope&& env);
   void handle_point_miss(Envelope&& env, int pe);
 
-  /// Routing decision for a point message, shared by the packed and typed
-  /// send paths: group index decodes to a PE; otherwise local table, then
-  /// location cache, then the home PE.
-  int route_point(Collection& c, const ObjIndex& idx, int src_pe);
   /// Builds the Envelope and launches it at an already-routed destination.
   void send_point_to(CollectionId col, ObjIndex idx, EntryId ep,
                      Payload payload, int priority, int src_pe, int dst);
@@ -435,9 +433,12 @@ class Runtime {
     }
   }
 
-  /// The one entry-invocation frame: runs `invoke()` as entry `ep` of the
-  /// local element `elem`, charging its work to the element and reporting
-  /// the entry span, then runs the destroy/migrate epilogue it requested.
+  /// The one entry-invocation frame (point, broadcast, TRAM and LB-resume
+  /// delivery): runs `invoke()` as entry `ep` of the local element `elem`,
+  /// charging its work to the element's LB load and reporting the entry
+  /// span, then runs the destroy/migrate epilogue it requested.  The element
+  /// outlives `invoke()`: a migrate_to or destroy_self inside it is deferred
+  /// to the epilogue.
   template <class Invoke>
   void run_entry(ArrayElementBase& elem, EntryId ep, Invoke&& invoke) {
     const CollectionId col = elem.col_;
@@ -446,15 +447,10 @@ class Runtime {
     ExecFrame f = begin_exec(elem);
     const double t0 = machine_.handler_elapsed();
     invoke();
-    end_entry(elem, pe, col, ep, t0);
-    end_exec(f, col, idx, pe);
-  }
-  /// Closes an entry invocation that began at handler-elapsed `t0`: charges
-  /// its work to the element's LB load and reports the entry span.
-  void end_entry(ArrayElementBase& elem, int pe, CollectionId col, EntryId ep, double t0) {
     const double dt = machine_.handler_elapsed() - t0;
     elem.lb_load_ += dt;
     machine_.note_entry(pe, col, ep, dt);
+    end_exec(f, col, idx, pe);
   }
   void destroy_local(CollectionId col, ObjIndex idx, int pe);
   /// Takes element `idx` out of `pe`'s table and the LB database (null when
@@ -487,10 +483,6 @@ class Runtime {
   bool tree_collectives() const {
     return cfg_.collectives == CollectiveTopology::kTree && active_pes_ > 1;
   }
-  /// Shared body of contribute / contribute_scalar: `absorb(slot)` folds the
-  /// value into the flat slot or this PE's tree partial.
-  template <class Absorb>
-  void contribute_with(ArrayElementBase& elem, const Callback& cb, Absorb&& absorb);
   /// Global bookkeeping for one tree-mode contribution; launches the
   /// up-sweep when every element has contributed.
   void note_tree_contribution(Collection& c, std::uint64_t seq, const Callback& cb);

@@ -15,10 +15,10 @@ void Sorter::local_sort(const StartMsg&) {
   const double n = static_cast<double>(keys.size());
   std::sort(keys.begin(), keys.end());
   charm::charge(kCmpCost * n * std::max(1.0, std::log2(std::max(2.0, n))));
-  // Report local extrema and count: {min, -max, n} under elementwise kMin.
+  // Report local extrema: {min, -max} under elementwise kMin.
   const double mn = keys.empty() ? 9e15 : static_cast<double>(keys.front());
   const double mx = keys.empty() ? 0 : static_cast<double>(keys.back());
-  contribute(std::vector<double>{mn, -mx, -n}, ReduceOp::kMin, state_->done_internal);
+  contribute(std::vector<double>{mn, -mx}, ReduceOp::kMin, state_->done_internal);
 }
 
 void Sorter::count(const SplitterMsg& m) {
@@ -231,7 +231,7 @@ void Library::hist_sort(Callback done) {
   auto* st = state_.get();  // raw: the closure lives inside *st (see above)
   st->done = std::move(done);
   st->done_internal = Callback::to_function([st](ReductionResult&& r) {
-    // r = {min, -max, -count} under kMin.
+    // r = {min, -max} under kMin.
     start_probing(st, r.num(0), -r.num(1));
   });
   proxy_.broadcast<&Sorter::local_sort>(StartMsg{});

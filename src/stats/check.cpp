@@ -253,6 +253,9 @@ void check_doc(const std::string& raw, const Value& doc) {
   const auto is_num = [](const Value& v) { return v.is_number(); };
   each_row(doc, schema::kSeries, [&](const Value& table, std::size_t, const std::string& w) {
     const std::size_t ncols = arr(table, "columns", w).size();
+    // A table that a bench printed but never recorded reads as evidence of
+    // nothing.
+    expect(!arr(table, "rows", w).empty(), w, "no rows");
     for (const Value& row : arr(table, "rows", w)) {
       expect(row.is_array() && std::all_of(row.array.begin(), row.array.end(), is_num), w,
              "expected number rows");

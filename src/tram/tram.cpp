@@ -12,20 +12,13 @@ Core::Core(Runtime& rt, CollectionId target, std::size_t buffer_items)
       pes_(static_cast<std::size_t>(rt.npes())) {}
 
 int Core::resolve_dest(int pe, const ObjIndex& idx) {
-  // Location reads probe: a PE with no PeLocal block has no cache or home
-  // entries, so the answer is the same as a dense lookup on empty maps.
   Collection& c = rt_.collection(col_);
-  if (c.find(pe, idx) != nullptr) return pe;
+  const int dest = rt_.route_point(c, idx, pe);
+  if (dest != pe || rt_.home_pe(idx) != pe) return dest;
+  // This PE is the home, so its record knows where the element lives.
   const PeLocal* pl = c.local_if(pe);
-  if (pl != nullptr) {
-    if (const int* loc = pl->loc_cache.find(idx)) return *loc;
-  }
-  int dest = rt_.home_pe(idx);
-  if (dest == pe && pl != nullptr) {
-    const HomeRecord* r = pl->home.find(idx);
-    if (r != nullptr && r->location != kInvalidPe) dest = r->location;
-  }
-  return dest;
+  const HomeRecord* r = pl != nullptr ? pl->home.find(idx) : nullptr;
+  return r != nullptr && r->location != kInvalidPe ? r->location : pe;
 }
 
 int Core::better_location(int pe, const ObjIndex& idx) {

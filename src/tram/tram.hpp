@@ -121,11 +121,12 @@ class Core {
     std::unordered_map<int, Buffer> buffers;  // keyed by peer PE
   };
 
-  /// Destination PE from the sender's location knowledge: local table, cache,
-  /// home record (when this PE is the home), else the home PE.
+  /// Destination PE: the runtime's point routing (Runtime::route_point),
+  /// refined by the home record when this PE is the element's home.
   int resolve_dest(int pe, const ObjIndex& idx);
-  /// A better owner guess after a local delivery miss (mirrors the runtime's
-  /// own point-delivery consult of home table / location cache).
+  /// A better owner guess after a local delivery miss, or kInvalidPe: the
+  /// home record unless in transit or pointing here; elsewhere the cache,
+  /// else the home PE.
   int better_location(int pe, const ObjIndex& idx);
   /// Local delivery missed: re-route on the aggregated path when a better
   /// location is known, else hand over to the point-send protocol (which

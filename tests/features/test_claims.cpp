@@ -123,6 +123,21 @@ const std::vector<Claim>& claims() {
       // Fig 9: LB speedup exceeds NoLB speedup at 64 PEs.
       {"BENCH_fig09_leanmd_scaling.json", "Figure 9", "speedup_LB", "speedup_NoLB", true,
        [](double p) { return p == 64; }},
+      // Fig 7: HistSort's share of the run stays below the multiway merge's.
+      {"BENCH_fig07_interop_sort.json", "Figure 7", "hist_share%", "merge_share%", false,
+       every_p},
+      // Fig 11: the XK7-like machine is faster than the XT5-like one.
+      {"BENCH_fig11_namd_profiles.json", "Figure 11", "XK7-like_ms", "XT5-like_ms", false,
+       every_p},
+      // Fig 14: virtualization (8 ranks per PE) beats one rank per PE.
+      {"BENCH_fig14_lulesh_ampi.json", "Figure 14:", "AMPI(v=8)", "AMPI(v=1)", false,
+       every_p},
+      // Fig 15a: more LPs per PE raise the PHOLD event rate.
+      {"BENCH_fig15a_phold_overdecomp.json", "Figure 15a", "64 LPs/PE", "16 LPs/PE", true,
+       every_p},
+      // Fig 15b: TRAM raises the event rate at 256 events per LP.
+      {"BENCH_fig15b_phold_tram.json", "Figure 15b", "TRAM 256e/LP", "noTRAM 256e/LP", true,
+       every_p},
       // Fig 17: heterogeneity-aware LB beats NoLB on the slow-node cloud.
       {"BENCH_fig17_cloud_leanmd.json", "Figure 17", "HeteroLB_ms", "HeteroNoLB_ms", false,
        every_p},

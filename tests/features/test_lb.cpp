@@ -392,4 +392,84 @@ TEST(LbManager, ResumeWorkCountsTowardNextRoundLoad) {
   EXPECT_EQ(resume_spans, 8u * 2u) << "one resume span per element per round";
 }
 
+// Elements that leave in resume_from_sync: migrate_to and destroy_self run
+// in the resume's entry frame, deferred to its end like in any entry.
+class Leaver : public charm::ArrayElement<Leaver, std::int32_t> {
+ public:
+  static constexpr double kStepWork = 1e-3;
+  static constexpr double kResumeWork = 4e-4;
+  static constexpr int kNpes = 4;
+  int payload = 0;
+  bool hopped = false;
+
+  void step(const IterMsg&) {
+    charm::charge(kStepWork);
+    at_sync();
+  }
+  void resume_from_sync() override {
+    charm::charge(kResumeWork);
+    if (index() % 2 == 1) {
+      rt().destroy_self();
+      return;
+    }
+    if (!hopped) {
+      hopped = true;
+      migrate_to((rt().my_pe() + 1) % kNpes);
+    }
+  }
+  void pup(pup::Er& p) override {
+    ArrayElementBase::pup(p);
+    p | payload;
+    p | hopped;
+  }
+};
+
+TEST(LbManager, MigrateToFromResumeLandsWithState) {
+  Harness h(Leaver::kNpes);
+  auto arr = ArrayProxy<Leaver>::create(h.rt);
+  for (int i = 0; i < 8; i += 2) {
+    arr.seed(i, i % Leaver::kNpes);
+    h.find<Leaver>(arr.id(), i)->payload = 100 + i;
+  }
+  h.rt.lb().register_collection(arr.id());
+  h.rt.on_pe(0, [&] { arr.broadcast<&Leaver::step>(IterMsg{0}); });
+  h.machine.run();
+  ASSERT_EQ(h.rt.lb().rounds_completed(), 1);
+  EXPECT_EQ(h.rt.outstanding(), 0);
+  EXPECT_EQ(h.rt.collection(arr.id()).total_elements, 4);
+  for (int i = 0; i < 8; i += 2) {
+    int pe = -1;
+    auto* w = h.find<Leaver>(arr.id(), i, &pe);
+    ASSERT_NE(w, nullptr) << "element " << i;
+    EXPECT_EQ(pe, (i % Leaver::kNpes + 1) % Leaver::kNpes) << "element " << i;
+    EXPECT_EQ(w->payload, 100 + i);
+    EXPECT_TRUE(w->hopped);
+    // The frame closes before the element packs, so the resume's own work
+    // travels with it.
+    EXPECT_NEAR(w->measured_load(), Leaver::kStepWork + Leaver::kResumeWork, 1e-12)
+        << "element " << i;
+  }
+}
+
+TEST(LbManager, DestroySelfFromResumeRemovesTheElement) {
+  Harness h(Leaver::kNpes);
+  auto arr = ArrayProxy<Leaver>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % Leaver::kNpes);
+  h.rt.lb().register_collection(arr.id());
+  h.rt.on_pe(0, [&] { arr.broadcast<&Leaver::step>(IterMsg{0}); });
+  EXPECT_NO_THROW(h.machine.run());
+  ASSERT_EQ(h.rt.lb().rounds_completed(), 1);
+  EXPECT_EQ(h.rt.outstanding(), 0);
+  EXPECT_EQ(h.rt.collection(arr.id()).total_elements, 4);
+  for (int i = 0; i < 8; ++i) {
+    auto* w = h.find<Leaver>(arr.id(), i);
+    if (i % 2 == 1) {
+      EXPECT_EQ(w, nullptr) << "element " << i << " survived destroy_self";
+    } else {
+      ASSERT_NE(w, nullptr) << "element " << i;
+      EXPECT_TRUE(w->hopped);
+    }
+  }
+}
+
 }  // namespace

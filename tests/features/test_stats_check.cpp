@@ -180,6 +180,14 @@ TEST(StatsCheck, KeyOrderPerSectionAndOptionalSlots) {
   EXPECT_NAMES(err, "journal");
 }
 
+TEST(StatsCheck, EverySeriesTableHasRows) {
+  const std::string err = seeded_error("BENCH_fig11_namd_profiles.json", [](Value& d) {
+    member(cell(d, "series", 0), "rows").array.clear();
+  });
+  EXPECT_NAMES(err, "series[0]");
+  EXPECT_NAMES(err, "no rows");
+}
+
 TEST(StatsCheck, PeAndEntrySumsMatchTotals) {
   std::string err = seeded_error("BENCH_fig11_namd_profiles.json", [](Value& d) {
     Value& pe = cell(d, "pes", 0);
