@@ -43,9 +43,12 @@ Outcome run_policy(power::Policy policy, double lb_period, bool meta) {
   power::Manager pm(rt, /*period=*/0.4);
   pm.start(policy, lb_period);
 
+  // The smoke cap is the smallest step count at which every scheme's exec_s
+  // differs: LB_10s leaves Naive_DVFS only after its first rebalance, 10 s
+  // of virtual time in.
   bool done = false;
   rt.on_pe(0, [&] {
-    sim.run(bench::cap_steps(600, 40), Callback::to_function([&](ReductionResult&&) {
+    sim.run(bench::cap_steps(600, 208), Callback::to_function([&](ReductionResult&&) {
       done = true;
       rt.exit();
     }));

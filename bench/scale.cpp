@@ -11,7 +11,10 @@
 //     peak RSS) is printed to stdout and deliberately kept out of the JSON.
 //   * --full: the acceptance configuration — P = 1M virtual PEs, W = 4M
 //     chares — run once with a memory report; CI's Release job runs it
-//     under `ulimit -v` to enforce the footprint ceiling.
+//     under `ulimit -v` to enforce the footprint ceiling.  It exits 1 when
+//     the structural footprint right after seeding covers less than
+//     kMinSeededCoverage of the RSS at that point: bytes nothing counts
+//     would look the same as a leak.
 //
 // Usage: scale [--smoke] [--full] [--stats=FILE] [--trace=FILE]
 
@@ -153,9 +156,18 @@ struct RunResult {
   double makespan = 0;
   double checksum = 0;
   charm::Runtime::MemoryFootprint footprint{};
+  charm::Runtime::MemoryFootprint seeded{};  ///< footprint beside seeded_rss_kb
   std::size_t peak_event_bytes = 0;
   long seeded_rss_kb = 0;  ///< RSS after element creation, before the run
 };
+
+/// Share of seeded RSS the seeded footprint must account for in --full.
+constexpr double kMinSeededCoverage = 0.9;
+
+double seeded_coverage(const RunResult& r) {
+  return static_cast<double>(r.seeded.total()) /
+         (static_cast<double>(r.seeded_rss_kb) * 1024.0);
+}
 
 int pe_of(std::int64_t i, std::int64_t w, std::int64_t p) {
   return static_cast<int>(i * p / w);
@@ -209,6 +221,7 @@ RunResult run_column(int npes, std::int32_t width, std::int32_t steps,
   kick_chain(rt, cells, 0, width, npes);
 
   res.seeded_rss_kb = peak_rss_kb();
+  res.seeded = rt.memory_footprint();
   m.run();
   res.touched_pes = m.touched_pes();
   res.events = m.events_processed();
@@ -227,11 +240,12 @@ void print_memory(const char* tag, const RunResult& r) {
                           static_cast<double>(r.touched_pes)
                     : 0;
   std::printf(
-      "   [mem %s] touched=%zu structural=%zu B (pe=%zu coll=%zu evq=%zu "
-      "pool=%zu) bytes/touched_pe=%.0f seeded_rss=%ld KiB peak_rss=%ld KiB\n",
+      "   [mem %s] touched=%zu structural=%zu B (pe=%zu coll=%zu elem=%zu "
+      "evq=%zu pool=%zu) bytes/touched_pe=%.0f seeded_structural=%zu B "
+      "seeded_rss=%ld KiB coverage=%.3f peak_rss=%ld KiB\n",
       tag, r.touched_pes, f.total(), f.pe_state_bytes, f.collection_bytes,
-      f.event_queue_bytes, f.payload_pool_bytes, per_touched, r.seeded_rss_kb,
-      peak_rss_kb());
+      f.element_bytes, f.event_queue_bytes, f.payload_pool_bytes, per_touched,
+      r.seeded.total(), r.seeded_rss_kb, seeded_coverage(r), peak_rss_kb());
 }
 
 bool g_full = false;
@@ -275,6 +289,14 @@ int main(int argc, char** argv) {
     if (r.touched_pes != static_cast<std::size_t>(npes)) {
       std::fprintf(stderr, "scale: expected all %d PEs touched, got %zu\n",
                    npes, r.touched_pes);
+      return 1;
+    }
+    if (seeded_coverage(r) < kMinSeededCoverage) {
+      std::fprintf(stderr,
+                   "scale: seeded footprint %zu B covers %.3f of seeded RSS "
+                   "%ld KiB, below %.2f\n",
+                   r.seeded.total(), seeded_coverage(r), r.seeded_rss_kb,
+                   kMinSeededCoverage);
       return 1;
     }
     return 0;

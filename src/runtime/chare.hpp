@@ -4,7 +4,8 @@
 // Array elements derive from ArrayElement<Self, Ix>; groups (one element per
 // PE, like Charm++ groups) derive from Group<Self>.  The base class carries
 // the element's identity and exposes runtime services: reductions, AtSync
-// load balancing, migration, and PUP for migration/checkpointing.
+// load balancing, migration, and PUP for migration/checkpointing.  Element
+// objects live in SlabPool slots (slab_pool.hpp), not one malloc chunk each.
 
 #include <array>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "pup/pup.hpp"
 #include "runtime/callback.hpp"
 #include "runtime/index.hpp"
+#include "runtime/slab_pool.hpp"
 #include "runtime/types.hpp"
 
 namespace charm {
@@ -28,6 +30,15 @@ enum class ReduceOp : std::uint8_t { kSum, kMin, kMax };
 class ArrayElementBase {
  public:
   virtual ~ArrayElementBase() = default;
+
+  /// Every element type draws its object from the slab pool; the virtual
+  /// destructor hands the sized delete the dynamic type's size.  An
+  /// over-aligned element type does not compile.
+  static void* operator new(std::size_t bytes) { return SlabPool::allocate(bytes); }
+  static void operator delete(void* p, std::size_t bytes) noexcept {
+    SlabPool::deallocate(p, bytes);
+  }
+  static void* operator new(std::size_t, std::align_val_t) = delete;
 
   CollectionId collection_id() const { return col_; }
   ObjIndex raw_index() const { return idx_; }

@@ -8,12 +8,16 @@
 // each PE holds O(local elements + homes hashed to it), never O(total).
 // Home records and cache entries sit in flat LocTables (32- and 24-byte
 // slots); envelopes parked at a home live in a side map that exists only
-// while something is parked on that PE.  `elems` stays a node-based map:
-// its iteration order drives broadcast delivery, LB registration,
-// checkpoint order and FP reduction order (DESIGN.md §12).
+// while something is parked on that PE, and tree-reduction partials in a
+// side block that exists once the PE has held one.  `elems` stays a
+// node-based map: its iteration order drives broadcast delivery, LB
+// registration, checkpoint order and FP reduction order (DESIGN.md §12).
+// Its nodes and buckets come from the element objects' SlabPool; the
+// container, hash and rehash policy are std's, so that order is unchanged.
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -23,6 +27,7 @@
 #include "runtime/chare.hpp"
 #include "runtime/envelope.hpp"
 #include "runtime/loc_table.hpp"
+#include "runtime/slab_pool.hpp"
 #include "runtime/types.hpp"
 #include "sim/paged_table.hpp"
 
@@ -56,20 +61,38 @@ struct ReduxSlot {
 
 using ReduxMap = std::unordered_map<std::uint64_t, ReduxSlot>;
 
+/// In-flight reduction slots keyed by sequence, plus one recycled map node:
+/// the steady state extracts one slot per reduction and reuses its node for
+/// the next, so reductions allocate nothing.
+struct ReduxSlots {
+  ReduxMap map;
+  ReduxMap::node_type spare;
+};
+
+/// One PE's elements, in the order DESIGN.md §12 pins.
+using ElemMap =
+    std::unordered_map<ObjIndex, std::unique_ptr<ArrayElementBase>, ObjIndexHash,
+                       std::equal_to<ObjIndex>,
+                       SlabAllocator<std::pair<const ObjIndex,
+                                               std::unique_ptr<ArrayElementBase>>>>;
+
 struct PeLocal {
   using Parked = std::unordered_map<ObjIndex, std::vector<Envelope>, ObjIndexHash>;
 
-  std::unordered_map<ObjIndex, std::unique_ptr<ArrayElementBase>, ObjIndexHash> elems;
+  ElemMap elems;
   LocTable<HomeRecord> home;
   LocTable<int> loc_cache;
   /// Messages parked at this home, per element in arrival order.  Allocated
   /// on the first park and dropped once empty.
   std::unique_ptr<Parked> parked;
-  /// Per-PE partial combines under tree collectives, keyed by sequence.
-  ReduxMap partial;
-  /// Recycled map node: the steady state extracts one partial per wave and
-  /// reuses its node for the next, so tree reductions allocate nothing.
-  ReduxMap::node_type partial_spare;
+  /// Per-PE partial combines under tree collectives.  Allocated the first
+  /// time this PE holds a partial and kept, so later waves allocate nothing.
+  std::unique_ptr<ReduxSlots> partials;
+
+  ReduxSlots& tree_partials() {
+    if (partials == nullptr) partials = std::make_unique<ReduxSlots>();
+    return *partials;
+  }
 
   void park(Envelope&& env) {
     if (parked == nullptr) parked = std::make_unique<Parked>();
@@ -94,6 +117,7 @@ struct PeLocal {
     parked.reset();
   }
 };
+static_assert(sizeof(PeLocal) <= 120, "PeLocal is paged for every touched PE");
 
 /// A chare array or group instance.
 class Collection {
@@ -119,9 +143,7 @@ class Collection {
   std::int64_t total_elements = 0;
 
   /// In-flight reductions keyed by sequence number.
-  ReduxMap redux;
-  /// Recycled map node (see PeLocal::partial_spare).
-  ReduxMap::node_type redux_spare;
+  ReduxSlots redux;
   /// Reduction number newly created elements join: dynamically inserted
   /// chares (AMR refinement) must not restart at sequence 0 while existing
   /// chares are at N, or collection-wide reductions would never complete.
@@ -139,7 +161,9 @@ class Collection {
   const PeLocal* local_if(int p) const { return pe.probe(static_cast<std::size_t>(p)); }
 
   /// Host bytes of the paged PeLocal blocks plus every location table's
-  /// slot storage.  `elems` nodes and parked envelopes are not counted.
+  /// slot storage.  Element objects and `elems` nodes and buckets are
+  /// SlabPool bytes, counted by Runtime::MemoryFootprint::element_bytes;
+  /// parked envelopes and reduction side blocks are not counted.
   std::size_t memory_bytes() const {
     std::size_t bytes = pe.memory_bytes();
     pe.for_each_touched([&bytes](std::size_t, const PeLocal& pl) {

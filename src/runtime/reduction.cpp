@@ -65,26 +65,25 @@ void absorb_nums(ReduxSlot& slot, std::vector<double>&& nums, ReduceOp op,
   }
 }
 
-/// Slot `seq` of `map`, created on first use by re-keying the recycled
-/// `spare` node when there is one (no allocation once a slot has retired).
-ReduxSlot& slot_for(ReduxMap& map, ReduxMap::node_type& spare, std::uint64_t seq) {
-  auto it = map.find(seq);
-  if (it != map.end()) return it->second;
-  if (!spare) return map[seq];
-  spare.key() = seq;
-  spare.mapped() = ReduxSlot{};
-  return map.insert(std::move(spare)).position->second;
+/// Slot `seq` of `slots`, created on first use by re-keying the recycled
+/// spare node when there is one (no allocation once a slot has retired).
+ReduxSlot& slot_for(ReduxSlots& slots, std::uint64_t seq) {
+  auto it = slots.map.find(seq);
+  if (it != slots.map.end()) return it->second;
+  if (!slots.spare) return slots.map[seq];
+  slots.spare.key() = seq;
+  slots.spare.mapped() = ReduxSlot{};
+  return slots.map.insert(std::move(slots.spare)).position->second;
 }
 
-/// Retires slot `seq` of `map`: moves its state out and keeps the map node
-/// as the `spare` for the next slot_for.  Empty when the slot is gone
+/// Retires slot `seq` of `slots`: moves its state out and keeps the map node
+/// as the spare for the next slot_for.  Empty when the slot is gone
 /// (cleared mid-wave by an FT rollback).
-std::optional<ReduxSlot> retire_slot(ReduxMap& map, ReduxMap::node_type& spare,
-                                     std::uint64_t seq) {
-  auto node = map.extract(seq);
+std::optional<ReduxSlot> retire_slot(ReduxSlots& slots, std::uint64_t seq) {
+  auto node = slots.map.extract(seq);
   if (!node) return std::nullopt;
   std::optional<ReduxSlot> slot(std::move(node.mapped()));
-  spare = std::move(node);
+  slots.spare = std::move(node);
   return slot;
 }
 
@@ -110,9 +109,8 @@ void Runtime::contribute(ArrayElementBase& elem, std::vector<double> nums, bool 
   charge(kContributeCost);
 
   const bool tree = tree_collectives();
-  PeLocal* pl = tree ? &c.local(elem.pe_) : nullptr;
-  ReduxSlot& slot = tree ? slot_for(pl->partial, pl->partial_spare, seq)
-                         : slot_for(c.redux, c.redux_spare, seq);
+  ReduxSlot& slot =
+      slot_for(tree ? c.local(elem.pe_).tree_partials() : c.redux, seq);
   if (has_nums) absorb_nums(slot, std::move(nums), op, *this);
   if (has_chunk) slot.chunks.push_back(std::move(chunk));
   ++slot.count;
@@ -126,7 +124,7 @@ void Runtime::contribute(ArrayElementBase& elem, std::vector<double> nums, bool 
 
 void Runtime::complete_reduction(Collection& c, std::uint64_t seq) {
   c.redux_floor = std::max(c.redux_floor, seq + 1);
-  ReduxSlot slot = *retire_slot(c.redux, c.redux_spare, seq);
+  ReduxSlot slot = *retire_slot(c.redux, seq);
   ReductionResult result{std::move(slot.nums), std::move(slot.chunks)};
 
   // Critical-path cost of the combine tree after the last contribution.
@@ -147,7 +145,7 @@ void Runtime::complete_reduction(Collection& c, std::uint64_t seq) {
 
 void Runtime::note_tree_contribution(Collection& c, std::uint64_t seq,
                                      const Callback& cb) {
-  ReduxSlot& g = slot_for(c.redux, c.redux_spare, seq);
+  ReduxSlot& g = slot_for(c.redux, seq);
   if (cb.valid()) g.cb = cb;
   ++g.count;
   if (g.count >= c.total_elements) start_tree_upsweep(c, seq);
@@ -158,7 +156,7 @@ void Runtime::start_tree_upsweep(Collection& c, std::uint64_t seq) {
   // partials is final.  Advance the floor exactly like the flat path and
   // retire the global bookkeeping slot.
   c.redux_floor = std::max(c.redux_floor, seq + 1);
-  const Callback cb = retire_slot(c.redux, c.redux_spare, seq)->cb;
+  const Callback cb = retire_slot(c.redux, seq)->cb;
 
   const SpanningTree tree(active_pes_, /*root=*/0, cfg_.tree_fanout);
   const int P = active_pes_;
@@ -169,7 +167,8 @@ void Runtime::start_tree_upsweep(Collection& c, std::uint64_t seq) {
   // completions fire), so rel == abs here.
   for (int p = 0; p < P; ++p) {
     const PeLocal* pl = c.local_if(p);
-    if (pl == nullptr || pl->partial.find(seq) == pl->partial.end()) continue;
+    if (pl == nullptr || pl->partials == nullptr || !pl->partials->map.contains(seq))
+      continue;
     for (int r = p;;) {
       if (redux_on_path_[static_cast<std::size_t>(r)]) break;
       redux_on_path_[static_cast<std::size_t>(r)] = 1;
@@ -184,8 +183,7 @@ void Runtime::start_tree_upsweep(Collection& c, std::uint64_t seq) {
   // kick keeps QD open by hand — timer posts are not counted.
   for (int r = 0; r < P; ++r) {
     if (!redux_on_path_[static_cast<std::size_t>(r)]) continue;
-    PeLocal& pl = c.local(r);
-    ReduxSlot& part = slot_for(pl.partial, pl.partial_spare, seq);
+    ReduxSlot& part = slot_for(c.local(r).tree_partials(), seq);
     if (r == 0) part.cb = cb;  // rank 0's slot carries the callback
     int kids = 0;
     for (int i = 1; i <= tree.arity; ++i) {
@@ -212,8 +210,7 @@ void Runtime::send_tree_partial(CollectionId col, std::uint64_t seq, int rank) {
   }
   const SpanningTree tree(active_pes_, /*root=*/0, cfg_.tree_fanout);
   const int parent = tree.parent(rank);
-  PeLocal& pl = c.local(rank);
-  std::optional<ReduxSlot> part = retire_slot(pl.partial, pl.partial_spare, seq);
+  std::optional<ReduxSlot> part = retire_slot(c.local(rank).tree_partials(), seq);
   if (!part) return;
   const std::int64_t count = part->count;
   const bool has_nums = part->has_nums;
@@ -236,8 +233,7 @@ void Runtime::tree_partial_arrive(CollectionId col, std::uint64_t seq,
                                   std::vector<std::vector<std::byte>>&& chunks) {
   Collection& c = collection(col);
   const int rank = machine_.current_pe();
-  PeLocal& pl = c.local(rank);
-  ReduxSlot& part = slot_for(pl.partial, pl.partial_spare, seq);
+  ReduxSlot& part = slot_for(c.local(rank).tree_partials(), seq);
   charge(kContributeCost);  // per-level combine work
   part.count += count;
   if (has_nums) {
@@ -253,8 +249,7 @@ void Runtime::tree_partial_arrive(CollectionId col, std::uint64_t seq,
 }
 
 void Runtime::complete_tree_root(Collection& c, std::uint64_t seq) {
-  PeLocal& pl = c.local(0);
-  std::optional<ReduxSlot> root = retire_slot(pl.partial, pl.partial_spare, seq);
+  std::optional<ReduxSlot> root = retire_slot(c.local(0).tree_partials(), seq);
   if (!root || !root->cb.valid()) return;
   root->cb.invoke(*this, ReductionResult{std::move(root->nums), std::move(root->chunks)});
 }
@@ -266,19 +261,17 @@ void Runtime::clear_reductions(CollectionId col) {
   // left mid-flight — are released too, or a stale partial would combine
   // into a later reduction that reuses its sequence number.
   Collection& c = collection(col);
-  for (auto& [seq, slot] : c.redux) {
-    release_nums(std::move(slot.nums));
-    for (std::vector<std::byte>& chunk : slot.chunks)
-      release_payload(std::move(chunk));
-  }
-  c.redux.clear();
-  c.pe.for_each_touched([this](std::size_t, PeLocal& pl) {
-    for (auto& [seq, part] : pl.partial) {
-      release_nums(std::move(part.nums));
-      for (std::vector<std::byte>& chunk : part.chunks)
+  const auto release_all = [this](ReduxSlots& slots) {
+    for (auto& [seq, slot] : slots.map) {
+      release_nums(std::move(slot.nums));
+      for (std::vector<std::byte>& chunk : slot.chunks)
         release_payload(std::move(chunk));
     }
-    pl.partial.clear();
+    slots.map.clear();
+  };
+  release_all(c.redux);
+  c.pe.for_each_touched([&release_all](std::size_t, PeLocal& pl) {
+    if (pl.partials != nullptr) release_all(*pl.partials);
   });
   c.redux_floor = 0;
 }

@@ -243,6 +243,7 @@ Runtime::MemoryFootprint Runtime::memory_footprint() const {
   f.event_queue_bytes = machine_.event_queue_bytes();
   f.payload_pool_bytes = payload_pool_.retained_bytes() + nums_pool_.retained_bytes();
   for (const auto& c : collections_) f.collection_bytes += c->memory_bytes();
+  f.element_bytes = SlabPool::live_bytes();
   return f;
 }
 

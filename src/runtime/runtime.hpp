@@ -201,19 +201,22 @@ class Runtime {
   // ---- memory accounting (DESIGN.md §12) -----------------------------------
 
   /// Structural host-memory census of the lazy per-PE state.  Counts pages,
-  /// queue storage, location-table slots and the capacity the buffer pools
-  /// retain, which the runtime owns directly.  A payload of up to 32 bytes
-  /// rides in its event slot and counts with the event queue; heap payloads
-  /// in flight and other container-internal heap nodes (`elems` map nodes,
-  /// element objects) are covered by peak RSS.
+  /// queue storage, location-table slots, the capacity the buffer pools
+  /// retain, and the SlabPool's live bytes: element objects plus the nodes
+  /// and buckets of every `elems` map.  A payload of up to 32 bytes rides in
+  /// its event slot and counts with the event queue; heap payloads in
+  /// flight, parked envelopes and reduction side blocks are covered by peak
+  /// RSS only.
   struct MemoryFootprint {
     std::size_t touched_pes = 0;       ///< machine-level first-touch census
     std::size_t pe_state_bytes = 0;    ///< PE pages + ready-queue storage
     std::size_t collection_bytes = 0;  ///< PeLocal pages + location-table slots
+    std::size_t element_bytes = 0;     ///< SlabPool: element objects + `elems` storage
     std::size_t event_queue_bytes = 0; ///< global event-list heap + arena
     std::size_t payload_pool_bytes = 0; ///< capacity on the payload/nums free lists
     std::size_t total() const {
-      return pe_state_bytes + collection_bytes + event_queue_bytes + payload_pool_bytes;
+      return pe_state_bytes + collection_bytes + element_bytes + event_queue_bytes +
+             payload_pool_bytes;
     }
   };
   MemoryFootprint memory_footprint() const;

@@ -71,6 +71,7 @@ class Pe {
   bool failed_ = false;
   ReadyQueue ready_;
 };
+static_assert(sizeof(Pe) <= 72, "Pe is paged for every touched PE");
 
 class Machine {
  public:

@@ -115,6 +115,70 @@ struct Claim {
   }
 };
 
+/// One row-comparison claim: in series `title`, the row whose `key` column
+/// is `row` has the strictly largest (`largest`) or smallest `value` among
+/// itself and the rows keyed `others`.
+struct RowClaim {
+  std::string record;
+  std::string title;
+  std::string key;
+  std::string value;
+  double row;
+  std::vector<double> others;
+  bool largest;
+
+  /// The row of `s` keyed `k` (nullptr when absent).
+  template <class V>
+  V* find_row(V& s, double k) const {
+    const int kc = column(s, key);
+    if (kc < 0) return nullptr;
+    for (V& r : member(s, "rows")->array)
+      if (r.array[static_cast<std::size_t>(kc)].number == k) return &r;
+    return nullptr;
+  }
+
+  /// "" when the claim holds on `doc`, else what broke it.
+  std::string violated(const Value& doc) const {
+    const Value* smoke = doc.find("smoke");
+    if (smoke == nullptr || smoke->boolean) return "not a full run";
+    const Value* s = series(doc, title);
+    if (s == nullptr) return "no series \"" + title + "\"";
+    const int vc = column(*s, value);
+    const Value* claimed = find_row(*s, row);
+    if (vc < 0 || claimed == nullptr) return "missing column or row";
+    const double v = claimed->array[static_cast<std::size_t>(vc)].number;
+    for (double k : others) {
+      const Value* other = find_row(*s, k);
+      if (other == nullptr) return "missing row";
+      const double o = other->array[static_cast<std::size_t>(vc)].number;
+      if (largest ? !(v > o) : !(v < o)) {
+        std::ostringstream os;
+        os << value << "=" << v << " at " << key << "=" << row << " vs " << o << " at "
+           << key << "=" << k;
+        return os.str();
+      }
+    }
+    return "";
+  }
+
+  /// Swaps the claimed row's value with each other row's, one at a time,
+  /// and counts the inverted records that still pass.
+  int inversions_passing(Value doc) const {
+    Value* s = series(doc, title);
+    if (s == nullptr) return -1;
+    const auto vc = static_cast<std::size_t>(column(*s, value));
+    Value* claimed = find_row(*s, row);
+    int passing = 0;
+    for (double k : others) {
+      Value* other = find_row(*s, k);
+      std::swap(claimed->array[vc], other->array[vc]);
+      passing += violated(doc).empty();
+      std::swap(claimed->array[vc], other->array[vc]);
+    }
+    return passing;
+  }
+};
+
 const std::vector<Claim>& claims() {
   static const std::vector<Claim> all = {
       // Fig 8 (left): DistributedLB beats NoLB at every PE count.
@@ -145,12 +209,31 @@ const std::vector<Claim>& claims() {
   return all;
 }
 
+const std::vector<RowClaim>& row_claims() {
+  // Fig 4 rows are keyed by scheme_id: 0=Base 1=Naive_DVFS 2=LB_10s 3=LB_5s
+  // 4=MetaTemp.
+  static const std::vector<RowClaim> all = {
+      // Naive DVFS pays the largest timing penalty.
+      {"BENCH_fig04_power.json", "Figure 4", "scheme_id", "exec_s", 1, {0, 2, 3, 4}, true},
+      // MetaTemp is the fastest of the four DVFS schemes.
+      {"BENCH_fig04_power.json", "Figure 4", "scheme_id", "exec_s", 4, {1, 2, 3}, false},
+      // Base never throttles, so it runs hottest.
+      {"BENCH_fig04_power.json", "Figure 4", "scheme_id", "max_temp_C", 0, {1, 2, 3, 4},
+       true},
+  };
+  return all;
+}
+
 TEST(Claims, EveryFullRecordHoldsItsShape) {
   for (const Claim& c : claims()) EXPECT_EQ(c.violated(load(c.record)), "") << c.record;
+  for (const RowClaim& c : row_claims())
+    EXPECT_EQ(c.violated(load(c.record)), "") << c.record << " " << c.value;
 }
 
 TEST(Claims, InvertingAnyClaimedRowFailsTheClaim) {
   for (const Claim& c : claims()) EXPECT_EQ(c.inversions_passing(load(c.record)), 0) << c.record;
+  for (const RowClaim& c : row_claims())
+    EXPECT_EQ(c.inversions_passing(load(c.record)), 0) << c.record << " " << c.value;
 }
 
 TEST(Claims, SmokeRecordIsNotEvidence) {
@@ -159,6 +242,11 @@ TEST(Claims, SmokeRecordIsNotEvidence) {
     Value doc = load(c.record);
     member(doc, "smoke")->boolean = true;
     EXPECT_EQ(c.violated(doc), "not a full run") << c.record;
+  }
+  for (const RowClaim& c : row_claims()) {
+    Value doc = load(c.record);
+    member(doc, "smoke")->boolean = true;
+    EXPECT_EQ(c.violated(doc), "not a full run") << c.record << " " << c.value;
   }
 }
 
