@@ -20,11 +20,15 @@
 //                  1e-3).  Adds "metrics_interval"/"timeseries"/"journal"
 //                  sections to the stats JSON; never perturbs virtual time,
 //                  so the figure series are unchanged.
-//   --mtbf=SEC     (fault-tolerant benches only) inject PE failures with the
-//                  given mean time between failures, in virtual seconds
+//
+// A bench adds its own flags as parse_args' `extra` table; fault_flags() is
+// the one shared by fault-tolerant benches (fig10_leanmd_ckpt):
+//   --mtbf=SEC     inject PE failures with the given mean time between
+//                  failures, in virtual seconds
 //   --failures=N   cap the number of injected failures (default 1)
 //   --fault-seed=N seed for the failure schedule / victim draws (default 1)
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -38,9 +42,9 @@
 
 #include "introspect/metrics.hpp"
 #include "runtime/charm.hpp"
+#include "stats/chrome_export.hpp"
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
-#include "trace/chrome_export.hpp"
 #include "trace/trace.hpp"
 
 namespace bench {
@@ -61,9 +65,6 @@ struct Options {
   std::string stats_file;   ///< analytics JSON output ("" = stats off)
   bool metrics = false;     ///< attach the live introspection monitor
   double metrics_interval = 1e-3;  ///< sampling cadence in virtual seconds
-  double mtbf = 0;          ///< >0: inject failures with this MTBF (virtual s)
-  int failures = 1;         ///< failure budget when mtbf > 0
-  std::uint64_t fault_seed = 1;  ///< failure schedule seed
 
   std::string bench_name;   ///< basename of argv[0], stamped into stats JSON
   int traced_npes = 0;      ///< PE count of the last machine given the tracer
@@ -164,12 +165,6 @@ inline const FlagSpec* flag_table(std::size_t* count) {
          return v == nullptr || parse_positive(v, &options().metrics_interval);
        },
        /*optional_value=*/true},
-      {"--mtbf", "SEC", "needs a positive time in seconds",
-       [](const char* v) { return parse_positive(v, &options().mtbf); }},
-      {"--failures", "N", "needs a positive count",
-       [](const char* v) { return parse_positive(v, &options().failures); }},
-      {"--fault-seed", "N", nullptr,
-       [](const char* v) { return parse_number(v, &options().fault_seed); }},
   };
   *count = sizeof(kFlags) / sizeof(kFlags[0]);
   return kFlags;
@@ -197,6 +192,32 @@ inline std::string flag_usage() {
 }
 
 }  // namespace detail
+
+/// Failure-injection settings, set only by the fault_flags() table.
+struct FaultOptions {
+  double mtbf = 0;               ///< >0: inject failures with this MTBF (virtual s)
+  int failures = 1;              ///< failure budget when mtbf > 0
+  std::uint64_t fault_seed = 1;  ///< failure schedule seed
+};
+
+inline FaultOptions& fault_options() {
+  static FaultOptions o;
+  return o;
+}
+
+/// The fault-injection flags, for parse_args' `extra` in the benches that
+/// read fault_options().
+inline const std::array<detail::FlagSpec, 3>& fault_flags() {
+  static const std::array<detail::FlagSpec, 3> kFlags = {{
+      {"--mtbf", "SEC", "needs a positive time in seconds",
+       [](const char* v) { return parse_positive(v, &fault_options().mtbf); }},
+      {"--failures", "N", "needs a positive count",
+       [](const char* v) { return parse_positive(v, &fault_options().failures); }},
+      {"--fault-seed", "N", nullptr,
+       [](const char* v) { return parse_number(v, &fault_options().fault_seed); }},
+  }};
+  return kFlags;
+}
 
 /// Parses the common flags plus `extra` bench-specific ones; rejects anything
 /// else (with the full flag list) so typos fail CI instead of being ignored.
@@ -360,14 +381,10 @@ inline void attach_trace(sim::Machine& m) {
   }
 }
 
-/// Labels entry spans with registered names (Registry::name_entry).
-inline trace::EntryLabeler entry_labeler() {
-  return [](int col, int ep) -> std::string {
-    if (ep < 0) return "col" + std::to_string(col) + ".apply";
-    const std::string& n = charm::Registry::instance().entry_name(ep);
-    if (!n.empty()) return n;
-    return "col" + std::to_string(col) + ".ep" + std::to_string(ep);
-  };
+/// Labels entry spans with registered names (Registry::name_entry); the
+/// exporters' stats::entry_label names the rest.
+inline stats::EntryLabeler entry_labeler() {
+  return [](int, int ep) { return charm::Registry::instance().entry_name(ep); };
 }
 
 /// A full sample buffer silently truncates the timeline written from it, so
@@ -397,7 +414,7 @@ inline int check_drops() {
 inline int finish() {
   const trace::Tracer& t = shared_tracer();
   if (!options().trace_file.empty()) {
-    if (!trace::write_chrome_trace_file(t, options().trace_file, entry_labeler())) {
+    if (!stats::write_chrome_trace_file(t, options().trace_file, entry_labeler())) {
       std::fprintf(stderr, "failed to write trace to %s\n", options().trace_file.c_str());
       return 1;
     }

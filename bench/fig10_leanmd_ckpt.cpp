@@ -59,9 +59,9 @@ int run_resilient(int npes, int total_steps, int ckpt_period) {
 
   sim::FaultConfig fcfg;
   fcfg.mode = sim::FaultMode::kMtbf;
-  fcfg.mtbf = bench::options().mtbf;
-  fcfg.seed = bench::options().fault_seed;
-  fcfg.max_failures = bench::options().failures;
+  fcfg.mtbf = bench::fault_options().mtbf;
+  fcfg.seed = bench::fault_options().fault_seed;
+  fcfg.max_failures = bench::fault_options().failures;
   const ft::MemCkptParams ckpt_params;
   // Keep consecutive failures out of each other's detection window: two dead
   // PEs in one burst can be buddies, which double checkpointing cannot survive.
@@ -96,7 +96,7 @@ int run_resilient(int npes, int total_steps, int ckpt_period) {
               static_cast<double>(drv.steps_replayed()), m.max_pe_clock() * 1e3});
   if (!fi.log().empty()) {
     bench::note("failure schedule (seed " +
-                std::to_string(bench::options().fault_seed) + "):");
+                std::to_string(bench::fault_options().fault_seed) + "):");
     std::printf("%s", fi.format_log().c_str());
     std::printf("messages dropped at failed PEs: %llu\n",
                 static_cast<unsigned long long>(m.messages_dropped()));
@@ -111,8 +111,9 @@ int run_resilient(int npes, int total_steps, int ckpt_period) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (bench::parse_args(argc, argv) != 0) return 1;
-  if (bench::options().mtbf > 0) {
+  const auto& fault_flags = bench::fault_flags();
+  if (bench::parse_args(argc, argv, fault_flags.data(), fault_flags.size()) != 0) return 1;
+  if (bench::fault_options().mtbf > 0) {
     bench::header("Figure 10 (resilience mode)",
                   "LeanMD under injected PE failures, checkpoint/rollback/replay");
     const int rc = run_resilient(bench::smoke() ? 8 : 32,

@@ -1,6 +1,7 @@
-// Fig 15a: PHOLD weak scaling — event rate vs PE count for 64/128/256 LPs
-// per PE with 32 initial events per LP.  Over-decomposition keeps PEs busy
-// inside each YAWNS window, so more LPs per PE yields a higher event rate.
+// Fig 15a: PHOLD weak scaling — event rate vs PE count (8/16/32 PEs) for
+// 16/32/64 LPs per PE with 32 initial events per LP (the paper runs 64/128/256
+// LPs per PE).  Over-decomposition keeps PEs busy inside each YAWNS window,
+// so more LPs per PE yields a higher event rate.
 
 #include "bench_common.hpp"
 #include "miniapps/pdes/pdes.hpp"

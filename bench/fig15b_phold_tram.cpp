@@ -1,6 +1,7 @@
-// Fig 15b: PHOLD with and without TRAM, 256 LPs per PE, 64 vs 1024 events
-// per LP.  At low communication volume aggregation only adds latency; at
-// high volume TRAM's per-message overhead amortization wins.
+// Fig 15b: PHOLD with and without TRAM on 8/16/32 PEs, 64 LPs per PE, 16 vs
+// 256 events per LP (the paper runs 256 LPs per PE, 64 vs 1024 events per
+// LP).  At low communication volume aggregation only adds latency; at high
+// volume TRAM's per-message overhead amortization wins.
 
 #include "bench_common.hpp"
 #include "miniapps/pdes/pdes.hpp"

@@ -245,17 +245,20 @@ void Block::resume_from_sync() {
 
 // ---- restructuring -------------------------------------------------------------------
 
-void Block::send_desires(int delta) {
-  DesireMsg m;
+LevelMsg Block::level(int delta) const {
+  LevelMsg m;
   m.from_depth = static_cast<std::uint8_t>(depth());
   m.from_bits = index().bits;
   m.delta = delta;
-  for (int dim = 0; dim < 3; ++dim) {
-    for (int dir = -1; dir <= 1; dir += 2) {
+  return m;
+}
+
+template <auto Ep>
+void Block::send_to_faces(const LevelMsg& m) {
+  for (int dim = 0; dim < 3; ++dim)
+    for (int dir = -1; dir <= 1; dir += 2)
       for (const BitIndex& t : face_targets_under(dim, dir, rel_at_decide_))
-        blocks_[t].send<&Block::desire>(m);
-    }
-  }
+        blocks_[t].send<Ep>(m);
 }
 
 void Block::decide() {
@@ -274,10 +277,10 @@ void Block::decide() {
   } else if (mx < p_.coarsen_threshold && depth() > p_.min_depth) {
     my_desire_ = -1;
   }
-  send_desires(my_desire_);
+  send_to_faces<&Block::desire>(level(my_desire_));
 }
 
-void Block::desire(const DesireMsg& m) {
+void Block::desire(const LevelMsg& m) {
   nb_desire_[ident(m.from_depth, m.from_bits)] = m.delta;
 }
 
@@ -293,30 +296,19 @@ void Block::finalize() {
 
   if (my_desire_ == +1 && all_rel_ge0) {
     my_delta_ = +1;
-    DecisionMsg d;
-    d.from_depth = static_cast<std::uint8_t>(depth());
-    d.from_bits = index().bits;
-    d.delta = +1;
-    for (int dim = 0; dim < 3; ++dim)
-      for (int dir = -1; dir <= 1; dir += 2)
-        for (const BitIndex& t : face_targets_under(dim, dir, rel_at_decide_))
-          blocks_[t].send<&Block::decision>(d);
+    send_to_faces<&Block::decision>(level(+1));
   }
 
   if (depth() > p_.min_depth) {
     // Vote on octet coarsening: feasible only when this block wants it, has
     // no finer face, and no face neighbor plans to refine.
     const bool yes = my_desire_ == -1 && all_rel_le0 && !nb_wants_refine;
-    DesireMsg v;
-    v.from_depth = static_cast<std::uint8_t>(depth());
-    v.from_bits = index().bits;
-    v.delta = yes ? 1 : 0;
     const BitIndex leader = index().parent().child(0);
-    blocks_[leader].send<&Block::vote>(v);
+    blocks_[leader].send<&Block::vote>(level(yes ? 1 : 0));
   }
 }
 
-void Block::vote(const DesireMsg& m) {
+void Block::vote(const LevelMsg& m) {
   if (m.delta > 0) ++coarsen_votes_;
   ++votes_seen_;
 }
@@ -327,28 +319,18 @@ void Block::resolve_coarsen() {
   if (!is_leader) return;
   if (coarsen_votes_ < 8) return;  // some sibling (or sibling region) said no
   // The octet coarsens: tell the siblings.
-  DesireMsg go;
-  go.from_depth = static_cast<std::uint8_t>(depth());
-  go.from_bits = index().bits;
-  go.delta = -1;
+  const LevelMsg go = level(-1);
   const BitIndex parent = index().parent();
   for (int oct = 1; oct < 8; ++oct) blocks_[parent.child(oct)].send<&Block::group_go>(go);
   group_go(go);
 }
 
-void Block::group_go(const DesireMsg&) {
+void Block::group_go(const LevelMsg&) {
   my_delta_ = -1;
-  DecisionMsg d;
-  d.from_depth = static_cast<std::uint8_t>(depth());
-  d.from_bits = index().bits;
-  d.delta = -1;
-  for (int dim = 0; dim < 3; ++dim)
-    for (int dir = -1; dir <= 1; dir += 2)
-      for (const BitIndex& t : face_targets_under(dim, dir, rel_at_decide_))
-        blocks_[t].send<&Block::decision>(d);
+  send_to_faces<&Block::decision>(level(-1));
 }
 
-void Block::decision(const DecisionMsg& m) {
+void Block::decision(const LevelMsg& m) {
   // Find the face this neighbor sits on (under the pre-apply map — the
   // sender is an old block) and update the live relative level.
   for (int dim = 0; dim < 3; ++dim) {

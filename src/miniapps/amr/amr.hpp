@@ -99,22 +99,12 @@ struct FaceMsg {
   }
 };
 
-struct DesireMsg {
+/// A block's level message for the restructure protocol: its desire, its
+/// coarsen vote, the octet's go, or its final level change.
+struct LevelMsg {
   std::uint8_t from_depth = 0;
   std::uint64_t from_bits = 0;
-  int delta = 0;  ///< wanted level change (-1, 0, +1)
-  template <class P>
-  void pup(P& p) {
-    p | from_depth;
-    p | from_bits;
-    p | delta;
-  }
-};
-
-struct DecisionMsg {
-  std::uint8_t from_depth = 0;
-  std::uint64_t from_bits = 0;
-  int delta = 0;  ///< final level change
+  int delta = 0;  ///< level change (-1, 0, +1); a vote is 1 (yes) or 0
   template <class P>
   void pup(P& p) {
     p | from_depth;
@@ -167,14 +157,14 @@ class Block : public charm::ArrayElement<Block, BitIndex> {
 
   // restructuring (phase entries are broadcast by the Mesh driver; the rest
   // are point-to-point protocol messages)
-  void decide();                        // phase A: evaluate + send desires
-  void desire(const DesireMsg& m);      // face neighbors' desires
-  void finalize();                      // phase B1: refine decisions + votes
-  void vote(const DesireMsg& m);        // octet leader tallies coarsen votes
-  void resolve_coarsen();               // phase B2: leaders resolve octets
-  void group_go(const DesireMsg& m);    // leader -> siblings: coarsen
-  void decision(const DecisionMsg& m);  // neighbors' final level changes
-  void apply();                         // phase C: insert children / parent
+  void decide();                     // phase A: evaluate + send desires
+  void desire(const LevelMsg& m);    // face neighbors' desires
+  void finalize();                   // phase B1: refine decisions + votes
+  void vote(const LevelMsg& m);      // octet leader tallies coarsen votes
+  void resolve_coarsen();            // phase B2: leaders resolve octets
+  void group_go(const LevelMsg& m);  // leader -> siblings: coarsen
+  void decision(const LevelMsg& m);  // neighbors' final level changes
+  void apply();                      // phase C: insert children / parent
   void child_data(const ChildDataMsg& m);
 
   std::array<double, 3> lb_coords() const override;
@@ -191,7 +181,11 @@ class Block : public charm::ArrayElement<Block, BitIndex> {
   friend class Mesh;
   void start_step();
   void sweep();
-  void send_desires(int delta);
+  /// This block's level message carrying `delta`.
+  LevelMsg level(int delta) const;
+  /// Sends `m` to entry `Ep` of every face neighbor of the pre-apply mesh.
+  template <auto Ep>
+  void send_to_faces(const LevelMsg& m);
   std::vector<BitIndex> face_targets(int dim, int dir) const;
   /// Targets under an explicit face map (restructure phases must address the
   /// PRE-apply block set even after decisions updated the live map).

@@ -1,5 +1,6 @@
 #include "stats/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,12 +11,18 @@ namespace stats::json {
 std::string format_double(double v) {
   if (!std::isfinite(v)) return "0";
   if (v == 0) return "0";  // avoid "-0"
+  // to_chars with a precision prints what "%.*g" prints, and with
+  // from_chars it costs a fifth of snprintf + strtod (a Chrome trace formats
+  // millions of times).
   char buf[40];
+  char* end = buf;
   for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, prec).ptr;
+    double back = 0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 std::string escape(const std::string& s) {

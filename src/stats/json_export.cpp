@@ -9,6 +9,16 @@
 
 namespace stats {
 
+std::string entry_label(const EntryLabeler& label, int col, int ep) {
+  if (col < 0) return "runtime";
+  if (label) {
+    std::string s = label(col, ep);
+    if (!s.empty()) return s;
+  }
+  if (ep < 0) return "col" + std::to_string(col) + ".apply";
+  return "col" + std::to_string(col) + ".ep" + std::to_string(ep);
+}
+
 namespace {
 
 // Tiny append-only writer: the schema is emitted in one fixed order, so all
@@ -97,16 +107,6 @@ void write_rows(Writer& w, const Field<Ctx> (&fields)[N], const std::vector<Ctx>
   w.open('[');
   for (const Ctx& row : rows) write_obj(w, fields, row);
   w.close(']');
-}
-
-std::string entry_label(const ExportMeta& meta, int col, int ep) {
-  if (col < 0) return "runtime";
-  if (meta.label) {
-    const std::string s = meta.label(col, ep);
-    if (!s.empty()) return s;
-  }
-  if (ep < 0) return "col" + std::to_string(col) + ".apply";
-  return "col" + std::to_string(col) + ".ep" + std::to_string(ep);
 }
 
 struct Doc {
@@ -220,7 +220,8 @@ constexpr Field<EntryRow> kEntryFields[] = {
     {"pe", [](Writer& w, const EntryRow& x) { w.val(x.u.pe); }},
     {"col", [](Writer& w, const EntryRow& x) { w.val(x.u.col); }},
     {"ep", [](Writer& w, const EntryRow& x) { w.val(x.u.ep); }},
-    {"name", [](Writer& w, const EntryRow& x) { w.val(entry_label(x.meta, x.u.col, x.u.ep)); }},
+    {"name",
+     [](Writer& w, const EntryRow& x) { w.val(entry_label(x.meta.label, x.u.col, x.u.ep)); }},
     {"calls", [](Writer& w, const EntryRow& x) { w.val(x.u.calls); }},
     {"busy", [](Writer& w, const EntryRow& x) { w.val(x.u.busy); }},
     {"exec", [](Writer& w, const EntryRow& x) { w.val(x.u.exec); }},

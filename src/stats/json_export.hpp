@@ -25,10 +25,14 @@ struct SeriesTable {
   std::vector<std::vector<double>> rows;
 };
 
-/// Labels (col, ep) keys; ep == -1 covers the LB resume broadcast's
-/// resume_from_sync deliveries (labelled "apply") and col == -1 the synthetic
-/// pure-runtime key.
+/// Names a registered entry method ("" when it has none).
 using EntryLabeler = std::function<std::string(int col, int ep)>;
+
+/// The one entry-name rule of every export: "runtime" for the synthetic
+/// pure-runtime key (col == -1), else `label`'s non-empty name, else
+/// "col<c>.apply" for the LB resume broadcast's resume_from_sync deliveries
+/// (ep == -1), else "col<c>.ep<e>".
+std::string entry_label(const EntryLabeler& label, int col, int ep);
 
 /// One (pattern x grain x P) cell of a taskbench overhead-surface sweep
 /// (DESIGN.md §8): achieved vs ideal makespan, the derived per-task
@@ -87,7 +91,7 @@ struct ExportMeta {
   /// emitted as "metrics_interval"/"timeseries"/"journal" sections; null
   /// (the default) keeps metrics-off output byte-identical.
   const introspect::Monitor* metrics = nullptr;
-  EntryLabeler label;  ///< optional; default "col<c>.ep<e>" / "runtime"
+  EntryLabeler label;  ///< optional; see entry_label
 };
 
 std::string to_json(const Report& r, const ExportMeta& meta);

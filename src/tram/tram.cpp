@@ -57,22 +57,10 @@ void Core::local_miss(int pe, const ObjIndex& idx, EntryId ep,
 }
 
 void Core::route_packed(int pe, const ObjIndex& idx, EntryId ep, int dest,
-                        const std::byte* data, std::size_t len,
-                        bool flush_through) {
-  const int peer = rt_.machine().topology().next_on_route(pe, dest);
-  Buffer& buf = buffer_for(pe, peer);
-  FrameHead head{};
-  head.idx = idx;
-  head.ep = ep;
-  head.dest_pe = dest;
-  head.len = static_cast<std::uint32_t>(len);
-  const std::size_t at = buf.frames.size();
-  buf.frames.resize(at + sizeof(FrameHead) + len);
-  std::memcpy(buf.frames.data() + at, &head, sizeof(FrameHead));
-  if (len != 0) std::memcpy(buf.frames.data() + at + sizeof(FrameHead), data, len);
-  buf.payload_bytes += len;
-  ++buf.count;
-  if (buf.count >= buffer_items_) flush_buffer(pe, peer, flush_through);
+                        const std::byte* data, std::size_t len, bool flush_through) {
+  append_frame(pe, idx, ep, dest, flush_through, [data, len](std::vector<std::byte>& frames) {
+    frames.insert(frames.end(), data, data + len);
+  });
 }
 
 Core::Buffer& Core::buffer_for(int pe, int peer) {

@@ -44,9 +44,12 @@ class Core {
   /// Insert a typed item from the currently executing PE.  Local
   /// destinations are delivered through the typed fast path (no pack);
   /// remote ones are pupped straight into the peer's aggregation buffer.
+  /// Out of line: inlined into a sender that picks between TRAM and point
+  /// sends (pdes::Lp::emit), it bloats the point path (perfbench phold ~4%
+  /// slower).
   template <class T>
-  void insert_typed(const ObjIndex& dest_idx, EntryId ep, DirectInvoker<T> inv,
-                    const T& item) {
+  [[gnu::noinline]] void insert_typed(const ObjIndex& dest_idx, EntryId ep,
+                                      DirectInvoker<T> inv, const T& item) {
     const int pe = rt_.machine().current_pe();
     ++items_;
     const int dest = resolve_dest(pe, dest_idx);
@@ -60,23 +63,8 @@ class Core {
       local_miss(pe, dest_idx, ep, rt_.pack_pooled(item), /*flush_through=*/false);
       return;
     }
-    const int peer = rt_.machine().topology().next_on_route(pe, dest);
-    Buffer& buf = buffer_for(pe, peer);
-    // Reserve the frame head, pup the item in place, then patch the length.
-    const std::size_t head_at = buf.frames.size();
-    buf.frames.resize(head_at + sizeof(FrameHead));
-    pup::pack_append(buf.frames, item);
-    FrameHead head{};
-    head.idx = dest_idx;
-    head.ep = ep;
-    head.dest_pe = dest;
-    head.len = static_cast<std::uint32_t>(buf.frames.size() - head_at -
-                                          sizeof(FrameHead));
-    std::memcpy(buf.frames.data() + head_at, &head, sizeof(FrameHead));
-    buf.payload_bytes += head.len;
-    ++buf.count;
-    if (buf.count >= buffer_items_)
-      flush_buffer(pe, peer, /*flush_through=*/false);
+    append_frame(pe, dest_idx, ep, dest, /*flush_through=*/false,
+                 [&item](std::vector<std::byte>& frames) { pup::pack_append(frames, item); });
   }
 
   /// Flush every buffer on every PE and cascade through intermediate hops
@@ -133,7 +121,28 @@ class Core {
   /// buffers at the home until the element lands).
   void local_miss(int pe, const ObjIndex& idx, EntryId ep,
                   Payload payload, bool flush_through);
-  /// Append an already-packed frame toward `dest` and flush on threshold.
+  /// Appends one frame toward `dest` to the buffer of its next hop and
+  /// flushes that buffer on threshold: reserves the FrameHead, lets
+  /// `append(frames)` write the item's bytes after it, then patches the head.
+  template <class Append>
+  void append_frame(int pe, const ObjIndex& idx, EntryId ep, int dest, bool flush_through,
+                    Append&& append) {
+    const int peer = rt_.machine().topology().next_on_route(pe, dest);
+    Buffer& buf = buffer_for(pe, peer);
+    const std::size_t head_at = buf.frames.size();
+    buf.frames.resize(head_at + sizeof(FrameHead));
+    append(buf.frames);
+    FrameHead head{};
+    head.idx = idx;
+    head.ep = ep;
+    head.dest_pe = dest;
+    head.len = static_cast<std::uint32_t>(buf.frames.size() - head_at - sizeof(FrameHead));
+    std::memcpy(buf.frames.data() + head_at, &head, sizeof(FrameHead));
+    buf.payload_bytes += head.len;
+    ++buf.count;
+    if (buf.count >= buffer_items_) flush_buffer(pe, peer, flush_through);
+  }
+  /// append_frame for an already-packed item (a relayed or re-routed frame).
   void route_packed(int pe, const ObjIndex& idx, EntryId ep, int dest,
                     const std::byte* data, std::size_t len, bool flush_through);
   Buffer& buffer_for(int pe, int peer);

@@ -64,7 +64,7 @@ static_assert(pup::mem_copyable<charm::sortlib::StartMsg>);
 static_assert(!pup::mem_copyable<std::string>);
 static_assert(!pup::mem_copyable<std::vector<double>>);
 static_assert(!pup::mem_copyable<charm::stencil::GhostMsg>);
-static_assert(!pup::mem_copyable<charm::amr::DesireMsg>);  // uint8+uint64: padded
+static_assert(!pup::mem_copyable<charm::amr::LevelMsg>);  // uint8+uint64: padded
 static_assert(!pup::mem_copyable<charm::ReductionResult>);
 
 // ---- legacy path ------------------------------------------------------------
@@ -236,17 +236,11 @@ TEST(PupFastPath, Amr) {
     fm.plane = rvec(64);
     expect_equiv(fm);
 
-    charm::amr::DesireMsg dm;
-    dm.from_depth = static_cast<std::uint8_t>(rint(0, 7));
-    dm.from_bits = static_cast<std::uint64_t>(rng());
-    dm.delta = rint(-1, 1);
-    expect_equiv(dm);
-
-    charm::amr::DecisionMsg cm;
-    cm.from_depth = static_cast<std::uint8_t>(rint(0, 7));
-    cm.from_bits = static_cast<std::uint64_t>(rng());
-    cm.delta = rint(-1, 1);
-    expect_equiv(cm);
+    charm::amr::LevelMsg lm;
+    lm.from_depth = static_cast<std::uint8_t>(rint(0, 7));
+    lm.from_bits = static_cast<std::uint64_t>(rng());
+    lm.delta = rint(-1, 1);
+    expect_equiv(lm);
 
     charm::amr::ChildCtorMsg cc;
     cc.col = rint(0, 7);

@@ -15,16 +15,28 @@
 
 namespace {
 
-/// bench::parse_args over `args` (argv[0] prepended), capturing stderr.
-int parse(std::initializer_list<const char*> args, std::string* err) {
+/// bench::parse_args over `args` (argv[0] prepended) with the fault flags as
+/// the extra table (only the common table when `with_fault_flags` is false),
+/// capturing stderr.
+int parse(std::initializer_list<const char*> args, std::string* err,
+          bool with_fault_flags = true) {
   std::vector<std::string> owned{"bench"};
   for (const char* a : args) owned.emplace_back(a);
   std::vector<char*> argv;
   for (std::string& a : owned) argv.push_back(a.data());
+  const auto& extra = bench::fault_flags();
   testing::internal::CaptureStderr();
-  const int rc = bench::parse_args(static_cast<int>(argv.size()), argv.data());
+  const int rc = bench::parse_args(static_cast<int>(argv.size()), argv.data(),
+                                   with_fault_flags ? extra.data() : nullptr,
+                                   with_fault_flags ? extra.size() : 0);
   *err = testing::internal::GetCapturedStderr();
   return rc;
+}
+
+/// Resets every flag-set option to its default.
+void reset_options() {
+  bench::options() = bench::Options{};
+  bench::fault_options() = bench::FaultOptions{};
 }
 
 TEST(BenchFlags, MalformedNumericValuesExitOneWithTheFlagsError) {
@@ -45,16 +57,16 @@ TEST(BenchFlags, MalformedNumericValuesExitOneWithTheFlagsError) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.arg);
-    bench::options() = bench::Options{};
+    reset_options();
     std::string err;
     EXPECT_EQ(parse({c.arg}, &err), 1);
     EXPECT_NE(err.find(c.error), std::string::npos) << err;
   }
-  bench::options() = bench::Options{};
+  reset_options();
 }
 
 TEST(BenchFlags, ValidNumericValuesStillParse) {
-  bench::options() = bench::Options{};
+  reset_options();
   std::string err;
   EXPECT_EQ(parse({"--metrics=2e-4", "--mtbf=0.005", "--failures=2",
                    "--fault-seed=18446744073709551615"},
@@ -63,16 +75,27 @@ TEST(BenchFlags, ValidNumericValuesStillParse) {
       << err;
   EXPECT_TRUE(bench::options().metrics);
   EXPECT_EQ(bench::options().metrics_interval, 2e-4);
-  EXPECT_EQ(bench::options().mtbf, 0.005);
-  EXPECT_EQ(bench::options().failures, 2);
-  EXPECT_EQ(bench::options().fault_seed, UINT64_MAX);
+  EXPECT_EQ(bench::fault_options().mtbf, 0.005);
+  EXPECT_EQ(bench::fault_options().failures, 2);
+  EXPECT_EQ(bench::fault_options().fault_seed, UINT64_MAX);
 
   // The bare --metrics form keeps the default interval.
-  bench::options() = bench::Options{};
+  reset_options();
   EXPECT_EQ(parse({"--metrics"}, &err), 0) << err;
   EXPECT_TRUE(bench::options().metrics);
   EXPECT_EQ(bench::options().metrics_interval, 1e-3);
-  bench::options() = bench::Options{};
+  reset_options();
+}
+
+// A bench that does not pass fault_flags() cannot inject failures, so it
+// rejects the fault flags like any other unknown argument.
+TEST(BenchFlags, CommonTableAloneRejectsFaultFlags) {
+  reset_options();
+  std::string err;
+  EXPECT_EQ(parse({"--mtbf=0.005"}, &err, /*with_fault_flags=*/false), 1);
+  EXPECT_NE(err.find("unknown argument '--mtbf=0.005'"), std::string::npos) << err;
+  EXPECT_EQ(bench::fault_options().mtbf, 0);
+  reset_options();
 }
 
 // scale's and taskbench's --npes/--width/--steps/--grain flags parse through

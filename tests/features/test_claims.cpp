@@ -211,7 +211,7 @@ const std::vector<Claim>& claims() {
 
 const std::vector<RowClaim>& row_claims() {
   // Fig 4 rows are keyed by scheme_id: 0=Base 1=Naive_DVFS 2=LB_10s 3=LB_5s
-  // 4=MetaTemp.
+  // 4=MetaTemp; the other figures' rows by iteration, step or PE count.
   static const std::vector<RowClaim> all = {
       // Naive DVFS pays the largest timing penalty.
       {"BENCH_fig04_power.json", "Figure 4", "scheme_id", "exec_s", 1, {0, 2, 3, 4}, true},
@@ -220,6 +220,23 @@ const std::vector<RowClaim>& row_claims() {
       // Base never throttles, so it runs hottest.
       {"BENCH_fig04_power.json", "Figure 4", "scheme_id", "max_temp_C", 0, {1, 2, 3, 4},
        true},
+      // Fig 5: the 16-PE steady step is slower than the 32-PE steps before
+      // the shrink and after the expand.
+      {"BENCH_fig05_malleability.json", "Figure 5", "iteration", "step_time_s", 49, {25, 75},
+       true},
+      // Fig 5: the expand spike is larger than the shrink spike.
+      {"BENCH_fig05_malleability.json", "Figure 5", "iteration", "step_time_s", 51, {26},
+       true},
+      // Fig 6: the settled step (k = 16) beats the k = 2, 4 and 8 probes.
+      {"BENCH_fig06_controlpoints.json", "Figure 6", "step", "step_ms", 59, {0, 3, 6}, false},
+      // Fig 10: the big system's checkpoint is fastest at 64 PEs.  ("Figure 1"
+      // would also match, since series() matches by prefix.)
+      {"BENCH_fig10_leanmd_ckpt.json", "Figure 10", "PEs", "big_ckpt_ms", 64, {8, 16, 32},
+       false},
+      // Fig 16: without LB the interference persists to the last iteration...
+      {"BENCH_fig16_cloud_stencil.json", "Figure 16", "iteration", "NoLB_ms", 291, {91}, true},
+      // ...and with LB the iteration time recovers from the onset spike.
+      {"BENCH_fig16_cloud_stencil.json", "Figure 16", "iteration", "LB_ms", 291, {101}, false},
   };
   return all;
 }

@@ -19,11 +19,11 @@
 #include "lb/strategy.hpp"
 #include "malleability/malleability.hpp"
 #include "runtime/charm.hpp"
+#include "stats/chrome_export.hpp"
 #include "stats/json.hpp"
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
 #include "stats/schema.hpp"
-#include "trace/chrome_export.hpp"
 #include "trace/trace.hpp"
 
 #include "test_util.hpp"
@@ -589,7 +589,7 @@ TEST(Introspect, TraceStatsAndJournalNameEveryPhaseFromOneTable) {
 
   std::vector<std::string> traced;
   std::ostringstream chrome;
-  trace::write_chrome_trace(tracer.events(), chrome);
+  stats::write_chrome_trace(tracer.events(), chrome);
   stats::json::Value trace_doc;
   ASSERT_TRUE(stats::json::parse(chrome.str(), trace_doc, nullptr));
   for (const stats::json::Value& e : trace_doc.find("traceEvents")->array)

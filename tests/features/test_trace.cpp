@@ -16,10 +16,11 @@
 #include "miniapps/leanmd/leanmd.hpp"
 #include "runtime/charm.hpp"
 #include "sim/fault_injector.hpp"
+#include "stats/chrome_export.hpp"
+#include "stats/json.hpp"
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
 #include "stats/schema.hpp"
-#include "trace/chrome_export.hpp"
 #include "trace/trace.hpp"
 
 #include "test_util.hpp"
@@ -364,10 +365,9 @@ TEST(ChromeExport, EmitsWellFormedEventStream) {
   t.phase_span(sim::Phase::kLbRound, 0, 0.0, 1e-3, 3);
 
   std::ostringstream os;
-  trace::write_chrome_trace(t.events(), os,
-                            [](int col, int ep) {
-                              return "c" + std::to_string(col) + ".e" + std::to_string(ep);
-                            });
+  stats::write_chrome_trace(t.events(), os, [](int col, int ep) {
+    return "c" + std::to_string(col) + ".e" + std::to_string(ep);
+  });
   const std::string j = os.str();
 
   EXPECT_NE(j.find("\"traceEvents\""), std::string::npos);
@@ -381,8 +381,73 @@ TEST(ChromeExport, EmitsWellFormedEventStream) {
   EXPECT_EQ(j.find(",]"), std::string::npos) << "no trailing commas";
 
   const char* path = "test_trace_chrome_out.json";
-  EXPECT_TRUE(trace::write_chrome_trace_file(t.events(), path, nullptr));
+  EXPECT_TRUE(stats::write_chrome_trace_file(t.events(), path, nullptr));
   std::remove(path);
+}
+
+/// Writes `t` as a Chrome trace and parses it back.
+stats::json::Value chrome_doc(const trace::Tracer& t, const stats::EntryLabeler& label = {}) {
+  std::ostringstream os;
+  stats::write_chrome_trace(t.events(), os, label);
+  stats::json::Value doc;
+  std::string err;
+  EXPECT_TRUE(stats::json::parse(os.str(), doc, &err)) << err;
+  return doc;
+}
+
+TEST(ChromeExport, TimesAreTheExactVirtualTimes) {
+  // Two adjacent 50-ns spans late in a run: 6 significant digits would
+  // print both at the same ts and make the second start inside the first.
+  const double t0 = 7.316490123;
+  const double t1 = t0 + 50e-9;
+  const double t2 = t1 + 50e-9;
+  trace::Tracer t;
+  t.exec(0, t0, t1, 8);
+  t.exec(0, t1, t2, 8);
+  const stats::json::Value doc = chrome_doc(t);
+  std::vector<const stats::json::Value*> spans;
+  for (const stats::json::Value& e : doc.find("traceEvents")->array)
+    if (e.str("name") == "exec") spans.push_back(&e);
+  ASSERT_EQ(spans.size(), 2u);
+  const double begins[] = {t0, t1};
+  const double ends[] = {t1, t2};
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(spans[i]->num("ts"), begins[i] * 1e6) << "span " << i;
+    EXPECT_EQ(spans[i]->num("dur"), (ends[i] - begins[i]) * 1e6) << "span " << i;
+  }
+  EXPECT_NE(spans[0]->num("ts"), spans[1]->num("ts"));
+}
+
+TEST(ChromeExport, EntryLabelsAreEscapedNotDropped) {
+  trace::Tracer t;
+  t.entry(0, 2, 5, 0.0, 1e-6);
+  const stats::json::Value doc =
+      chrome_doc(t, [](int, int) { return std::string("A\nB \"q\""); });
+  bool found = false;
+  for (const stats::json::Value& e : doc.find("traceEvents")->array)
+    found |= e.str("cat") == "entry" && e.str("name") == "A\nB \"q\"";
+  EXPECT_TRUE(found) << "the label round-trips unchanged";
+}
+
+TEST(ChromeExport, EntryNamesFollowTheStatsRecordRule) {
+  const stats::EntryLabeler named = [](int, int ep) {
+    return ep == 5 ? std::string("Named::ep") : std::string();
+  };
+  EXPECT_EQ(stats::entry_label(named, -1, -1), "runtime");
+  EXPECT_EQ(stats::entry_label(named, 2, 5), "Named::ep");
+  EXPECT_EQ(stats::entry_label(named, 2, 6), "col2.ep6");
+  EXPECT_EQ(stats::entry_label(named, 2, -1), "col2.apply");
+  EXPECT_EQ(stats::entry_label({}, 3, 5), "col3.ep5");
+
+  trace::Tracer t;
+  t.entry(0, -1, -1, 0.0, 1e-6);
+  t.entry(0, 2, 6, 1e-6, 2e-6);
+  t.entry(0, 2, -1, 2e-6, 3e-6);
+  const stats::json::Value doc = chrome_doc(t, named);
+  std::vector<std::string> names;
+  for (const stats::json::Value& e : doc.find("traceEvents")->array)
+    if (e.str("cat") == "entry") names.push_back(e.str("name"));
+  EXPECT_EQ(names, (std::vector<std::string>{"runtime", "col2.ep6", "col2.apply"}));
 }
 
 // ---- runtime phase spans -----------------------------------------------------
