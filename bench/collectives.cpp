@@ -4,7 +4,7 @@
 // collectives (DESIGN.md §10).  Each cell reports virtual time per round and
 // the message/byte/partial-send counters the topology generates; the cells
 // are exported as the stats JSON's "collectives" section, which CI's
-// scripts/gate.sh regenerates byte-identical to bench_stats/BENCH_collectives.json.
+// scripts/gate.py regenerates byte-identical to bench_stats/BENCH_collectives.json.
 //
 // Usage: collectives [--smoke] [--stats=FILE] [--trace=FILE]
 

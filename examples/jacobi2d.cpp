@@ -23,12 +23,14 @@ int main() {
   rt.lb().set_strategy(lb::make_greedy());
   rt.lb().set_period(10);
 
+  bool finished = false;
   std::printf("running 30 clean iterations, then an interfering VM lands on PE 2...\n");
   rt.on_pe(0, [&] {
     sim.run(30, Callback::to_function([&](ReductionResult&&) {
       machine.pe(2).set_freq(0.4);  // external interference
       sim.run(60, Callback::to_function([&](ReductionResult&& r) {
         std::printf("finished; final residual-delta %.3e\n", r.num(0));
+        finished = true;
         rt.exit();
       }));
     }));
@@ -50,5 +52,5 @@ int main() {
   for (int pe = 0; pe < 8; ++pe)
     std::printf("%zu ", rt.collection(sim.tiles().id()).local(pe).elems.size());
   std::printf("\n(PE 2 runs at 0.4x, so the balancer leaves it fewer tiles)\n");
-  return 0;
+  return finished ? 0 : 1;
 }

@@ -29,6 +29,8 @@ int main() {
   std::printf("LeanMD: %d cells, %d computes, %zu atoms on %d PEs\n", sim.ncells(),
               sim.ncomputes(), sim.total_atoms(), rt.npes());
 
+  const std::size_t atoms = sim.total_atoms();
+  bool finished = false;
   rt.on_pe(0, [&] {
     sim.run(6, Callback::to_function([&](ReductionResult&&) {
       std::printf("[vt=%.3f ms] 6 steps done; taking double in-memory checkpoint\n",
@@ -45,6 +47,7 @@ int main() {
                         charm::now() * 1e3);
             sim.run(6, Callback::to_function([&](ReductionResult&&) {
               std::printf("[vt=%.3f ms] finished after recovery\n", charm::now() * 1e3);
+              finished = true;
               rt.exit();
             }));
           }));
@@ -58,5 +61,5 @@ int main() {
               sim.kinetic_energy());
   std::printf("LB rounds: %d, balancer invocations: %d\n", rt.lb().rounds_completed(),
               rt.lb().lb_invocations());
-  return 0;
+  return finished && sim.total_atoms() == atoms ? 0 : 1;
 }

@@ -8,6 +8,7 @@
 using namespace charm;
 
 int main() {
+  int completed = 0;
   for (const bool use_tram : {false, true}) {
     sim::MachineConfig cfg;
     cfg.npes = 16;
@@ -21,7 +22,9 @@ int main() {
     p.tram_buffer = 64;
     pdes::Engine eng(rt, p);
 
-    rt.on_pe(0, [&] { eng.run_until(5.0, Callback::ignore()); });
+    rt.on_pe(0, [&] {
+      eng.run_until(5.0, Callback::to_function([&](ReductionResult&&) { ++completed; }));
+    });
     machine.run();
 
     std::printf("%-8s %6d LPs, %3d windows, %9llu events, rate %.2fM events/s, %llu msgs\n",
@@ -31,5 +34,5 @@ int main() {
                 static_cast<unsigned long long>(rt.messages_sent()));
   }
   std::printf("(TRAM batches fine-grained events along the torus; fewer, bigger messages)\n");
-  return 0;
+  return completed == 2 ? 0 : 1;
 }

@@ -56,8 +56,10 @@ int main() {
   auto hellos = ArrayProxy<Hello>::create(rt);
   for (int i = 0; i < 8; ++i) hellos.seed(i, i % 4);
 
+  double sum = -1;  // stays -1 unless the reduction fires
   Hello::done = Callback::to_function([&](ReductionResult&& r) {
-    std::printf("reduction over all chares: sum of indices = %.0f\n", r.num(0));
+    sum = r.num(0);
+    std::printf("reduction over all chares: sum of indices = %.0f\n", sum);
     rt.exit();
   });
 
@@ -68,5 +70,5 @@ int main() {
   std::printf("done at virtual time %.2f us after %llu events\n",
               machine.max_pe_clock() * 1e6,
               static_cast<unsigned long long>(machine.events_processed()));
-  return 0;
+  return sum == 0 + 1 + 2 + 3 + 4 + 5 + 6 + 7 ? 0 : 1;
 }

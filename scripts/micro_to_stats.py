@@ -46,7 +46,7 @@ def is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def convert(raw, smoke):
+def convert(raw):
     ctx = raw.get("context", {})
     benchmarks = []
     for b in raw.get("benchmarks", []):
@@ -70,7 +70,7 @@ def convert(raw, smoke):
         "schema": SCHEMA,
         "version": VERSION,
         "bench": "micro_runtime",
-        "smoke": smoke,
+        "smoke": False,
         "context": {
             "num_cpus": ctx.get("num_cpus", 0),
             "mhz_per_cpu": ctx.get("mhz_per_cpu", 0),
@@ -165,7 +165,6 @@ def main(argv):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("raw", help="google-benchmark --benchmark_out JSON")
     ap.add_argument("out", help="charmlike-microbench record to write")
-    ap.add_argument("--smoke", action="store_true")
     ap.add_argument("--gate", type=gate_spec, action="append", default=[],
                     metavar="NAME=RATE")
     ap.add_argument("--gate-max", type=max_spec, action="append", default=[],
@@ -175,7 +174,7 @@ def main(argv):
     args = ap.parse_args(argv[1:])
     with open(args.raw) as f:
         raw = json.load(f)
-    doc = convert(raw, args.smoke)
+    doc = convert(raw)
     errors = shape_errors(doc)
     for e in errors:
         print(f"{args.raw}: {e}", file=sys.stderr)

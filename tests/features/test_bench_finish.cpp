@@ -1,6 +1,6 @@
 // The figure benches' exit code: bench::check records a failed completion or
 // validation check, and bench::finish() then names it on stderr and returns
-// 1, so scripts/gate.sh fails on an incomplete run instead of passing it.
+// 1, so scripts/gate.py fails on an incomplete run instead of passing it.
 // Numeric flags are parsed strictly: a malformed value exits 1 with the
 // flag's error text instead of running with a silently truncated number.
 

@@ -1,9 +1,12 @@
 // stats::check and statsview against the checked-in bench_stats/ records:
 // every baseline must validate, and every invariant family must reject a
 // copy with one value changed or one key renamed, naming the failing
-// section.  The statsview tests drive the built binary: sweep cells are
-// matched by identity and gated on the declared key, and any input that
-// fails stats::check exits 1 in every mode.
+// section.  Every record's header names a bench that exists and the run
+// scripts/gate.py reruns, every bench has a smoke record, and a --metrics
+// record agrees with its plain run.  The statsview tests drive the built
+// binary: sweep cells are matched by identity and gated on the declared key,
+// and any input that fails stats::check, or any malformed flag value, exits 1
+// in every mode.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -16,6 +19,8 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "stats/json.hpp"
 #include "stats/schema.hpp"
@@ -129,6 +134,91 @@ TEST(StatsCheck, RejectsMicrobenchAndUnparsableFiles) {
   EXPECT_NAMES(err, "top level");
   EXPECT_FALSE(stats::check("{\"schema\":", &err));
   EXPECT_NAMES(err, "parse error");
+}
+
+// ---- record headers: the run each record names, which scripts/gate.py reruns ---
+
+const fs::path kBenchDir = fs::path(CHARMLIKE_SOURCE_DIR) / "bench";
+
+bool bench_exists(const std::string& name) { return fs::exists(kBenchDir / (name + ".cpp")); }
+
+/// The header's "smoke" flag; a record without a boolean one fails the test.
+bool smoke_flag(const Value& doc, const fs::path& record) {
+  const Value* smoke = doc.find("smoke");
+  EXPECT_TRUE(smoke != nullptr && smoke->type == Value::Type::kBool) << record;
+  return smoke != nullptr && smoke->boolean;
+}
+
+/// The charmlike-stats records in `dir` (BENCH_micro.json holds host times).
+std::vector<std::pair<fs::path, Value>> records_in(const fs::path& dir) {
+  std::vector<std::pair<fs::path, Value>> records;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() != ".json") continue;
+    Value doc;
+    EXPECT_TRUE(stats::json::parse(read_file(e.path()), doc)) << e.path();
+    if (doc.str("schema") == "charmlike-stats") records.emplace_back(e.path(), std::move(doc));
+  }
+  return records;
+}
+
+TEST(RecordHeaders, EveryBenchHasASmokeRecordOfItsOwn) {
+  int benches = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(kBenchDir)) {
+    const std::string name = e.path().stem().string();
+    if (e.path().extension() != ".cpp" || name == "micro_runtime") continue;
+    ++benches;
+    const fs::path record = kStatsDir / ("BENCH_" + name + ".json");
+    Value doc;
+    EXPECT_TRUE(stats::json::parse(read_file(record), doc)) << "no baseline " << record;
+    EXPECT_EQ(doc.str("bench"), name) << record;
+    EXPECT_TRUE(smoke_flag(doc, record)) << record;
+  }
+  EXPECT_GE(benches, 19);
+  for (const auto& [record, doc] : records_in(kStatsDir)) {
+    const std::string bench = doc.str("bench");
+    EXPECT_TRUE(bench_exists(bench)) << record;
+    EXPECT_EQ(record.filename().string(), "BENCH_" + bench + ".json");
+  }
+}
+
+TEST(RecordHeaders, FullRecordsAreFullRunsNamedForTheirBench) {
+  const auto records = records_in(kStatsDir / "full");
+  EXPECT_GE(records.size(), 13u);
+  for (const auto& [record, doc] : records) {
+    const std::string bench = doc.str("bench");
+    EXPECT_TRUE(bench_exists(bench)) << record;
+    EXPECT_EQ(record.filename().string(), "BENCH_" + bench + ".json");
+    EXPECT_FALSE(smoke_flag(doc, record)) << record;
+  }
+}
+
+TEST(RecordHeaders, MetricsRecordsNameTheirBenchAndInterval) {
+  const auto records = records_in(kStatsDir / "metrics");
+  EXPECT_GE(records.size(), 1u);
+  for (const auto& [record, doc] : records) {
+    EXPECT_TRUE(bench_exists(doc.str("bench"))) << record;
+    const Value* interval = doc.find("metrics_interval");
+    EXPECT_TRUE(interval != nullptr && interval->is_number() && interval->number > 0) << record;
+  }
+}
+
+// The monitor never perturbs virtual time: every section of a bench's smoke
+// record reads the same in its --metrics smoke record, which adds its samples.
+TEST(RecordHeaders, MetricsRecordsAgreeWithThePlainRun) {
+  for (const auto& [record, metered] : records_in(kStatsDir / "metrics")) {
+    const fs::path plain_path = kStatsDir / ("BENCH_" + metered.str("bench") + ".json");
+    Value plain;
+    ASSERT_TRUE(stats::json::parse(read_file(plain_path), plain)) << plain_path;
+    for (const auto& [key, value] : plain.object) {
+      const Value* same = metered.find(key);
+      EXPECT_TRUE(same != nullptr && dump(*same) == dump(value))
+          << record << ": " << key << " differs from " << plain_path;
+    }
+    for (const char* key : {"timeseries", "journal"}) {
+      const Value* samples = metered.find(key);
+      EXPECT_TRUE(samples != nullptr && !samples->array.empty()) << record << ": no " << key;
+    }
+  }
 }
 
 // ---- one seeded violation per invariant family --------------------------------
@@ -451,6 +541,20 @@ TEST(Statsview, MalformedInputExitsOneInEveryMode) {
   EXPECT_EQ(statsview("timeline " + metrics, log), 0);
   EXPECT_EQ(statsview("timeline " + metrics + " " + metrics, log), 0);
   EXPECT_EQ(statsview(fig11, log), 0);
+}
+
+TEST(Statsview, MalformedFlagValuesExitOne) {
+  const ScratchDir tmp;
+  const fs::path log = tmp / "flags.log";
+  const std::string fig11 = (kStatsDir / "BENCH_fig11_namd_profiles.json").string();
+  const std::string same = " " + fig11 + " " + fig11;
+  for (const char* flag : {"--threshold=abc", "--threshold=5x", "--threshold=-50",
+                           "--threshold=inf", "--threshold=", "--top=abc", "--top=0",
+                           "--top=-3", "--top=2.5"}) {
+    EXPECT_EQ(statsview(flag + same, log), 1) << flag << ": " << read_file(log);
+    EXPECT_NAMES(read_file(log), std::string("statsview: ") + flag + ":");
+  }
+  EXPECT_EQ(statsview("--threshold=0 --top=3" + same, log), 0) << read_file(log);
 }
 
 }  // namespace

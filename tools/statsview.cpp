@@ -17,6 +17,8 @@
 //   statsview check FILE...        validate each file; exit 1 if any fails
 //   --top=N          rows per ranking (default 10)
 //   --threshold=PCT  regression gate for the diff modes (default 5)
+// A flag value must be all number, as the benches parse theirs
+// (bench::parse_number): N > 0, PCT >= 0; anything else exits 1.
 //
 // Every mode runs stats::check on its inputs first and exits 1 naming the
 // file and failing section.  Sweep sections are handled generically from
@@ -26,7 +28,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -34,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "stats/json.hpp"
 #include "stats/schema.hpp"
 
@@ -490,6 +492,12 @@ int check_files(const std::vector<std::string>& files) {
   return bad > 0 ? 1 : 0;
 }
 
+/// A flag value that bench::parse_number rejects: named, exit 1.
+int bad_flag(const char* flag, const char* needs) {
+  std::fprintf(stderr, "statsview: %s: needs %s\n", flag, needs);
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -499,11 +507,10 @@ int main(int argc, char** argv) {
   double threshold = 5.0;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--top=", 6) == 0 && a[6] != '\0') {
-      top = std::atoi(a + 6);
-      if (top <= 0) top = 10;
-    } else if (std::strncmp(a, "--threshold=", 12) == 0 && a[12] != '\0') {
-      threshold = std::strtod(a + 12, nullptr);
+    if (std::strncmp(a, "--top=", 6) == 0) {
+      if (!bench::parse_positive(a + 6, &top)) return bad_flag(a, "a positive count");
+    } else if (std::strncmp(a, "--threshold=", 12) == 0) {
+      if (!bench::parse_number(a + 12, &threshold, 0.0)) return bad_flag(a, "a percentage >= 0");
     } else if ((std::strcmp(a, "timeline") == 0 || std::strcmp(a, "check") == 0) &&
                files.empty() && mode.empty()) {
       mode = a;
